@@ -1,9 +1,12 @@
 //! Event-loop hot-path benchmarks: the calendar-queue scheduler in
-//! isolation, plus the two canonical end-to-end scenarios tracked in
-//! `BENCH_netsim.json` (see `src/bin/bench_netsim.rs`).
+//! isolation, a packet blast through the link/event machinery with no
+//! TCP, and two TCP transfer scenarios. The campaign-level benchmark
+//! is `perfbench/` (see `perfbench/README.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use csig_netsim::{EventKind, EventQueue, LinkConfig, NodeId, SimDuration, SimTime, Simulator};
+use csig_netsim::{
+    EventKind, EventQueue, FlowId, LinkConfig, NodeId, SimDuration, SimTime, Simulator, SinkAgent,
+};
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,6 +80,34 @@ fn single_flow(seed: u64) -> u64 {
     sim.events_processed()
 }
 
+/// Pure link/event machinery: a CBR-ish blast through a router.
+fn packet_blast(seed: u64) -> u64 {
+    use csig_testbed::CbrAgent;
+    let mut sim = Simulator::new(seed);
+    let sink = sim.add_host(Box::new(SinkAgent::default()));
+    let src = sim.add_host(Box::new(CbrAgent::new(
+        sink,
+        FlowId(1),
+        100_000_000,
+        SimTime::ZERO,
+        SimTime::from_millis(500),
+    )));
+    let r = sim.add_router();
+    sim.add_duplex_link(
+        src,
+        r,
+        LinkConfig::new(1_000_000_000, SimDuration::from_millis(1)),
+    );
+    sim.add_duplex_link(
+        r,
+        sink,
+        LinkConfig::new(1_000_000_000, SimDuration::from_millis(1)),
+    );
+    sim.compute_routes();
+    sim.run();
+    sim.events_processed()
+}
+
 /// 32 clients fetching 1 MB each through a shared 100 Mbps bottleneck.
 fn contended_32(seed: u64) -> u64 {
     let mut sim = Simulator::new(seed);
@@ -116,6 +147,7 @@ fn contended_32(seed: u64) -> u64 {
 
 fn bench_event_loop(c: &mut Criterion) {
     const HOLD_OPS: u64 = 200_000;
+    let blast_events = packet_blast(1);
     let single_events = single_flow(1);
     let contended_events = contended_32(1);
 
@@ -134,6 +166,14 @@ fn bench_event_loop(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             black_box(single_flow(seed))
+        })
+    });
+    g.throughput(Throughput::Elements(blast_events));
+    g.bench_function("packet_blast", |b| {
+        let mut seed = 0;
+        b.iter(|| {
+            seed += 1;
+            black_box(packet_blast(seed))
         })
     });
     g.sample_size(10);

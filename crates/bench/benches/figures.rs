@@ -7,12 +7,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use csig_bench::{ablation, dispute, fig1, fig3, multiplexing, tslp_exp};
 use csig_core::train_from_results;
 use csig_dtree::TreeParams;
-use csig_mlab::{generate, run_campaign, Dispute2014Config, Tslp2017Config};
+use csig_exec::Executor;
+use csig_mlab::{generate_with, run_campaign_with, Dispute2014Config, Tslp2017Config};
 use csig_netsim::SimDuration;
 use csig_testbed::{run_test, AccessParams, CongestionMode, Profile, TestbedConfig};
 use std::hint::black_box;
 
 fn bench_figures(c: &mut Criterion) {
+    let seq = Executor::sequential();
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
 
@@ -21,13 +23,13 @@ fn bench_figures(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            black_box(fig1::run(1, Profile::Scaled, seed))
+            black_box(fig1::run_with(1, Profile::Scaled, seed, &seq, |_| {}))
         })
     });
 
     // Figs. 3/4 — threshold sweep + scatter on precomputed results
     // (the analysis stage; the sweep itself is the testbed bench).
-    let sweep_results = fig3::run_sweep(2, false, Profile::Scaled, 303);
+    let sweep_results = fig3::sweep(2, false, Profile::Scaled, 303).run_with(&seq, |_| {});
     g.bench_function("fig3_threshold_sweep_analysis", |b| {
         b.iter(|| black_box(fig3::threshold_points(black_box(&sweep_results), 1)))
     });
@@ -59,20 +61,22 @@ fn bench_figures(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            black_box(generate(&Dispute2014Config {
+            let cfg = Dispute2014Config {
                 tests_per_cell: 1,
                 test_duration: SimDuration::from_secs(2),
                 seed,
-            }))
+            };
+            black_box(generate_with(&cfg, &seq, |_| {}))
         })
     });
 
     // Fig. 7 analysis on a precomputed campaign + model.
-    let campaign = generate(&Dispute2014Config {
+    let cfg = Dispute2014Config {
         tests_per_cell: 3,
         test_duration: SimDuration::from_secs(2),
         seed: 707,
-    });
+    };
+    let campaign = generate_with(&cfg, &seq, |_| {});
     let clf = train_from_results(&sweep_results, 0.7, TreeParams::default()).expect("model");
     g.bench_function("fig7_analysis", |b| {
         b.iter(|| black_box(dispute::fig7(black_box(&clf), black_box(&campaign))))
@@ -86,7 +90,7 @@ fn bench_figures(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            black_box(run_campaign(&Tslp2017Config {
+            let cfg = Tslp2017Config {
                 days: 1,
                 episode_days: vec![0],
                 peak_test_minutes: 240,
@@ -95,10 +99,11 @@ fn bench_figures(c: &mut Criterion) {
                 probe_interval: SimDuration::from_secs(1800),
                 seed,
                 ..Tslp2017Config::default()
-            }))
+            };
+            black_box(run_campaign_with(&cfg, &seq, |_| {}))
         })
     });
-    let tslp_out = run_campaign(&Tslp2017Config {
+    let tslp_cfg = Tslp2017Config {
         days: 1,
         episode_days: vec![0],
         peak_test_minutes: 120,
@@ -107,7 +112,8 @@ fn bench_figures(c: &mut Criterion) {
         probe_interval: SimDuration::from_secs(900),
         seed: 808,
         ..Tslp2017Config::default()
-    });
+    };
+    let tslp_out = run_campaign_with(&tslp_cfg, &seq, |_| {});
     g.bench_function("exp_tslp2017_evaluate", |b| {
         b.iter(|| {
             black_box(tslp_exp::evaluate(

@@ -115,6 +115,7 @@ pub fn whole_flow_features(trace: &FlowTrace) -> Option<[f64; 2]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csig_exec::Executor;
     use csig_testbed::{small_grid, Profile, Sweep};
 
     #[test]
@@ -125,7 +126,7 @@ mod tests {
             profile: Profile::Scaled,
             seed: 61,
         }
-        .run(|_, _| {});
+        .run_with(&Executor::sequential(), |_| {});
         let rows = feature_depth_ablation(&results, 0.7, 1);
         assert_eq!(rows.len(), 9);
         let acc = |f: FeatureSet, d: usize| {

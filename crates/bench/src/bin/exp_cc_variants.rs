@@ -5,12 +5,13 @@
 
 use csig_bench::{cc_variants, dispute};
 use csig_exec::cli::CommonArgs;
+use csig_testbed::Profile;
 
 fn main() {
     let args = CommonArgs::parse();
     let reps: u32 = args.positional_parsed(6);
     eprintln!("cc_variants: training reference model…");
-    let clf = dispute::testbed_model_with(5, 0xCC01, &args.executor());
+    let clf = dispute::testbed_model_with(5, Profile::Scaled, 0xCC01, &args.executor());
     let rows = cc_variants::run(&clf, reps, args.seed_or(0xCC02));
     cc_variants::print(&rows);
 }

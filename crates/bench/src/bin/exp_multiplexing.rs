@@ -2,9 +2,9 @@
 //! interconnect multiplexing drops and access cross traffic rises.
 //!
 //! `cargo run --release -p csig-bench --bin exp_multiplexing [reps]
-//!  [--paper] [--seed S]`
+//!  [--paper] [--jobs N] [--seed S]`
 
-use csig_bench::multiplexing;
+use csig_bench::{dispute, multiplexing};
 use csig_exec::cli::CommonArgs;
 use csig_testbed::Profile;
 
@@ -17,7 +17,7 @@ fn main() {
         Profile::Scaled
     };
     eprintln!("multiplexing: {reps} tests per point (training model first)");
-    let clf = multiplexing::reference_model(profile, 5, 0xE331);
+    let clf = dispute::testbed_model_with(5, profile, 0xE331, &args.executor());
     let data = multiplexing::run(&clf, reps, profile, args.seed_or(0xE332));
     multiplexing::print(&data);
 }

@@ -9,13 +9,13 @@
 use csig_bench::dispute::testbed_model_with;
 use csig_exec::cli::CommonArgs;
 use csig_netsim::rng::derive_seed;
-use csig_testbed::{run_test, AccessParams, TestbedConfig};
+use csig_testbed::{run_test, AccessParams, Profile, TestbedConfig};
 
 fn main() {
     let args = CommonArgs::parse();
     let reps: u32 = args.positional_parsed(8);
     eprintln!("exp_sack_ablation: training reference model…");
-    let clf = testbed_model_with(5, 0x5AC0, &args.executor());
+    let clf = testbed_model_with(5, Profile::Scaled, 0x5AC0, &args.executor());
     let base_seed = args.seed_or(0x5AC1);
 
     println!("SACK ablation — {reps} tests/cell at the Figure-1 setting");

@@ -13,6 +13,7 @@ use csig_mlab::{
     generate_with, label_dispute2014, run_campaign_with, Dispute2014Config, Tslp2017Config,
 };
 use csig_netsim::SimDuration;
+use csig_testbed::Profile;
 
 fn main() {
     let args = CommonArgs::parse();
@@ -30,7 +31,7 @@ fn main() {
     let out = run_campaign_with(&cfg, &args.executor(), args.progress_printer(100));
 
     eprintln!("training testbed model…");
-    let testbed_clf = dispute::testbed_model_with(5, 0x7517, &args.executor());
+    let testbed_clf = dispute::testbed_model_with(5, Profile::Scaled, 0x7517, &args.executor());
     tslp_exp::print_accuracy(
         "testbed-trained model",
         &tslp_exp::evaluate(&testbed_clf, &out, 25),

@@ -1,27 +1,26 @@
 //! Compare Web100-mode (kernel-sample) classification against
 //! capture-mode over a testbed sweep, at several sampling strides.
 //!
-//! `cargo run --release -p csig-bench --bin exp_web100_mode [reps]`
+//! `cargo run --release -p csig-bench --bin exp_web100_mode [reps]
+//!  [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::{dispute, web100_exp};
+use csig_exec::cli::CommonArgs;
 use csig_testbed::{paper_grid, Profile, Sweep};
 
 fn main() {
-    let reps: u32 = std::env::args().find_map(|a| a.parse().ok()).unwrap_or(3);
+    let args = CommonArgs::parse();
+    let reps: u32 = args.positional_parsed(3);
     eprintln!("exp_web100_mode: sweeping full grid reps={reps}…");
     let results = Sweep {
         grid: paper_grid(),
         reps,
         profile: Profile::Scaled,
-        seed: 0xEB10,
+        seed: args.seed_or(0xEB10),
     }
-    .run(|done, total| {
-        if done % 24 == 0 {
-            eprintln!("  {done}/{total}");
-        }
-    });
+    .run_with(&args.executor(), args.progress_printer(24));
     eprintln!("training model…");
-    let clf = dispute::testbed_model(5, 0xEB11);
+    let clf = dispute::testbed_model_with(5, Profile::Scaled, 0xEB11, &args.executor());
     let points = web100_exp::run(&clf, &results, &[1, 2, 4, 8, 16]);
     web100_exp::print(&points);
 }

@@ -23,14 +23,8 @@ fn main() {
         if full { "paper(36)" } else { "small(9)" },
         args.executor().jobs()
     );
-    let results = fig3::run_sweep_with(
-        reps,
-        full,
-        profile,
-        seed,
-        &args.executor(),
-        args.progress_printer(24),
-    );
+    let results = fig3::sweep(reps, full, profile, seed)
+        .run_with(&args.executor(), args.progress_printer(24));
     let points = fig3::threshold_points(&results, 1);
     fig3::print_fig3(&points);
     println!();

@@ -17,14 +17,8 @@ fn main() {
         Profile::Scaled
     };
     let seed = args.seed_or(0xF164);
-    let results = fig3::run_sweep_with(
-        reps,
-        full,
-        profile,
-        seed,
-        &args.executor(),
-        args.progress_printer(0),
-    );
+    let results =
+        fig3::sweep(reps, full, profile, seed).run_with(&args.executor(), args.progress_printer(0));
     let scatter = fig3::fig4_points(&results);
     fig3::print_fig4(&scatter, true);
 }

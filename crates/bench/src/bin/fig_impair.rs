@@ -6,12 +6,13 @@
 
 use csig_bench::{dispute, impair};
 use csig_exec::cli::CommonArgs;
+use csig_testbed::Profile;
 
 fn main() {
     let args = CommonArgs::parse();
     let reps: u32 = args.positional_parsed(4);
     eprintln!("fig_impair: training reference model…");
-    let clf = dispute::testbed_model_with(5, 0xFA01, &args.executor());
+    let clf = dispute::testbed_model_with(5, Profile::Scaled, 0xFA01, &args.executor());
     eprintln!(
         "fig_impair: sweeping {} levels × {reps} reps…",
         impair::levels().len()

@@ -151,11 +151,13 @@ pub fn print(rows: &[VariantRow]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispute::testbed_model;
+    use crate::dispute::testbed_model_with;
+    use csig_exec::Executor;
+    use csig_testbed::Profile;
 
     #[test]
     fn loss_based_stacks_stay_accurate_bbr_may_not() {
-        let clf = testbed_model(4, 71);
+        let clf = testbed_model_with(4, Profile::Scaled, 71, &Executor::sequential());
         let rows = run(&clf, 3, 72);
         let get = |name: &str| {
             rows.iter()

@@ -71,23 +71,25 @@ pub fn print_fig5(tests: &[NdtTest], site: TransitSite, months: &[Month], title:
     }
 }
 
-/// Train the testbed reference model used by Figures 7 and 8.
-pub fn testbed_model(reps: u32, seed: u64) -> SignatureClassifier {
-    testbed_model_jobs(reps, seed, 1)
-}
-
-/// [`testbed_model`] with the sweep spread over `jobs` workers.
-pub fn testbed_model_jobs(reps: u32, seed: u64, jobs: usize) -> SignatureClassifier {
-    testbed_model_with(reps, seed, &Executor::new(jobs))
-}
-
-/// [`testbed_model`] on a caller-configured executor (worker count,
-/// per-scenario deadline, …).
-pub fn testbed_model_with(reps: u32, seed: u64, exec: &Executor) -> SignatureClassifier {
+/// Train the testbed reference model used by Figures 7 and 8 and the
+/// other M-Lab and robustness experiments: a `small_grid()` sweep of
+/// `reps` repetitions under `profile` on `exec` (worker count,
+/// per-scenario deadline, …), labeled at threshold 0.7, with the
+/// default tree.
+///
+/// # Panics
+/// Panics if a sweep test fails or the labeled sweep holds a single
+/// class.
+pub fn testbed_model_with(
+    reps: u32,
+    profile: Profile,
+    seed: u64,
+    exec: &Executor,
+) -> SignatureClassifier {
     let sweep = Sweep {
         grid: small_grid(),
         reps,
-        profile: Profile::Scaled,
+        profile,
         seed,
     };
     let (_, model) = train_sweep_with(&sweep, 0.7, TreeParams::default(), exec, |_| {});
@@ -275,21 +277,22 @@ pub fn fig9(tests: &[NdtTest], seed: u64) -> Vec<Fig7Bar> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csig_mlab::{generate, Dispute2014Config};
+    use csig_mlab::{generate_with, Dispute2014Config};
     use csig_netsim::SimDuration;
 
     fn campaign() -> Vec<NdtTest> {
-        generate(&Dispute2014Config {
+        let cfg = Dispute2014Config {
             tests_per_cell: 8,
             test_duration: SimDuration::from_secs(3),
             seed: 41,
-        })
+        };
+        generate_with(&cfg, &Executor::sequential(), |_| {})
     }
 
     #[test]
     fn fig7_shows_the_dispute_and_recovery() {
         let tests = campaign();
-        let clf = testbed_model(4, 42);
+        let clf = testbed_model_with(4, Profile::Scaled, 42, &Executor::sequential());
         let bars = fig7(&clf, &tests);
         let get = |site, isp, frame| {
             bars.iter()

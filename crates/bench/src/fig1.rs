@@ -9,7 +9,7 @@
 use csig_exec::{Campaign, Executor, ProgressEvent};
 use csig_netsim::rng::derive_seed;
 use csig_obs::{MetricsRegistry, Snapshot, TraceEvent};
-use csig_testbed::{AccessParams, ObservedSweepScenario, Profile, SweepScenario, TestResult};
+use csig_testbed::{AccessParams, Profile, SweepScenario, TestResult};
 use serde::{Deserialize, Serialize};
 
 /// One flow's Figure-1 metrics.
@@ -70,25 +70,12 @@ pub fn collect(results: &[TestResult]) -> Fig1Data {
     data
 }
 
-/// Run the Figure-1 experiment with `reps` tests per scenario.
-pub fn run(reps: u32, profile: Profile, seed: u64) -> Fig1Data {
-    run_jobs(reps, profile, seed, 1, |_| {})
-}
-
-/// [`run`] on `jobs` workers (`0` = one per core); output is identical
-/// for every worker count.
-pub fn run_jobs<F: FnMut(ProgressEvent)>(
-    reps: u32,
-    profile: Profile,
-    seed: u64,
-    jobs: usize,
-    progress: F,
-) -> Fig1Data {
-    run_with(reps, profile, seed, &Executor::new(jobs), progress)
-}
-
-/// [`run`] on a caller-configured executor (worker count, per-scenario
-/// deadline, …).
+/// Run the Figure-1 experiment with `reps` tests per scenario on `exec`
+/// (worker count, per-scenario deadline, …); output is identical for
+/// every worker count.
+///
+/// # Panics
+/// Panics with the failure summary if any test failed.
 pub fn run_with<F: FnMut(ProgressEvent)>(
     reps: u32,
     profile: Profile,
@@ -96,7 +83,11 @@ pub fn run_with<F: FnMut(ProgressEvent)>(
     exec: &Executor,
     progress: F,
 ) -> Fig1Data {
-    collect(&exec.run_with_progress(&campaign(reps, profile, seed), progress))
+    collect(
+        &exec
+            .run_isolated_with_progress(&campaign(reps, profile, seed), progress)
+            .expect_artifacts(),
+    )
 }
 
 /// Figure-1 results together with the campaign's observability.
@@ -110,19 +101,6 @@ pub struct Fig1Observed {
     /// Trace events from all scenarios, each tagged with its campaign
     /// index, concatenated in submission order.
     pub trace: Vec<TraceEvent>,
-}
-
-/// [`campaign`] with per-scenario observability attached to each cell.
-pub fn observed_campaign(
-    reps: u32,
-    profile: Profile,
-    seed: u64,
-) -> Campaign<ObservedSweepScenario> {
-    let mut observed = Campaign::new(seed);
-    for (scenario_seed, sc) in campaign(reps, profile, seed).iter() {
-        observed.push_seeded(*scenario_seed, ObservedSweepScenario(*sc));
-    }
-    observed
 }
 
 /// [`run_with`], instrumented: per-scenario metrics snapshots are
@@ -141,9 +119,14 @@ pub fn run_observed_with<F: FnMut(ProgressEvent)>(
     exec: &Executor,
     progress: F,
 ) -> Fig1Observed {
+    // Each cell runs with its own registry and trace buffer.
+    let mut observed = Campaign::new(seed);
+    for &(scenario_seed, sc) in campaign(reps, profile, seed).iter() {
+        observed.push_seeded(scenario_seed, move |s| sc.run_observed(s));
+    }
     let reg = MetricsRegistry::new();
     let artifacts = exec
-        .run_observed_with_progress(&observed_campaign(reps, profile, seed), &reg, progress)
+        .run_observed_with_progress(&observed, &reg, progress)
         .expect_artifacts();
     let mut results = Vec::with_capacity(artifacts.len());
     let mut trace = Vec::new();
@@ -228,7 +211,7 @@ mod tests {
 
     #[test]
     fn observed_run_matches_plain_and_is_jobs_invariant() {
-        let plain = run(2, Profile::Scaled, 21);
+        let plain = run_with(2, Profile::Scaled, 21, &Executor::sequential(), |_| {});
         let seq = run_observed_with(2, Profile::Scaled, 21, &Executor::sequential(), |_| {});
         let par = run_observed_with(2, Profile::Scaled, 21, &Executor::new(4), |_| {});
         // Figure data unchanged by instrumentation.
@@ -256,7 +239,7 @@ mod tests {
 
     #[test]
     fn figure1_shape_holds() {
-        let data = run(3, Profile::Scaled, 11);
+        let data = run_with(3, Profile::Scaled, 11, &Executor::sequential(), |_| {});
         assert!(data.self_induced.len() >= 2);
         assert!(data.external.len() >= 2);
         let med = |v: Vec<f64>| csig_features::median(&v).unwrap();

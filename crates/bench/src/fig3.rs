@@ -3,12 +3,12 @@
 
 use csig_core::{threshold_sweep, ThresholdPoint};
 use csig_dtree::TreeParams;
-use csig_exec::{Executor, ProgressEvent};
 use csig_features::CongestionClass;
 use csig_testbed::{paper_grid, small_grid, Profile, Sweep, TestResult};
 use serde::{Deserialize, Serialize};
 
-/// The sweep specification backing Figures 3 and 4.
+/// The sweep specification backing Figures 3 and 4; run it with
+/// [`Sweep::run_with`].
 pub fn sweep(reps: u32, full_grid: bool, profile: Profile, seed: u64) -> Sweep {
     Sweep {
         grid: if full_grid {
@@ -20,37 +20,6 @@ pub fn sweep(reps: u32, full_grid: bool, profile: Profile, seed: u64) -> Sweep {
         profile,
         seed,
     }
-}
-
-/// Run the grid sweep backing Figures 3 and 4 sequentially.
-pub fn run_sweep(reps: u32, full_grid: bool, profile: Profile, seed: u64) -> Vec<TestResult> {
-    sweep(reps, full_grid, profile, seed).run(|_, _| {})
-}
-
-/// [`run_sweep`] on `jobs` workers with a progress callback; results
-/// are byte-identical to the sequential run.
-pub fn run_sweep_jobs<F: FnMut(ProgressEvent)>(
-    reps: u32,
-    full_grid: bool,
-    profile: Profile,
-    seed: u64,
-    jobs: usize,
-    progress: F,
-) -> Vec<TestResult> {
-    sweep(reps, full_grid, profile, seed).run_jobs(jobs, progress)
-}
-
-/// [`run_sweep`] on a caller-configured executor (worker count,
-/// per-scenario deadline, …).
-pub fn run_sweep_with<F: FnMut(ProgressEvent)>(
-    reps: u32,
-    full_grid: bool,
-    profile: Profile,
-    seed: u64,
-    exec: &Executor,
-    progress: F,
-) -> Vec<TestResult> {
-    sweep(reps, full_grid, profile, seed).run_with(exec, progress)
 }
 
 /// The Figure-3 threshold sweep over pre-computed results.
@@ -144,10 +113,15 @@ pub fn print_fig4(points: &[Fig4Point], raw: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csig_exec::Executor;
+
+    fn scaled_results(reps: u32, seed: u64) -> Vec<TestResult> {
+        sweep(reps, false, Profile::Scaled, seed).run_with(&Executor::sequential(), |_| {})
+    }
 
     #[test]
     fn threshold_sweep_is_stable_in_the_paper_band() {
-        let results = run_sweep(5, false, Profile::Scaled, 21);
+        let results = scaled_results(5, 21);
         let pts = threshold_points(&results, 1);
         assert!(!pts.is_empty());
         // Within the paper's reliable band (0.6–0.9 in the paper; a
@@ -169,7 +143,7 @@ mod tests {
 
     #[test]
     fn fig4_separates_classes() {
-        let results = run_sweep(2, false, Profile::Scaled, 22);
+        let results = scaled_results(2, 22);
         let pts = fig4_points(&results);
         let med = |class: CongestionClass, f: fn(&Fig4Point) -> f64| {
             csig_features::median(

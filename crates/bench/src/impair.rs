@@ -135,7 +135,9 @@ pub fn run(clf: &SignatureClassifier, reps: u32, seed: u64, exec: &Executor) -> 
             }
         }
     }
-    let artifacts = exec.run(&campaign);
+    let artifacts = exec
+        .run_isolated_with_progress(&campaign, |_| {})
+        .expect_artifacts();
 
     levels
         .iter()
@@ -191,12 +193,13 @@ pub fn print(rows: &[ImpairRow]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispute::testbed_model;
+    use crate::dispute::testbed_model_with;
+    use csig_testbed::Profile;
 
     #[test]
     fn clean_baseline_beats_heavy_impairment_structurally() {
-        let clf = testbed_model(3, 91);
         let exec = Executor::new(0);
+        let clf = testbed_model_with(3, Profile::Scaled, 91, &exec);
         // Tiny sweep: baseline plus one heavy level of each axis.
         let kinds = [
             ImpairKind::Clean,
@@ -211,7 +214,9 @@ mod tests {
                 }
             }
         }
-        let artifacts = exec.run(&campaign);
+        let artifacts = exec
+            .run_isolated_with_progress(&campaign, |_| {})
+            .expect_artifacts();
         assert_eq!(artifacts.len(), 12);
         // Every cell produced a result for its own level, and the clean
         // baseline stays classifiable with the expected signature.

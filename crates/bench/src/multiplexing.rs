@@ -7,13 +7,10 @@
 //! flows; self-induced accuracy falls 86 % → 70 % as access cross
 //! traffic rises from 1 to 5 flows.
 
-use csig_core::{train_from_results, SignatureClassifier};
-use csig_dtree::TreeParams;
+use csig_core::SignatureClassifier;
 use csig_features::CongestionClass;
 use csig_netsim::rng::derive_seed;
-use csig_testbed::{
-    run_test, small_grid, AccessParams, CongestionMode, Profile, Sweep, TestbedConfig,
-};
+use csig_testbed::{run_test, AccessParams, CongestionMode, Profile, TestbedConfig};
 use serde::{Deserialize, Serialize};
 
 /// One row of the multiplexing result.
@@ -34,21 +31,6 @@ pub struct MultiplexData {
     pub external_vs_flows: Vec<MultiplexPoint>,
     /// Self accuracy vs access-link cross flows.
     pub self_vs_cross: Vec<MultiplexPoint>,
-}
-
-/// Train the reference model used for the experiment.
-pub fn reference_model(profile: Profile, reps: u32, seed: u64) -> SignatureClassifier {
-    let results = Sweep {
-        grid: small_grid(),
-        reps,
-        profile,
-        seed,
-    }
-    .run(|_, _| {});
-    match train_from_results(&results, 0.7, TreeParams::default()) {
-        Some(m) => m,
-        None => panic!("reference sweep produced no trainable dataset (reps {reps}, seed {seed})"),
-    }
 }
 
 fn access50() -> AccessParams {
@@ -158,7 +140,12 @@ mod tests {
 
     #[test]
     fn external_accuracy_decays_with_fewer_flows() {
-        let clf = reference_model(Profile::Scaled, 3, 31);
+        let clf = crate::dispute::testbed_model_with(
+            3,
+            Profile::Scaled,
+            31,
+            &csig_exec::Executor::sequential(),
+        );
         let data = run(&clf, 3, Profile::Scaled, 32);
         assert_eq!(data.external_vs_flows.len(), 4);
         let first = data.external_vs_flows.first().unwrap();

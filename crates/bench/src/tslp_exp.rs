@@ -139,21 +139,25 @@ pub fn first_probe_at(out: &Tslp2017Output) -> Option<SimTime> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispute::testbed_model;
-    use csig_mlab::{run_campaign, Tslp2017Config};
+    use crate::dispute::testbed_model_with;
+    use csig_exec::Executor;
+    use csig_mlab::{run_campaign_with, Tslp2017Config};
     use csig_netsim::SimDuration;
+    use csig_testbed::Profile;
 
     #[test]
     fn section_5_4_accuracies_hold() {
-        let out = run_campaign(&Tslp2017Config {
+        let cfg = Tslp2017Config {
             days: 4,
             episode_days: vec![1, 3],
             peak_test_minutes: 60,
             offpeak_test_minutes: 180,
             test_duration: SimDuration::from_secs(3),
             ..Tslp2017Config::default()
-        });
-        let clf = testbed_model(5, 77);
+        };
+        let exec = Executor::sequential();
+        let out = run_campaign_with(&cfg, &exec, |_| {});
+        let clf = testbed_model_with(5, Profile::Scaled, 77, &exec);
         let acc = evaluate(&clf, &out, 25);
         assert!(acc.self_total >= 20, "self_total {}", acc.self_total);
         assert!(

@@ -87,7 +87,8 @@ pub fn print(points: &[Web100Point]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispute::testbed_model;
+    use crate::dispute::testbed_model_with;
+    use csig_exec::Executor;
     use csig_testbed::{small_grid, Profile, Sweep};
 
     #[test]
@@ -98,8 +99,8 @@ mod tests {
             profile: Profile::Scaled,
             seed: 91,
         }
-        .run(|_, _| {});
-        let clf = testbed_model(3, 92);
+        .run_with(&Executor::sequential(), |_| {});
+        let clf = testbed_model_with(3, Profile::Scaled, 92, &Executor::sequential());
         let points = run(&clf, &results, &[1, 4, 8]);
         for p in &points {
             assert!(p.n >= 20, "only {} comparable flows", p.n);

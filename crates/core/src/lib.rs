@@ -71,7 +71,7 @@ pub use classifier::{ModelMeta, SignatureClassifier, Verdict};
 pub use live::{cross_check_reports, CrossCheckError, LiveAnalyzer};
 pub use training::{
     dataset_at_threshold, ground_truth_accuracy, threshold_point, threshold_sweep,
-    train_from_results, train_sweep, train_sweep_with, GroundTruthAccuracy, ThresholdPoint,
+    train_from_results, train_sweep_with, GroundTruthAccuracy, ThresholdPoint,
 };
 pub use web100_mode::{classify_conn_stats, features_from_stats, slow_start_rtts_ms};
 
@@ -82,6 +82,7 @@ mod integration_tests {
 
     use super::*;
     use csig_dtree::TreeParams;
+    use csig_exec::Executor;
     use csig_testbed::{AccessParams, Profile, Sweep};
 
     fn small_sweep(seed: u64, reps: u32) -> Vec<csig_testbed::TestResult> {
@@ -111,7 +112,7 @@ mod integration_tests {
             profile: Profile::Scaled,
             seed,
         }
-        .run(|_, _| {})
+        .run_with(&Executor::sequential(), |_| {})
     }
 
     #[test]

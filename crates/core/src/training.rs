@@ -30,22 +30,11 @@ pub fn train_from_results(
     Some(SignatureClassifier::train(&data, params, meta))
 }
 
-/// Run a sweep's campaign on `jobs` workers and train on the results:
-/// the testbed → executor → classifier path in one call. Returns the
-/// raw results alongside the model (None under the usual degenerate
-/// labelings) so callers can evaluate without re-running the sweep.
-pub fn train_sweep<F: FnMut(ProgressEvent)>(
-    sweep: &Sweep,
-    threshold: f64,
-    params: TreeParams,
-    jobs: usize,
-    progress: F,
-) -> (Vec<TestResult>, Option<SignatureClassifier>) {
-    train_sweep_with(sweep, threshold, params, &Executor::new(jobs), progress)
-}
-
-/// [`train_sweep`] on a caller-configured executor (worker count,
-/// per-scenario deadline, …).
+/// Run a sweep's campaign on `exec` (worker count, per-scenario
+/// deadline, …) and train on the results: the testbed → executor →
+/// classifier path in one call. Returns the raw results alongside the
+/// model (None under the usual degenerate labelings) so callers can
+/// evaluate without re-running the sweep.
 pub fn train_sweep_with<F: FnMut(ProgressEvent)>(
     sweep: &Sweep,
     threshold: f64,

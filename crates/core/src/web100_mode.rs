@@ -55,6 +55,7 @@ mod tests {
     use crate::classifier::{ModelMeta, SignatureClassifier};
     use crate::training::train_from_results;
     use csig_dtree::TreeParams;
+    use csig_exec::Executor;
     use csig_netsim::{LinkConfig, SimDuration, Simulator};
     use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
     use csig_testbed::{AccessParams, Profile, Sweep};
@@ -94,7 +95,7 @@ mod tests {
             profile: Profile::Scaled,
             seed: 404,
         }
-        .run(|_, _| {});
+        .run_with(&Executor::sequential(), |_| {});
         train_from_results(&results, 0.7, TreeParams::default()).expect("model")
     }
 

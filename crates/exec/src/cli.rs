@@ -6,7 +6,8 @@
 //! * `--jobs N` — worker count for campaign execution (`0` or absent
 //!   means one worker per available core). Results are byte-identical
 //!   for every worker count; `--jobs` only changes wall-clock.
-//! * `--seed S` — override the experiment's default master seed.
+//! * `--seed S` — override the experiment's default master seed
+//!   (decimal or `0x` hex).
 //! * `--paper` — run the full paper fidelity profile instead of the
 //!   scaled one (interpreted by the binary; this module only parses).
 //! * `--progress` — verbose per-scenario completion lines (index,
@@ -20,6 +21,10 @@
 //!   two same-seed runs produce byte-identical files at any `--jobs`.
 //! * `--trace-out FILE` — write the campaign's structured trace events
 //!   as JSONL at campaign end.
+//!
+//! A malformed `--jobs`, `--seed` or `--deadline` value is an error
+//! (exit status 2 from [`CommonArgs::parse`]); unknown flags are
+//! ignored.
 //!
 //! Experiment-specific flags and positionals stay with the binary;
 //! the accessor helpers here ([`CommonArgs::flag_value`],
@@ -54,12 +59,19 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Parse from the process arguments (skipping the program name).
+    /// A malformed `--jobs`, `--seed` or `--deadline` value prints an
+    /// error naming the flag and exits with status 2.
     pub fn parse() -> Self {
-        Self::from_vec(std::env::args().skip(1).collect())
+        Self::from_vec(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
-    /// Parse from an explicit argument vector.
-    pub fn from_vec(args: Vec<String>) -> Self {
+    /// Parse from an explicit argument vector, rejecting a malformed
+    /// `--jobs`, `--seed` or `--deadline` value with a message naming
+    /// the flag. Unknown flags are not errors.
+    pub fn from_vec(args: Vec<String>) -> Result<Self, String> {
         let mut parsed = CommonArgs {
             args,
             jobs: 0,
@@ -70,23 +82,21 @@ impl CommonArgs {
             metrics_out: None,
             trace_out: None,
         };
-        if let Some(v) = parsed.flag_value("--jobs") {
-            parsed.jobs = v.parse().unwrap_or_else(|_| {
-                eprintln!("warning: bad --jobs value `{v}`, using all cores");
-                0
-            });
-        }
-        parsed.seed = parsed.flag_value("--seed").and_then(|v| v.parse().ok());
+        parsed.jobs = parsed.parsed_flag("--jobs")?.unwrap_or(0);
+        parsed.seed = parsed.flag_parsed_with("--seed", parse_seed)?;
         parsed.paper = parsed.has_flag("--paper");
         parsed.progress = parsed.has_flag("--progress");
+        // `--deadline 0` means no deadline.
         parsed.deadline = parsed
-            .flag_value("--deadline")
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|s| *s > 0.0)
-            .map(Duration::from_secs_f64);
+            .flag_parsed_with("--deadline", |v| {
+                v.parse()
+                    .ok()
+                    .and_then(|s| Duration::try_from_secs_f64(s).ok())
+            })?
+            .filter(|d| !d.is_zero());
         parsed.metrics_out = parsed.flag_value("--metrics-out").cloned();
         parsed.trace_out = parsed.flag_value("--trace-out").cloned();
-        parsed
+        Ok(parsed)
     }
 
     /// Whether either observability sink (`--metrics-out` /
@@ -150,12 +160,23 @@ impl CommonArgs {
     /// Parse the value of `flag`, erroring on malformed input and
     /// returning `None` when absent.
     pub fn parsed_flag<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.flag_parsed_with(flag, |v| v.parse().ok())
+    }
+
+    /// Parse the value of `flag` with `parse`: `None` when the flag is
+    /// absent, an error naming the flag when its value is missing or
+    /// `parse` rejects it.
+    fn flag_parsed_with<T>(
+        &self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
         match self.flag_value(flag) {
+            None if self.has_flag(flag) => Err(format!("{flag} needs a value")),
             None => Ok(None),
-            Some(v) => v
-                .parse()
+            Some(v) => parse(v)
                 .map(Some)
-                .map_err(|_| format!("bad {flag} value `{v}`")),
+                .ok_or_else(|| format!("bad {flag} value `{v}`")),
         }
     }
 
@@ -210,6 +231,14 @@ impl CommonArgs {
     }
 }
 
+/// A seed in decimal or `0x`-prefixed hex.
+fn parse_seed(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }
+}
+
 /// Flags whose next argument is a value, not a positional. Keeping this
 /// list in one place is what lets `positionals()` skip values reliably
 /// across all binaries.
@@ -224,8 +253,12 @@ fn takes_value(flag: &str) -> bool {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> CommonArgs {
+    fn try_args(list: &[&str]) -> Result<CommonArgs, String> {
         CommonArgs::from_vec(list.iter().map(|s| s.to_string()).collect())
+    }
+
+    fn args(list: &[&str]) -> CommonArgs {
+        try_args(list).unwrap()
     }
 
     #[test]
@@ -261,12 +294,42 @@ mod tests {
         let a = args(&["--deadline", "2.5"]);
         assert_eq!(a.deadline, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(a.executor().deadline(), a.deadline);
-        // Absent, malformed, or non-positive values mean no deadline.
+        // Absent or zero means no deadline; a malformed value is an error.
         assert_eq!(args(&[]).deadline, None);
-        assert_eq!(args(&["--deadline", "x"]).deadline, None);
+        assert!(try_args(&["--deadline", "x"]).is_err());
         assert_eq!(args(&["--deadline", "0"]).deadline, None);
         // The value is not a positional.
         assert_eq!(args(&["--deadline", "2"]).positional_parsed(9u32), 9);
+    }
+
+    #[test]
+    fn seed_parses_decimal_and_hex() {
+        assert_eq!(args(&["--seed", "0xBEEF"]).seed, Some(48879));
+        assert_eq!(
+            args(&["--seed", "0xbeef"]).seed,
+            args(&["--seed", "48879"]).seed
+        );
+    }
+
+    #[test]
+    fn malformed_common_flags_are_errors_naming_the_flag() {
+        for (flag, bad) in [
+            ("--seed", "0xZZ"),
+            ("--seed", "-1"),
+            ("--seed", "beef"),
+            ("--jobs", "x"),
+            ("--jobs", "-2"),
+            ("--deadline", "abc"),
+            ("--deadline", "-1"),
+            ("--deadline", "NaN"),
+        ] {
+            let err = try_args(&[flag, bad]).expect_err(bad);
+            assert!(err.contains(flag), "{err}");
+        }
+        let err = try_args(&["3", "--seed"]).expect_err("missing value");
+        assert!(err.contains("--seed"), "{err}");
+        // Unknown flags are still ignored.
+        assert!(try_args(&["--frobnicate", "1"]).is_ok());
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!   `std::thread::scope` worker pool, merging artifacts in
 //!   **submission order** so a parallel run is byte-identical to a
 //!   sequential one, and reporting per-scenario completion through a
-//!   [`ProgressEvent`] callback.
+//!   [`ProgressEvent`] callback. It has one run method,
+//!   [`Executor::run_isolated_with_progress`], plus
+//!   [`Executor::run_observed_with_progress`], which also records the
+//!   campaign's `exec.*` metrics. Callers that need every artifact
+//!   chain [`CampaignRun::expect_artifacts`].
 //!
 //! Determinism contract: each scenario's randomness must come only
 //! from its seed, so the artifact vector depends only on the campaign
@@ -242,7 +246,9 @@ impl<A> CampaignRun<A> {
     }
 
     /// All artifacts, panicking with the failure summary if any
-    /// scenario failed — the strict path [`Executor::run`] uses.
+    /// scenario failed — the strict path: callers that cannot use a
+    /// partial campaign chain it onto
+    /// [`Executor::run_isolated_with_progress`].
     pub fn expect_artifacts(self) -> Vec<A> {
         if !self.is_success() {
             panic!("{}", self.summary());
@@ -275,10 +281,12 @@ pub fn default_jobs() -> usize {
 /// caught in the worker and turned into a [`ScenarioError`] carrying
 /// the panic payload and the scenario's seed; the rest of the campaign
 /// completes. An optional soft per-scenario deadline discards late
-/// artifacts the same way. The strict entry points ([`Executor::run`],
-/// [`Executor::run_with_progress`]) keep their historical contract —
-/// any failure aborts with the end-of-campaign summary — while
-/// [`Executor::run_isolated`] exposes the per-scenario outcomes.
+/// artifacts the same way. There are two run methods:
+/// [`Executor::run_isolated_with_progress`], the primitive, returns the
+/// per-scenario outcomes, and [`Executor::run_observed_with_progress`]
+/// also records the campaign's `exec.*` metrics. A caller that needs
+/// every artifact chains [`CampaignRun::expect_artifacts`], which
+/// aborts with the end-of-campaign summary on any failure.
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
     jobs: usize,
@@ -317,39 +325,6 @@ impl Executor {
     /// The soft per-scenario deadline, if any.
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline
-    }
-
-    /// Run the campaign, returning artifacts in submission order.
-    ///
-    /// # Panics
-    /// Panics with the failure summary if any scenario panicked or
-    /// overran the deadline (after every other scenario completed).
-    /// Use [`Executor::run_isolated`] to handle failures structurally.
-    pub fn run<S>(&self, campaign: &Campaign<S>) -> Vec<S::Artifact>
-    where
-        S: Scenario + Sync,
-    {
-        self.run_with_progress(campaign, |_| {})
-    }
-
-    /// Like [`Executor::run`] with a progress callback; panics with the
-    /// failure summary if any scenario failed.
-    pub fn run_with_progress<S, F>(&self, campaign: &Campaign<S>, progress: F) -> Vec<S::Artifact>
-    where
-        S: Scenario + Sync,
-        F: FnMut(ProgressEvent),
-    {
-        self.run_isolated_with_progress(campaign, progress)
-            .expect_artifacts()
-    }
-
-    /// Run the campaign fault-isolated, returning one
-    /// [`ScenarioOutcome`] per scenario in submission order.
-    pub fn run_isolated<S>(&self, campaign: &Campaign<S>) -> CampaignRun<S::Artifact>
-    where
-        S: Scenario + Sync,
-    {
-        self.run_isolated_with_progress(campaign, |_| {})
     }
 
     /// Run the campaign fault-isolated, invoking `progress` on the
@@ -569,6 +544,12 @@ mod tests {
         }
     }
 
+    /// The strict path: every artifact, or a panic with the summary.
+    fn run_all<S: Scenario + Sync>(exec: &Executor, c: &Campaign<S>) -> Vec<S::Artifact> {
+        exec.run_isolated_with_progress(c, |_| {})
+            .expect_artifacts()
+    }
+
     fn campaign(n: u64) -> Campaign<Mix> {
         let mut c = Campaign::new(0xC0FFEE);
         for i in 0..n {
@@ -588,9 +569,9 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let c = campaign(37);
-        let seq = Executor::sequential().run(&c);
+        let seq = run_all(&Executor::sequential(), &c);
         for jobs in [2, 4, 8] {
-            assert_eq!(Executor::new(jobs).run(&c), seq, "jobs={jobs}");
+            assert_eq!(run_all(&Executor::new(jobs), &c), seq, "jobs={jobs}");
         }
     }
 
@@ -600,7 +581,7 @@ mod tests {
         for _ in 0..5 {
             c.push(|seed: u64| seed.wrapping_mul(3));
         }
-        let out = Executor::new(4).run(&c);
+        let out = run_all(&Executor::new(4), &c);
         assert_eq!(out.len(), 5);
         for (got, (seed, _)) in out.iter().zip(c.iter()) {
             assert_eq!(*got, seed.wrapping_mul(3));
@@ -611,7 +592,9 @@ mod tests {
     fn progress_events_cover_every_scenario() {
         let c = campaign(16);
         let mut events = Vec::new();
-        let out = Executor::new(4).run_with_progress(&c, |e| events.push(e));
+        let out = Executor::new(4)
+            .run_isolated_with_progress(&c, |e| events.push(e))
+            .expect_artifacts();
         assert_eq!(out.len(), 16);
         assert_eq!(events.len(), 16);
         // `done` counts up in arrival order; indices form a permutation.
@@ -629,7 +612,7 @@ mod tests {
     fn sequential_progress_is_in_submission_order() {
         let c = campaign(5);
         let mut seen = Vec::new();
-        Executor::sequential().run_with_progress(&c, |e| {
+        Executor::sequential().run_isolated_with_progress(&c, |e| {
             assert_eq!(e.worker, 0);
             seen.push(e.index);
         });
@@ -695,8 +678,8 @@ mod tests {
             without_bad.push_seeded(100 + i, Maybe::Good(i));
         }
         let (run, clean) = quiet_panics(|| {
-            let run = Executor::new(4).run_isolated(&with_bad);
-            let clean = Executor::new(4).run(&without_bad);
+            let run = Executor::new(4).run_isolated_with_progress(&with_bad, |_| {});
+            let clean = run_all(&Executor::new(4), &without_bad);
             (run, clean)
         });
         assert!(!run.is_success());
@@ -736,7 +719,7 @@ mod tests {
         let mut c = Campaign::new(0);
         c.push_seeded(1, Maybe::Panic);
         c.push_seeded(2, Maybe::Good(0));
-        quiet_panics(|| Executor::new(2).run(&c));
+        quiet_panics(|| run_all(&Executor::new(2), &c));
     }
 
     #[test]
@@ -746,7 +729,7 @@ mod tests {
         c.push_seeded(2, Maybe::Slow);
         let run = Executor::sequential()
             .with_deadline(Some(Duration::from_millis(5)))
-            .run_isolated(&c);
+            .run_isolated_with_progress(&c, |_| {});
         assert!(run.outcomes[0].is_ok(), "fast scenario unaffected");
         let e = run.outcomes[1].as_ref().expect_err("slow scenario late");
         assert_eq!(e.kind, FailureKind::DeadlineExceeded);
@@ -758,7 +741,7 @@ mod tests {
     fn no_deadline_means_no_failures() {
         let mut c = Campaign::new(0);
         c.push_seeded(2, Maybe::Slow);
-        let run = Executor::sequential().run_isolated(&c);
+        let run = Executor::sequential().run_isolated_with_progress(&c, |_| {});
         assert!(run.is_success());
         assert_eq!(run.summary(), "all 1 scenarios succeeded");
     }
@@ -780,7 +763,7 @@ mod tests {
         c.push_seeded(1, Maybe::Good(1));
         c.push_seeded(2, Maybe::Slow);
         let mut per_scenario = Vec::new();
-        Executor::sequential().run_with_progress(&c, |e| {
+        Executor::sequential().run_isolated_with_progress(&c, |e| {
             per_scenario.push((e.index, e.scenario_elapsed));
         });
         let slow = per_scenario

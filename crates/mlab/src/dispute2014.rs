@@ -145,30 +145,20 @@ pub fn campaign(cfg: &Dispute2014Config) -> Campaign<NdtScenario> {
     campaign
 }
 
-/// Generate the campaign sequentially: every cell of (site × ISP ×
-/// month) gets `tests_per_cell` simulated tests.
-pub fn generate(cfg: &Dispute2014Config) -> Vec<NdtTest> {
-    generate_jobs(cfg, 1, |_| {})
-}
-
-/// [`generate`] on `jobs` workers (`0` = one per core) with a progress
-/// callback. Results are byte-identical for every worker count.
-pub fn generate_jobs<F: FnMut(ProgressEvent)>(
-    cfg: &Dispute2014Config,
-    jobs: usize,
-    progress: F,
-) -> Vec<NdtTest> {
-    generate_with(cfg, &Executor::new(jobs), progress)
-}
-
-/// [`generate`] on a caller-configured executor (worker count,
-/// per-scenario deadline, …).
+/// Generate the campaign on `exec` (worker count, per-scenario
+/// deadline, …): every cell of (site × ISP × month) gets
+/// `tests_per_cell` simulated tests. Results are byte-identical for
+/// every worker count.
+///
+/// # Panics
+/// Panics with the failure summary if any test failed.
 pub fn generate_with<F: FnMut(ProgressEvent)>(
     cfg: &Dispute2014Config,
     exec: &Executor,
     progress: F,
 ) -> Vec<NdtTest> {
-    exec.run_with_progress(&campaign(cfg), progress)
+    exec.run_isolated_with_progress(&campaign(cfg), progress)
+        .expect_artifacts()
 }
 
 fn run_one<R: Rng>(scenario: &NdtScenario, seed: u64, rng: &mut R) -> NdtTest {
@@ -322,11 +312,12 @@ mod tests {
     use super::*;
 
     fn tiny() -> Vec<NdtTest> {
-        generate(&Dispute2014Config {
+        let cfg = Dispute2014Config {
             tests_per_cell: 3,
             test_duration: SimDuration::from_secs(3),
             seed: 99,
-        })
+        };
+        generate_with(&cfg, &Executor::sequential(), |_| {})
     }
 
     #[test]

@@ -27,14 +27,13 @@ pub mod tslp2017;
 pub mod web100;
 
 pub use dispute2014::{
-    diurnal_load, diurnal_throughput, generate, generate_jobs, generate_with, is_off_peak_hour,
-    is_peak_hour, label_dispute2014, to_csv, Dispute2014Config, NdtScenario, NdtTest,
+    diurnal_load, diurnal_throughput, generate_with, is_off_peak_hour, is_peak_hour,
+    label_dispute2014, to_csv, Dispute2014Config, NdtScenario, NdtTest,
 };
 pub use isp::{AccessIsp, Month, TransitSite};
 pub use ndt::{run_ndt, CongestedState, NdtMeasurement, NdtPath, NDT_FLOW};
 pub use tslp2017::{
-    build_schedule, label_tslp2017, run_campaign, run_campaign_jobs, run_campaign_with,
-    test_schedule, tests_to_csv, EpisodeWindow, Tslp2017Config, Tslp2017Output, TslpNdtScenario,
-    TslpNdtTest,
+    build_schedule, label_tslp2017, run_campaign_with, test_schedule, tests_to_csv, EpisodeWindow,
+    Tslp2017Config, Tslp2017Output, TslpNdtScenario, TslpNdtTest,
 };
 pub use web100::Web100Log;

@@ -274,26 +274,14 @@ pub fn ndt_campaign(cfg: &Tslp2017Config, episodes: &[EpisodeWindow]) -> Campaig
     campaign
 }
 
-/// Run the full campaign sequentially.
-pub fn run_campaign(cfg: &Tslp2017Config) -> Tslp2017Output {
-    run_campaign_jobs(cfg, 1, |_| {})
-}
-
-/// [`run_campaign`] with the NDT tests spread over `jobs` workers
-/// (`0` = one per core) and a progress callback over them. The
-/// continuous probing simulation is one coupled system and stays
-/// sequential; only the independent NDT micro-simulations parallelize.
-/// Output is byte-identical for every worker count.
-pub fn run_campaign_jobs<F: FnMut(ProgressEvent)>(
-    cfg: &Tslp2017Config,
-    jobs: usize,
-    progress: F,
-) -> Tslp2017Output {
-    run_campaign_with(cfg, &Executor::new(jobs), progress)
-}
-
-/// [`run_campaign`] on a caller-configured executor (worker count,
-/// per-scenario deadline, …).
+/// Run the full campaign, spreading the NDT tests over `exec` (worker
+/// count, per-scenario deadline, …) with a progress callback over
+/// them. The continuous probing simulation is one coupled system and
+/// stays sequential; only the independent NDT micro-simulations
+/// parallelize. Output is byte-identical for every worker count.
+///
+/// # Panics
+/// Panics with the failure summary if any NDT test failed.
 pub fn run_campaign_with<F: FnMut(ProgressEvent)>(
     cfg: &Tslp2017Config,
     exec: &Executor,
@@ -301,7 +289,9 @@ pub fn run_campaign_with<F: FnMut(ProgressEvent)>(
 ) -> Tslp2017Output {
     let episodes = build_schedule(cfg);
     let (near, far) = run_probe_campaign(cfg, &episodes);
-    let tests = exec.run_with_progress(&ndt_campaign(cfg, &episodes), progress);
+    let tests = exec
+        .run_isolated_with_progress(&ndt_campaign(cfg, &episodes), progress)
+        .expect_artifacts();
 
     Tslp2017Output {
         near,
@@ -378,7 +368,7 @@ mod tests {
 
     #[test]
     fn campaign_probes_detect_the_episode() {
-        let out = run_campaign(&tiny_cfg());
+        let out = run_campaign_with(&tiny_cfg(), &Executor::sequential(), |_| {});
         assert!(!out.near.is_empty() && !out.far.is_empty());
         // Far baseline ≈ 18 ms.
         let base = out.far.baseline_ms().unwrap();
@@ -400,7 +390,7 @@ mod tests {
 
     #[test]
     fn csv_export_shape() {
-        let out = run_campaign(&tiny_cfg());
+        let out = run_campaign_with(&tiny_cfg(), &Executor::sequential(), |_| {});
         let csv = tests_to_csv(&out, 25);
         assert_eq!(csv.lines().count(), out.tests.len() + 1);
         assert!(csv.lines().nth(1).unwrap().split(',').count() == 8);
@@ -408,7 +398,7 @@ mod tests {
 
     #[test]
     fn tests_during_episodes_are_externally_limited() {
-        let out = run_campaign(&tiny_cfg());
+        let out = run_campaign_with(&tiny_cfg(), &Executor::sequential(), |_| {});
         let episode_tests: Vec<_> = out.tests.iter().filter(|t| t.during_episode).collect();
         let clean_tests: Vec<_> = out.tests.iter().filter(|t| !t.during_episode).collect();
         assert!(!episode_tests.is_empty(), "no tests hit the episode window");

@@ -124,20 +124,6 @@ impl Scenario for SweepScenario {
     }
 }
 
-/// [`SweepScenario`] wrapper whose artifact carries the per-scenario
-/// observability alongside the measurement. Used by the `fig*` binaries
-/// when `--metrics-out`/`--trace-out` is requested.
-#[derive(Debug, Clone, Copy)]
-pub struct ObservedSweepScenario(pub SweepScenario);
-
-impl Scenario for ObservedSweepScenario {
-    type Artifact = (TestResult, Snapshot, Vec<TraceEvent>);
-
-    fn run(&self, seed: u64) -> Self::Artifact {
-        self.0.run_observed(seed)
-    }
-}
-
 /// Sweep specification.
 #[derive(Debug, Clone)]
 pub struct Sweep {
@@ -187,26 +173,19 @@ impl Sweep {
         campaign
     }
 
-    /// Run the sweep sequentially. Calls `progress(done, total)` after
-    /// each test.
-    pub fn run<F: FnMut(usize, usize)>(&self, mut progress: F) -> Vec<TestResult> {
-        Executor::sequential().run_with_progress(&self.campaign(), |e| progress(e.done, e.total))
-    }
-
-    /// Run the sweep on `jobs` workers (`0` = one per core). Results
-    /// are byte-identical to [`Sweep::run`] for any worker count.
-    pub fn run_jobs<F: FnMut(ProgressEvent)>(&self, jobs: usize, progress: F) -> Vec<TestResult> {
-        self.run_with(&Executor::new(jobs), progress)
-    }
-
-    /// Run the sweep on a caller-configured executor (worker count,
-    /// per-scenario deadline, …).
+    /// Run the sweep on `exec` (worker count, per-scenario deadline,
+    /// …). Results come back in campaign order and are byte-identical
+    /// for any worker count.
+    ///
+    /// # Panics
+    /// Panics with the failure summary if any test failed.
     pub fn run_with<F: FnMut(ProgressEvent)>(
         &self,
         exec: &Executor,
         progress: F,
     ) -> Vec<TestResult> {
-        exec.run_with_progress(&self.campaign(), progress)
+        exec.run_isolated_with_progress(&self.campaign(), progress)
+            .expect_artifacts()
     }
 }
 
@@ -269,7 +248,7 @@ mod tests {
             seed: 9,
         };
         let mut calls = 0;
-        let results = s.run(|_, _| calls += 1);
+        let results = s.run_with(&Executor::sequential(), |_| calls += 1);
         assert_eq!(results.len(), 4);
         assert_eq!(calls, 4);
         let self_count = results
@@ -307,8 +286,8 @@ mod tests {
             profile: Profile::Scaled,
             seed: 17,
         };
-        let seq = s.run(|_, _| {});
-        let par = s.run_jobs(4, |_| {});
+        let seq = s.run_with(&Executor::sequential(), |_| {});
+        let par = s.run_with(&Executor::new(4), |_| {});
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(format!("{a:?}"), format!("{b:?}"));

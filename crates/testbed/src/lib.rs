@@ -25,7 +25,7 @@ pub mod topology;
 
 pub use agents::{CbrAgent, MultiClientAgent};
 pub use config::{AccessParams, CongestionMode, TestbedConfig};
-pub use grid::{paper_grid, small_grid, ObservedSweepScenario, Profile, Sweep, SweepScenario};
+pub use grid::{paper_grid, small_grid, Profile, Sweep, SweepScenario};
 pub use labeling::{build_dataset, label_with_threshold};
 pub use runner::{run_test, run_test_observed, TestResult};
 pub use topology::{build, Testbed, TEST_FLOW};

@@ -8,7 +8,7 @@
 //! ```
 
 use tcp_congestion_signatures::mlab::{
-    diurnal_throughput, generate_jobs, is_off_peak_hour, is_peak_hour, AccessIsp,
+    diurnal_throughput, generate_with, is_off_peak_hour, is_peak_hour, AccessIsp,
     Dispute2014Config, Month, TransitSite,
 };
 use tcp_congestion_signatures::prelude::*;
@@ -21,7 +21,7 @@ fn main() {
         test_duration: SimDuration::from_secs(3),
         seed: 14,
     };
-    let tests = generate_jobs(&cfg, 0, |e| {
+    let tests = generate_with(&cfg, &Executor::new(0), |e| {
         if e.done % 120 == 0 {
             println!("  {}/{}", e.done, e.total);
         }
@@ -64,7 +64,7 @@ fn main() {
         profile: Profile::Scaled,
         seed: 99,
     }
-    .run(|_, _| {});
+    .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
 
     println!("fraction of flows classified self-induced (Cogent LAX):");

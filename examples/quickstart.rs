@@ -38,9 +38,9 @@ fn main() {
         profile: Profile::Scaled,
         seed: 42,
     }
-    .run(|done, total| {
-        if done % 4 == 0 {
-            println!("  {done}/{total}");
+    .run_with(&Executor::sequential(), |e| {
+        if e.done % 4 == 0 {
+            println!("  {}/{}", e.done, e.total);
         }
     });
 

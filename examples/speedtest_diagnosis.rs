@@ -25,7 +25,7 @@ fn main() {
         profile: Profile::Scaled,
         seed: 7,
     }
-    .run(|_, _| {});
+    .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
     println!("model trained on {} labeled flows\n", clf.meta.n_train);
 

@@ -10,7 +10,7 @@
 //! cargo run --release --example tslp_monitor
 //! ```
 
-use tcp_congestion_signatures::mlab::{label_tslp2017, run_campaign_jobs, Tslp2017Config};
+use tcp_congestion_signatures::mlab::{label_tslp2017, run_campaign_with, Tslp2017Config};
 use tcp_congestion_signatures::prelude::*;
 use tcp_congestion_signatures::testbed;
 use tcp_congestion_signatures::tslp::{interdomain_episodes, DetectorParams};
@@ -28,7 +28,7 @@ fn main() {
         "running a {}-day campaign (continuous TSLP probing + periodic NDT tests)…",
         cfg.days
     );
-    let out = run_campaign_jobs(&cfg, 0, |e| {
+    let out = run_campaign_with(&cfg, &Executor::new(0), |e| {
         if e.done % 30 == 0 {
             println!("  NDT test {}/{}", e.done, e.total);
         }
@@ -69,7 +69,7 @@ fn main() {
         profile: Profile::Scaled,
         seed: 3,
     }
-    .run(|_, _| {});
+    .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
 
     let mut agree = 0usize;

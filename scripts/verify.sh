@@ -29,6 +29,14 @@ grep -q '"sim.events"' "$obsdir/m1.json" || { echo "verify: snapshot missing sim
 cmp -s "$obsdir/m1.json" "$obsdir/m2.json" || { echo "verify: metrics snapshot differs across --jobs"; exit 1; }
 cmp -s "$obsdir/t1.jsonl" "$obsdir/t2.jsonl" || { echo "verify: trace differs across --jobs"; exit 1; }
 
+echo "==> jobs invariance: fig3 (Sweep::run_with) and fig5 (generate_with) stdout"
+for bin in fig3 fig5; do
+  ./target/release/$bin 2 --seed 7 --jobs 1 >"$obsdir/$bin-j1.txt" 2>/dev/null
+  ./target/release/$bin 2 --seed 7 --jobs 4 >"$obsdir/$bin-j4.txt" 2>/dev/null
+  test -s "$obsdir/$bin-j1.txt" || { echo "verify: empty $bin output"; exit 1; }
+  cmp -s "$obsdir/$bin-j1.txt" "$obsdir/$bin-j4.txt" || { echo "verify: $bin output differs across --jobs"; exit 1; }
+done
+
 echo "==> cargo bench --workspace --no-run (benches stay compiling)"
 cargo bench --workspace --no-run
 

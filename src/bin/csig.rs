@@ -40,7 +40,13 @@ fn main() -> ExitCode {
         eprintln!("{}", USAGE);
         return ExitCode::FAILURE;
     };
-    let args = CommonArgs::from_vec(all[1..].to_vec());
+    let args = match CommonArgs::from_vec(all[1..].to_vec()) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("csig: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let result = match cmd.as_str() {
         "train" => cmd_train(&args),
         "classify" => cmd_classify(&args),

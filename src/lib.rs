@@ -30,7 +30,7 @@
 //!
 //! // 1. Generate labeled training data from the §3 testbed.
 //! let sweep = Sweep::scaled(2, 42);
-//! let results = sweep.run(|_, _| {});
+//! let results = sweep.run_with(&Executor::sequential(), |_| {});
 //!
 //! // 2. Train the classifier (threshold 0.8, tree depth 4).
 //! let clf = train_from_results(&results, 0.8, TreeParams::default()).unwrap();

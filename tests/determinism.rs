@@ -38,7 +38,7 @@ fn training_is_deterministic() {
             profile: Profile::Scaled,
             seed: 77,
         }
-        .run(|_, _| {});
+        .run_with(&Executor::sequential(), |_| {});
         train_from_results(&results, 0.7, TreeParams::default()).expect("model")
     };
     let a = mk();
@@ -48,14 +48,14 @@ fn training_is_deterministic() {
 
 #[test]
 fn mlab_campaign_is_deterministic() {
-    use tcp_congestion_signatures::mlab::{generate, Dispute2014Config};
+    use tcp_congestion_signatures::mlab::{generate_with, Dispute2014Config};
     let cfg = Dispute2014Config {
         tests_per_cell: 1,
         test_duration: SimDuration::from_secs(2),
         seed: 50,
     };
-    let a = generate(&cfg);
-    let b = generate(&cfg);
+    let a = generate_with(&cfg, &Executor::sequential(), |_| {});
+    let b = generate_with(&cfg, &Executor::sequential(), |_| {});
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.hour, y.hour);
         assert_eq!(x.congested, y.congested);

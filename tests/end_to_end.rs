@@ -34,7 +34,7 @@ fn train_serialize_reload_classify() {
         profile: Profile::Scaled,
         seed: 9001,
     }
-    .run(|_, _| {});
+    .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
 
     // Model survives JSON round-trip.
@@ -63,7 +63,7 @@ fn classifier_needs_no_path_knowledge() {
         profile: Profile::Scaled,
         seed: 9002,
     }
-    .run(|_, _| {});
+    .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
 
     // An unseen config: 50 Mbps, 150 ms buffer, 40 ms latency.
@@ -86,7 +86,7 @@ fn verdict_confidence_reflects_leaf_purity() {
         profile: Profile::Scaled,
         seed: 9003,
     }
-    .run(|_, _| {});
+    .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
     let t = run_test(&TestbedConfig::scaled(AccessParams::figure1(), 555));
     let f = t.features.expect("features");

@@ -13,8 +13,12 @@ use csig_testbed::Profile;
 #[test]
 fn fig1_campaign_is_jobs_invariant() {
     let campaign = fig1::campaign(3, Profile::Scaled, 0xF161);
-    let seq = Executor::new(1).run(&campaign);
-    let par = Executor::new(4).run(&campaign);
+    let seq = Executor::new(1)
+        .run_isolated_with_progress(&campaign, |_| {})
+        .expect_artifacts();
+    let par = Executor::new(4)
+        .run_isolated_with_progress(&campaign, |_| {})
+        .expect_artifacts();
     let seq_json = serde_json::to_string(&seq).expect("serialize sequential");
     let par_json = serde_json::to_string(&par).expect("serialize parallel");
     assert_eq!(seq_json, par_json, "fig1 campaign output depends on jobs");
@@ -31,8 +35,8 @@ fn dispute2014_campaign_is_jobs_invariant() {
         test_duration: SimDuration::from_secs(2),
         seed: 0xD157,
     };
-    let seq = dispute2014::generate_jobs(&cfg, 1, |_| {});
-    let par = dispute2014::generate_jobs(&cfg, 4, |_| {});
+    let seq = dispute2014::generate_with(&cfg, &Executor::new(1), |_| {});
+    let par = dispute2014::generate_with(&cfg, &Executor::new(4), |_| {});
     assert_eq!(seq.len(), par.len());
     let seq_json = serde_json::to_string(&seq).expect("serialize sequential");
     let par_json = serde_json::to_string(&par).expect("serialize parallel");

@@ -70,8 +70,12 @@ fn fault_plans_are_jobs_invariant() {
     for _ in 0..6 {
         campaign.push(ImpairedTransfer);
     }
-    let seq = Executor::new(1).run(&campaign);
-    let par = Executor::new(8).run(&campaign);
+    let seq = Executor::new(1)
+        .run_isolated_with_progress(&campaign, |_| {})
+        .expect_artifacts();
+    let par = Executor::new(8)
+        .run_isolated_with_progress(&campaign, |_| {})
+        .expect_artifacts();
     let seq_json = serde_json::to_string(&seq).expect("serialize sequential");
     let par_json = serde_json::to_string(&par).expect("serialize parallel");
     assert_eq!(seq_json, par_json, "impairment traces depend on jobs");
@@ -113,7 +117,7 @@ fn panicking_scenario_is_isolated_and_rest_is_byte_identical() {
         }
     }
 
-    let run = Executor::new(4).run_isolated(&full);
+    let run = Executor::new(4).run_isolated_with_progress(&full, |_| {});
     std::panic::set_hook(hook);
 
     let failures = run.failures();
@@ -127,7 +131,9 @@ fn panicking_scenario_is_isolated_and_rest_is_byte_identical() {
     // Every surviving artifact is byte-identical to a campaign that
     // never contained the panicking scenario.
     let survivors = run.artifacts();
-    let reference = Executor::new(2).run(&clean);
+    let reference = Executor::new(2)
+        .run_isolated_with_progress(&clean, |_| {})
+        .expect_artifacts();
     let a = serde_json::to_string(&survivors).expect("serialize survivors");
     let b = serde_json::to_string(&reference).expect("serialize reference");
     assert_eq!(a, b, "panic isolation perturbed surviving artifacts");

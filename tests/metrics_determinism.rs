@@ -11,20 +11,25 @@
 //! * The headline counters the paper pipeline depends on — simulator
 //!   events, RTT samples, verdicts — must actually be non-empty.
 
-use csig_exec::{Campaign, Executor};
-use csig_obs::MetricsRegistry;
-use csig_testbed::{AccessParams, ObservedSweepScenario, Profile, SweepScenario};
+use csig_exec::{Campaign, Executor, Scenario};
+use csig_obs::{MetricsRegistry, Snapshot, TraceEvent};
+use csig_testbed::{AccessParams, Profile, SweepScenario, TestResult};
 
-/// A small interleaved self/external campaign on the figure-1 point.
-fn campaign(reps: u32, seed: u64) -> Campaign<ObservedSweepScenario> {
+/// A small interleaved self/external campaign on the figure-1 point,
+/// each cell observed through its own registry and trace buffer.
+fn campaign(
+    reps: u32,
+    seed: u64,
+) -> Campaign<impl Scenario<Artifact = (TestResult, Snapshot, Vec<TraceEvent>)> + Sync> {
     let mut campaign = Campaign::new(seed);
     for _ in 0..reps {
         for external in [false, true] {
-            campaign.push(ObservedSweepScenario(SweepScenario {
+            let sc = SweepScenario {
                 access: AccessParams::figure1(),
                 external,
                 profile: Profile::Scaled,
-            }));
+            };
+            campaign.push(move |s| sc.run_observed(s));
         }
     }
     campaign

@@ -2,18 +2,23 @@
 //! generation, Web100 filtering, labeling and classification.
 
 use tcp_congestion_signatures::mlab::{
-    generate, label_dispute2014, run_campaign, AccessIsp, Dispute2014Config, Month, Tslp2017Config,
+    generate_with, label_dispute2014, run_campaign_with, AccessIsp, Dispute2014Config, Month,
+    Tslp2017Config,
 };
 use tcp_congestion_signatures::prelude::*;
 use tcp_congestion_signatures::tslp::{interdomain_episodes, DetectorParams};
 
 #[test]
 fn dispute_campaign_passes_mlab_filters() {
-    let tests = generate(&Dispute2014Config {
-        tests_per_cell: 2,
-        test_duration: SimDuration::from_secs(3),
-        seed: 7001,
-    });
+    let tests = generate_with(
+        &Dispute2014Config {
+            tests_per_cell: 2,
+            test_duration: SimDuration::from_secs(3),
+            seed: 7001,
+        },
+        &Executor::sequential(),
+        |_| {},
+    );
     // The paper keeps tests lasting ≥90% of the duration that were
     // congestion-limited ≥90% of the time. Virtually all synthetic NDT
     // tests qualify (they are bulk downloads with a huge rwnd).
@@ -40,11 +45,15 @@ fn dispute_campaign_passes_mlab_filters() {
 
 #[test]
 fn dispute_labels_track_generator_ground_truth() {
-    let tests = generate(&Dispute2014Config {
-        tests_per_cell: 6,
-        test_duration: SimDuration::from_secs(3),
-        seed: 7002,
-    });
+    let tests = generate_with(
+        &Dispute2014Config {
+            tests_per_cell: 6,
+            test_duration: SimDuration::from_secs(3),
+            seed: 7002,
+        },
+        &Executor::sequential(),
+        |_| {},
+    );
     let mut agree = 0usize;
     let mut labeled = 0usize;
     for t in &tests {
@@ -72,11 +81,15 @@ fn dispute_labels_track_generator_ground_truth() {
 
 #[test]
 fn cox_is_never_congested_and_always_fast_off_peak() {
-    let tests = generate(&Dispute2014Config {
-        tests_per_cell: 4,
-        test_duration: SimDuration::from_secs(3),
-        seed: 7003,
-    });
+    let tests = generate_with(
+        &Dispute2014Config {
+            tests_per_cell: 4,
+            test_duration: SimDuration::from_secs(3),
+            seed: 7003,
+        },
+        &Executor::sequential(),
+        |_| {},
+    );
     for t in tests.iter().filter(|t| t.isp == AccessIsp::Cox) {
         assert!(!t.congested, "Cox got congested: {t:?}");
     }
@@ -100,15 +113,19 @@ fn cox_is_never_congested_and_always_fast_off_peak() {
 
 #[test]
 fn tslp_campaign_detection_and_classification_agree() {
-    let out = run_campaign(&Tslp2017Config {
-        days: 3,
-        episode_days: vec![1],
-        peak_test_minutes: 90,
-        offpeak_test_minutes: 240,
-        test_duration: SimDuration::from_secs(3),
-        probe_interval: SimDuration::from_secs(600),
-        ..Tslp2017Config::default()
-    });
+    let out = run_campaign_with(
+        &Tslp2017Config {
+            days: 3,
+            episode_days: vec![1],
+            peak_test_minutes: 90,
+            offpeak_test_minutes: 240,
+            test_duration: SimDuration::from_secs(3),
+            probe_interval: SimDuration::from_secs(600),
+            ..Tslp2017Config::default()
+        },
+        &Executor::sequential(),
+        |_| {},
+    );
     // TSLP finds exactly the scheduled episode.
     let eps = interdomain_episodes(
         &out.near,
@@ -128,7 +145,7 @@ fn tslp_campaign_detection_and_classification_agree() {
         profile: Profile::Scaled,
         seed: 7004,
     }
-    .run(|_, _| {});
+    .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
     let mut ep_external = 0usize;
     let mut ep_total = 0usize;

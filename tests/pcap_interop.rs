@@ -16,7 +16,7 @@ fn verdict_survives_pcap_roundtrip() {
         profile: Profile::Scaled,
         seed: 11,
     }
-    .run(|_, _| {});
+    .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
 
     // Run a fresh test, capture at the server.

@@ -59,7 +59,7 @@ fn latency_invariance_of_the_verdict() {
         profile: Profile::Scaled,
         seed: 71,
     }
-    .run(|_, _| {});
+    .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
     for latency_ms in [20u64, 40] {
         let access = AccessParams {

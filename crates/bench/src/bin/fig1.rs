@@ -6,42 +6,13 @@
 //!  [--trace-out FILE]`
 //!
 //! With `--metrics-out`/`--trace-out` the campaign runs instrumented:
-//! the deterministic metrics snapshot and the JSONL trace are written
-//! at the end, and a wall-time split (event loop vs feature extraction
-//! vs tree inference) is reported on stderr.
+//! the metrics snapshot and the JSONL trace are written at the end.
+//! Wall-clock timing per layer is `perfbench`'s job
+//! (`perfbench --workload testbed_fig1 --trace 1`).
 
 use csig_bench::fig1;
 use csig_exec::cli::CommonArgs;
-use csig_obs::Snapshot;
 use csig_testbed::Profile;
-
-/// Report where the campaign's time went, from the wall-clock timer
-/// histograms: total and mean per timed section.
-fn print_time_split(metrics: &Snapshot) {
-    eprintln!("fig1: time split (wall-clock, from timer histograms)");
-    for (name, label) in [
-        ("time.sim_event_loop_us", "simulator event loop"),
-        ("time.feature_extract_us", "feature extraction"),
-        ("time.inference_us", "tree inference"),
-        ("time.scenario_wall_us", "whole scenarios"),
-    ] {
-        match metrics.histogram(name) {
-            Some(h) if h.count > 0 => {
-                let per_call = if h.sum == 0 {
-                    "<1 us/call".to_string()
-                } else {
-                    format!("{:.1} us/call", h.sum as f64 / h.count as f64)
-                };
-                eprintln!(
-                    "  {label:<22} {:>10.1} ms total, {per_call:>14} over {} calls",
-                    h.sum as f64 / 1e3,
-                    h.count
-                );
-            }
-            _ => eprintln!("  {label:<22} (not timed)"),
-        }
-    }
-}
 
 fn main() {
     let args = CommonArgs::parse();
@@ -64,7 +35,6 @@ fn main() {
             &args.executor(),
             args.progress_printer(10),
         );
-        print_time_split(&observed.metrics);
         if let Err(e) = args.write_metrics(&observed.metrics) {
             eprintln!("error writing --metrics-out: {e}");
             std::process::exit(1);

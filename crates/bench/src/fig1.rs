@@ -105,13 +105,11 @@ pub struct Fig1Observed {
 
 /// [`run_with`], instrumented: per-scenario metrics snapshots are
 /// merged into one campaign registry (with the executor's own
-/// counters), trace events are collected, and tree inference over the
-/// resulting flows is timed under `time.inference_us` — using a model
-/// trained on the campaign's own labeled results, threshold 0.7.
+/// counters) and trace events are collected.
 ///
-/// The figure data is byte-identical to the unobserved path, and the
-/// deterministic subset of `metrics` is byte-identical across same-seed
-/// runs at any worker count.
+/// The figure data is byte-identical to the unobserved path, and
+/// `metrics` is byte-identical across same-seed runs at any worker
+/// count.
 pub fn run_observed_with<F: FnMut(ProgressEvent)>(
     reps: u32,
     profile: Profile,
@@ -125,9 +123,9 @@ pub fn run_observed_with<F: FnMut(ProgressEvent)>(
         observed.push_seeded(scenario_seed, move |s| sc.run_observed(s));
     }
     let reg = MetricsRegistry::new();
-    let artifacts = exec
-        .run_observed_with_progress(&observed, &reg, progress)
-        .expect_artifacts();
+    let run = exec.run_isolated_with_progress(&observed, progress);
+    run.export_metrics(&reg);
+    let artifacts = run.expect_artifacts();
     let mut results = Vec::with_capacity(artifacts.len());
     let mut trace = Vec::new();
     for (i, (result, snapshot, events)) in artifacts.into_iter().enumerate() {
@@ -139,32 +137,10 @@ pub fn run_observed_with<F: FnMut(ProgressEvent)>(
         );
         results.push(result);
     }
-    time_inference(&reg, &results);
     Fig1Observed {
         data: collect(&results),
         metrics: reg.snapshot(),
         trace,
-    }
-}
-
-/// Train a quick tree on the campaign's own labeled results and
-/// classify every flow under the `time.inference_us` timer, so `fig1
-/// --metrics-out` reports real inference cost next to the event-loop
-/// and feature-extraction timers.
-fn time_inference(reg: &MetricsRegistry, results: &[TestResult]) {
-    let Some(model) =
-        csig_core::train_from_results(results, 0.7, csig_dtree::TreeParams::default())
-    else {
-        return;
-    };
-    let timer = reg.timer("time.inference_us");
-    let inferences = reg.counter("flows.inferences");
-    for r in results {
-        if let Ok(f) = &r.features {
-            let _t = timer.start_timer();
-            let _ = model.classify_with_confidence(f);
-            inferences.add(1);
-        }
     }
 }
 
@@ -216,13 +192,11 @@ mod tests {
         let par = run_observed_with(2, Profile::Scaled, 21, &Executor::new(4), |_| {});
         // Figure data unchanged by instrumentation.
         assert_eq!(format!("{plain:?}"), format!("{:?}", seq.data));
-        // Deterministic metrics identical across worker counts.
-        let a = seq.metrics.deterministic().to_json();
-        let b = par.metrics.deterministic().to_json();
-        assert_eq!(a, b);
+        // Metrics identical across worker counts.
+        assert_eq!(seq.metrics.to_json(), par.metrics.to_json());
         assert!(seq.metrics.counter("sim.events").unwrap_or(0) > 0);
         assert!(seq.metrics.counter("rtt.samples").unwrap_or(0) > 0);
-        assert!(seq.metrics.counter("flows.verdicts").unwrap_or(0) > 0);
+        assert!(seq.metrics.counter("flows.features_ok").unwrap_or(0) > 0);
         assert_eq!(seq.metrics.counter("exec.scenarios_ok"), Some(4));
         // Traces are identical too (sim-time only, no wall clock).
         assert_eq!(

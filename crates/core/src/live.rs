@@ -17,7 +17,7 @@ use crate::analysis::{FlowQuality, FlowReport};
 use crate::classifier::{SignatureClassifier, Verdict};
 use csig_features::FlowProbe;
 use csig_netsim::{Direction, FlowId, PacketRecord, PacketSink, SimDuration, SimTime};
-use csig_obs::{Counter, Histogram, MetricsRegistry, TraceBuffer, TraceEvent};
+use csig_obs::{Counter, MetricsRegistry, TraceBuffer, TraceEvent};
 use csig_trace::OffsetTracker;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -36,8 +36,6 @@ struct LiveObs {
     truncated: Counter,
     /// `rtt.samples` — RTT samples accumulated across reported flows.
     rtt_samples: Counter,
-    /// `time.inference_us` — wall-clock tree-inference time.
-    inference: Histogram,
 }
 
 impl LiveObs {
@@ -48,7 +46,6 @@ impl LiveObs {
             evicted: reg.counter("flows.evicted"),
             truncated: reg.counter("flows.truncated"),
             rtt_samples: reg.counter("rtt.samples"),
-            inference: reg.timer("time.inference_us"),
         }
     }
 }
@@ -183,8 +180,7 @@ impl LiveAnalyzer {
 
     /// Builder: register the analyzer's counters (`flows.verdicts`,
     /// `flows.skips_insufficient`, `flows.evicted`, `flows.truncated`,
-    /// `rtt.samples`) and the `time.inference_us` profiling timer into
-    /// `reg`, updating them as flows complete.
+    /// `rtt.samples`) into `reg`, updating them as flows complete.
     #[must_use]
     pub fn with_metrics(mut self, reg: &MetricsRegistry) -> Self {
         self.obs = Some(LiveObs::register(reg));
@@ -278,12 +274,7 @@ impl LiveAnalyzer {
     /// Build one flow's report (see [`report_for`]), update the metric
     /// counters and trace ring if attached, and queue it for draining.
     fn emit(&mut self, probe: &FlowProbe, quality: FlowQuality, at: SimTime) {
-        let report = {
-            // Time the whole classify path (features + tree walk);
-            // recorded only when a registry is attached.
-            let _timer = self.obs.as_ref().map(|o| o.inference.start_timer());
-            report_for(&self.clf, probe, quality)
-        };
+        let report = report_for(&self.clf, probe, quality);
         if let Some(obs) = &self.obs {
             obs.rtt_samples.add(probe.samples_total() as u64);
             if report.verdict.is_ok() {

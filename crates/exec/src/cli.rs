@@ -15,10 +15,10 @@
 //! * `--deadline SECS` — soft per-scenario deadline: a scenario that
 //!   runs longer is reported as failed (with its seed) instead of its
 //!   artifact; the rest of the campaign is unaffected.
-//! * `--metrics-out FILE` — write the campaign's **deterministic**
-//!   metrics snapshot (JSON, see [`csig_obs::Snapshot::to_json`]) at
-//!   campaign end. Deterministic means: wall-clock timers stripped, so
-//!   two same-seed runs produce byte-identical files at any `--jobs`.
+//! * `--metrics-out FILE` — write the campaign's metrics snapshot
+//!   (JSON, see [`csig_obs::Snapshot::to_json`]) at campaign end. Every
+//!   metric is a fact about the simulation, so two same-seed runs
+//!   produce byte-identical files at any `--jobs`.
 //! * `--trace-out FILE` — write the campaign's structured trace events
 //!   as JSONL at campaign end.
 //!
@@ -106,14 +106,12 @@ impl CommonArgs {
         self.metrics_out.is_some() || self.trace_out.is_some()
     }
 
-    /// Write the **deterministic** subset of `snapshot` to the
-    /// `--metrics-out` path, if one was given. Stripping the wall-clock
-    /// timers first is what makes the file byte-identical across
-    /// same-seed runs at any `--jobs` — the property
-    /// `scripts/verify.sh` checks.
+    /// Write `snapshot` to the `--metrics-out` path, if one was given.
+    /// The file is byte-identical across same-seed runs at any `--jobs`
+    /// — the property `scripts/verify.sh` checks.
     pub fn write_metrics(&self, snapshot: &Snapshot) -> std::io::Result<()> {
         if let Some(path) = &self.metrics_out {
-            std::fs::write(path, snapshot.deterministic().to_json())?;
+            std::fs::write(path, snapshot.to_json())?;
             eprintln!("metrics snapshot written to {path}");
         }
         Ok(())
@@ -340,22 +338,6 @@ mod tests {
         assert!(a.wants_observability());
         assert_eq!(a.positional_parsed(9u32), 3);
         assert!(!args(&[]).wants_observability());
-    }
-
-    #[test]
-    fn metrics_writer_strips_wall_clock_timers() {
-        let reg = csig_obs::MetricsRegistry::new();
-        reg.counter("sim.events").add(7);
-        reg.timer("time.wall_us").record(123);
-        let dir = std::env::temp_dir().join(format!("csig-cli-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.json");
-        let a = args(&["--metrics-out", path.to_str().unwrap()]);
-        a.write_metrics(&reg.snapshot()).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("sim.events"));
-        assert!(!body.contains("time.wall_us"), "timers must be stripped");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

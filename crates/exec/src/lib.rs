@@ -16,10 +16,10 @@
 //!   **submission order** so a parallel run is byte-identical to a
 //!   sequential one, and reporting per-scenario completion through a
 //!   [`ProgressEvent`] callback. It has one run method,
-//!   [`Executor::run_isolated_with_progress`], plus
-//!   [`Executor::run_observed_with_progress`], which also records the
-//!   campaign's `exec.*` metrics. Callers that need every artifact
-//!   chain [`CampaignRun::expect_artifacts`].
+//!   [`Executor::run_isolated_with_progress`]. Callers that need every
+//!   artifact chain [`CampaignRun::expect_artifacts`];
+//!   [`CampaignRun::export_metrics`] records the campaign's `exec.*`
+//!   metrics.
 //!
 //! Determinism contract: each scenario's randomness must come only
 //! from its seed, so the artifact vector depends only on the campaign
@@ -245,6 +245,24 @@ impl<A> CampaignRun<A> {
         s
     }
 
+    /// Record the campaign's execution metrics into `reg`:
+    ///
+    /// * `exec.scenarios_ok` / `exec.scenarios_failed` — counters of
+    ///   scenario outcomes;
+    /// * `exec.campaign_scenarios_hwm` — gauge of the largest campaign
+    ///   this registry has seen.
+    ///
+    /// All three depend on scenario behaviour only, never on
+    /// scheduling, so they are the same at any worker count.
+    pub fn export_metrics(&self, reg: &MetricsRegistry) {
+        let failed = self.outcomes.iter().filter(|o| o.is_err()).count() as u64;
+        reg.counter("exec.scenarios_ok")
+            .add(self.outcomes.len() as u64 - failed);
+        reg.counter("exec.scenarios_failed").add(failed);
+        reg.gauge("exec.campaign_scenarios_hwm")
+            .record(self.outcomes.len() as u64);
+    }
+
     /// All artifacts, panicking with the failure summary if any
     /// scenario failed — the strict path: callers that cannot use a
     /// partial campaign chain it onto
@@ -281,12 +299,11 @@ pub fn default_jobs() -> usize {
 /// caught in the worker and turned into a [`ScenarioError`] carrying
 /// the panic payload and the scenario's seed; the rest of the campaign
 /// completes. An optional soft per-scenario deadline discards late
-/// artifacts the same way. There are two run methods:
-/// [`Executor::run_isolated_with_progress`], the primitive, returns the
-/// per-scenario outcomes, and [`Executor::run_observed_with_progress`]
-/// also records the campaign's `exec.*` metrics. A caller that needs
-/// every artifact chains [`CampaignRun::expect_artifacts`], which
-/// aborts with the end-of-campaign summary on any failure.
+/// artifacts the same way. There is one run method,
+/// [`Executor::run_isolated_with_progress`], which returns the
+/// per-scenario outcomes. A caller that needs every artifact chains
+/// [`CampaignRun::expect_artifacts`], which aborts with the
+/// end-of-campaign summary on any failure.
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
     jobs: usize,
@@ -425,47 +442,6 @@ impl Executor {
             })
             .collect();
         CampaignRun { outcomes }
-    }
-
-    /// Like [`Executor::run_isolated_with_progress`], but also records
-    /// campaign-level execution metrics into `reg`:
-    ///
-    /// * `exec.scenarios_ok` / `exec.scenarios_failed` — counters of
-    ///   scenario outcomes;
-    /// * `exec.campaign_scenarios_hwm` — gauge of the largest campaign
-    ///   this registry has seen;
-    /// * `time.scenario_wall_us` — wall-clock histogram of per-scenario
-    ///   run time (non-deterministic, stripped by
-    ///   [`csig_obs::Snapshot::deterministic`]).
-    ///
-    /// Only the outcome counters are deterministic — they depend on
-    /// scenario behavior, not scheduling. The wall-time histogram is
-    /// registered through [`MetricsRegistry::timer`] so deterministic
-    /// snapshots stay jobs-invariant.
-    pub fn run_observed_with_progress<S, F>(
-        &self,
-        campaign: &Campaign<S>,
-        reg: &MetricsRegistry,
-        mut progress: F,
-    ) -> CampaignRun<S::Artifact>
-    where
-        S: Scenario + Sync,
-        F: FnMut(ProgressEvent),
-    {
-        let ok = reg.counter("exec.scenarios_ok");
-        let failed = reg.counter("exec.scenarios_failed");
-        let wall = reg.timer("time.scenario_wall_us");
-        reg.gauge("exec.campaign_scenarios_hwm")
-            .record(campaign.len() as u64);
-        self.run_isolated_with_progress(campaign, |event| {
-            if event.ok {
-                ok.inc();
-            } else {
-                failed.inc();
-            }
-            wall.record(event.scenario_elapsed.as_micros() as u64);
-            progress(event);
-        })
     }
 }
 
@@ -775,24 +751,18 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_counts_outcomes_and_wall_time() {
-        let reg = csig_obs::MetricsRegistry::new();
+    fn exported_metrics_count_outcomes() {
+        let reg = MetricsRegistry::new();
         let mut c = Campaign::new(0);
         c.push_seeded(1, Maybe::Good(1));
         c.push_seeded(2, Maybe::Good(2));
         c.push_seeded(3, Maybe::Panic);
-        let run = quiet_panics(|| Executor::new(2).run_observed_with_progress(&c, &reg, |_| {}));
+        let run = quiet_panics(|| Executor::new(2).run_isolated_with_progress(&c, |_| {}));
         assert_eq!(run.failures().len(), 1);
+        run.export_metrics(&reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("exec.scenarios_ok"), Some(2));
         assert_eq!(snap.counter("exec.scenarios_failed"), Some(1));
         assert_eq!(snap.gauge("exec.campaign_scenarios_hwm"), Some(3));
-        let wall = snap.histogram("time.scenario_wall_us").expect("timer");
-        assert_eq!(wall.count, 3);
-        // Wall time is non-deterministic: stripped from the contract view.
-        assert!(snap
-            .deterministic()
-            .histogram("time.scenario_wall_us")
-            .is_none());
     }
 }

@@ -29,15 +29,14 @@ use crate::pool::{PacketHandle, PacketPool};
 use crate::rng::stream_rng;
 use crate::stats::LinkStats;
 use crate::time::{SimDuration, SimTime};
-use csig_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceBuffer, TraceEvent};
+use csig_obs::{Counter, Gauge, MetricsRegistry, TraceBuffer, TraceEvent};
 use rand::rngs::StdRng;
 use std::any::Any;
 use std::collections::VecDeque;
 
 /// Metric handles the simulator updates while running (see
-/// [`Simulator::attach_obs`]). All counters and the gauge are
-/// deterministic — they reflect simulation state only; the event-loop
-/// timer is wall-clock and registered as non-deterministic.
+/// [`Simulator::attach_obs`]). All of them are deterministic — they
+/// reflect simulation state only.
 struct SimObs {
     /// `sim.events` — events processed.
     events: Counter,
@@ -46,14 +45,11 @@ struct SimObs {
     /// `sim.packets_delivered` — packets delivered to their final
     /// destination node.
     packets_delivered: Counter,
-    /// `sim.packets_dropped` — enqueue-time drops of any kind (loss,
-    /// buffer full, early drop, link down).
+    /// `sim.packets_dropped` — drops of any kind: enqueue-time (loss,
+    /// buffer full, early drop, link down) and unroutable packets.
     packets_dropped: Counter,
     /// `sim.queue_hwm_bytes` — high-water mark of any link queue.
     queue_hwm_bytes: Gauge,
-    /// `time.sim_event_loop_us` — wall-clock time spent inside
-    /// [`Simulator::run_until`].
-    loop_timer: Histogram,
 }
 
 impl SimObs {
@@ -64,7 +60,6 @@ impl SimObs {
             packets_delivered: reg.counter("sim.packets_delivered"),
             packets_dropped: reg.counter("sim.packets_dropped"),
             queue_hwm_bytes: reg.gauge("sim.queue_hwm_bytes"),
-            loop_timer: reg.timer("time.sim_event_loop_us"),
         }
     }
 }
@@ -152,9 +147,8 @@ impl Simulator {
 
     /// Register the simulator's metrics (`sim.events`,
     /// `sim.packets_sent`, `sim.packets_delivered`,
-    /// `sim.packets_dropped`, the `sim.queue_hwm_bytes` gauge, and the
-    /// wall-clock `time.sim_event_loop_us` timer) into `reg` and update
-    /// them while running. All except the timer are deterministic
+    /// `sim.packets_dropped` and the `sim.queue_hwm_bytes` gauge) into
+    /// `reg` and update them while running. All are deterministic
     /// functions of the seed and topology.
     pub fn attach_obs(&mut self, reg: &MetricsRegistry) {
         self.obs = Some(SimObs::register(reg));
@@ -424,10 +418,6 @@ impl Simulator {
     /// Run until the queue drains or `horizon` is reached.
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
         let events_before = self.events_processed;
-        // The guard records wall time into `time.sim_event_loop_us` on
-        // every exit path; the event-count delta is added on drop of
-        // this scope too (see below).
-        let _loop_timer = self.obs.as_ref().map(|o| o.loop_timer.start_timer());
         let stop = self.run_until_inner(horizon);
         if let Some(o) = &self.obs {
             o.events.add(self.events_processed - events_before);
@@ -506,6 +496,16 @@ impl Simulator {
         self.pool.high_water()
     }
 
+    /// Packets currently buffered or in flight (the packet pool's live
+    /// count). Together with the `sim.*` counters it closes the packet
+    /// ledger: `sent = delivered + dropped + in flight` when no router
+    /// replies to probes and no fault plan duplicates packets. Router
+    /// probe replies and fault-injected duplicates also enter the pool
+    /// but are not counted as sent.
+    pub fn packets_in_flight(&self) -> usize {
+        self.pool.live()
+    }
+
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Start(node) => self.agent_callback(node, AgentCall::Start),
@@ -571,8 +571,9 @@ impl Simulator {
                             },
                         };
                         self.next_packet_id += 1;
-                        if let Some(link) = self.route(node, reply.dst) {
-                            self.enqueue_on_link(link, reply);
+                        match self.route(node, reply.dst) {
+                            Some(link) => self.enqueue_on_link(link, reply),
+                            None => self.drop_unroutable(node),
                         }
                     }
                 }
@@ -581,12 +582,7 @@ impl Simulator {
             // Forward.
             match self.route(node, pkt.dst) {
                 Some(link) => self.enqueue_on_link(link, pkt),
-                None => {
-                    // No route: packet silently dropped (counts nowhere —
-                    // misconfiguration is surfaced by tests/assertions in
-                    // experiment code).
-                    debug_assert!(false, "no route from {node} to {}", pkt.dst);
-                }
+                None => self.drop_unroutable(node),
             }
         }
     }
@@ -742,9 +738,21 @@ impl Simulator {
         self.record_capture(node, Direction::Out, &pkt);
         match self.route(node, pkt.dst) {
             Some(link) => self.enqueue_on_link(link, pkt),
-            None => {
-                debug_assert!(false, "no route from {node} to {}", pkt.dst);
-            }
+            None => self.drop_unroutable(node),
+        }
+    }
+
+    /// Count and trace a packet `node` has no route for (`no_route`).
+    fn drop_unroutable(&mut self, node: NodeId) {
+        if let Some(o) = &self.obs {
+            o.packets_dropped.inc();
+        }
+        if let Some(trace) = &self.trace {
+            trace.push(
+                TraceEvent::new(self.now.as_nanos(), "sim", "drop")
+                    .field("node", u64::from(node.0))
+                    .field("reason", "no_route"),
+            );
         }
     }
 
@@ -1019,33 +1027,62 @@ mod tests {
             sim.attach_obs(&reg);
             sim.attach_trace_buffer(trace.clone());
             sim.run();
-            (reg.snapshot(), trace.snapshot(), sim.events_processed())
+            (
+                reg.snapshot(),
+                trace.snapshot(),
+                sim.events_processed(),
+                sim.packets_in_flight() as u64,
+            )
         };
-        let (snap, events, processed) = run(5);
+        let (snap, events, processed, in_flight) = run(5);
         assert_eq!(snap.counter("sim.events"), Some(processed));
         assert_eq!(snap.counter("sim.packets_sent"), Some(100));
         let delivered = snap.counter("sim.packets_delivered").unwrap();
         let dropped = snap.counter("sim.packets_dropped").unwrap();
-        assert_eq!(delivered + dropped, 100);
+        // Packet ledger: every sent packet is accounted for.
+        assert_eq!(delivered + dropped + in_flight, 100);
         assert!(dropped > 0, "tiny buffer must overflow");
         assert!(snap.gauge("sim.queue_hwm_bytes").unwrap() > 0);
-        // The wall-clock loop timer exists but is non-deterministic.
-        assert!(snap.histogram("time.sim_event_loop_us").is_some());
-        assert!(snap
-            .deterministic()
-            .histogram("time.sim_event_loop_us")
-            .is_none());
         // One trace event per drop, in time order, rendering as JSONL.
         assert_eq!(events.len(), dropped as usize);
         assert!(events.iter().all(|e| e.scope == "sim" && e.kind == "drop"));
-        // Same seed → byte-identical deterministic snapshot and trace.
-        let (snap2, events2, _) = run(5);
-        assert_eq!(snap.deterministic(), snap2.deterministic());
-        assert_eq!(
-            snap.deterministic().to_json(),
-            snap2.deterministic().to_json()
-        );
+        // Same seed → byte-identical snapshot and trace.
+        let (snap2, events2, _, _) = run(5);
+        assert_eq!(snap, snap2);
+        assert_eq!(snap.to_json(), snap2.to_json());
         assert_eq!(events, events2);
+    }
+
+    #[test]
+    fn unroutable_packets_are_counted_and_traced_as_drops() {
+        let reg = MetricsRegistry::new();
+        let trace = TraceBuffer::with_capacity(16);
+        let mut sim = Simulator::new(1);
+        let a = sim.add_host(Box::new(Blaster::new(
+            NodeId(1),
+            1,
+            1500,
+            SimDuration::ZERO,
+        )));
+        sim.add_host(Box::new(SinkAgent::default()));
+        sim.compute_routes();
+        sim.attach_obs(&reg);
+        sim.attach_trace_buffer(trace.clone());
+        assert_eq!(sim.run(), StopReason::Drained);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("sim.packets_sent"), Some(1));
+        assert_eq!(snap.counter("sim.packets_delivered"), Some(0));
+        assert_eq!(snap.counter("sim.packets_dropped"), Some(1));
+        assert_eq!(sim.packets_in_flight(), 0);
+        let events = trace.snapshot();
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            events[0].to_json_line(),
+            TraceEvent::new(0, "sim", "drop")
+                .field("node", u64::from(a.0))
+                .field("reason", "no_route")
+                .to_json_line()
+        );
     }
 
     #[test]

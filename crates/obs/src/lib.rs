@@ -4,11 +4,11 @@
 //! Every component between a packet entering `csig-netsim` and a
 //! verdict leaving `csig-core` registers into the two primitives here:
 //!
-//! * [`MetricsRegistry`] — named counters, high-water-mark gauges and
-//!   fixed log-scale-bucket histograms. Updates are plain atomic
-//!   operations (no lock on the write *or* read path; a mutex guards
-//!   only registration, which happens once per metric). A
-//!   [`Snapshot`] freezes every metric for rendering or comparison.
+//! * [`MetricsRegistry`] — named counters and high-water-mark gauges.
+//!   Updates are plain atomic operations (no lock on the write *or*
+//!   read path; a mutex guards only registration, which happens once
+//!   per metric). A [`Snapshot`] freezes every metric for rendering or
+//!   comparison.
 //! * [`TraceBuffer`] — a bounded ring of structured
 //!   [`TraceEvent`]s (`time`, `scope`, `kind`, `fields`) with JSONL
 //!   rendering, for after-the-fact inspection of what the measurement
@@ -16,19 +16,15 @@
 //!
 //! # Determinism contract
 //!
-//! Metrics registered through [`MetricsRegistry::counter`],
-//! [`MetricsRegistry::gauge`] and [`MetricsRegistry::histogram`] are
-//! **deterministic**: fed from simulation state only, so the same seed
-//! produces bit-identical values regardless of worker count or
-//! wall-clock. Wall-clock profiling timers must instead be registered
-//! through [`MetricsRegistry::timer`], which marks them
-//! non-deterministic; [`Snapshot::deterministic`] strips them, and that
-//! stripped snapshot is the cross-run correctness oracle the
-//! integration tests compare.
+//! Every metric is fed from simulation state only, so the same seed
+//! produces bit-identical snapshots regardless of worker count or
+//! wall-clock; a whole [`Snapshot`] is the cross-run correctness oracle
+//! the integration tests compare. Wall-clock timing is deliberately not
+//! recorded here: the `perfbench` harness times each layer from
+//! outside the library.
 //!
 //! The crate deliberately depends on nothing (not even the vendored
-//! `serde`): JSON is rendered by hand, and the only `std::time` use is
-//! inside the explicit wall-clock timers.
+//! `serde`): JSON is rendered by hand.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,10 +33,7 @@
 mod metrics;
 mod trace;
 
-pub use metrics::{
-    bucket_index, bucket_lower_bound, Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry,
-    MetricValue, MetricsRegistry, Snapshot, TimerGuard, HISTOGRAM_BUCKETS,
-};
+pub use metrics::{Counter, Gauge, MetricEntry, MetricValue, MetricsRegistry, Snapshot};
 pub use trace::{FieldValue, TraceBuffer, TraceEvent};
 
 /// Escape a string for embedding in a JSON string literal (quotes,

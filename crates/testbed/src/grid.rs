@@ -268,10 +268,10 @@ mod tests {
         let (r1, s1, t1) = sc.run_observed(0xABCD);
         let (r2, s2, t2) = sc.run_observed(0xABCD);
         assert_eq!(format!("{r1:?}"), format!("{r2:?}"));
-        // Deterministic view is byte-identical; wall-clock timers are
-        // present in the raw snapshot but excluded from it.
-        assert_eq!(s1.deterministic().to_json(), s2.deterministic().to_json());
-        assert!(!s1.deterministic().is_empty());
+        // Every metric is a simulation fact, so the snapshot is
+        // byte-identical.
+        assert_eq!(s1.to_json(), s2.to_json());
+        assert!(!s1.is_empty());
         assert_eq!(t1.len(), t2.len());
         for (a, b) in t1.iter().zip(&t2) {
             assert_eq!(a.to_json_line(), b.to_json_line());

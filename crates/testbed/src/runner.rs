@@ -61,10 +61,9 @@ pub fn run_test(cfg: &TestbedConfig) -> TestResult {
 }
 
 /// [`run_test`] with observability attached: simulator counters and
-/// trace events go to `reg`/`trace`, feature extraction is wrapped in
-/// the `time.feature_extract_us` timer, the test flow's Web100 counters
+/// trace events go to `reg`/`trace`, the test flow's Web100 counters
 /// are exported as `tcp.*` metrics, and the per-flow outcome is counted
-/// under `flows.verdicts` / `flows.skips_insufficient` plus
+/// under `flows.features_ok` / `flows.skips_insufficient` plus
 /// `rtt.samples`. The measured [`TestResult`] is byte-identical to the
 /// unobserved path.
 pub fn run_test_observed(
@@ -103,17 +102,11 @@ fn run_test_inner(
     };
     let slow_start = probe.slow_start();
     let throughput = probe.throughput();
-    let features = match &obs {
-        Some((reg, _)) => {
-            let _t = reg.timer("time.feature_extract_us").start_timer();
-            probe.features()
-        }
-        None => probe.features(),
-    };
+    let features = probe.features();
     if let Some((reg, _)) = &obs {
         reg.counter("rtt.samples").add(probe.samples_total() as u64);
         if features.is_ok() {
-            reg.counter("flows.verdicts").add(1);
+            reg.counter("flows.features_ok").add(1);
         } else {
             reg.counter("flows.skips_insufficient").add(1);
         }
@@ -201,10 +194,8 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sim.events"), Some(observed.events));
         assert!(snap.counter("rtt.samples").unwrap_or(0) > 0);
-        assert_eq!(snap.counter("flows.verdicts"), Some(1));
+        assert_eq!(snap.counter("flows.features_ok"), Some(1));
         assert!(snap.counter("tcp.segments_sent").unwrap_or(0) > 0);
-        // Feature extraction was timed.
-        assert!(snap.histogram("time.feature_extract_us").is_some());
         // The figure-1 access link drops packets (self-induced loss), so
         // the trace saw at least one drop event.
         assert!(trace.snapshot().iter().any(|e| e.kind == "drop"));

@@ -28,6 +28,11 @@ test -s "$obsdir/t1.jsonl" || { echo "verify: empty trace"; exit 1; }
 grep -q '"sim.events"' "$obsdir/m1.json" || { echo "verify: snapshot missing sim.events"; exit 1; }
 cmp -s "$obsdir/m1.json" "$obsdir/m2.json" || { echo "verify: metrics snapshot differs across --jobs"; exit 1; }
 cmp -s "$obsdir/t1.jsonl" "$obsdir/t2.jsonl" || { echo "verify: trace differs across --jobs"; exit 1; }
+# Wall-clock timing belongs to perfbench: no timer or histogram may
+# leak into the deterministic snapshot.
+if grep -q -e '"time\.' -e '"buckets"' "$obsdir/m1.json"; then
+  echo "verify: metrics snapshot holds wall-clock timers or histograms"; exit 1
+fi
 
 echo "==> jobs invariance: fig3 (Sweep::run_with) and fig5 (generate_with) stdout"
 for bin in fig3 fig5; do

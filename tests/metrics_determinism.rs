@@ -6,14 +6,18 @@
 //!   per-scenario registries are created inside the scenario, so no
 //!   counter can observe worker scheduling.
 //! * The merged campaign snapshot (per-scenario snapshots absorbed into
-//!   one registry) must likewise be byte-identical, after stripping the
-//!   wall-clock timers via [`csig_obs::Snapshot::deterministic`].
+//!   one registry) must likewise be byte-identical.
 //! * The headline counters the paper pipeline depends on — simulator
-//!   events, RTT samples, verdicts — must actually be non-empty.
+//!   events, RTT samples, flows with features — must actually be
+//!   non-empty.
+//! * The simulator's packet counters close the ledger on real
+//!   Figure-1 cells: every sent packet was delivered, dropped or is
+//!   still in flight at the horizon.
 
 use csig_exec::{Campaign, Executor, Scenario};
+use csig_netsim::SimDuration;
 use csig_obs::{MetricsRegistry, Snapshot, TraceEvent};
-use csig_testbed::{AccessParams, Profile, SweepScenario, TestResult};
+use csig_testbed::{build, AccessParams, Profile, SweepScenario, TestResult, TestbedConfig};
 
 /// A small interleaved self/external campaign on the figure-1 point,
 /// each cell observed through its own registry and trace buffer.
@@ -39,12 +43,12 @@ fn campaign(
 fn per_scenario_metrics_are_jobs_invariant() {
     let reg1 = MetricsRegistry::new();
     let reg4 = MetricsRegistry::new();
-    let seq = Executor::new(1)
-        .run_observed_with_progress(&campaign(3, 0x0B5), &reg1, |_| {})
-        .expect_artifacts();
-    let par = Executor::new(4)
-        .run_observed_with_progress(&campaign(3, 0x0B5), &reg4, |_| {})
-        .expect_artifacts();
+    let run1 = Executor::new(1).run_isolated_with_progress(&campaign(3, 0x0B5), |_| {});
+    let run4 = Executor::new(4).run_isolated_with_progress(&campaign(3, 0x0B5), |_| {});
+    run1.export_metrics(&reg1);
+    run4.export_metrics(&reg4);
+    let seq = run1.expect_artifacts();
+    let par = run4.expect_artifacts();
     assert_eq!(seq.len(), par.len());
 
     for (i, ((r1, s1, t1), (r4, s4, t4))) in seq.iter().zip(&par).enumerate() {
@@ -52,9 +56,9 @@ fn per_scenario_metrics_are_jobs_invariant() {
         // contract), and so is every per-scenario snapshot and trace.
         assert_eq!(format!("{r1:?}"), format!("{r4:?}"), "result {i}");
         assert_eq!(
-            s1.deterministic().to_json(),
-            s4.deterministic().to_json(),
-            "scenario {i} deterministic snapshot depends on --jobs"
+            s1.to_json(),
+            s4.to_json(),
+            "scenario {i} snapshot depends on --jobs"
         );
         let l1: Vec<String> = t1.iter().map(|e| e.to_json_line()).collect();
         let l4: Vec<String> = t4.iter().map(|e| e.to_json_line()).collect();
@@ -63,7 +67,7 @@ fn per_scenario_metrics_are_jobs_invariant() {
         assert!(s1.counter("sim.events").unwrap_or(0) > 0, "scenario {i}");
         assert!(s1.counter("rtt.samples").unwrap_or(0) > 0, "scenario {i}");
         assert_eq!(
-            s1.counter("flows.verdicts").unwrap_or(0)
+            s1.counter("flows.features_ok").unwrap_or(0)
                 + s1.counter("flows.skips_insufficient").unwrap_or(0),
             1,
             "scenario {i} must be counted exactly once"
@@ -71,22 +75,43 @@ fn per_scenario_metrics_are_jobs_invariant() {
     }
 
     // Merged campaign view: absorb per-scenario snapshots in submission
-    // order and compare the deterministic subset byte-for-byte — the
-    // same merge `fig1 --metrics-out` writes.
+    // order and compare byte-for-byte — the same merge
+    // `fig1 --metrics-out` writes.
     for (_, snap, _) in &seq {
         reg1.absorb(snap);
     }
     for (_, snap, _) in &par {
         reg4.absorb(snap);
     }
-    let merged1 = reg1.snapshot().deterministic();
-    let merged4 = reg4.snapshot().deterministic();
+    let merged1 = reg1.snapshot();
+    let merged4 = reg4.snapshot();
     assert_eq!(merged1.to_json(), merged4.to_json());
     assert!(!merged1.is_empty());
     assert_eq!(merged1.counter("exec.scenarios_ok"), Some(6));
-    assert!(merged1.counter("flows.verdicts").unwrap_or(0) > 0);
-    // The raw (non-deterministic) snapshot does carry wall-clock
-    // timers; determinism is a property of the stripped view only.
-    assert!(reg1.snapshot().histogram("time.scenario_wall_us").is_some());
-    assert!(merged1.histogram("time.scenario_wall_us").is_none());
+    assert!(merged1.counter("flows.features_ok").unwrap_or(0) > 0);
+}
+
+#[test]
+fn figure1_cells_balance_the_packet_ledger() {
+    for external in [false, true] {
+        let mut cfg = TestbedConfig::scaled(AccessParams::figure1(), 2);
+        if external {
+            cfg = cfg.externally_congested();
+        }
+        let mut tb = build(&cfg);
+        let reg = MetricsRegistry::new();
+        tb.sim.attach_obs(&reg);
+        tb.sim
+            .run_until(tb.test_end + SimDuration::from_millis(500));
+        let snap = reg.snapshot();
+        let count = |name| snap.counter(name).unwrap_or(0);
+        let in_flight = tb.sim.packets_in_flight() as u64;
+        assert!(count("sim.packets_dropped") > 0, "external={external}");
+        assert!(in_flight > 0, "horizon cuts traffic mid-flight");
+        assert_eq!(
+            count("sim.packets_sent"),
+            count("sim.packets_delivered") + count("sim.packets_dropped") + in_flight,
+            "external={external}: sent = delivered + dropped + in flight"
+        );
+    }
 }

@@ -51,7 +51,7 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy -p csig-netsim --all-targets -- -D clippy::perf (hot-path perf gate)"
-cargo clippy -p csig-netsim --all-targets -- -D clippy::perf
+echo "==> cargo clippy -p csig-netsim -p csig-tcp --all-targets -- -D clippy::perf (hot-path perf gate)"
+cargo clippy -p csig-netsim -p csig-tcp --all-targets -- -D clippy::perf
 
 echo "verify: all checks passed"

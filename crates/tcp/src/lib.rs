@@ -342,6 +342,73 @@ mod integration_tests {
         }
     }
 
+    /// A client that swallows the first FIN-bearing segment it
+    /// receives, so the sender's FIN goes unacknowledged until its RTO
+    /// re-sends it.
+    struct FinSwallower {
+        inner: TcpClientAgent,
+        fins_seen: u32,
+        /// When the re-sent FIN arrived.
+        refin_at: Option<SimTime>,
+    }
+
+    impl csig_netsim::Agent for FinSwallower {
+        fn on_start(&mut self, ctx: &mut csig_netsim::Ctx) {
+            self.inner.on_start(ctx);
+        }
+
+        fn on_packet(&mut self, ctx: &mut csig_netsim::Ctx, pkt: csig_netsim::Packet) {
+            if matches!(&pkt.kind, PacketKind::Tcp(h) if h.flags.fin()) {
+                self.fins_seen += 1;
+                if self.fins_seen == 1 {
+                    return;
+                }
+                self.refin_at.get_or_insert(ctx.now());
+            }
+            self.inner.on_packet(ctx, pkt);
+        }
+
+        fn on_timer(&mut self, ctx: &mut csig_netsim::Ctx, token: csig_netsim::TimerToken) {
+            self.inner.on_timer(ctx, token);
+        }
+    }
+
+    #[test]
+    fn resent_bare_fin_yields_no_rtt_sample() {
+        // 10 kB fits the initial window, so the server sends it all
+        // before close() queues the FIN: the FIN goes out bare. Losing
+        // it forces an RTO whose go-back-N re-sends only the FIN, and
+        // Karn's rule says the ACK of that re-send is no RTT sample.
+        let cfg = TcpConfig::default();
+        let mut sim = Simulator::new(23);
+        let server = sim.add_host(Box::new(TcpServerAgent::new(
+            cfg.clone(),
+            ServerSendPolicy::Fixed(10_000),
+        )));
+        let client = sim.add_host(Box::new(FinSwallower {
+            inner: TcpClientAgent::new(server, cfg, ClientBehavior::Once, 0),
+            fins_seen: 0,
+            refin_at: None,
+        }));
+        sim.add_duplex_link(server, client, LinkConfig::new(10_000_000, ms(20)));
+        sim.compute_routes();
+        assert_eq!(sim.run(), StopReason::Drained);
+        let c: &FinSwallower = sim.agent(client).unwrap();
+        assert_eq!(c.inner.total_bytes, 10_000);
+        let refin_at = c.refin_at.expect("the FIN was re-sent");
+        let s: &TcpServerAgent = sim.agent(server).unwrap();
+        let stats = &s.completed[0].1;
+        assert_eq!(stats.timeouts, 1);
+        // Seven data segments, the bare FIN and its re-send.
+        assert_eq!(stats.segments_sent, 9);
+        assert!(!stats.rtt_samples.is_empty());
+        assert!(
+            stats.rtt_samples.iter().all(|&(t, _)| t < refin_at),
+            "sample taken from the re-sent FIN's ACK: {:?} (FIN re-sent at {refin_at:?})",
+            stats.rtt_samples
+        );
+    }
+
     #[test]
     fn two_flows_share_a_bottleneck() {
         let mut sim = Simulator::new(41);

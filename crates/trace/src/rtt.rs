@@ -10,6 +10,7 @@
 use crate::flow::{FlowTrace, OffsetTracker};
 use csig_netsim::{Direction, PacketRecord, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// One RTT sample extracted from the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,6 +40,11 @@ struct Outstanding {
 /// yields at most one [`RttSample`]. State is bounded by the flow's
 /// in-flight window (the `outstanding` list), not by trace length.
 ///
+/// Entries are appended only past `max_sent_end`, so `outstanding` is
+/// sorted by offset and its ranges are disjoint: an ACK retires a
+/// prefix and a retransmission overlaps one contiguous run, both found
+/// by binary search.
+///
 /// Offsets are anchored at the first `Out` SYN's ISS, or at the first
 /// outgoing data packet's sequence number if the tap missed the
 /// handshake — the same anchoring the batch function recovers with its
@@ -47,7 +53,7 @@ struct Outstanding {
 #[derive(Debug, Clone, Default)]
 pub struct RttExtractor {
     out_tracker: Option<OffsetTracker>,
-    outstanding: Vec<Outstanding>,
+    outstanding: VecDeque<Outstanding>,
     max_sent_end: u64,
 }
 
@@ -82,13 +88,13 @@ impl RttExtractor {
                     // Retransmission: taint every overlapping outstanding
                     // range (Karn) and do not add a fresh entry — the
                     // eventual ACK cannot be attributed.
-                    for o in self.outstanding.iter_mut() {
-                        if o.start < end && o.end > start {
-                            o.tainted = true;
-                        }
+                    let first = self.outstanding.partition_point(|o| o.end <= start);
+                    let last = self.outstanding.partition_point(|o| o.start < end);
+                    for o in self.outstanding.range_mut(first..last) {
+                        o.tainted = true;
                     }
                 } else {
-                    self.outstanding.push(Outstanding {
+                    self.outstanding.push_back(Outstanding {
                         start,
                         end,
                         sent_at: rec.time,
@@ -109,20 +115,14 @@ impl RttExtractor {
                     csig_tcp::seq::offset_of(tr.base().wrapping_add(1), h.ack, self.max_sent_end);
                 // Retire all fully covered segments; the newest clean one
                 // yields the sample for this ACK.
-                let mut best: Option<Outstanding> = None;
-                self.outstanding.retain(|o| {
-                    if o.end <= ack_off {
-                        if !o.tainted {
-                            match best {
-                                Some(b) if b.end >= o.end => {}
-                                _ => best = Some(*o),
-                            }
-                        }
-                        false
-                    } else {
-                        true
-                    }
-                });
+                let covered = self.outstanding.partition_point(|o| o.end <= ack_off);
+                let best = self
+                    .outstanding
+                    .range(..covered)
+                    .rev()
+                    .find(|o| !o.tainted)
+                    .copied();
+                self.outstanding.drain(..covered);
                 best.map(|o| RttSample {
                     at: rec.time,
                     rtt: rec.time.saturating_since(o.sent_at),
@@ -395,6 +395,144 @@ mod tests {
         assert_eq!(bytes_acked_by(&t, SimTime::from_micros(41_000)), 1000);
         assert_eq!(bytes_acked_by(&t, SimTime::from_micros(100_000)), 2000);
         assert_eq!(bytes_acked_by(&t, SimTime::from_micros(10)), 0);
+    }
+
+    /// The extractor before `outstanding` became a sorted deque: every
+    /// ACK walks the whole list with `retain`, every retransmission
+    /// walks it to taint. Kept as the reference the property test
+    /// replays traces against.
+    #[derive(Default)]
+    struct RetainExtractor {
+        out_tracker: Option<OffsetTracker>,
+        outstanding: Vec<Outstanding>,
+        max_sent_end: u64,
+    }
+
+    impl RetainExtractor {
+        fn push(&mut self, rec: &PacketRecord) -> Option<RttSample> {
+            let h = rec.pkt.tcp()?;
+            match rec.dir {
+                Direction::Out => {
+                    if h.flags.syn() {
+                        if self.out_tracker.is_none() {
+                            self.out_tracker = Some(OffsetTracker::new(h.seq));
+                        }
+                        return None;
+                    }
+                    if h.payload_len == 0 {
+                        return None;
+                    }
+                    let tracker = self
+                        .out_tracker
+                        .get_or_insert_with(|| OffsetTracker::new(h.seq.wrapping_sub(1)));
+                    let start = tracker.offset(h.seq);
+                    let end = start + h.payload_len as u64;
+                    if start < self.max_sent_end {
+                        for o in self.outstanding.iter_mut() {
+                            if o.start < end && o.end > start {
+                                o.tainted = true;
+                            }
+                        }
+                    } else {
+                        self.outstanding.push(Outstanding {
+                            start,
+                            end,
+                            sent_at: rec.time,
+                            tainted: false,
+                        });
+                        self.max_sent_end = end;
+                    }
+                    None
+                }
+                Direction::In => {
+                    if !h.flags.ack() {
+                        return None;
+                    }
+                    let tr = self.out_tracker.as_ref()?;
+                    let ack_off = csig_tcp::seq::offset_of(
+                        tr.base().wrapping_add(1),
+                        h.ack,
+                        self.max_sent_end,
+                    );
+                    let mut best: Option<Outstanding> = None;
+                    self.outstanding.retain(|o| {
+                        if o.end <= ack_off {
+                            if !o.tainted {
+                                match best {
+                                    Some(b) if b.end >= o.end => {}
+                                    _ => best = Some(*o),
+                                }
+                            }
+                            false
+                        } else {
+                            true
+                        }
+                    });
+                    best.map(|o| RttSample {
+                        at: rec.time,
+                        rtt: rec.time.saturating_since(o.sent_at),
+                        seq_end: o.end,
+                    })
+                }
+            }
+        }
+    }
+
+    /// Build a random trace from `(op, a, b)` triples: fresh segments
+    /// (sometimes past a gap), retransmissions of any earlier range,
+    /// and ACKs that advance, repeat or fall behind the last one.
+    fn random_trace(with_syn: bool, ops: &[(u8, u16, u16)]) -> Vec<PacketRecord> {
+        let mut recs = if with_syn { handshake() } else { Vec::new() };
+        let mut t = 100u64;
+        let mut sent_end = 0u32;
+        let mut last_ack = 0u32;
+        for &(op, a, b) in ops {
+            t += 1 + (a % 500) as u64;
+            let len = 1 + (b % 1460) as u32;
+            match op % 6 {
+                0 | 1 => {
+                    recs.push(data(t, sent_end, len));
+                    sent_end += len;
+                }
+                2 => {
+                    // A gap: bytes the tap never saw leave.
+                    let start = sent_end + (a % 3000) as u32;
+                    recs.push(data(t, start, len));
+                    sent_end = start + len;
+                }
+                3 if sent_end > 0 => {
+                    let start = (a as u32 * 7 + b as u32) % sent_end;
+                    recs.push(data(t, start, len.min(sent_end - start)));
+                }
+                4 if sent_end > 0 => {
+                    last_ack = (last_ack + 1 + (b as u32 % 4000)).min(sent_end);
+                    recs.push(ack(t, last_ack));
+                }
+                _ => {
+                    // Duplicate or reordered (older) ACK.
+                    recs.push(ack(t, last_ack.saturating_sub(a as u32 % 3000)));
+                }
+            }
+        }
+        recs
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_deque_extractor_matches_retain_reference(
+            with_syn in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..6, proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()),
+                0..300,
+            ),
+        ) {
+            let mut fast = RttExtractor::new();
+            let mut reference = RetainExtractor::default();
+            for rec in random_trace(with_syn, &ops) {
+                proptest::prop_assert_eq!(fast.push(&rec), reference.push(&rec));
+                proptest::prop_assert_eq!(fast.outstanding_len(), reference.outstanding.len());
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! A plain `BinaryHeap` costs `O(log n)` comparisons (on ~40-byte
 //! entries) per push and pop. Simulation events are overwhelmingly
-//! short-horizon — link services, packet deliveries and RTO timers all
-//! land within a few hundred milliseconds of *now* — so a calendar
+//! short-horizon — packet deliveries and RTO timers land within a few
+//! hundred milliseconds of *now* — so a calendar
 //! queue (Brown 1988) fits: time is divided into fixed-width buckets
 //! and an event is pushed onto its bucket's unsorted `Vec` in `O(1)`.
 //!
@@ -56,10 +56,11 @@ pub enum EventKind {
     Start(NodeId),
     /// A timer armed by the agent on `node` fires.
     Timer(NodeId, TimerToken),
-    /// A packet (held in the simulator's pool) arrives at `node`.
+    /// A packet (held in the simulator's pool) arrives at `node`. The
+    /// link that admitted it pushed this event at admission; if the
+    /// packet was re-timed since, the handle is stale and the event is
+    /// skipped.
     Deliver(NodeId, PacketHandle),
-    /// The link should attempt to transmit its head-of-line packet.
-    LinkService(LinkId),
     /// Replace the link's parameters (time-varying path state). Boxed
     /// so the rare reconfiguration does not widen every event entry.
     LinkReconfig(LinkId, Box<LinkConfig>),
@@ -299,6 +300,13 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn entries_stay_forty_bytes() {
+        // Time, sequence number and a 24-byte kind: a `Deliver` carries
+        // a node and an 8-byte packet handle, and nothing wider.
+        assert_eq!(std::mem::size_of::<EventEntry>(), 40);
+    }
 
     #[test]
     fn pops_in_time_order() {

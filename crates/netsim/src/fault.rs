@@ -7,7 +7,7 @@
 //!   ([`GilbertElliott`]), the standard model for correlated wireless /
 //!   congested-path loss; plain i.i.d. loss remains available as
 //!   [`LossModel::Iid`].
-//! * **Reordering** — a fraction of departing packets is held back by an
+//! * **Reordering** — a fraction of admitted packets is held back by an
 //!   extra delay and exempted from the link's FIFO-delivery clamp, so it
 //!   arrives behind packets serialized after it (netem `reorder`).
 //! * **Duplication** — a fraction of admitted packets is enqueued twice
@@ -93,7 +93,7 @@ pub enum LossModel {
     GilbertElliott(GilbertElliott),
 }
 
-/// Reordering impairment: with `probability`, a departing packet's
+/// Reordering impairment: with `probability`, an admitted packet's
 /// arrival is delayed by `extra_delay` and exempted from the link's
 /// in-order delivery clamp, so later packets overtake it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -324,7 +324,7 @@ impl FaultState {
         }
     }
 
-    /// Per-departure reorder decision: the extra hold-back, if any.
+    /// Per-admission reorder decision: the extra hold-back, if any.
     pub(crate) fn roll_reorder(&mut self) -> Option<SimDuration> {
         let spec = self.plan.reorder?;
         (spec.probability > 0.0 && self.rng.gen::<f64>() < spec.probability)

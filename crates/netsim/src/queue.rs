@@ -7,19 +7,14 @@
 //! robustness experiments ("it will still work on other queuing
 //! mechanisms such as RED as long as there is an increase in RTT").
 //!
-//! The FIFO stores [`QueuedPacket`] descriptors — a [`PacketHandle`]
-//! into the simulator's [`crate::pool::PacketPool`] plus the few fields
-//! service decisions need — rather than full packets. Admission is
-//! split from insertion ([`LinkQueue::try_admit`] then
-//! [`LinkQueue::push`]) so a dropped packet is rejected before a pool
-//! slot is ever allocated.
+//! [`LinkQueue`] decides admission and counts occupancy in bytes; the
+//! FIFO order itself lives in the link, which knows each packet's
+//! departure instant (see [`crate::link`]). Admission is split from
+//! counting ([`LinkQueue::try_admit`] then [`LinkQueue::admit`]) so a
+//! dropped packet is rejected before a pool slot is ever allocated.
 
-use crate::ids::PacketId;
-use crate::pool::PacketHandle;
-use crate::time::SimTime;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Admission policy selector for a link buffer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -60,7 +55,7 @@ impl Default for RedParams {
 /// Outcome of offering a packet to a queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnqueueResult {
-    /// The packet was admitted; the caller must [`LinkQueue::push`] it.
+    /// The packet was admitted; the caller must [`LinkQueue::admit`] it.
     Queued,
     /// The packet was dropped because the buffer was full.
     DroppedFull,
@@ -68,27 +63,12 @@ pub enum EnqueueResult {
     DroppedEarly,
 }
 
-/// A buffered packet: its pool handle plus the fields link service
-/// needs without a pool lookup.
-#[derive(Debug, Clone, Copy)]
-pub struct QueuedPacket {
-    /// Where the full packet lives.
-    pub handle: PacketHandle,
-    /// The packet's id (for impairment logging).
-    pub id: PacketId,
-    /// Wire size in bytes.
-    pub size: u32,
-    /// When the packet entered the buffer (for delay statistics).
-    pub enqueued_at: SimTime,
-}
-
-/// A byte-capacitated FIFO buffer with a pluggable admission policy.
+/// The byte occupancy of a link buffer and its admission policy.
 #[derive(Debug)]
 pub struct LinkQueue {
     kind: QueueKind,
     capacity_bytes: u64,
     queued_bytes: u64,
-    fifo: VecDeque<QueuedPacket>,
     /// RED state: EWMA of occupancy (bytes) and count of packets since
     /// the last early drop.
     red_avg: f64,
@@ -116,7 +96,6 @@ impl LinkQueue {
             kind,
             capacity_bytes,
             queued_bytes: 0,
-            fifo: VecDeque::new(),
             red_avg: 0.0,
             red_count: -1,
             max_occupancy: 0,
@@ -153,16 +132,6 @@ impl LinkQueue {
         self.queued_bytes
     }
 
-    /// Packets currently buffered.
-    pub fn len(&self) -> usize {
-        self.fifo.len()
-    }
-
-    /// `true` if no packet is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
-    }
-
     /// Highest byte occupancy ever observed.
     pub fn max_occupancy(&self) -> u64 {
         self.max_occupancy
@@ -170,7 +139,7 @@ impl LinkQueue {
 
     /// Admission decision for a packet of `size` bytes. On
     /// [`EnqueueResult::Queued`] the caller must follow up with
-    /// [`LinkQueue::push`]; on a drop the packet never enters the
+    /// [`LinkQueue::admit`]; on a drop the packet never enters the
     /// buffer (and need never enter the pool).
     pub fn try_admit<R: Rng>(&mut self, size: u32, rng: &mut R) -> EnqueueResult {
         if let QueueKind::Red(params) = self.kind {
@@ -206,74 +175,35 @@ impl LinkQueue {
         EnqueueResult::Queued
     }
 
-    /// Append an admitted packet to the FIFO. Must follow a
+    /// Count an admitted packet's `size` bytes. Must follow a
     /// [`LinkQueue::try_admit`] that returned [`EnqueueResult::Queued`]
     /// for the same size.
-    pub fn push(&mut self, qp: QueuedPacket) {
+    pub fn admit(&mut self, size: u32) {
         debug_assert!(
-            self.queued_bytes + qp.size as u64 <= self.capacity_bytes,
-            "push without successful try_admit"
+            self.queued_bytes + size as u64 <= self.capacity_bytes,
+            "admit without successful try_admit"
         );
-        self.queued_bytes += qp.size as u64;
+        self.queued_bytes += size as u64;
         self.max_occupancy = self.max_occupancy.max(self.queued_bytes);
-        self.fifo.push_back(qp);
     }
 
-    /// The head-of-line packet descriptor, if any.
-    pub fn head(&self) -> Option<QueuedPacket> {
-        self.fifo.front().copied()
-    }
-
-    /// Size in bytes of the head-of-line packet, if any.
-    pub fn head_size(&self) -> Option<u32> {
-        self.fifo.front().map(|p| p.size)
-    }
-
-    /// Remove and return the head-of-line packet descriptor.
-    pub fn dequeue(&mut self) -> Option<QueuedPacket> {
-        let qp = self.fifo.pop_front()?;
-        self.queued_bytes -= qp.size as u64;
-        Some(qp)
+    /// Stop counting a departed packet's `size` bytes.
+    pub fn release(&mut self, size: u32) {
+        self.queued_bytes -= size as u64;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{FlowId, NodeId, PacketId};
-    use crate::packet::{Packet, PacketKind};
-    use crate::pool::PacketPool;
-    use crate::time::SimTime;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn pkt(id: u64, size: u32) -> Packet {
-        Packet {
-            id: PacketId(id),
-            flow: FlowId(0),
-            src: NodeId(0),
-            dst: NodeId(1),
-            size,
-            sent_at: SimTime::ZERO,
-            kind: PacketKind::Background,
-        }
-    }
-
-    /// Admit-then-push, as the link does.
-    fn offer<R: Rng>(
-        q: &mut LinkQueue,
-        pool: &mut PacketPool,
-        p: Packet,
-        rng: &mut R,
-    ) -> EnqueueResult {
-        let r = q.try_admit(p.size, rng);
+    /// Decide, then count, as the link does.
+    fn offer<R: Rng>(q: &mut LinkQueue, size: u32, rng: &mut R) -> EnqueueResult {
+        let r = q.try_admit(size, rng);
         if r == EnqueueResult::Queued {
-            q.push(QueuedPacket {
-                handle: pool.insert(p),
-                id: p.id,
-                size: p.size,
-                enqueued_at: SimTime::ZERO,
-            });
+            q.admit(size);
         }
         r
     }
@@ -281,59 +211,15 @@ mod tests {
     #[test]
     fn droptail_admits_to_capacity_then_drops() {
         let mut q = LinkQueue::new(QueueKind::DropTail, 3000);
-        let mut pool = PacketPool::new();
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(
-            offer(&mut q, &mut pool, pkt(1, 1500), &mut rng),
-            EnqueueResult::Queued
-        );
-        assert_eq!(
-            offer(&mut q, &mut pool, pkt(2, 1500), &mut rng),
-            EnqueueResult::Queued
-        );
-        assert_eq!(
-            offer(&mut q, &mut pool, pkt(3, 1), &mut rng),
-            EnqueueResult::DroppedFull
-        );
+        assert_eq!(offer(&mut q, 1500, &mut rng), EnqueueResult::Queued);
+        assert_eq!(offer(&mut q, 1500, &mut rng), EnqueueResult::Queued);
+        assert_eq!(offer(&mut q, 1, &mut rng), EnqueueResult::DroppedFull);
         assert_eq!(q.queued_bytes(), 3000);
-        assert_eq!(q.len(), 2);
         assert_eq!(q.max_occupancy(), 3000);
-        // Drops never reached the pool.
-        assert_eq!(pool.live(), 2);
-    }
-
-    #[test]
-    fn fifo_order_preserved() {
-        let mut q = LinkQueue::new(QueueKind::DropTail, 10_000);
-        let mut pool = PacketPool::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        for i in 0..4 {
-            offer(&mut q, &mut pool, pkt(i, 100), &mut rng);
-        }
-        for i in 0..4 {
-            let Some(qp) = q.dequeue() else {
-                panic!("queue ran dry")
-            };
-            assert_eq!(qp.id, PacketId(i));
-            assert_eq!(pool.take(qp.handle).id, PacketId(i));
-        }
-        assert!(q.dequeue().is_none());
-        assert!(q.is_empty());
-        assert_eq!(q.queued_bytes(), 0);
-        assert_eq!(pool.live(), 0);
-    }
-
-    #[test]
-    fn head_size_matches_front() {
-        let mut q = LinkQueue::new(QueueKind::DropTail, 10_000);
-        let mut pool = PacketPool::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(q.head_size(), None);
-        offer(&mut q, &mut pool, pkt(1, 777), &mut rng);
-        offer(&mut q, &mut pool, pkt(2, 888), &mut rng);
-        assert_eq!(q.head_size(), Some(777));
-        q.dequeue();
-        assert_eq!(q.head_size(), Some(888));
+        q.release(1500);
+        assert_eq!(q.queued_bytes(), 1500);
+        assert_eq!(q.max_occupancy(), 3000);
     }
 
     #[test]
@@ -347,14 +233,13 @@ mod tests {
             }),
             15_000,
         );
-        let mut pool = PacketPool::new();
         let mut rng = StdRng::seed_from_u64(7);
         let mut early = 0;
         let mut full = 0;
-        // Never dequeue: occupancy climbs, RED must start dropping before
+        // Never release: occupancy climbs, RED must start dropping before
         // the buffer is physically full.
-        for i in 0..200 {
-            match offer(&mut q, &mut pool, pkt(i, 1500), &mut rng) {
+        for _ in 0..200 {
+            match offer(&mut q, 1500, &mut rng) {
                 EnqueueResult::DroppedEarly => early += 1,
                 EnqueueResult::DroppedFull => full += 1,
                 EnqueueResult::Queued => {}
@@ -371,18 +256,11 @@ mod tests {
     #[test]
     fn red_idle_queue_drops_nothing() {
         let mut q = LinkQueue::new(QueueKind::Red(RedParams::default()), 100_000);
-        let mut pool = PacketPool::new();
         let mut rng = StdRng::seed_from_u64(3);
-        // One packet at a time with immediate dequeue: average stays ~0.
-        for i in 0..100 {
-            assert_eq!(
-                offer(&mut q, &mut pool, pkt(i, 1500), &mut rng),
-                EnqueueResult::Queued
-            );
-            let Some(qp) = q.dequeue() else {
-                panic!("just queued")
-            };
-            pool.take(qp.handle);
+        // One packet at a time, released at once: average stays ~0.
+        for _ in 0..100 {
+            assert_eq!(offer(&mut q, 1500, &mut rng), EnqueueResult::Queued);
+            q.release(1500);
         }
     }
 

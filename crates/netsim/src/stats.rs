@@ -10,9 +10,11 @@ pub struct LinkStats {
     pub offered_pkts: u64,
     /// Bytes offered to the link.
     pub offered_bytes: u64,
-    /// Packets that departed onto the wire.
+    /// Packets that departed onto the wire (counted when the link
+    /// retires them, so current as of the last admission or the end of
+    /// the last run).
     pub delivered_pkts: u64,
-    /// Bytes that departed onto the wire.
+    /// Bytes that departed onto the wire (counted like `delivered_pkts`).
     pub delivered_bytes: u64,
     /// Packets dropped by i.i.d. random loss.
     pub dropped_loss: u64,
@@ -26,7 +28,8 @@ pub struct LinkStats {
     pub duplicated: u64,
     /// Packets deliberately delivered out of order by fault injection.
     pub reordered: u64,
-    /// Sum of per-packet queueing delay (enqueue → departure).
+    /// Sum of per-packet queueing delay (enqueue → departure) over the
+    /// packets counted in `delivered_pkts`.
     pub total_queue_delay: SimDuration,
 }
 

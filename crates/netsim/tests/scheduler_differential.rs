@@ -5,7 +5,8 @@
 //! overflow tier.
 
 use csig_netsim::{
-    EventEntry, EventKind, EventQueue, LinkId, NodeId, SimDuration, SimTime, TimerToken,
+    EventEntry, EventKind, EventQueue, FlowId, NodeId, Packet, PacketHandle, PacketId, PacketKind,
+    PacketPool, SimDuration, SimTime, TimerToken,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -13,11 +14,11 @@ use std::collections::BinaryHeap;
 use std::mem::discriminant;
 
 /// Cycle through the hot-path event kinds so discriminants vary.
-fn kind_for(i: usize) -> EventKind {
+fn kind_for(i: usize, pkt: PacketHandle) -> EventKind {
     match i % 3 {
         0 => EventKind::Start(NodeId(i as u32)),
         1 => EventKind::Timer(NodeId(i as u32), i as TimerToken),
-        _ => EventKind::LinkService(LinkId(i as u32)),
+        _ => EventKind::Deliver(NodeId(i as u32), pkt),
     }
 }
 
@@ -44,6 +45,15 @@ proptest! {
     fn calendar_queue_matches_reference_heap(
         ops in proptest::collection::vec((0u8..4, 0u8..12, any::<u32>()), 1..600),
     ) {
+        let pkt = PacketPool::new().insert(Packet {
+            id: PacketId(0),
+            flow: FlowId(0),
+            src: NodeId(0),
+            dst: NodeId(1),
+            size: 1500,
+            sent_at: SimTime::ZERO,
+            kind: PacketKind::Background,
+        });
         let mut q = EventQueue::new();
         let mut reference: BinaryHeap<Reverse<EventEntry>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -82,8 +92,8 @@ proptest! {
                 check_pop(&mut q, &mut reference, &mut now);
             } else {
                 let t = now + SimDuration::from_nanos(offset_nanos(class, raw));
-                q.push(t, kind_for(i));
-                reference.push(Reverse(EventEntry { time: t, seq, kind: kind_for(i) }));
+                q.push(t, kind_for(i, pkt));
+                reference.push(Reverse(EventEntry { time: t, seq, kind: kind_for(i, pkt) }));
                 seq += 1;
                 i += 1;
             }

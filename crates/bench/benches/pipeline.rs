@@ -33,7 +33,7 @@ fn sample_capture() -> Capture {
     sim.compute_routes();
     let cap = sim.attach_capture(server);
     sim.set_event_budget(50_000_000);
-    sim.run();
+    sim.run().expect_within_budget();
     sim.take_capture(cap)
 }
 

@@ -144,7 +144,7 @@ mod tests {
         sim.compute_routes();
         let cap = sim.attach_capture(server);
         sim.set_event_budget(50_000_000);
-        sim.run();
+        sim.run().expect_within_budget();
         let capture = sim.take_capture(cap);
 
         let clf = tiny_model();

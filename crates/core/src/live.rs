@@ -523,7 +523,7 @@ mod tests {
         let cap = sim.attach_capture(server);
         let live_h = sim.attach_sink(server, Box::new(LiveAnalyzer::new(clf.clone())));
         sim.set_event_budget(50_000_000);
-        sim.run();
+        sim.run().expect_within_budget();
 
         let live: &LiveAnalyzer = sim.sink(live_h).expect("live analyzer tap");
         // The download completes inside the run: the verdict streamed

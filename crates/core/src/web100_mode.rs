@@ -83,7 +83,7 @@ mod tests {
         sim.compute_routes();
         let cap = sim.attach_capture(server);
         sim.set_event_budget(50_000_000);
-        sim.run();
+        sim.run().expect_within_budget();
         let s: &TcpServerAgent = sim.agent(server).unwrap();
         (s.completed[0].1.clone(), sim.take_capture(cap))
     }

@@ -103,6 +103,10 @@ pub struct NdtMeasurement {
 pub const NDT_FLOW: FlowId = FlowId(4000);
 
 /// Run one NDT test over the given path.
+///
+/// # Panics
+/// Panics if the simulation exhausts its event budget, since its
+/// measurement would be truncated.
 pub fn run_ndt(path: &NdtPath) -> NdtMeasurement {
     let ms = SimDuration::from_millis;
     let mut sim = Simulator::new(path.seed);
@@ -172,7 +176,7 @@ pub fn run_ndt(path: &NdtPath) -> NdtMeasurement {
 
     let horizon = SimTime::ZERO + path.duration + SimDuration::from_millis(500);
     sim.set_event_budget(500_000_000);
-    sim.run_until(horizon);
+    sim.run_until(horizon).expect_within_budget();
 
     // Web100 from the server's connection (live or completed).
     let Some(server_agent) = sim.agent::<TcpServerAgent>(server) else {

@@ -150,7 +150,9 @@ pub fn build_schedule(cfg: &Tslp2017Config) -> Vec<EpisodeWindow> {
         .collect()
 }
 
-/// Run the continuous probing simulation over the schedule.
+/// Run the continuous probing simulation over the schedule. Panics if
+/// the simulation exhausts its event budget (the series would be
+/// truncated).
 fn run_probe_campaign(
     cfg: &Tslp2017Config,
     episodes: &[EpisodeWindow],
@@ -186,7 +188,8 @@ fn run_probe_campaign(
         sim.schedule_link_reconfig(ep.end, nf, idle.clone());
     }
     sim.set_event_budget(200_000_000);
-    sim.run_until(horizon + SimDuration::from_secs(60));
+    sim.run_until(horizon + SimDuration::from_secs(60))
+        .expect_within_budget();
 
     let Some(prober) = sim.agent::<TslpProber>(client) else {
         unreachable!("client added above as a TslpProber")

@@ -28,14 +28,14 @@
 //! ## Example
 //!
 //! ```
-//! use csig_netsim::{Simulator, LinkConfig, SimDuration, SinkAgent};
+//! use csig_netsim::{Simulator, LinkConfig, SimDuration, SinkAgent, StopReason};
 //!
 //! let mut sim = Simulator::new(42);
 //! let a = sim.add_host(Box::new(SinkAgent::default()));
 //! let b = sim.add_host(Box::new(SinkAgent::default()));
 //! sim.add_duplex_link(a, b, LinkConfig::new(20_000_000, SimDuration::from_millis(10)));
 //! sim.compute_routes();
-//! sim.run();
+//! assert_eq!(sim.run(), StopReason::Drained);
 //! ```
 
 #![warn(missing_docs)]

@@ -128,7 +128,7 @@ mod integration_tests {
         let link = LinkConfig::new(20_000_000, ms(20)).buffer_ms(100);
         let (mut sim, _, server) = transfer_setup(6_000_000, TcpConfig::default(), link, 5);
         sim.set_event_budget(50_000_000);
-        sim.run();
+        sim.run().expect_within_budget();
         let s: &TcpServerAgent = sim.agent(server).unwrap();
         let stats = &s.completed[0].1;
         let first_retx = stats.first_retransmit_at.expect("slow start ended in loss");
@@ -177,7 +177,7 @@ mod integration_tests {
         sim.add_duplex_link(server, client, link);
         sim.compute_routes();
         sim.set_event_budget(50_000_000);
-        sim.run_until(SimTime::from_secs(5));
+        sim.run_until(SimTime::from_secs(5)).expect_within_budget();
         let c: &TcpClientAgent = sim.agent(client).unwrap();
         assert!(c.fetches.len() >= 5, "only {} fetches", c.fetches.len());
         assert!(c.total_bytes >= 5 * 100_000);
@@ -208,7 +208,7 @@ mod integration_tests {
         )));
         sim.add_duplex_link(server, client, LinkConfig::new(100_000_000, ms(2)));
         sim.compute_routes();
-        sim.run_until(SimTime::from_secs(3));
+        sim.run_until(SimTime::from_secs(3)).expect_within_budget();
         let c: &TcpClientAgent = sim.agent(client).unwrap();
         let sizes: std::collections::HashSet<u64> = c
             .fetches
@@ -242,7 +242,7 @@ mod integration_tests {
         );
         sim.compute_routes();
         sim.set_event_budget(50_000_000);
-        sim.run_until(SimTime::from_secs(3));
+        sim.run_until(SimTime::from_secs(3)).expect_within_budget();
         let s: &TcpServerAgent = sim.agent(server).unwrap();
         let conn = s.connection(FlowId(0)).expect("live connection");
         assert!(conn.is_established());
@@ -282,7 +282,7 @@ mod integration_tests {
         );
         sim.compute_routes();
         sim.set_event_budget(50_000_000);
-        sim.run_until(SimTime::from_secs(3));
+        sim.run_until(SimTime::from_secs(3)).expect_within_budget();
         let s: &TcpServerAgent = sim.agent(server).unwrap();
         let conn = s.connection(FlowId(0)).expect("live");
         let stats = &conn.stats;
@@ -307,7 +307,7 @@ mod integration_tests {
             let (mut sim, client, _) = transfer_setup(500_000, cfg, link, seed);
             let cap = sim.attach_capture(client);
             sim.set_event_budget(20_000_000);
-            sim.run();
+            sim.run().expect_within_budget();
             sim.capture(cap)
                 .records
                 .iter()

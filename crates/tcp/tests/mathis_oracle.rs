@@ -71,9 +71,11 @@ fn goodput(p: f64, seed: u64) -> f64 {
             .stats
             .bytes_acked
     };
-    sim.run_until(SimTime::from_secs(WARM_UP_S));
+    sim.run_until(SimTime::from_secs(WARM_UP_S))
+        .expect_within_budget();
     let before = acked(&sim);
-    sim.run_until(SimTime::from_secs(WARM_UP_S + MEASURE_S));
+    sim.run_until(SimTime::from_secs(WARM_UP_S + MEASURE_S))
+        .expect_within_budget();
     (acked(&sim) - before) as f64 / MEASURE_S as f64
 }
 

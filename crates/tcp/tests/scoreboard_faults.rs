@@ -45,7 +45,8 @@ fn transfer(plan: FaultPlan, sack: bool, seed: u64) -> (u64, ConnStats) {
     let plan = plan.down_between(SimTime::from_millis(800), SimTime::from_millis(1300));
     sim.attach_fault_plan(data, plan);
     sim.set_event_budget(20_000_000);
-    sim.run_until(SimTime::from_secs(120));
+    sim.run_until(SimTime::from_secs(120))
+        .expect_within_budget();
     let received = sim
         .agent::<TcpClientAgent>(client)
         .expect("client agent")

@@ -156,7 +156,8 @@ mod tests {
             LinkConfig::new(100_000_000, SimDuration::from_millis(1)),
         );
         sim.compute_routes();
-        sim.run_until(SimTime::from_millis(200));
+        sim.run_until(SimTime::from_millis(200))
+            .expect_within_budget();
         let sink: &SinkAgent = sim.agent(dst).unwrap();
         // 12 Mbps for 100 ms = 150 kB = 100 packets (±1 boundary).
         assert!(
@@ -197,7 +198,7 @@ mod tests {
         );
         sim.compute_routes();
         sim.set_event_budget(10_000_000);
-        sim.run();
+        sim.run().expect_within_budget();
         let m: &MultiClientAgent = sim.agent(multi).unwrap();
         for c in m.clients() {
             assert_eq!(c.total_bytes, 50_000);

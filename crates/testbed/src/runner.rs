@@ -9,7 +9,7 @@
 //! capture-then-post-process path.
 
 use crate::config::TestbedConfig;
-use crate::topology::{build, TEST_FLOW};
+use crate::topology::{build, Testbed, TEST_FLOW};
 use csig_features::{CongestionClass, FeatureError, FlowFeatures, FlowProbe};
 use csig_netsim::SimDuration;
 use csig_obs::{MetricsRegistry, TraceBuffer};
@@ -56,8 +56,13 @@ impl TestResult {
 /// Build the testbed for `cfg`, run it to the test end plus a drain
 /// tail, and analyze the test flow's packet stream with a streaming
 /// probe.
+///
+/// # Panics
+/// Panics if the simulation exhausts its event budget, since its
+/// results would be truncated; `Executor::run_isolated_with_progress`
+/// reports that as a failed scenario.
 pub fn run_test(cfg: &TestbedConfig) -> TestResult {
-    run_test_inner(cfg, None)
+    run_test_inner(cfg, build(cfg), None)
 }
 
 /// [`run_test`] with observability attached: simulator counters and
@@ -71,14 +76,14 @@ pub fn run_test_observed(
     reg: &MetricsRegistry,
     trace: Option<TraceBuffer>,
 ) -> TestResult {
-    run_test_inner(cfg, Some((reg, trace)))
+    run_test_inner(cfg, build(cfg), Some((reg, trace)))
 }
 
 fn run_test_inner(
     cfg: &TestbedConfig,
+    mut tb: Testbed,
     obs: Option<(&MetricsRegistry, Option<TraceBuffer>)>,
 ) -> TestResult {
-    let mut tb = build(cfg);
     if let Some((reg, trace)) = &obs {
         tb.sim.attach_obs(reg);
         if let Some(buf) = trace {
@@ -89,7 +94,7 @@ fn run_test_inner(
         .sim
         .attach_sink(tb.server1, Box::new(FlowProbe::new(TEST_FLOW)));
     let horizon = tb.test_end + SimDuration::from_millis(500);
-    tb.sim.run_until(horizon);
+    tb.sim.run_until(horizon).expect_within_budget();
 
     // Kernel-side view of the test flow, read off the server agent.
     let conn_stats = tb
@@ -180,6 +185,15 @@ mod tests {
         // Already-full interconnect buffer: lower NormDiff than the
         // self-induced case.
         assert!(f.norm_diff < 0.6, "norm_diff {}", f.norm_diff);
+    }
+
+    #[test]
+    #[should_panic(expected = "event budget exhausted")]
+    fn exhausted_event_budget_fails_the_test() {
+        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 105);
+        let mut tb = build(&cfg);
+        tb.sim.set_event_budget(10_000);
+        let _ = run_test_inner(&cfg, tb, None);
     }
 
     #[test]

@@ -295,7 +295,7 @@ mod tests {
             FaultPlan::new().down_between(SimTime::from_millis(3_000), SimTime::from_millis(3_500));
         let cfg = TestbedConfig::scaled(AccessParams::figure1(), 7).with_access_fault(plan);
         let mut tb = build(&cfg);
-        tb.sim.run_until(tb.test_end);
+        tb.sim.run_until(tb.test_end).expect_within_budget();
         let stats = &tb.sim.link(tb.access_down).stats;
         assert!(stats.dropped_down > 0, "flap dropped nothing: {stats:?}");
         assert!(!tb.sim.fault_log(tb.access_down).is_empty());

@@ -58,7 +58,7 @@ mod integration_tests {
             .loss(0.10);
         sim.schedule_link_reconfig(SimTime::from_secs(10), nf, congested);
         sim.schedule_link_reconfig(SimTime::from_secs(20), nf, idle);
-        sim.run_until(SimTime::from_secs(31));
+        sim.run_until(SimTime::from_secs(31)).expect_within_budget();
 
         let p: &TslpProber = sim.agent(vantage).unwrap();
         // ~19% of far probes lost (10% each way); series still dense.
@@ -120,7 +120,7 @@ mod integration_tests {
         sim.add_duplex_link(far, sink, LinkConfig::new(1_000_000_000, SimDuration::ZERO));
         sim.add_duplex_link(cbr, near, LinkConfig::new(1_000_000_000, SimDuration::ZERO));
         sim.compute_routes();
-        sim.run_until(SimTime::from_secs(32));
+        sim.run_until(SimTime::from_secs(32)).expect_within_budget();
 
         let p: &TslpProber = sim.agent(vantage).unwrap();
         assert!(p.received > 200, "replies {}", p.received);

@@ -133,7 +133,7 @@ mod tests {
             LinkConfig::new(100_000_000, SimDuration::from_millis(10)),
         );
         sim.compute_routes();
-        sim.run_until(SimTime::from_secs(3));
+        sim.run_until(SimTime::from_secs(3)).expect_within_budget();
         let p: &TslpProber = sim.agent(vantage).unwrap();
         assert!(p.sent >= 40, "sent {}", p.sent);
         assert_eq!(p.received, p.sent, "probe loss on a clean path");
@@ -159,7 +159,7 @@ mod tests {
             LinkConfig::new(1_000_000_000, SimDuration::from_millis(1)),
         );
         sim.compute_routes();
-        sim.run_until(SimTime::from_secs(1));
+        sim.run_until(SimTime::from_secs(1)).expect_within_budget();
         let p: &TslpProber = sim.agent(vantage).unwrap();
         // ~11 rounds (t = 0, 10, …, 100).
         assert!((10..=12).contains(&p.sent), "sent {}", p.sent);

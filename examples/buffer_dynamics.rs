@@ -30,7 +30,7 @@ fn main() {
         let access = tb.access_down;
         let interconnect = tb.interconnect_down;
         let mut occupancy: Vec<(SimTime, u64, u64)> = Vec::new();
-        tb.sim.run_until(tb.test_start);
+        tb.sim.run_until(tb.test_start).expect_within_budget();
         let horizon = tb.test_start + SimDuration::from_millis(1500);
         tb.sim
             .run_sampled(horizon, SimDuration::from_millis(100), |sim| {
@@ -39,9 +39,11 @@ fn main() {
                     sim.link(access).queued_bytes(),
                     sim.link(interconnect).queued_bytes(),
                 ));
-            });
+            })
+            .expect_within_budget();
         tb.sim
-            .run_until(tb.test_end + SimDuration::from_millis(500));
+            .run_until(tb.test_end + SimDuration::from_millis(500))
+            .expect_within_budget();
 
         let access_cap = tb.sim.link(access).buffer_capacity() as f64;
         let icl_cap = tb.sim.link(interconnect).buffer_capacity() as f64;

@@ -46,7 +46,7 @@ fn main() {
             let mut tb = testbed::build(&cfg);
             let cap_h = tb.attach_capture();
             let horizon = tb.test_end + SimDuration::from_millis(500);
-            tb.sim.run_until(horizon);
+            tb.sim.run_until(horizon).expect_within_budget();
             let cap = tb.sim.take_capture(cap_h);
             let classifiable = analyze_capture(&clf, &cap)
                 .iter()

@@ -198,7 +198,8 @@ fn cmd_simulate(args: &CommonArgs) -> Result<(), String> {
     let mut tb = csig_testbed::build(&cfg);
     let cap = tb.attach_capture();
     tb.sim
-        .run_until(tb.test_end + SimDuration::from_millis(500));
+        .run_until(tb.test_end + SimDuration::from_millis(500))
+        .expect_within_budget();
     let capture = tb.sim.take_capture(cap);
     let file = fs::File::create(&out).map_err(|e| format!("creating {out}: {e}"))?;
     let n = write_pcap(&capture, file).map_err(|e| e.to_string())?;

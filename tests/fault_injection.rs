@@ -54,7 +54,7 @@ impl Scenario for ImpairedTransfer {
         );
         sim.compute_routes();
         sim.set_event_budget(50_000_000);
-        sim.run();
+        sim.run().expect_within_budget();
         let stats = &sim.link(down).stats;
         (
             sim.fault_log(down).to_vec(),

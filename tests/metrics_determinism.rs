@@ -102,7 +102,8 @@ fn figure1_cells_balance_the_packet_ledger() {
         let reg = MetricsRegistry::new();
         tb.sim.attach_obs(&reg);
         tb.sim
-            .run_until(tb.test_end + SimDuration::from_millis(500));
+            .run_until(tb.test_end + SimDuration::from_millis(500))
+            .expect_within_budget();
         let snap = reg.snapshot();
         let count = |name| snap.counter(name).unwrap_or(0);
         let in_flight = tb.sim.packets_in_flight() as u64;

@@ -24,7 +24,8 @@ fn verdict_survives_pcap_roundtrip() {
     let mut tb = testbed::build(&cfg);
     let cap = tb.attach_capture();
     tb.sim
-        .run_until(tb.test_end + SimDuration::from_millis(500));
+        .run_until(tb.test_end + SimDuration::from_millis(500))
+        .expect_within_budget();
     let capture = tb.sim.take_capture(cap);
 
     // Online verdicts.
@@ -60,7 +61,8 @@ fn pcap_file_has_standard_layout() {
     let mut tb = testbed::build(&cfg);
     let cap = tb.attach_capture();
     tb.sim
-        .run_until(tb.test_start + SimDuration::from_millis(500));
+        .run_until(tb.test_start + SimDuration::from_millis(500))
+        .expect_within_budget();
     let capture = tb.sim.take_capture(cap);
     let mut buf = Vec::new();
     write_pcap(&capture, &mut buf).expect("export");

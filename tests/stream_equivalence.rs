@@ -75,7 +75,8 @@ fn run_with_both_taps(
     let live = sim.attach_sink(server, Box::new(LiveAnalyzer::new(tiny_model())));
 
     sim.set_event_budget(50_000_000);
-    sim.run_until(tcp_congestion_signatures::netsim::SimTime::ZERO + SimDuration::from_secs(30));
+    sim.run_until(tcp_congestion_signatures::netsim::SimTime::ZERO + SimDuration::from_secs(30))
+        .expect_within_budget();
 
     let capture = sim.take_capture(cap);
     (sim, capture, probes, live)

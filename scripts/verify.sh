@@ -54,4 +54,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy -p csig-netsim -p csig-tcp --all-targets -- -D clippy::perf (hot-path perf gate)"
 cargo clippy -p csig-netsim -p csig-tcp --all-targets -- -D clippy::perf
 
+echo "==> scripts/check_results.sh (archived experiment outputs are reproduced)"
+scripts/check_results.sh
+
 echo "verify: all checks passed"

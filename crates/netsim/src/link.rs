@@ -11,13 +11,15 @@
 //!
 //! The link is a FIFO, work-conserving server, so it knows each packet's
 //! departure the moment it admits the packet: [`Link::enqueue`] computes
-//! the departure and arrival on the spot and pushes the packet's
-//! `Deliver` event directly — one event per packet-hop. The FIFO of
+//! the departure and arrival on the spot. In-order packets arrive in
+//! admission order, so the link queues their arrivals itself and keeps
+//! only the head in the scheduler (an `Arrive` event); a packet that may
+//! overtake others gets a `Deliver` event of its own. The FIFO of
 //! admitted packets gives the buffer occupancy (packets whose departure
 //! has passed are retired at the next admission) and lets a fault or a
 //! reconfiguration re-time the packets that have not departed yet.
 
-use crate::event::{EventKind, EventQueue};
+use crate::event::{EventEntry, EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultState, Impairment, ImpairmentRecord};
 use crate::ids::{LinkId, NodeId};
 use crate::packet::Packet;
@@ -226,15 +228,26 @@ struct Clock {
     bucket: TokenBucket,
     /// When the wire finishes serializing the last scheduled packet.
     wire_free_at: SimTime,
-    /// Latest in-order arrival handed out (for the reorder clamp).
+    /// Latest in-order arrival handed out (for the FIFO clamp).
     last_arrival: SimTime,
+}
+
+/// The pending arrival of an in-order packet.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    time: SimTime,
+    /// Drawn from the scheduler's sequence counter when the packet was
+    /// scheduled, so the packet ties with other events exactly as its
+    /// own event would.
+    seq: u64,
+    handle: PacketHandle,
 }
 
 /// An admitted packet, from admission until its departure has passed.
 #[derive(Debug, Clone, Copy)]
 struct Scheduled {
-    /// The packet in the pool, also named by its pending `Deliver` until
-    /// a re-time moves it to a new handle (superseding that event).
+    /// The packet in the pool, also named by its pending arrival until a
+    /// re-time moves it to a new handle.
     handle: PacketHandle,
     size: u32,
     enqueued_at: SimTime,
@@ -263,6 +276,11 @@ pub struct Link {
     /// Admitted packets in FIFO order; those whose departure has passed
     /// leave at the next `Link::retire`.
     fifo: VecDeque<Scheduled>,
+    /// Arrivals of the in-order packets, from scheduling until arrival.
+    /// The FIFO clamp makes their times strictly increasing, and the
+    /// scheduler holds an `Arrive` keyed by the head whenever this is
+    /// non-empty.
+    arrivals: VecDeque<Arrival>,
     /// Attached fault plan state (impairments + dedicated RNG stream).
     fault: Option<FaultState>,
     /// True while a scheduled [`FaultAction::Down`] is in effect.
@@ -292,6 +310,7 @@ impl Link {
             },
             queue: LinkQueue::new(cfg.queue, capacity),
             fifo: VecDeque::new(),
+            arrivals: VecDeque::new(),
             fault: None,
             down: false,
             rng,
@@ -412,9 +431,12 @@ impl Link {
     }
 
     /// Apply `change` at `now`. The clock rewinds to the one the first
-    /// undeparted packet was scheduled from; then each undeparted packet
-    /// moves to a fresh pool handle (so its pending `Deliver` goes
-    /// stale) and is scheduled again from `now`, or parked while down.
+    /// undeparted packet was scheduled from, and the undeparted packets'
+    /// in-order arrivals, a suffix of `arrivals`, are dropped (if that
+    /// empties it, the scheduler's `Arrive` for the old head goes
+    /// stale). Then each undeparted packet moves to a fresh pool handle
+    /// (so a pending `Deliver` of its own goes stale) and is scheduled
+    /// again from `now`, or parked while down.
     fn retime(
         &mut self,
         now: SimTime,
@@ -425,6 +447,11 @@ impl Link {
         self.retire(now);
         if let Some(first) = self.fifo.front() {
             self.clock = first.before;
+        }
+        for e in self.fifo.iter().rev() {
+            if self.arrivals.back().is_some_and(|a| a.handle == e.handle) {
+                self.arrivals.pop_back();
+            }
         }
         change(self);
         let mut fifo = std::mem::take(&mut self.fifo);
@@ -442,8 +469,8 @@ impl Link {
     }
 
     /// Offer a packet to the link at time `now`. An admitted packet is
-    /// stored in `pool`, and its `Deliver` event is pushed onto
-    /// `events`; drops never touch either.
+    /// stored in `pool` and its arrival is scheduled on `events`; drops
+    /// never touch either.
     pub fn enqueue(
         &mut self,
         pkt: Packet,
@@ -534,10 +561,10 @@ impl Link {
         self.fifo.push_back(e);
     }
 
-    /// Compute `e`'s departure and arrival from the link clock and push
-    /// its `Deliver`. Service starts when the wire is free, then waits
-    /// for token credit, refilling the bucket at the same instants a
-    /// chain of head-of-line re-checks would.
+    /// Compute `e`'s departure and arrival from the link clock and
+    /// schedule the arrival. Service starts when the wire is free, then
+    /// waits for token credit, refilling the bucket at the same instants
+    /// a chain of head-of-line re-checks would.
     fn schedule(&mut self, e: &mut Scheduled, now: SimTime, events: &mut EventQueue) {
         e.before = self.clock;
         let bucket = &mut self.clock.bucket;
@@ -567,19 +594,61 @@ impl Link {
             (self.cfg.prop_delay + SimDuration::from_nanos(off))
                 .saturating_sub(SimDuration::from_nanos(j))
         };
-        let mut arrival = done + prop;
+        let arrival = done + prop;
         if let Some(extra) = e.reorder {
             // Fault-injected reordering: hold the packet back past its
             // nominal arrival and exempt it from the FIFO clamp (and
             // from advancing it), so later departures overtake it.
-            arrival += extra;
+            events.push(arrival + extra, EventKind::Deliver(self.to, e.handle));
+        } else if self.cfg.allow_reorder {
+            events.push(arrival, EventKind::Deliver(self.to, e.handle));
         } else {
-            if !self.cfg.allow_reorder && arrival <= self.clock.last_arrival {
-                arrival = self.clock.last_arrival + SimDuration::from_nanos(1);
+            let time = arrival.max(self.clock.last_arrival + SimDuration::from_nanos(1));
+            self.clock.last_arrival = time;
+            let seq = events.next_seq();
+            if self.arrivals.is_empty() {
+                events.push_keyed(time, seq, EventKind::Arrive(self.id));
             }
-            self.clock.last_arrival = arrival;
+            self.arrivals.push_back(Arrival {
+                time,
+                seq,
+                handle: e.handle,
+            });
         }
-        events.push(arrival, EventKind::Deliver(self.to, e.handle));
+    }
+
+    /// Take the head of the in-order arrivals if the scheduler's minimum,
+    /// an `Arrive` for this link keyed `(time, seq)`, still names it; the
+    /// entry is then re-keyed in place to the next head, or popped. A
+    /// stale entry (its head was re-timed) is popped and `None` returned.
+    pub(crate) fn arrive(
+        &mut self,
+        time: SimTime,
+        seq: u64,
+        events: &mut EventQueue,
+    ) -> Option<PacketHandle> {
+        let Some(&head) = self
+            .arrivals
+            .front()
+            .filter(|a| (a.time, a.seq) == (time, seq))
+        else {
+            events.pop();
+            return None;
+        };
+        self.arrivals.pop_front();
+        match self.arrivals.front() {
+            Some(next) => {
+                events.replace_min(EventEntry {
+                    time: next.time,
+                    seq: next.seq,
+                    kind: EventKind::Arrive(self.id),
+                });
+            }
+            None => {
+                events.pop();
+            }
+        }
+        Some(head.handle)
     }
 }
 
@@ -639,17 +708,25 @@ mod tests {
                 .apply_fault_action(now, action, &mut self.pool, &mut self.events);
         }
 
-        /// Fire every pending delivery in time order, returning `(packet
+        /// Fire every pending arrival in time order, returning `(packet
         /// id, arrival)` per delivery (taking each packet back out of
         /// the pool) and skipping superseded ones, then retire every
         /// departed packet.
         fn drain(&mut self) -> Vec<(u64, SimTime)> {
             let mut out = vec![];
-            while let Some(ev) = self.events.pop() {
-                if let EventKind::Deliver(_, h) = ev.kind {
-                    if self.pool.contains(h) {
-                        out.push((self.pool.take(h).id.0, ev.time));
-                    }
+            while let Some(top) = self.events.peek() {
+                let time = top.time;
+                let handle = match top.kind {
+                    EventKind::Arrive(_) => self.l.arrive(time, top.seq, &mut self.events),
+                    _ => match self.events.pop().map(|e| e.kind) {
+                        Some(EventKind::Deliver(_, h)) => {
+                            Some(h).filter(|&h| self.pool.contains(h))
+                        }
+                        _ => None,
+                    },
+                };
+                if let Some(h) = handle {
+                    out.push((self.pool.take(h).id.0, time));
                 }
             }
             self.l.retire(SimTime::MAX);
@@ -773,6 +850,28 @@ mod tests {
         let ids: Vec<u64> = arrivals.iter().map(|a| a.0).collect();
         assert_eq!(ids, (0..50).collect::<Vec<_>>(), "reordered");
         assert!(arrivals.windows(2).all(|w| w[0].1 < w[1].1));
+    }
+
+    #[test]
+    fn jitter_reorders_when_the_link_allows_it() {
+        let mut cfg = LinkConfig::new(100_000_000, SimDuration::from_millis(10))
+            .jitter(SimDuration::from_millis(5));
+        cfg.allow_reorder = true;
+        let mut r = Rig::new(cfg);
+        for i in 0..50 {
+            r.enqueue(pkt(i, 1500), SimTime::ZERO);
+        }
+        // Each packet gets its own delivery; the drain lists arrivals in
+        // time order, so a higher id before a lower one is an overtake.
+        let arrivals = r.drain();
+        assert!(
+            arrivals.windows(2).any(|w| w[0].0 > w[1].0),
+            "no packet overtook another"
+        );
+        let mut ids: Vec<u64> = arrivals.iter().map(|a| a.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..50).collect::<Vec<_>>(), "each packet exactly once");
+        assert_eq!(r.pool.live(), 0);
     }
 
     use crate::fault::{FaultPlan, FaultState, GilbertElliott};

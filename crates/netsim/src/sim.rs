@@ -35,9 +35,12 @@ use std::any::Any;
 use std::collections::VecDeque;
 
 /// Event kinds counted under `sim.events.<kind>`, in the order of
-/// [`Simulator`]'s per-kind tallies. `stale` counts superseded
-/// `Deliver` events: skipped, never delivered, and they do not advance
-/// the clock.
+/// [`Simulator`]'s per-kind tallies. `deliver` counts packet arrivals,
+/// whether a link's in-order `Arrive` or a packet's own `Deliver`.
+/// `stale` counts scheduler entries a re-time superseded: an `Arrive`
+/// whose head packet was re-timed, or a re-timed packet's own
+/// `Deliver`. They are skipped, never delivered, and do not advance the
+/// clock.
 const EVENT_KINDS: [&str; 6] = ["deliver", "timer", "start", "reconfig", "fault", "stale"];
 const STALE: usize = 5;
 
@@ -138,6 +141,9 @@ pub struct Simulator {
     seed: u64,
     /// Events processed per kind, indexed like [`EVENT_KINDS`].
     events_by_kind: [u64; EVENT_KINDS.len()],
+    /// `(time, seq)` of the last popped scheduler entry; pops must
+    /// strictly increase it.
+    last_key: Option<(SimTime, u64)>,
     /// Safety valve against runaway simulations (default: practically
     /// unlimited).
     event_budget: u64,
@@ -162,6 +168,7 @@ impl Simulator {
             next_packet_id: 0,
             seed,
             events_by_kind: [0; EVENT_KINDS.len()],
+            last_key: None,
             event_budget: u64::MAX,
             cmd_buf: Vec::new(),
             obs: None,
@@ -466,34 +473,48 @@ impl Simulator {
             if budget == 0 {
                 return StopReason::EventBudget;
             }
-            match self.events.peek_time() {
-                None => return StopReason::Drained,
-                Some(t) if t > horizon => {
-                    self.now = horizon;
-                    return StopReason::Horizon;
-                }
-                Some(_) => {}
-            }
-            let Some(ev) = self.events.pop() else {
-                unreachable!("peek_time just returned Some")
+            let Some(top) = self.events.peek() else {
+                return StopReason::Drained;
             };
+            let (time, seq) = (top.time, top.seq);
+            if time > horizon {
+                self.now = horizon;
+                return StopReason::Horizon;
+            }
+            debug_assert!(
+                self.last_key < Some((time, seq)),
+                "popped keys must strictly increase"
+            );
+            self.last_key = Some((time, seq));
             budget -= 1;
-            let kind = match ev.kind {
-                // A re-timed packet moved to a new handle and event.
-                EventKind::Deliver(_, h) if !self.pool.contains(h) => STALE,
+            let kind = if let EventKind::Arrive(link) = top.kind {
+                let l = &mut self.links[link.index()];
+                l.arrive(time, seq, &mut self.events)
+                    .map(|h| EventKind::Deliver(l.to, h))
+            } else {
+                let Some(ev) = self.events.pop() else {
+                    unreachable!("peek just returned Some")
+                };
+                match ev.kind {
+                    // A re-timed packet moved to a new handle and event.
+                    EventKind::Deliver(_, h) if !self.pool.contains(h) => None,
+                    kind => Some(kind),
+                }
+            };
+            let Some(kind) = kind else {
+                self.events_by_kind[STALE] += 1;
+                continue;
+            };
+            self.events_by_kind[match kind {
                 EventKind::Deliver(..) => 0,
                 EventKind::Timer(..) => 1,
                 EventKind::Start(_) => 2,
                 EventKind::LinkReconfig(..) => 3,
                 EventKind::LinkFault(..) => 4,
-            };
-            self.events_by_kind[kind] += 1;
-            if kind == STALE {
-                continue;
-            }
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            self.dispatch(ev.kind);
+                EventKind::Arrive(_) => unreachable!("an arrival pops as a delivery"),
+            }] += 1;
+            self.now = time;
+            self.dispatch(kind);
         }
     }
 
@@ -527,13 +548,17 @@ impl Simulator {
         }
     }
 
-    /// Number of pending events (diagnostics).
+    /// Number of pending scheduler entries (diagnostics). A link with
+    /// packets in flight holds one entry for all of its in-order packets,
+    /// so this counts entries, not packets; see
+    /// [`Simulator::packets_in_flight`] for those.
     pub fn pending_events(&self) -> usize {
         self.events.len()
     }
 
-    /// High-water mark of simultaneously pending events (diagnostics
-    /// and benchmark reporting).
+    /// High-water mark of simultaneously pending scheduler entries
+    /// (diagnostics and benchmark reporting); like
+    /// [`Simulator::pending_events`], it counts entries, not packets.
     pub fn peak_pending_events(&self) -> usize {
         self.events.high_water()
     }
@@ -559,6 +584,7 @@ impl Simulator {
             EventKind::Start(node) => self.agent_callback(node, AgentCall::Start),
             EventKind::Timer(node, token) => self.agent_callback(node, AgentCall::Timer(token)),
             EventKind::Deliver(node, handle) => self.deliver(node, handle),
+            EventKind::Arrive(_) => unreachable!("an arrival pops as a delivery"),
             EventKind::LinkReconfig(link, cfg) => {
                 let l = &mut self.links[link.index()];
                 l.reconfigure(self.now, *cfg, &mut self.pool, &mut self.events);
@@ -1199,40 +1225,53 @@ mod tests {
 
     #[test]
     fn event_kinds_sum_to_events_and_superseded_deliveries_are_stale() {
-        // The reconfiguration scenario above, observed: each of the 20
-        // packets is one Deliver (one event per packet-hop); the 18 not
-        // yet departed at 24 ms are re-timed, so their first Delivers
-        // are skipped as stale.
-        let reg = MetricsRegistry::new();
-        let mut sim = Simulator::new(8);
-        let a = sim.add_host(Box::new(Blaster::new(
-            NodeId(1),
-            20,
-            1500,
-            SimDuration::ZERO,
-        )));
-        let b = sim.add_host(Box::new(SinkAgent::default()));
+        // 20 × 1500 B blasted at the 1 Mbps link `slow`, reconfigured to
+        // 10 Mbps at `at`; returns the stale count.
+        let run = |slow: LinkConfig, at: SimTime| {
+            let reg = MetricsRegistry::new();
+            let mut sim = Simulator::new(8);
+            let a = sim.add_host(Box::new(Blaster::new(
+                NodeId(1),
+                20,
+                1500,
+                SimDuration::ZERO,
+            )));
+            let b = sim.add_host(Box::new(SinkAgent::default()));
+            let (ab, _) = sim.add_duplex_link(a, b, slow);
+            sim.compute_routes();
+            sim.schedule_link_reconfig(
+                at,
+                ab,
+                LinkConfig::new(10_000_000, SimDuration::ZERO).buffer_bytes(100_000),
+            );
+            sim.attach_obs(&reg);
+            assert_eq!(sim.run(), StopReason::Drained);
+            let snap = reg.snapshot();
+            let kind = |k: &str| snap.counter(&format!("sim.events.{k}")).unwrap();
+            let total: u64 = EVENT_KINDS.iter().map(|k| kind(k)).sum();
+            assert_eq!(Some(total), snap.counter("sim.events"));
+            assert_eq!(total, sim.events_processed());
+            // Each packet is one delivery (one event per packet-hop).
+            assert_eq!(kind("deliver"), 20);
+            assert_eq!(kind("reconfig"), 1);
+            assert_eq!(kind("start"), 2);
+            assert_eq!(kind("fault"), 0);
+            assert_eq!(sim.link_stats(ab).delivered_pkts, 20);
+            kind("stale")
+        };
         let slow = LinkConfig::new(1_000_000, SimDuration::ZERO).buffer_bytes(100_000);
-        let (ab, _) = sim.add_duplex_link(a, b, slow);
-        sim.compute_routes();
-        sim.schedule_link_reconfig(
-            SimTime::from_millis(24),
-            ab,
-            LinkConfig::new(10_000_000, SimDuration::ZERO).buffer_bytes(100_000),
-        );
-        sim.attach_obs(&reg);
-        assert_eq!(sim.run(), StopReason::Drained);
-        let snap = reg.snapshot();
-        let kind = |k: &str| snap.counter(&format!("sim.events.{k}")).unwrap();
-        let total: u64 = EVENT_KINDS.iter().map(|k| kind(k)).sum();
-        assert_eq!(Some(total), snap.counter("sim.events"));
-        assert_eq!(total, sim.events_processed());
-        assert_eq!(kind("deliver"), 20);
-        assert_eq!(kind("stale"), 18);
-        assert_eq!(kind("reconfig"), 1);
-        assert_eq!(kind("start"), 2);
-        assert_eq!(kind("fault"), 0);
-        assert_eq!(sim.link_stats(ab).delivered_pkts, 20);
+        // The scenario of `link_reconfigure_takes_effect_mid_run`:
+        // packets depart at 0, 12, 24 ms. At 24 ms the reconfiguration
+        // (pushed first) re-times packets 3–20, but packet 2, which
+        // departed at 12 ms, still heads the link's arrivals: nothing
+        // pending is superseded.
+        assert_eq!(run(slow.clone(), SimTime::from_millis(24)), 0);
+        // Serialized at 10 Mbps with a one-MTU burst, packet 1 arrives at
+        // 1.2 ms and packet 2 waits for credit until 12 ms. At 5 ms every
+        // pending arrival belongs to an undeparted packet, so the re-time
+        // supersedes the head the scheduler holds: one stale entry.
+        let bursty = slow.phy_rate(10_000_000).burst(1500);
+        assert_eq!(run(bursty, SimTime::from_millis(5)), 1);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //!  [--jobs N] [--seed S]`
 
 use csig_bench::{cc_variants, dispute};
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED]);
     let reps: u32 = args.positional_parsed(6);
     eprintln!("cc_variants: training reference model…");
     let clf = dispute::testbed_model_with(5, Profile::Scaled, 0xCC01, &args.executor());

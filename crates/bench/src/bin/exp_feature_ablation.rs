@@ -4,11 +4,11 @@
 //!  [--paper] [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::ablation;
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PAPER, PROGRESS, SEED};
 use csig_testbed::{paper_grid, Profile, Sweep};
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PAPER, PROGRESS]);
     let reps: u32 = args.positional_parsed(3);
     eprintln!(
         "ablation: sweeping full grid reps={reps} ({} workers)…",

@@ -5,11 +5,11 @@
 //!  [--paper] [--jobs N] [--seed S]`
 
 use csig_bench::{dispute, multiplexing};
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PAPER, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PAPER]);
     let reps: u32 = args.positional_parsed(8);
     let profile = if args.paper {
         Profile::Paper

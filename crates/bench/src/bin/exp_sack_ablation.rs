@@ -7,12 +7,12 @@
 //!  [--jobs N] [--seed S]`
 
 use csig_bench::dispute::testbed_model_with;
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, SEED};
 use csig_netsim::rng::derive_seed;
 use csig_testbed::{run_test, AccessParams, Profile, TestbedConfig};
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED]);
     let reps: u32 = args.positional_parsed(8);
     eprintln!("exp_sack_ablation: training reference model…");
     let clf = testbed_model_with(5, Profile::Scaled, 0x5AC0, &args.executor());

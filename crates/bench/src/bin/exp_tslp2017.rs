@@ -8,7 +8,7 @@
 use csig_bench::{dispute, tslp_exp};
 use csig_core::{ModelMeta, SignatureClassifier};
 use csig_dtree::{Dataset, TreeParams};
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PROGRESS, SEED};
 use csig_mlab::{
     generate_with, label_dispute2014, run_campaign_with, Dispute2014Config, Tslp2017Config,
 };
@@ -16,7 +16,7 @@ use csig_netsim::SimDuration;
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PROGRESS]);
     let days: u32 = args.positional_parsed(14);
     let cfg = Tslp2017Config {
         days,

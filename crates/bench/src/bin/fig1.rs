@@ -11,11 +11,19 @@
 //! (`perfbench --workload testbed_fig1 --trace 1`).
 
 use csig_bench::fig1;
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, METRICS_OUT, PAPER, PROGRESS, SEED, TRACE_OUT};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[
+        JOBS,
+        DEADLINE,
+        SEED,
+        PAPER,
+        PROGRESS,
+        METRICS_OUT,
+        TRACE_OUT,
+    ]);
     let reps: u32 = args.positional_parsed(25);
     let profile = if args.paper {
         Profile::Paper

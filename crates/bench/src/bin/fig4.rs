@@ -4,11 +4,11 @@
 //!  [--paper] [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::fig3;
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, Flag::Switch, DEADLINE, JOBS, PAPER, PROGRESS, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PAPER, PROGRESS, Switch("--full-grid")]);
     let reps: u32 = args.positional_parsed(5);
     let full = args.has_flag("--full-grid");
     let profile = if args.paper {

@@ -5,11 +5,11 @@
 //!  [--seed S] [--progress]`
 
 use csig_bench::tslp_exp;
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PROGRESS, SEED};
 use csig_mlab::{run_campaign_with, Tslp2017Config};
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PROGRESS]);
     let days: u32 = args.positional_parsed(7);
     let cfg = Tslp2017Config {
         days,

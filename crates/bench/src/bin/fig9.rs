@@ -5,12 +5,12 @@
 //!  [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::dispute;
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PROGRESS, SEED};
 use csig_mlab::{generate_with, Dispute2014Config};
 use csig_netsim::SimDuration;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PROGRESS]);
     let tests_per_cell: u32 = args.positional_parsed(20);
     let cfg = Dispute2014Config {
         tests_per_cell,

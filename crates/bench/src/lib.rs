@@ -1,9 +1,8 @@
 //! # csig-bench — experiment and benchmark harness
 //!
 //! One module per table/figure of the paper's evaluation, reused by the
-//! `fig*`/`exp_*` binaries (full output) and the Criterion benches
-//! (timing of scaled-down runs). See EXPERIMENTS.md for the measured
-//! results and the paper-vs-measured comparison.
+//! `fig*`/`exp_*` binaries (full output). See EXPERIMENTS.md for the
+//! measured results and the paper-vs-measured comparison.
 //!
 //! | module | reproduces |
 //! |---|---|

@@ -1,7 +1,8 @@
 //! Shared command-line entry point for the experiment binaries.
 //!
-//! Every `fig*`/`exp_*` binary and the root `csig` CLI parse the same
-//! execution flags through [`CommonArgs`]:
+//! Every `fig*`/`exp_*` binary and each subcommand of the root `csig`
+//! CLI parse their arguments through [`CommonArgs`], declaring the
+//! flags they read as [`Flag`]s. The shared execution flags are:
 //!
 //! * `--jobs N` — worker count for campaign execution (`0` or absent
 //!   means one worker per available core). Results are byte-identical
@@ -22,9 +23,10 @@
 //! * `--trace-out FILE` — write the campaign's structured trace events
 //!   as JSONL at campaign end.
 //!
-//! A malformed `--jobs`, `--seed` or `--deadline` value is an error
-//! (exit status 2 from [`CommonArgs::parse`]); unknown flags are
-//! ignored.
+//! A binary accepts exactly the flags it declares, so one that does not
+//! write `--metrics-out` rejects it. An undeclared flag, a value flag
+//! without its value, or a malformed `--jobs`, `--seed` or `--deadline`
+//! value is an error (exit status 2 from [`CommonArgs::parse`]).
 //!
 //! Experiment-specific flags and positionals stay with the binary;
 //! the accessor helpers here ([`CommonArgs::flag_value`],
@@ -36,10 +38,46 @@ use std::time::Duration;
 use crate::{Executor, ProgressEvent};
 use csig_obs::{Snapshot, TraceEvent};
 
-/// Parsed common flags plus the raw argument list.
+/// A flag a binary reads, as declared to [`CommonArgs::parse`].
+#[derive(Debug, Clone, Copy)]
+pub enum Flag {
+    /// A flag that stands alone, such as `--paper`.
+    Switch(&'static str),
+    /// A flag followed by its value, such as `--jobs 4`.
+    Value(&'static str),
+}
+
+/// `--jobs N`, read by [`CommonArgs::executor`].
+pub const JOBS: Flag = Flag::Value("--jobs");
+/// `--deadline SECS`, read by [`CommonArgs::executor`].
+pub const DEADLINE: Flag = Flag::Value("--deadline");
+/// `--seed S`, read by [`CommonArgs::seed_or`].
+pub const SEED: Flag = Flag::Value("--seed");
+/// `--paper`, read from [`CommonArgs::paper`].
+pub const PAPER: Flag = Flag::Switch("--paper");
+/// `--progress`, read by [`CommonArgs::progress_printer`].
+pub const PROGRESS: Flag = Flag::Switch("--progress");
+/// `--metrics-out FILE`, read by [`CommonArgs::write_metrics`].
+pub const METRICS_OUT: Flag = Flag::Value("--metrics-out");
+/// `--trace-out FILE`, read by [`CommonArgs::write_trace`].
+pub const TRACE_OUT: Flag = Flag::Value("--trace-out");
+
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Switch(name) | Flag::Value(name) => name,
+        }
+    }
+}
+
+/// Parsed arguments: the declared flags given, the positionals, and
+/// the common flags' values.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
-    args: Vec<String>,
+    /// Each flag given, in order, with its value (`None` for a switch).
+    flags: Vec<(&'static str, Option<String>)>,
+    /// Every argument that is neither a flag nor a flag's value.
+    positionals: Vec<String>,
     /// Worker count (`0` = one per core; resolved by [`Executor::new`]).
     pub jobs: usize,
     /// Master-seed override.
@@ -58,22 +96,50 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// Parse from the process arguments (skipping the program name).
-    /// A malformed `--jobs`, `--seed` or `--deadline` value prints an
+    /// Parse the process arguments (skipping the program name) against
+    /// the `declared` flags. An undeclared flag, a missing value or a
+    /// malformed `--jobs`, `--seed` or `--deadline` value prints an
     /// error naming the flag and exits with status 2.
-    pub fn parse() -> Self {
-        Self::from_vec(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+    pub fn parse(declared: &[Flag]) -> Self {
+        Self::from_vec(std::env::args().skip(1).collect(), declared).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2)
         })
     }
 
-    /// Parse from an explicit argument vector, rejecting a malformed
-    /// `--jobs`, `--seed` or `--deadline` value with a message naming
-    /// the flag. Unknown flags are not errors.
-    pub fn from_vec(args: Vec<String>) -> Result<Self, String> {
+    /// Parse `args` against the `declared` flags. Every argument
+    /// starting with `--` must be a declared flag; a [`Flag::Value`]
+    /// takes the next argument as its value unless that is itself a
+    /// flag. The error names the offending flag.
+    pub fn from_vec(args: Vec<String>, declared: &[Flag]) -> Result<Self, String> {
+        let mut flags = Vec::new();
+        let mut positionals = Vec::new();
+        let mut args = args.into_iter().peekable();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                positionals.push(arg);
+                continue;
+            }
+            match declared.iter().find(|f| f.name() == arg) {
+                Some(&Flag::Switch(name)) => flags.push((name, None)),
+                Some(&Flag::Value(name)) => {
+                    let value = args
+                        .next_if(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{name} needs a value"))?;
+                    flags.push((name, Some(value)));
+                }
+                None => {
+                    let accepted: Vec<_> = declared.iter().map(|f| f.name()).collect();
+                    return Err(format!(
+                        "unknown flag `{arg}` (accepted: {})",
+                        accepted.join(" ")
+                    ));
+                }
+            }
+        }
         let mut parsed = CommonArgs {
-            args,
+            flags,
+            positionals,
             jobs: 0,
             seed: None,
             paper: false,
@@ -142,17 +208,17 @@ impl CommonArgs {
         self.seed.unwrap_or(default)
     }
 
-    /// The value following `flag`, if present.
+    /// The value of the value flag `flag`, if given.
     pub fn flag_value(&self, flag: &str) -> Option<&String> {
-        self.args
+        self.flags
             .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.args.get(i + 1))
+            .find(|(name, _)| *name == flag)
+            .and_then(|(_, value)| value.as_ref())
     }
 
-    /// Whether `flag` appears.
+    /// Whether `flag` was given.
     pub fn has_flag(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
+        self.flags.iter().any(|(name, _)| *name == flag)
     }
 
     /// Parse the value of `flag`, erroring on malformed input and
@@ -162,15 +228,13 @@ impl CommonArgs {
     }
 
     /// Parse the value of `flag` with `parse`: `None` when the flag is
-    /// absent, an error naming the flag when its value is missing or
-    /// `parse` rejects it.
+    /// absent, an error naming the flag when `parse` rejects its value.
     fn flag_parsed_with<T>(
         &self,
         flag: &str,
         parse: impl FnOnce(&str) -> Option<T>,
     ) -> Result<Option<T>, String> {
         match self.flag_value(flag) {
-            None if self.has_flag(flag) => Err(format!("{flag} needs a value")),
             None => Ok(None),
             Some(v) => parse(v)
                 .map(Some)
@@ -178,28 +242,15 @@ impl CommonArgs {
         }
     }
 
-    /// Positional arguments: everything that is not a flag or the value
-    /// of the flag preceding it.
-    pub fn positionals(&self) -> impl Iterator<Item = &String> {
-        self.args.iter().enumerate().filter_map(|(i, a)| {
-            if a.starts_with("--") {
-                return None;
-            }
-            match i.checked_sub(1).and_then(|j| self.args.get(j)) {
-                Some(prev) if prev.starts_with("--") && takes_value(prev) => None,
-                _ => Some(a),
-            }
-        })
-    }
-
     /// The first positional argument.
     pub fn positional(&self) -> Option<&String> {
-        self.positionals().next()
+        self.positionals.first()
     }
 
     /// The first positional that parses as `T`, or `default`.
     pub fn positional_parsed<T: FromStr>(&self, default: T) -> T {
-        self.positionals()
+        self.positionals
+            .iter()
             .find_map(|a| a.parse().ok())
             .unwrap_or(default)
     }
@@ -237,22 +288,28 @@ fn parse_seed(v: &str) -> Option<u64> {
     }
 }
 
-/// Flags whose next argument is a value, not a positional. Keeping this
-/// list in one place is what lets `positionals()` skip values reliably
-/// across all binaries.
-fn takes_value(flag: &str) -> bool {
-    !matches!(
-        flag,
-        "--paper" | "--progress" | "--full-grid" | "--raw" | "--external"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Flag::{Switch, Value};
+
+    /// Every shared execution flag.
+    const COMMON: &[Flag] = &[
+        JOBS,
+        DEADLINE,
+        SEED,
+        PAPER,
+        PROGRESS,
+        METRICS_OUT,
+        TRACE_OUT,
+    ];
+
+    fn parse(list: &[&str], declared: &[Flag]) -> Result<CommonArgs, String> {
+        CommonArgs::from_vec(list.iter().map(|s| s.to_string()).collect(), declared)
+    }
 
     fn try_args(list: &[&str]) -> Result<CommonArgs, String> {
-        CommonArgs::from_vec(list.iter().map(|s| s.to_string()).collect())
+        parse(list, COMMON)
     }
 
     fn args(list: &[&str]) -> CommonArgs {
@@ -275,16 +332,6 @@ mod tests {
         assert_eq!(a.seed_or(42), 42);
         assert!(!a.paper && !a.progress);
         assert_eq!(a.positional_parsed(5u32), 5);
-    }
-
-    #[test]
-    fn flag_values_are_not_positionals() {
-        // `fig3 --jobs 4` must not read `4` as the reps positional.
-        let a = args(&["--jobs", "4"]);
-        assert_eq!(a.positional_parsed(5u32), 5);
-        // …but boolean flags don't swallow the next argument.
-        let b = args(&["--paper", "3"]);
-        assert_eq!(b.positional_parsed(5u32), 3);
     }
 
     #[test]
@@ -326,8 +373,44 @@ mod tests {
         }
         let err = try_args(&["3", "--seed"]).expect_err("missing value");
         assert!(err.contains("--seed"), "{err}");
-        // Unknown flags are still ignored.
-        assert!(try_args(&["--frobnicate", "1"]).is_ok());
+        // A flag is not a value.
+        let err = try_args(&["--seed", "--paper"]).expect_err("flag as value");
+        assert!(err.contains("--seed needs a value"), "{err}");
+    }
+
+    #[test]
+    fn undeclared_flags_are_errors_naming_the_flag() {
+        let err = try_args(&["--frobnicate", "1"]).expect_err("unknown flag");
+        assert!(err.contains("`--frobnicate`"), "{err}");
+        // A shared flag the binary does not read is rejected too, so
+        // `--metrics-out` never silently writes nothing.
+        let err = parse(&["1", "--metrics-out", "m.json"], &[JOBS, SEED])
+            .expect_err("undeclared shared flag");
+        assert!(err.contains("`--metrics-out`"), "{err}");
+        assert!(err.contains("(accepted: --jobs --seed)"), "{err}");
+        // `--flag=value` is not a spelling of a declared flag.
+        assert!(try_args(&["--seed=7"]).is_err());
+    }
+
+    #[test]
+    fn declared_switch_does_not_swallow_the_next_positional() {
+        let a = parse(&["--raw", "3"], &[Switch("--raw")]).unwrap();
+        assert!(a.has_flag("--raw"));
+        assert_eq!(a.flag_value("--raw"), None);
+        assert_eq!(a.positional_parsed(5u32), 3);
+        assert_eq!(args(&["--paper", "3"]).positional_parsed(5u32), 3);
+    }
+
+    #[test]
+    fn declared_value_flag_value_is_not_a_positional() {
+        // `fig3 --jobs 4` must not read `4` as the reps positional.
+        assert_eq!(args(&["--jobs", "4"]).positional_parsed(5u32), 5);
+        let a = parse(&["--csv", "7", "3"], &[Value("--csv")]).unwrap();
+        assert_eq!(a.flag_value("--csv").map(String::as_str), Some("7"));
+        assert_eq!(a.positional().map(String::as_str), Some("3"));
+        assert_eq!(a.positional_parsed(5u32), 3);
+        let err = parse(&["3", "--csv"], &[Value("--csv")]).expect_err("missing value");
+        assert!(err.contains("--csv needs a value"), "{err}");
     }
 
     #[test]
@@ -342,7 +425,7 @@ mod tests {
 
     #[test]
     fn parsed_flag_reports_errors() {
-        let a = args(&["--reps", "x"]);
+        let a = parse(&["--reps", "x"], &[Value("--reps"), Value("--threshold")]).unwrap();
         assert!(a.parsed_flag::<u32>("--reps").is_err());
         assert_eq!(a.parsed_flag::<u32>("--threshold").unwrap(), None);
     }

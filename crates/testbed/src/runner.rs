@@ -69,8 +69,10 @@ pub fn run_test(cfg: &TestbedConfig) -> TestResult {
 /// trace events go to `reg`/`trace`, the test flow's Web100 counters
 /// are exported as `tcp.*` metrics, and the per-flow outcome is counted
 /// under `flows.features_ok` / `flows.skips_insufficient` plus
-/// `rtt.samples`. The measured [`TestResult`] is byte-identical to the
-/// unobserved path.
+/// `rtt.samples`. With a trace buffer, `trace.dropped` counts the
+/// events its ring evicted when full, so a snapshot shows whether the
+/// trace is complete. The measured [`TestResult`] is byte-identical to
+/// the unobserved path.
 pub fn run_test_observed(
     cfg: &TestbedConfig,
     reg: &MetricsRegistry,
@@ -108,7 +110,10 @@ fn run_test_inner(
     let slow_start = probe.slow_start();
     let throughput = probe.throughput();
     let features = probe.features();
-    if let Some((reg, _)) = &obs {
+    if let Some((reg, trace)) = &obs {
+        if let Some(buf) = trace {
+            reg.counter("trace.dropped").add(buf.dropped());
+        }
         reg.counter("rtt.samples").add(probe.samples_total() as u64);
         if features.is_ok() {
             reg.counter("flows.features_ok").add(1);
@@ -213,6 +218,17 @@ mod tests {
         // The figure-1 access link drops packets (self-induced loss), so
         // the trace saw at least one drop event.
         assert!(trace.snapshot().iter().any(|e| e.kind == "drop"));
+    }
+
+    #[test]
+    fn trace_ring_evictions_are_counted() {
+        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 104);
+        let reg = csig_obs::MetricsRegistry::new();
+        let trace = csig_obs::TraceBuffer::with_capacity(16);
+        run_test_observed(&cfg, &reg, Some(trace.clone()));
+        let dropped = trace.dropped();
+        assert!(dropped > 0, "a 16-event ring overflows");
+        assert_eq!(reg.snapshot().counter("trace.dropped"), Some(dropped));
     }
 
     #[test]

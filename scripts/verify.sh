@@ -42,9 +42,6 @@ for bin in fig3 fig5; do
   cmp -s "$obsdir/$bin-j1.txt" "$obsdir/$bin-j4.txt" || { echo "verify: $bin output differs across --jobs"; exit 1; }
 done
 
-echo "==> cargo bench --workspace --no-run (benches stay compiling)"
-cargo bench --workspace --no-run
-
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -17,15 +17,15 @@
 //!     Per-flow RTT/slow-start statistics without classification.
 //! ```
 //!
-//! Sweeping subcommands accept the shared execution flags (`--jobs N`,
-//! `--seed S`, `--progress`) parsed by `csig_exec::cli::CommonArgs`.
+//! Each subcommand accepts exactly the flags of its `USAGE` line and
+//! exits with status 2 on any other (`csig_exec::cli::CommonArgs`).
 
 use std::fs;
 use std::process::ExitCode;
 
 use csig_core::{train_sweep_with, SignatureClassifier};
 use csig_dtree::TreeParams;
-use csig_exec::cli::CommonArgs;
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
 use csig_features::features_from_samples;
 use csig_netsim::SimDuration;
 use csig_testbed::{paper_grid, small_grid, AccessParams, Profile, Sweep, TestbedConfig};
@@ -33,6 +33,7 @@ use csig_trace::{
     capacity_estimate_bps, detect_slow_start, extract_rtt_samples, import_pcap, split_flows,
     throughput_summary, write_pcap, ServerSelector,
 };
+use Flag::{Switch, Value};
 
 fn main() -> ExitCode {
     let all: Vec<String> = std::env::args().skip(1).collect();
@@ -40,25 +41,44 @@ fn main() -> ExitCode {
         eprintln!("{}", USAGE);
         return ExitCode::FAILURE;
     };
-    let args = match CommonArgs::from_vec(all[1..].to_vec()) {
+    type Command = fn(&CommonArgs) -> Result<(), String>;
+    let (run, flags): (Command, &[Flag]) = match cmd.as_str() {
+        "train" => (
+            cmd_train,
+            &[
+                Value("--out"),
+                Value("--reps"),
+                Value("--threshold"),
+                Switch("--full-grid"),
+                SEED,
+                JOBS,
+                DEADLINE,
+                PROGRESS,
+            ],
+        ),
+        "classify" => (
+            cmd_classify,
+            &[Value("--model"), Value("--server-port"), JOBS, DEADLINE],
+        ),
+        "simulate" => (cmd_simulate, &[Switch("--external"), Value("--out"), SEED]),
+        "inspect" => (cmd_inspect, &[Value("--server-port")]),
+        "-h" | "--help" | "help" => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        other => {
+            eprintln!("csig: unknown command `{other}`\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let args = match CommonArgs::from_vec(all[1..].to_vec(), flags) {
         Ok(args) => args,
         Err(e) => {
-            eprintln!("csig: {e}");
+            eprintln!("csig {cmd}: {e}");
             return ExitCode::from(2);
         }
     };
-    let result = match cmd.as_str() {
-        "train" => cmd_train(&args),
-        "classify" => cmd_classify(&args),
-        "simulate" => cmd_simulate(&args),
-        "inspect" => cmd_inspect(&args),
-        "-h" | "--help" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    };
-    match result {
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("csig: {e}");
@@ -69,8 +89,9 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   csig train    [--out model.json] [--reps N] [--threshold T] [--full-grid]
-                [--seed S] [--jobs N] [--progress]
-  csig classify <capture.pcap> [--model model.json] [--server-port P] [--jobs N]
+                [--seed S] [--jobs N] [--deadline SECS] [--progress]
+  csig classify <capture.pcap> [--model model.json] [--server-port P]
+                [--jobs N] [--deadline SECS]
   csig simulate [--external] [--out capture.pcap] [--seed S]
   csig inspect  <capture.pcap> [--server-port P]";
 

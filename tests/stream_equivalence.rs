@@ -226,3 +226,48 @@ proptest! {
         check_equivalence(seed, loss_pct, jitter_ms, n_flows, size_kb * 1000);
     }
 }
+
+/// Peak `FlowProbe::outstanding_len()` over the server-side capture of
+/// one `size`-byte download (flow 500) across a 20 Mbps link with a
+/// 100 ms buffer and 20 ms latency, seed 1234, fed record by record.
+fn peak_outstanding_of_download(size: u64) -> usize {
+    let mut sim = Simulator::new(1234);
+    let server = sim.add_host(Box::new(TcpServerAgent::new(
+        TcpConfig::default(),
+        ServerSendPolicy::Fixed(size),
+    )));
+    let client = sim.add_host(Box::new(TcpClientAgent::new(
+        server,
+        TcpConfig::default(),
+        ClientBehavior::Once,
+        500,
+    )));
+    let link = LinkConfig::new(20_000_000, SimDuration::from_millis(20)).buffer_ms(100);
+    sim.add_duplex_link(server, client, link);
+    sim.compute_routes();
+    let cap = sim.attach_capture(server);
+    sim.set_event_budget(50_000_000);
+    sim.run().expect_within_budget();
+    let mut probe = FlowProbe::new(FlowId(500));
+    let mut peak = 0;
+    for rec in &sim.take_capture(cap).records {
+        probe.push(rec);
+        peak = peak.max(probe.outstanding_len());
+    }
+    assert!(probe.throughput().bytes_acked >= size, "incomplete");
+    peak
+}
+
+/// The streaming probe's variable-size state (its outstanding-segment
+/// list) is bounded by the flow's window, not by its length: a download
+/// four times longer over the same path never holds more segments.
+#[test]
+fn probe_state_is_bounded_by_the_window_not_the_flow_length() {
+    let short = peak_outstanding_of_download(4_000_000);
+    let long = peak_outstanding_of_download(16_000_000);
+    assert!(short > 0);
+    assert!(
+        long <= short,
+        "16 MB flow peaked at {long}, 4 MB at {short}"
+    );
+}

@@ -1,20 +1,29 @@
-//! The discrete-event core: a binary-heap scheduler.
+//! The discrete-event core: a scheduler of two binary heaps.
 //!
 //! Ties are broken by insertion order (a monotonically increasing
 //! sequence number), which makes event processing fully deterministic.
 //!
 //! # Design
 //!
-//! The heap does not hold one entry per packet in flight. A link's
+//! The scheduler does not hold one entry per packet in flight. A link's
 //! in-order packets arrive in the order it admitted them, so the link
-//! keeps their arrivals in its own sorted queue and the heap holds only
-//! that queue's head, as an [`EventKind::Arrive`] keyed by the head
+//! keeps their arrivals in its own sorted queue and the scheduler holds
+//! only that queue's head, as an [`EventKind::Arrive`] keyed by the head
 //! packet's own `(time, seq)`. Every entry a link queue still holds
-//! sorts after its head, so the heap minimum is the global minimum and
-//! the pop order is the one a heap of every packet would give. The heap
-//! therefore stays about as large as the number of busy links plus
-//! pending timers, and delivering a head re-keys the root in place
-//! (`EventQueue::replace_min`) instead of popping and pushing.
+//! sorts after its head, so the scheduler minimum is the global minimum
+//! and the pop order is the one a heap of every packet would give.
+//! Delivering a head re-keys it in place (`EventQueue::replace_min`)
+//! instead of popping and pushing.
+//!
+//! The scheduler keeps two heaps: one of `Arrive` entries, at most one
+//! per busy link, and one of everything else (starts, timers, a
+//! packet's own `Deliver`, link reconfigurations and faults). Timers are
+//! a fraction of a percent of the events but most of the pending
+//! entries: dormant retransmission and think-time timers outnumber busy
+//! links. Kept apart, they no longer deepen the heap that nearly every
+//! event re-keys. `peek` and `pop` take the smaller `(time, seq)` of the
+//! two roots; sequence numbers are unique, so the pop order is exactly
+//! that of one heap.
 
 use crate::fault::FaultAction;
 use crate::ids::{LinkId, NodeId};
@@ -83,7 +92,10 @@ impl Ord for EventEntry {
 /// Pending events ordered by `(time, insertion order)`.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<EventEntry>>,
+    /// `Arrive` entries: the heads of the links' in-order arrivals.
+    arrivals: BinaryHeap<Reverse<EventEntry>>,
+    /// Every other kind.
+    others: BinaryHeap<Reverse<EventEntry>>,
     next_seq: u64,
     high_water: usize,
 }
@@ -111,20 +123,34 @@ impl EventQueue {
 
     /// Schedule `kind` under a sequence number drawn earlier.
     pub(crate) fn push_keyed(&mut self, time: SimTime, seq: u64, kind: EventKind) {
-        self.heap.push(Reverse(EventEntry { time, seq, kind }));
-        self.high_water = self.high_water.max(self.heap.len());
+        let heap = match kind {
+            EventKind::Arrive(_) => &mut self.arrivals,
+            _ => &mut self.others,
+        };
+        heap.push(Reverse(EventEntry { time, seq, kind }));
+        self.high_water = self.high_water.max(self.len());
     }
 
-    /// Replace the earliest event with `entry` in one sift-down.
-    /// `entry` must not sort before anything popped so far.
+    /// Replace the earliest `Arrive` with `entry`, another `Arrive`, in
+    /// one sift-down. `entry` must not sort before anything popped so
+    /// far.
     ///
     /// # Panics
-    /// Panics if the queue is empty.
+    /// Panics if no `Arrive` is pending.
     pub(crate) fn replace_min(&mut self, entry: EventEntry) {
-        let Some(mut top) = self.heap.peek_mut() else {
-            panic!("replace_min on an empty event queue")
+        debug_assert!(matches!(entry.kind, EventKind::Arrive(_)));
+        let Some(mut top) = self.arrivals.peek_mut() else {
+            panic!("replace_min with no arrival pending")
         };
         top.0 = entry;
+    }
+
+    /// Whether the earliest pending event is an `Arrive`.
+    fn arrival_first(&self) -> bool {
+        match (self.arrivals.peek(), self.others.peek()) {
+            (Some(a), Some(o)) => a.0 < o.0,
+            (a, _) => a.is_some(),
+        }
     }
 
     /// Highest number of simultaneously pending events ever observed.
@@ -134,22 +160,32 @@ impl EventQueue {
 
     /// The earliest pending event.
     pub fn peek(&self) -> Option<&EventEntry> {
-        self.heap.peek().map(|Reverse(e)| e)
+        let heap = if self.arrival_first() {
+            &self.arrivals
+        } else {
+            &self.others
+        };
+        heap.peek().map(|Reverse(e)| e)
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<EventEntry> {
-        self.heap.pop().map(|Reverse(e)| e)
+        let heap = if self.arrival_first() {
+            &mut self.arrivals
+        } else {
+            &mut self.others
+        };
+        heap.pop().map(|Reverse(e)| e)
     }
 
-    /// Number of pending events.
+    /// Number of pending events, in both heaps.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.arrivals.len() + self.others.len()
     }
 
     /// `true` when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.arrivals.is_empty() && self.others.is_empty()
     }
 }
 
@@ -164,13 +200,21 @@ mod tests {
         assert_eq!(std::mem::size_of::<EventEntry>(), 40);
     }
 
+    /// Pop everything, naming each entry by its node or link id and
+    /// checking that `peek` agrees with each `pop`.
     fn nodes(q: &mut EventQueue) -> Vec<u32> {
-        std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Start(n) => n.0,
-                _ => unreachable!(),
-            })
-            .collect()
+        std::iter::from_fn(|| {
+            let peeked = q.peek().map(|e| (e.time, e.seq));
+            let e = q.pop()?;
+            assert_eq!(peeked, Some((e.time, e.seq)));
+            Some(e)
+        })
+        .map(|e| match e.kind {
+            EventKind::Start(n) | EventKind::Timer(n, _) => n.0,
+            EventKind::Arrive(l) => l.0,
+            _ => unreachable!(),
+        })
+        .collect()
     }
 
     #[test]
@@ -204,19 +248,40 @@ mod tests {
     }
 
     #[test]
-    fn replace_min_rekeys_the_root_in_place() {
+    fn replace_min_rekeys_the_arrivals_root_in_place() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(1), EventKind::Start(NodeId(1)));
-        q.push(SimTime::from_millis(3), EventKind::Start(NodeId(3)));
+        q.push(SimTime::from_millis(1), EventKind::Arrive(LinkId(1)));
+        q.push(SimTime::from_millis(3), EventKind::Arrive(LinkId(3)));
+        q.push(SimTime::from_millis(2), EventKind::Timer(NodeId(2), 0));
         let seq = q.next_seq();
         q.replace_min(EventEntry {
             time: SimTime::from_millis(5),
             seq,
-            kind: EventKind::Start(NodeId(5)),
+            kind: EventKind::Arrive(LinkId(5)),
         });
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek().map(|e| e.time), Some(SimTime::from_millis(3)));
-        assert_eq!(nodes(&mut q), vec![3, 5]);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek().map(|e| e.time), Some(SimTime::from_millis(2)));
+        assert_eq!(nodes(&mut q), vec![2, 3, 5]);
+    }
+
+    #[test]
+    fn arrivals_and_timers_at_one_instant_pop_in_drawn_sequence_order() {
+        // Sequence numbers alternate between the two heaps, starting
+        // with an arrival keyed under a number drawn before the first
+        // timer was pushed.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(1);
+        let early = q.next_seq();
+        q.push(t, EventKind::Timer(NodeId(1), 0));
+        q.push_keyed(t, early, EventKind::Arrive(LinkId(0)));
+        q.push(t, EventKind::Arrive(LinkId(2)));
+        q.push(t, EventKind::Timer(NodeId(3), 0));
+        // Both heaps count towards the pending total and its peak.
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.high_water(), 4);
+        assert_eq!(nodes(&mut q), vec![0, 1, 2, 3]);
+        assert!(q.is_empty());
+        assert_eq!(q.high_water(), 4);
     }
 
     #[test]

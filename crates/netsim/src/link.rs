@@ -21,7 +21,7 @@
 
 use crate::event::{EventEntry, EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultState, Impairment, ImpairmentRecord};
-use crate::ids::{LinkId, NodeId};
+use crate::ids::{LinkId, NodeId, PacketId};
 use crate::packet::Packet;
 use crate::pool::{PacketHandle, PacketPool};
 use crate::queue::{EnqueueResult, LinkQueue, QueueKind};
@@ -206,10 +206,21 @@ fn checked_capacity(cfg: &LinkConfig) -> u64 {
     cfg.buffer.resolve(cfg.rate_bps)
 }
 
+/// A packet offered to a link.
+#[derive(Debug)]
+pub(crate) enum Offered {
+    /// A packet just created (sent by an agent, or a router's probe
+    /// reply), not yet in the pool.
+    Fresh(Packet),
+    /// A packet already in the pool, forwarded by a router; it keeps
+    /// its slot from its first admission to its final delivery.
+    Pooled(PacketHandle),
+}
+
 /// What became of a packet offered to a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnqueueOutcome {
-    /// Packet buffered; its `Deliver` event is scheduled.
+    /// Packet buffered; its arrival is scheduled.
     Queued,
     /// Packet dropped by random loss before reaching the buffer.
     DroppedLoss,
@@ -469,24 +480,70 @@ impl Link {
     }
 
     /// Offer a packet to the link at time `now`. An admitted packet is
-    /// stored in `pool` and its arrival is scheduled on `events`; drops
-    /// never touch either.
-    pub fn enqueue(
+    /// scheduled on `events`; a fresh one is stored in `pool` only then,
+    /// so its drop never touches the pool, while a drop frees a pooled
+    /// one's slot.
+    pub(crate) fn enqueue(
         &mut self,
-        pkt: Packet,
+        offered: Offered,
         now: SimTime,
         pool: &mut PacketPool,
         events: &mut EventQueue,
     ) -> EnqueueOutcome {
+        let (id, size) = match &offered {
+            Offered::Fresh(pkt) => (pkt.id, pkt.size),
+            Offered::Pooled(h) => {
+                let pkt = pool.get(*h);
+                (pkt.id, pkt.size)
+            }
+        };
+        let dup = match self.admission(id, size, now) {
+            Ok(dup) => dup,
+            Err(dropped) => {
+                if let Offered::Pooled(h) = offered {
+                    pool.take(h);
+                }
+                return dropped;
+            }
+        };
+        let handle = match offered {
+            Offered::Fresh(pkt) => pool.insert(pkt),
+            Offered::Pooled(h) => h,
+        };
+        self.admit(handle, size, id, now, events);
+        if dup {
+            // The duplicate shares the original's id, like a wire-level
+            // duplication would, but has a pool slot of its own.
+            self.stats.offered_pkts += 1;
+            self.stats.offered_bytes += size as u64;
+            match self.queue.try_admit(size, &mut self.rng) {
+                EnqueueResult::Queued => {
+                    let copy = pool.insert(*pool.get(handle));
+                    self.admit(copy, size, id, now, events);
+                    self.stats.duplicated += 1;
+                    if let Some(f) = &mut self.fault {
+                        f.record(now, id, Impairment::Duplicated);
+                    }
+                }
+                EnqueueResult::DroppedFull => self.stats.dropped_full += 1,
+                EnqueueResult::DroppedEarly => self.stats.dropped_early += 1,
+            }
+        }
+        EnqueueOutcome::Queued
+    }
+
+    /// Decide the fate of a packet offered at `now`: `Ok` with the
+    /// duplication decision if the buffer admits it, or the drop.
+    fn admission(&mut self, id: PacketId, size: u32, now: SimTime) -> Result<bool, EnqueueOutcome> {
         self.retire(now);
         self.stats.offered_pkts += 1;
-        self.stats.offered_bytes += pkt.size as u64;
+        self.stats.offered_bytes += size as u64;
         if self.down {
             self.stats.dropped_down += 1;
             if let Some(f) = &mut self.fault {
-                f.record(now, pkt.id, Impairment::LostDown);
+                f.record(now, id, Impairment::LostDown);
             }
-            return EnqueueOutcome::DroppedDown;
+            return Err(EnqueueOutcome::DroppedDown);
         }
         // A fault plan's loss model replaces the configured i.i.d. loss.
         let lost = match &mut self.fault {
@@ -496,9 +553,9 @@ impl Link {
         if lost {
             self.stats.dropped_loss += 1;
             if let Some(f) = &mut self.fault {
-                f.record(now, pkt.id, Impairment::Lost);
+                f.record(now, id, Impairment::Lost);
             }
-            return EnqueueOutcome::DroppedLoss;
+            return Err(EnqueueOutcome::DroppedLoss);
         }
         // Duplication decision is rolled per admitted packet so the
         // fault stream's draw sequence is a pure function of the offered
@@ -507,51 +564,38 @@ impl Link {
             Some(f) => f.roll_duplicate(),
             None => false,
         };
-        match self.queue.try_admit(pkt.size, &mut self.rng) {
-            EnqueueResult::Queued => {
-                self.admit(pkt, now, pool, events);
-                if dup {
-                    // The duplicate shares the original's id, like a
-                    // wire-level duplication would.
-                    self.stats.offered_pkts += 1;
-                    self.stats.offered_bytes += pkt.size as u64;
-                    match self.queue.try_admit(pkt.size, &mut self.rng) {
-                        EnqueueResult::Queued => {
-                            self.admit(pkt, now, pool, events);
-                            self.stats.duplicated += 1;
-                            if let Some(f) = &mut self.fault {
-                                f.record(now, pkt.id, Impairment::Duplicated);
-                            }
-                        }
-                        EnqueueResult::DroppedFull => self.stats.dropped_full += 1,
-                        EnqueueResult::DroppedEarly => self.stats.dropped_early += 1,
-                    }
-                }
-                EnqueueOutcome::Queued
-            }
+        match self.queue.try_admit(size, &mut self.rng) {
+            EnqueueResult::Queued => Ok(dup),
             EnqueueResult::DroppedFull => {
                 self.stats.dropped_full += 1;
-                EnqueueOutcome::DroppedFull
+                Err(EnqueueOutcome::DroppedFull)
             }
             EnqueueResult::DroppedEarly => {
                 self.stats.dropped_early += 1;
-                EnqueueOutcome::DroppedEarly
+                Err(EnqueueOutcome::DroppedEarly)
             }
         }
     }
 
     /// Buffer an admitted packet, roll its reorder impairment and
     /// schedule it.
-    fn admit(&mut self, pkt: Packet, now: SimTime, pool: &mut PacketPool, events: &mut EventQueue) {
-        self.queue.admit(pkt.size);
+    fn admit(
+        &mut self,
+        handle: PacketHandle,
+        size: u32,
+        id: PacketId,
+        now: SimTime,
+        events: &mut EventQueue,
+    ) {
+        self.queue.admit(size);
         let reorder = self.fault.as_mut().and_then(FaultState::roll_reorder);
         if let (Some(_), Some(f)) = (reorder, &mut self.fault) {
             self.stats.reordered += 1;
-            f.record(now, pkt.id, Impairment::Reordered);
+            f.record(now, id, Impairment::Reordered);
         }
         let mut e = Scheduled {
-            handle: pool.insert(pkt),
-            size: pkt.size,
+            handle,
+            size,
             enqueued_at: now,
             depart: SimTime::MAX,
             reorder,
@@ -700,7 +744,8 @@ mod tests {
         }
 
         fn enqueue(&mut self, p: Packet, now: SimTime) -> EnqueueOutcome {
-            self.l.enqueue(p, now, &mut self.pool, &mut self.events)
+            self.l
+                .enqueue(Offered::Fresh(p), now, &mut self.pool, &mut self.events)
         }
 
         fn fault(&mut self, now: SimTime, action: FaultAction) {

@@ -11,19 +11,23 @@
 //! # Lifetime rules
 //!
 //! * A handle is created by [`PacketPool::insert`] when a link buffer
-//!   admits a packet.
+//!   admits a packet fresh from a host (an agent's send or a router's
+//!   probe reply). A fault plan's duplicate is inserted as a copy with
+//!   a handle of its own.
 //! * From admission until departure both the link's FIFO entry and the
-//!   pending `Deliver` event name the packet; after departure only the
-//!   event does.
+//!   pending arrival name the packet; after departure only the arrival
+//!   does.
+//! * A packet keeps its handle from that first admission to its final
+//!   delivery: a router forwards the handle itself to the next link. A
+//!   drop on a later hop (loss, RED, buffer overflow, link down, no
+//!   route) frees the slot with [`PacketPool::take`].
 //! * A fault or reconfiguration that re-times the packet moves it to a
 //!   new handle (take, then insert): the old `Deliver` now names a
 //!   stale handle, which the simulator skips (`PacketPool::contains`).
 //! * The simulator redeems the handle with [`PacketPool::take`] when the
-//!   `Deliver` event fires, freeing the slot. Forwarding through a
-//!   router re-inserts (the slot is reused immediately via the free
-//!   list).
-//! * Dropped packets (loss, RED, buffer overflow, link down) are
-//!   rejected *before* insertion and never touch the pool.
+//!   packet reaches its destination, freeing the slot.
+//! * A packet dropped at its first hop is rejected *before* insertion
+//!   and never touches the pool.
 
 use crate::packet::Packet;
 

@@ -23,7 +23,7 @@ use crate::capture::{
 use crate::event::{EventKind, EventQueue, TimerToken};
 use crate::fault::{FaultPlan, FaultState, ImpairmentRecord};
 use crate::ids::{LinkId, NodeId, PacketId};
-use crate::link::{EnqueueOutcome, Link, LinkConfig};
+use crate::link::{EnqueueOutcome, Link, LinkConfig, Offered};
 use crate::packet::{Packet, PacketSpec};
 use crate::pool::{PacketHandle, PacketPool};
 use crate::rng::stream_rng;
@@ -605,57 +605,64 @@ impl Simulator {
     }
 
     fn deliver(&mut self, node: NodeId, handle: PacketHandle) {
-        // Redeem the handle: the pool slot is freed here; forwarding
-        // re-inserts into the (just-recycled) slot.
-        let pkt = self.pool.take(handle);
-        self.record_capture(node, Direction::In, &pkt);
-        if pkt.dst == node {
-            if let Some(o) = &self.obs {
-                o.packets_delivered.inc();
-            }
-            match &self.nodes[node.index()] {
-                NodeSlot::Host { .. } => self.agent_callback(node, AgentCall::Packet(pkt)),
-                NodeSlot::Router => {
-                    // Routers answer latency probes like real routers
-                    // answer ICMP echo; all other packets addressed to a
-                    // router are absorbed.
-                    if let crate::packet::PacketKind::Probe {
-                        kind: crate::packet::ProbeKind::Request,
-                        ident,
-                    } = pkt.kind
-                    {
-                        let reply = Packet {
-                            id: PacketId(self.next_packet_id),
-                            flow: pkt.flow,
-                            src: node,
-                            dst: pkt.src,
-                            size: pkt.size,
-                            sent_at: self.now,
-                            kind: crate::packet::PacketKind::Probe {
-                                kind: crate::packet::ProbeKind::Reply {
-                                    sent_at: pkt.sent_at,
-                                },
-                                ident,
-                            },
-                        };
-                        self.next_packet_id += 1;
-                        match self.route(node, reply.dst) {
-                            Some(link) => self.enqueue_on_link(link, reply),
-                            None => self.drop_unroutable(node),
-                        }
-                    }
+        // Only a tapped node pays for a copy of the packet.
+        if self.tap_counts[node.index()] != 0 {
+            let pkt = *self.pool.get(handle);
+            self.record_capture(node, Direction::In, &pkt);
+        }
+        let dst = self.pool.get(handle).dst;
+        if dst != node {
+            // Forward: the packet keeps its pool slot.
+            match self.route(node, dst) {
+                Some(link) => self.enqueue_on_link(link, Offered::Pooled(handle)),
+                None => {
+                    self.pool.take(handle);
+                    self.drop_unroutable(node);
                 }
             }
-        } else {
-            // Forward.
-            match self.route(node, pkt.dst) {
-                Some(link) => self.enqueue_on_link(link, pkt),
-                None => self.drop_unroutable(node),
+            return;
+        }
+        // Final delivery redeems the handle, freeing the slot.
+        let pkt = self.pool.take(handle);
+        if let Some(o) = &self.obs {
+            o.packets_delivered.inc();
+        }
+        match &self.nodes[node.index()] {
+            NodeSlot::Host { .. } => self.agent_callback(node, AgentCall::Packet(pkt)),
+            NodeSlot::Router => {
+                // Routers answer latency probes like real routers answer
+                // ICMP echo; all other packets addressed to a router are
+                // absorbed.
+                if let crate::packet::PacketKind::Probe {
+                    kind: crate::packet::ProbeKind::Request,
+                    ident,
+                } = pkt.kind
+                {
+                    let reply = Packet {
+                        id: PacketId(self.next_packet_id),
+                        flow: pkt.flow,
+                        src: node,
+                        dst: pkt.src,
+                        size: pkt.size,
+                        sent_at: self.now,
+                        kind: crate::packet::PacketKind::Probe {
+                            kind: crate::packet::ProbeKind::Reply {
+                                sent_at: pkt.sent_at,
+                            },
+                            ident,
+                        },
+                    };
+                    self.next_packet_id += 1;
+                    match self.route(node, reply.dst) {
+                        Some(link) => self.enqueue_on_link(link, Offered::Fresh(reply)),
+                        None => self.drop_unroutable(node),
+                    }
+                }
             }
         }
     }
 
-    fn enqueue_on_link(&mut self, link: LinkId, pkt: Packet) {
+    fn enqueue_on_link(&mut self, link: LinkId, pkt: Offered) {
         let l = &mut self.links[link.index()];
         let outcome = l.enqueue(pkt, self.now, &mut self.pool, &mut self.events);
         if let Some(o) = &self.obs {
@@ -757,7 +764,7 @@ impl Simulator {
         }
         self.record_capture(node, Direction::Out, &pkt);
         match self.route(node, pkt.dst) {
-            Some(link) => self.enqueue_on_link(link, pkt),
+            Some(link) => self.enqueue_on_link(link, Offered::Fresh(pkt)),
             None => self.drop_unroutable(node),
         }
     }
@@ -900,6 +907,52 @@ mod tests {
         assert_eq!(sink.bytes, 10_000);
         // 2 hops × 5 ms prop: last packet sent at 9 ms arrives > 19 ms.
         assert!(sim.now() >= SimTime::from_millis(19));
+    }
+
+    /// `a → r1 → r2 → r3 → b`, `a` sending one 1000 B packet to `b`;
+    /// returns the simulator, `b` and the last hop `r3 → b`.
+    fn three_routers() -> (Simulator, NodeId, LinkId) {
+        let mut sim = Simulator::new(1);
+        let a = sim.add_host(Box::new(Blaster::new(
+            NodeId(4),
+            1,
+            1000,
+            SimDuration::ZERO,
+        )));
+        let routers = [sim.add_router(), sim.add_router(), sim.add_router()];
+        let b = sim.add_host(Box::new(SinkAgent::default()));
+        let cfg = LinkConfig::new(100_000_000, SimDuration::from_millis(1));
+        sim.add_duplex_link(a, routers[0], cfg.clone());
+        sim.add_duplex_link(routers[0], routers[1], cfg.clone());
+        sim.add_duplex_link(routers[1], routers[2], cfg.clone());
+        let (last, _) = sim.add_duplex_link(routers[2], b, cfg);
+        sim.compute_routes();
+        (sim, b, last)
+    }
+
+    #[test]
+    fn a_forwarded_packet_keeps_one_pool_slot() {
+        let (mut sim, b, _) = three_routers();
+        assert_eq!(sim.run(), StopReason::Drained);
+        let sink: &SinkAgent = sim.agent(b).unwrap();
+        assert_eq!(sink.packets, 1);
+        assert_eq!(sim.peak_pool_packets(), 1);
+        assert_eq!(sim.packets_in_flight(), 0);
+    }
+
+    #[test]
+    fn a_drop_on_a_later_hop_frees_the_packets_slot() {
+        let (mut sim, b, last) = three_routers();
+        sim.attach_fault_plan(
+            last,
+            FaultPlan::new().down_between(SimTime::ZERO, SimTime::from_secs(1)),
+        );
+        assert_eq!(sim.run(), StopReason::Drained);
+        assert_eq!(sim.link_stats(last).dropped_down, 1);
+        let sink: &SinkAgent = sim.agent(b).unwrap();
+        assert_eq!(sink.packets, 0);
+        assert_eq!(sim.peak_pool_packets(), 1);
+        assert_eq!(sim.packets_in_flight(), 0);
     }
 
     #[test]

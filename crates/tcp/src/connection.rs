@@ -745,8 +745,15 @@ impl TcpConnection {
         }
         let in_order = start <= self.rcv_nxt;
         if payload_end > self.rcv_nxt && hdr.payload_len > 0 {
-            self.insert_ooo(start.max(self.rcv_nxt), payload_end);
-            self.drain_in_order();
+            if in_order && self.ooo.is_empty() {
+                // Nothing is buffered beyond rcv_nxt: the segment just
+                // extends it, as inserting and draining would.
+                self.stats.bytes_received += payload_end - self.rcv_nxt;
+                self.rcv_nxt = payload_end;
+            } else {
+                self.insert_ooo(start.max(self.rcv_nxt), payload_end);
+                self.drain_in_order();
+            }
         }
         // FIN consumes its own sequence position once payload is complete.
         let fin_consumed = match self.peer_fin_offset {
@@ -1285,5 +1292,139 @@ mod obs_tests {
         assert_eq!(snap.counter("tcp.timeouts"), Some(1));
         assert_eq!(snap.counter("tcp.rtt_samples"), Some(3));
         assert_eq!(snap.counter("tcp.bytes_acked"), Some(1000));
+    }
+}
+
+#[cfg(test)]
+mod reassembly_tests {
+    use super::*;
+    use csig_netsim::{Agent, LinkConfig, Packet, PacketKind, SackBlocks, Simulator};
+
+    const PEER_ISS: u32 = 5000;
+    const SEG: u32 = 1000;
+
+    /// A listening connection that records, after each segment, its
+    /// `bytes_received` and how many intervals it buffers out of order.
+    struct Receiver {
+        conn: TcpConnection,
+        after: Vec<(u64, usize)>,
+    }
+
+    impl Agent for Receiver {
+        fn on_start(&mut self, _: &mut Ctx) {}
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            if let PacketKind::Tcp(hdr) = pkt.kind {
+                self.conn.on_segment(ctx, &hdr);
+                if hdr.payload_len > 0 {
+                    self.after
+                        .push((self.conn.stats.bytes_received, self.conn.ooo.len()));
+                }
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
+            self.conn.on_timer(ctx, token);
+        }
+    }
+
+    /// Opens a connection, then sends the `SEG`-byte segments numbered
+    /// in `order` (1 covers offsets `0..SEG`) back to back, recording
+    /// each ACK's number and SACK blocks.
+    struct Sender {
+        peer: NodeId,
+        order: Vec<u32>,
+        acks: Vec<(u32, SackBlocks)>,
+    }
+
+    impl Sender {
+        fn segment(&self, seq: u32, ack: u32, flags: TcpFlags, payload_len: u32) -> PacketSpec {
+            let hdr = TcpHeader {
+                seq,
+                ack,
+                flags,
+                payload_len,
+                window: 1 << 20,
+                sack: NO_SACK,
+            };
+            PacketSpec::tcp(FlowId(1), self.peer, hdr)
+        }
+    }
+
+    impl Agent for Sender {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.send(self.segment(PEER_ISS, 0, TcpFlags::SYN, 0));
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            let PacketKind::Tcp(hdr) = pkt.kind else {
+                return;
+            };
+            if hdr.flags.syn() {
+                let ack = hdr.seq.wrapping_add(1);
+                ctx.send(self.segment(PEER_ISS + 1, ack, TcpFlags::ACK, 0));
+                for &k in &self.order {
+                    let seq = PEER_ISS + 1 + (k - 1) * SEG;
+                    ctx.send(self.segment(seq, ack, TcpFlags::ACK, SEG));
+                }
+            } else {
+                self.acks.push((hdr.ack, hdr.sack));
+            }
+        }
+        fn on_timer(&mut self, _: &mut Ctx, _: TimerToken) {}
+    }
+
+    /// Per data segment: (ACK number, SACK blocks, bytes received, ooo
+    /// intervals).
+    fn run(order: &[u32]) -> Vec<(u32, SackBlocks, u64, usize)> {
+        let mut sim = Simulator::new(1);
+        let rx = sim.add_host(Box::new(Receiver {
+            conn: TcpConnection::listen(FlowId(1), NodeId(1), TcpConfig::default()),
+            after: vec![],
+        }));
+        let tx = sim.add_host(Box::new(Sender {
+            peer: rx,
+            order: order.to_vec(),
+            acks: vec![],
+        }));
+        sim.add_duplex_link(
+            rx,
+            tx,
+            LinkConfig::new(100_000_000, SimDuration::from_millis(1)),
+        );
+        sim.compute_routes();
+        sim.run_until(SimTime::from_secs(1)).expect_within_budget();
+        let acks = &sim.agent::<Sender>(tx).unwrap().acks;
+        let after = &sim.agent::<Receiver>(rx).unwrap().after;
+        assert_eq!(acks.len(), after.len(), "one ACK per data segment");
+        acks.iter()
+            .zip(after)
+            .map(|(&(ack, sack), &(bytes, ooo))| (ack, sack, bytes, ooo))
+            .collect()
+    }
+
+    /// The wire sequence number of the sender's offset `off`.
+    fn wire(off: u32) -> u32 {
+        PEER_ISS + 1 + off
+    }
+
+    #[test]
+    fn a_hole_filled_late_acks_and_sacks_as_reassembly_does() {
+        let hole = Some((wire(2 * SEG), wire(3 * SEG)));
+        assert_eq!(
+            run(&[1, 3, 2, 4]),
+            vec![
+                (wire(SEG), NO_SACK, 1000, 0),
+                (wire(SEG), [hole, None, None], 1000, 1),
+                (wire(3 * SEG), NO_SACK, 3000, 0),
+                (wire(4 * SEG), NO_SACK, 4000, 0),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_in_order_run_buffers_nothing_out_of_order() {
+        let got = run(&[1, 2, 3, 4]);
+        let want: Vec<_> = (1..=4)
+            .map(|k| (wire(k * SEG), NO_SACK, u64::from(k * SEG), 0))
+            .collect();
+        assert_eq!(got, want);
     }
 }

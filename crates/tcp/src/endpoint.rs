@@ -101,15 +101,11 @@ impl TcpServerAgent {
         self.conns.len()
     }
 
+    /// Remove a finished connection, keeping its counters if asked to.
     fn reap(&mut self, flow: FlowId) {
-        if let Some(slot) = self.conns.get(&flow) {
-            if slot.conn.is_done() {
-                let Some(slot) = self.conns.remove(&flow) else {
-                    unreachable!("presence checked above")
-                };
-                if self.keep_completed {
-                    self.completed.push((flow, slot.conn.stats));
-                }
+        if let Some(slot) = self.conns.remove(&flow) {
+            if self.keep_completed {
+                self.completed.push((flow, slot.conn.stats));
             }
         }
     }
@@ -124,35 +120,30 @@ impl Agent for TcpServerAgent {
             _ => return, // background traffic is absorbed
         };
         let flow = pkt.flow;
-        if !self.conns.contains_key(&flow) {
-            if !hdr.flags.syn() {
-                // Stray segment for a finished/unknown connection: answer
-                // with RST so a retransmitting peer aborts instead of
-                // retrying until its timeout cap (real stacks do this
-                // for closed ports/connections).
-                if !hdr.flags.rst() {
-                    let rst = TcpHeader {
-                        seq: hdr.ack,
-                        ack: hdr.seq_end(),
-                        flags: TcpFlags::RST | TcpFlags::ACK,
-                        payload_len: 0,
-                        window: 0,
-                        sack: NO_SACK,
-                    };
-                    ctx.send(PacketSpec::tcp(flow, pkt.src, rst));
-                }
-                return;
+        let slot = if hdr.flags.syn() {
+            self.conns.entry(flow).or_insert_with(|| ServerConn {
+                conn: TcpConnection::listen(flow, pkt.src, self.cfg.clone()),
+                app_started: false,
+            })
+        } else if let Some(slot) = self.conns.get_mut(&flow) {
+            slot
+        } else {
+            // Stray segment for a finished/unknown connection: answer
+            // with RST so a retransmitting peer aborts instead of
+            // retrying until its timeout cap (real stacks do this for
+            // closed ports/connections).
+            if !hdr.flags.rst() {
+                let rst = TcpHeader {
+                    seq: hdr.ack,
+                    ack: hdr.seq_end(),
+                    flags: TcpFlags::RST | TcpFlags::ACK,
+                    payload_len: 0,
+                    window: 0,
+                    sack: NO_SACK,
+                };
+                ctx.send(PacketSpec::tcp(flow, pkt.src, rst));
             }
-            self.conns.insert(
-                flow,
-                ServerConn {
-                    conn: TcpConnection::listen(flow, pkt.src, self.cfg.clone()),
-                    app_started: false,
-                },
-            );
-        }
-        let Some(slot) = self.conns.get_mut(&flow) else {
-            unreachable!("inserted above when absent")
+            return;
         };
         slot.conn.on_segment(ctx, &hdr);
         if slot.conn.is_established() && !slot.app_started {
@@ -165,15 +156,19 @@ impl Agent for TcpServerAgent {
                 }
             }
         }
-        self.reap(flow);
+        if slot.conn.is_done() {
+            self.reap(flow);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
         let flow = token_flow(token);
         if let Some(slot) = self.conns.get_mut(&flow) {
             slot.conn.on_timer(ctx, token);
+            if slot.conn.is_done() {
+                self.reap(flow);
+            }
         }
-        self.reap(flow);
     }
 
     fn name(&self) -> &'static str {

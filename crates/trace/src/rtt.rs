@@ -41,9 +41,10 @@ struct Outstanding {
 /// in-flight window (the `outstanding` list), not by trace length.
 ///
 /// Entries are appended only past `max_sent_end`, so `outstanding` is
-/// sorted by offset and its ranges are disjoint: an ACK retires a
-/// prefix and a retransmission overlaps one contiguous run, both found
-/// by binary search.
+/// sorted by offset and its ranges are disjoint. An ACK retires a
+/// prefix, found by scanning from the front; the scan stops at the first
+/// entry it keeps, so an ACK costs O(1) plus the entries it retires. A
+/// retransmission overlaps one contiguous run, found by binary search.
 ///
 /// Offsets are anchored at the first `Out` SYN's ISS, or at the first
 /// outgoing data packet's sequence number if the tap missed the
@@ -115,7 +116,11 @@ impl RttExtractor {
                     csig_tcp::seq::offset_of(tr.base().wrapping_add(1), h.ack, self.max_sent_end);
                 // Retire all fully covered segments; the newest clean one
                 // yields the sample for this ACK.
-                let covered = self.outstanding.partition_point(|o| o.end <= ack_off);
+                let covered = self
+                    .outstanding
+                    .iter()
+                    .take_while(|o| o.end <= ack_off)
+                    .count();
                 let best = self
                     .outstanding
                     .range(..covered)

@@ -51,6 +51,25 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy -p csig-netsim -p csig-tcp --all-targets -- -D clippy::perf (hot-path perf gate)"
 cargo clippy -p csig-netsim -p csig-tcp --all-targets -- -D clippy::perf
 
+echo "==> bit identity: perfbench outputs_digest matches scripts/outputs_digests.txt"
+while read -r workload want; do
+  case "$workload" in '' | '#'*) continue ;; esac
+  last="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 0xBEEF --seconds 1 --trace 0 </dev/null 2>"$obsdir/$workload.err" | tail -n 1 || true)"
+  case "$last" in
+    *'"correct": true'*) ;;
+    *)
+      echo "verify: perfbench $workload run is not correct: $last"
+      tail -n 5 "$obsdir/$workload.err"
+      exit 1
+      ;;
+  esac
+  got="$(sed -n "s/^perfbench: $workload outputs_digest //p" "$obsdir/$workload.err")"
+  if [ "$got" != "$want" ]; then
+    echo "verify: $workload outputs_digest ${got:-missing}, expected $want"; exit 1
+  fi
+done <scripts/outputs_digests.txt
+
 echo "==> scripts/check_results.sh (archived experiment outputs are reproduced)"
 scripts/check_results.sh
 

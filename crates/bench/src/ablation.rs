@@ -2,13 +2,10 @@
 //!
 //! * both features vs NormDiff-only vs CoV-only (§3.3 "Why do we need
 //!   both metrics?"),
-//! * tree depth 3/4/5 (§3.2),
-//! * slow-start-window RTTs vs whole-flow RTTs.
+//! * tree depth 3/4/5 (§3.2).
 
 use csig_dtree::{cross_val_accuracy, Dataset, TreeParams};
-use csig_features::features_from_rtts_ms;
 use csig_testbed::{build_dataset, TestResult};
-use csig_trace::{extract_rtt_samples, FlowTrace};
 use serde::{Deserialize, Serialize};
 
 /// Which feature subset to train on.
@@ -100,16 +97,6 @@ pub fn print(rows: &[AblationRow]) {
             r.cv_accuracy * 100.0
         );
     }
-}
-
-/// Whole-flow (not slow-start-windowed) features for the window
-/// ablation: computed over *all* RTT samples of a trace.
-pub fn whole_flow_features(trace: &FlowTrace) -> Option<[f64; 2]> {
-    let samples = extract_rtt_samples(trace);
-    let rtts: Vec<f64> = samples.iter().map(|s| s.rtt.as_millis_f64()).collect();
-    features_from_rtts_ms(&rtts)
-        .ok()
-        .map(|f| [f.norm_diff, f.cov])
 }
 
 #[cfg(test)]

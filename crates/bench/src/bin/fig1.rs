@@ -5,8 +5,10 @@
 //!  [--jobs N] [--seed S] [--progress] [--metrics-out FILE]
 //!  [--trace-out FILE]`
 //!
-//! With `--metrics-out`/`--trace-out` the campaign runs instrumented:
-//! the metrics snapshot and the JSONL trace are written at the end.
+//! Every cell counts its metrics; `--metrics-out` writes the merged
+//! snapshot at the end. `--trace-out` gives every cell a trace ring and
+//! writes the events as JSONL; without it no ring is attached, so the
+//! snapshot then lacks `trace.dropped`.
 //! Wall-clock timing per layer is `perfbench`'s job
 //! (`perfbench --workload testbed_fig1 --trace 1`).
 
@@ -35,31 +37,21 @@ fn main() {
         "fig1: {reps} tests/scenario, {profile:?} profile, {} workers",
         args.executor().jobs()
     );
-    let data = if args.wants_observability() {
-        let observed = fig1::run_observed_with(
-            reps,
-            profile,
-            seed,
-            &args.executor(),
-            args.progress_printer(10),
-        );
-        if let Err(e) = args.write_metrics(&observed.metrics) {
-            eprintln!("error writing --metrics-out: {e}");
-            std::process::exit(1);
-        }
-        if let Err(e) = args.write_trace(&observed.trace) {
-            eprintln!("error writing --trace-out: {e}");
-            std::process::exit(1);
-        }
-        observed.data
-    } else {
-        fig1::run_with(
-            reps,
-            profile,
-            seed,
-            &args.executor(),
-            args.progress_printer(10),
-        )
-    };
-    fig1::print(&data);
+    let observed = fig1::run_with(
+        reps,
+        profile,
+        seed,
+        args.trace_out.is_some(),
+        &args.executor(),
+        args.progress_printer(10),
+    );
+    if let Err(e) = args.write_metrics(&observed.metrics) {
+        eprintln!("error writing --metrics-out: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = args.write_trace(&observed.trace) {
+        eprintln!("error writing --trace-out: {e}");
+        std::process::exit(1);
+    }
+    fig1::print(&observed.data);
 }

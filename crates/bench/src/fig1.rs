@@ -70,9 +70,28 @@ pub fn collect(results: &[TestResult]) -> Fig1Data {
     data
 }
 
+/// Figure-1 results together with the campaign's observability.
+#[derive(Debug, Clone)]
+pub struct Fig1Observed {
+    /// Both scenarios' point clouds.
+    pub data: Fig1Data,
+    /// Merged campaign metrics: executor counters plus every
+    /// scenario's snapshot absorbed in submission order.
+    pub metrics: Snapshot,
+    /// Trace events from all scenarios, each tagged with its campaign
+    /// index, concatenated in submission order; empty unless the run
+    /// was traced.
+    pub trace: Vec<TraceEvent>,
+}
+
 /// Run the Figure-1 experiment with `reps` tests per scenario on `exec`
-/// (worker count, per-scenario deadline, …); output is identical for
-/// every worker count.
+/// (worker count, per-scenario deadline, …). Every cell runs with its
+/// own registry, and the per-cell snapshots are merged into one
+/// campaign registry with the executor's own counters. With `traced`,
+/// every cell also gets a trace ring and the events are collected.
+///
+/// The figure data does not depend on `traced`, and data, metrics and
+/// trace are byte-identical across same-seed runs at any worker count.
 ///
 /// # Panics
 /// Panics with the failure summary if any test failed.
@@ -80,47 +99,13 @@ pub fn run_with<F: FnMut(ProgressEvent)>(
     reps: u32,
     profile: Profile,
     seed: u64,
-    exec: &Executor,
-    progress: F,
-) -> Fig1Data {
-    collect(
-        &exec
-            .run_isolated_with_progress(&campaign(reps, profile, seed), progress)
-            .expect_artifacts(),
-    )
-}
-
-/// Figure-1 results together with the campaign's observability.
-#[derive(Debug, Clone)]
-pub struct Fig1Observed {
-    /// The figure data, identical to what [`run_with`] produces.
-    pub data: Fig1Data,
-    /// Merged campaign metrics: executor counters plus every
-    /// scenario's snapshot absorbed in submission order.
-    pub metrics: Snapshot,
-    /// Trace events from all scenarios, each tagged with its campaign
-    /// index, concatenated in submission order.
-    pub trace: Vec<TraceEvent>,
-}
-
-/// [`run_with`], instrumented: per-scenario metrics snapshots are
-/// merged into one campaign registry (with the executor's own
-/// counters) and trace events are collected.
-///
-/// The figure data is byte-identical to the unobserved path, and
-/// `metrics` is byte-identical across same-seed runs at any worker
-/// count.
-pub fn run_observed_with<F: FnMut(ProgressEvent)>(
-    reps: u32,
-    profile: Profile,
-    seed: u64,
+    traced: bool,
     exec: &Executor,
     progress: F,
 ) -> Fig1Observed {
-    // Each cell runs with its own registry and trace buffer.
     let mut observed = Campaign::new(seed);
     for &(scenario_seed, sc) in campaign(reps, profile, seed).iter() {
-        observed.push_seeded(scenario_seed, move |s| sc.run_observed(s));
+        observed.push_seeded(scenario_seed, move |s| sc.observe(s, traced));
     }
     let reg = MetricsRegistry::new();
     let run = exec.run_isolated_with_progress(&observed, progress);
@@ -186,12 +171,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn observed_run_matches_plain_and_is_jobs_invariant() {
-        let plain = run_with(2, Profile::Scaled, 21, &Executor::sequential(), |_| {});
-        let seq = run_observed_with(2, Profile::Scaled, 21, &Executor::sequential(), |_| {});
-        let par = run_observed_with(2, Profile::Scaled, 21, &Executor::new(4), |_| {});
-        // Figure data unchanged by instrumentation.
-        assert_eq!(format!("{plain:?}"), format!("{:?}", seq.data));
+    fn traced_run_matches_untraced_and_is_jobs_invariant() {
+        let run = |traced, exec: &Executor| run_with(2, Profile::Scaled, 21, traced, exec, |_| {});
+        let plain = run(false, &Executor::sequential());
+        let seq = run(true, &Executor::sequential());
+        let par = run(true, &Executor::new(4));
+        // Figure data and metrics unchanged by the trace rings, apart
+        // from the ring's own eviction count.
+        assert_eq!(format!("{:?}", plain.data), format!("{:?}", seq.data));
+        assert!(plain.trace.is_empty());
+        assert_eq!(seq.metrics.counter("trace.dropped"), Some(0));
+        let mut ringless = seq.metrics.clone();
+        ringless.entries.retain(|e| e.name != "trace.dropped");
+        assert_eq!(plain.metrics, ringless);
         // Metrics identical across worker counts.
         assert_eq!(seq.metrics.to_json(), par.metrics.to_json());
         assert!(seq.metrics.counter("sim.events").unwrap_or(0) > 0);
@@ -199,6 +191,7 @@ mod tests {
         assert!(seq.metrics.counter("flows.features_ok").unwrap_or(0) > 0);
         assert_eq!(seq.metrics.counter("exec.scenarios_ok"), Some(4));
         // Traces are identical too (sim-time only, no wall clock).
+        assert!(!seq.trace.is_empty());
         assert_eq!(
             seq.trace
                 .iter()
@@ -213,7 +206,8 @@ mod tests {
 
     #[test]
     fn figure1_shape_holds() {
-        let data = run_with(3, Profile::Scaled, 11, &Executor::sequential(), |_| {});
+        let exec = Executor::sequential();
+        let data = run_with(3, Profile::Scaled, 11, false, &exec, |_| {}).data;
         assert!(data.self_induced.len() >= 2);
         assert!(data.external.len() >= 2);
         let med = |v: Vec<f64>| csig_features::median(&v).unwrap();

@@ -3,7 +3,6 @@
 use csig_core::SignatureClassifier;
 use csig_features::CongestionClass;
 use csig_mlab::{label_tslp2017, Tslp2017Output};
-use csig_netsim::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Print Figure 6: TSLP far-router latency and NDT throughput around
@@ -129,11 +128,6 @@ pub fn print_accuracy(label: &str, acc: &Tslp2017Accuracy) {
         acc.external_total,
         acc.external_accuracy() * 100.0,
     );
-}
-
-/// Timestamp of the first probe, for tests.
-pub fn first_probe_at(out: &Tslp2017Output) -> Option<SimTime> {
-    out.far.points.first().map(|&(t, _)| t)
 }
 
 #[cfg(test)]

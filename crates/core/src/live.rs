@@ -17,38 +17,10 @@ use crate::analysis::{FlowQuality, FlowReport};
 use crate::classifier::{SignatureClassifier, Verdict};
 use csig_features::FlowProbe;
 use csig_netsim::{Direction, FlowId, PacketRecord, PacketSink, SimDuration, SimTime};
-use csig_obs::{Counter, MetricsRegistry, TraceBuffer, TraceEvent};
+use csig_obs::{TraceBuffer, TraceEvent};
 use csig_trace::OffsetTracker;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// Metric handles the analyzer updates as flows complete.
-#[derive(Debug, Clone)]
-struct LiveObs {
-    /// `flows.verdicts` — flows that produced a classification.
-    verdicts: Counter,
-    /// `flows.skips_insufficient` — flows skipped for too-few or
-    /// degenerate RTT samples.
-    skips: Counter,
-    /// `flows.evicted` — flows dropped by the idle timeout.
-    evicted: Counter,
-    /// `flows.truncated` — flows still open when the stream ended.
-    truncated: Counter,
-    /// `rtt.samples` — RTT samples accumulated across reported flows.
-    rtt_samples: Counter,
-}
-
-impl LiveObs {
-    fn register(reg: &MetricsRegistry) -> Self {
-        LiveObs {
-            verdicts: reg.counter("flows.verdicts"),
-            skips: reg.counter("flows.skips_insufficient"),
-            evicted: reg.counter("flows.evicted"),
-            truncated: reg.counter("flows.truncated"),
-            rtt_samples: reg.counter("rtt.samples"),
-        }
-    }
-}
 
 /// Watches one flow's FIN exchange from the server-side tap.
 ///
@@ -154,7 +126,6 @@ pub struct LiveAnalyzer {
     done: Vec<FlowReport>,
     idle_timeout: Option<SimDuration>,
     last_sweep: SimTime,
-    obs: Option<LiveObs>,
     trace: Option<TraceBuffer>,
     /// Stream time of the most recent record, stamped onto reports of
     /// flows closed at [`LiveAnalyzer::finish`] time.
@@ -172,19 +143,9 @@ impl LiveAnalyzer {
             done: Vec::new(),
             idle_timeout: None,
             last_sweep: SimTime::ZERO,
-            obs: None,
             trace: None,
             last_record_at: SimTime::ZERO,
         }
-    }
-
-    /// Builder: register the analyzer's counters (`flows.verdicts`,
-    /// `flows.skips_insufficient`, `flows.evicted`, `flows.truncated`,
-    /// `rtt.samples`) into `reg`, updating them as flows complete.
-    #[must_use]
-    pub fn with_metrics(mut self, reg: &MetricsRegistry) -> Self {
-        self.obs = Some(LiveObs::register(reg));
-        self
     }
 
     /// Builder: emit structured trace events (scope `"live"`) — one per
@@ -271,24 +232,10 @@ impl LiveAnalyzer {
         }
     }
 
-    /// Build one flow's report (see [`report_for`]), update the metric
-    /// counters and trace ring if attached, and queue it for draining.
+    /// Build one flow's report (see [`report_for`]), trace it if a ring
+    /// is attached, and queue it for draining.
     fn emit(&mut self, probe: &FlowProbe, quality: FlowQuality, at: SimTime) {
         let report = report_for(&self.clf, probe, quality);
-        if let Some(obs) = &self.obs {
-            obs.rtt_samples.add(probe.samples_total() as u64);
-            if report.verdict.is_ok() {
-                obs.verdicts.inc();
-            } else {
-                obs.skips.inc();
-            }
-            if report.quality.idle_evicted {
-                obs.evicted.inc();
-            }
-            if report.quality.truncated {
-                obs.truncated.inc();
-            }
-        }
         if let Some(trace) = &self.trace {
             let event = match &report.verdict {
                 Ok(v) => TraceEvent::new(at.as_nanos(), "live", "verdict")
@@ -622,12 +569,9 @@ mod tests {
     }
 
     #[test]
-    fn short_flows_are_skipped_with_insufficient_samples_and_counted() {
-        let reg = MetricsRegistry::new();
+    fn short_flows_are_skipped_with_insufficient_samples_and_traced() {
         let trace = TraceBuffer::with_capacity(16);
-        let mut live = LiveAnalyzer::new(tiny_model())
-            .with_metrics(&reg)
-            .with_trace(trace.clone());
+        let mut live = LiveAnalyzer::new(tiny_model()).with_trace(trace.clone());
         // One bare data record: far below MIN_SAMPLES, never closes.
         live.push(&bare_record(7, SimTime::from_secs(1)));
         let reports = live.finish();
@@ -636,11 +580,7 @@ mod tests {
         assert!(reports[0].quality.insufficient_samples);
         assert!(!reports[0].quality.is_clean());
         assert!(reports[0].quality.to_string().contains("insufficient"));
-
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("flows.verdicts"), Some(0));
-        assert_eq!(snap.counter("flows.skips_insufficient"), Some(1));
-        assert_eq!(snap.counter("flows.truncated"), Some(1));
+        assert!(reports[0].quality.truncated);
         let events = trace.snapshot();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].scope, "live");

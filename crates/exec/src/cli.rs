@@ -165,13 +165,6 @@ impl CommonArgs {
         Ok(parsed)
     }
 
-    /// Whether either observability sink (`--metrics-out` /
-    /// `--trace-out`) was requested — binaries use this to decide
-    /// whether to run the instrumented campaign path.
-    pub fn wants_observability(&self) -> bool {
-        self.metrics_out.is_some() || self.trace_out.is_some()
-    }
-
     /// Write `snapshot` to the `--metrics-out` path, if one was given.
     /// The file is byte-identical across same-seed runs at any `--jobs`
     /// — the property `scripts/verify.sh` checks.
@@ -418,9 +411,8 @@ mod tests {
         let a = args(&["--metrics-out", "m.json", "--trace-out", "t.jsonl", "3"]);
         assert_eq!(a.metrics_out.as_deref(), Some("m.json"));
         assert_eq!(a.trace_out.as_deref(), Some("t.jsonl"));
-        assert!(a.wants_observability());
         assert_eq!(a.positional_parsed(9u32), 3);
-        assert!(!args(&[]).wants_observability());
+        assert_eq!(args(&[]).metrics_out, None);
     }
 
     #[test]

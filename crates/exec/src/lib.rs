@@ -256,11 +256,9 @@ impl<A> CampaignRun<A> {
     /// scheduling, so they are the same at any worker count.
     pub fn export_metrics(&self, reg: &MetricsRegistry) {
         let failed = self.outcomes.iter().filter(|o| o.is_err()).count() as u64;
-        reg.counter("exec.scenarios_ok")
-            .add(self.outcomes.len() as u64 - failed);
-        reg.counter("exec.scenarios_failed").add(failed);
-        reg.gauge("exec.campaign_scenarios_hwm")
-            .record(self.outcomes.len() as u64);
+        reg.add("exec.scenarios_ok", self.outcomes.len() as u64 - failed);
+        reg.add("exec.scenarios_failed", failed);
+        reg.record_max("exec.campaign_scenarios_hwm", self.outcomes.len() as u64);
     }
 
     /// All artifacts, panicking with the failure summary if any

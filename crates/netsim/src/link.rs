@@ -79,9 +79,6 @@ pub struct LinkConfig {
     pub buffer: BufferSize,
     /// Admission policy.
     pub queue: QueueKind,
-    /// If `false` (default) delivery order is forced to match departure
-    /// order even when jitter would reorder packets, like a FIFO wire.
-    pub allow_reorder: bool,
 }
 
 impl LinkConfig {
@@ -97,7 +94,6 @@ impl LinkConfig {
             loss: 0.0,
             buffer: BufferSize::Time(SimDuration::from_millis(100)),
             queue: QueueKind::DropTail,
-            allow_reorder: false,
         }
     }
 
@@ -644,8 +640,6 @@ impl Link {
             // nominal arrival and exempt it from the FIFO clamp (and
             // from advancing it), so later departures overtake it.
             events.push(arrival + extra, EventKind::Deliver(self.to, e.handle));
-        } else if self.cfg.allow_reorder {
-            events.push(arrival, EventKind::Deliver(self.to, e.handle));
         } else {
             let time = arrival.max(self.clock.last_arrival + SimDuration::from_nanos(1));
             self.clock.last_arrival = time;
@@ -882,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn jitter_never_reorders_by_default() {
+    fn jitter_never_reorders() {
         let cfg = LinkConfig::new(100_000_000, SimDuration::from_millis(10))
             .jitter(SimDuration::from_millis(5));
         let mut r = Rig::new(cfg);
@@ -895,28 +889,6 @@ mod tests {
         let ids: Vec<u64> = arrivals.iter().map(|a| a.0).collect();
         assert_eq!(ids, (0..50).collect::<Vec<_>>(), "reordered");
         assert!(arrivals.windows(2).all(|w| w[0].1 < w[1].1));
-    }
-
-    #[test]
-    fn jitter_reorders_when_the_link_allows_it() {
-        let mut cfg = LinkConfig::new(100_000_000, SimDuration::from_millis(10))
-            .jitter(SimDuration::from_millis(5));
-        cfg.allow_reorder = true;
-        let mut r = Rig::new(cfg);
-        for i in 0..50 {
-            r.enqueue(pkt(i, 1500), SimTime::ZERO);
-        }
-        // Each packet gets its own delivery; the drain lists arrivals in
-        // time order, so a higher id before a lower one is an overtake.
-        let arrivals = r.drain();
-        assert!(
-            arrivals.windows(2).any(|w| w[0].0 > w[1].0),
-            "no packet overtook another"
-        );
-        let mut ids: Vec<u64> = arrivals.iter().map(|a| a.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..50).collect::<Vec<_>>(), "each packet exactly once");
-        assert_eq!(r.pool.live(), 0);
     }
 
     use crate::fault::{FaultPlan, FaultState, GilbertElliott};

@@ -1,7 +1,7 @@
 //! Property test of packet delivery through the links' in-order arrival
-//! queues. Random small topologies mix jitter with and without
-//! `allow_reorder`, fault-plan loss, reordering, duplication, flaps and
-//! rate/delay steps, and link reconfigurations. Every admitted packet
+//! queues. Random small topologies mix jitter, fault-plan loss,
+//! reordering, duplication, flaps and rate/delay steps, and link
+//! reconfigurations. Every admitted packet
 //! must be delivered exactly once, each link must deliver its in-order
 //! packets in admission order, and no tap may see the clock run
 //! backwards. Debug builds also check, on every pop, that the
@@ -48,7 +48,7 @@ fn micros(rng: &mut StdRng, max: u64) -> SimDuration {
 
 /// A link of 1–50 Mbps with up to 5 ms of delay, jitter half the time
 /// and a physical rate up to 10× the shaped rate.
-fn random_config(rng: &mut StdRng, allow_reorder: bool) -> LinkConfig {
+fn random_config(rng: &mut StdRng) -> LinkConfig {
     let rate = rng.gen_range(1..=50u64) * 1_000_000;
     let mut cfg = LinkConfig::new(rate, micros(rng, 5_000))
         .phy_rate(rate * rng.gen_range(1..=10u64))
@@ -56,7 +56,6 @@ fn random_config(rng: &mut StdRng, allow_reorder: bool) -> LinkConfig {
     if rng.gen_bool(0.5) {
         cfg = cfg.jitter(micros(rng, 3_000));
     }
-    cfg.allow_reorder = allow_reorder;
     cfg
 }
 
@@ -98,7 +97,6 @@ fn random_plan(rng: &mut StdRng) -> FaultPlan {
 /// One link of the topology and where its traffic is observed.
 struct Observed {
     link: LinkId,
-    allow_reorder: bool,
     /// Tap at the link's sending node, and the direction in which it
     /// records the packets offered to the link: a source sends them, a
     /// router receives them.
@@ -154,20 +152,18 @@ proptest! {
             .map(|&n| (n, sim.attach_capture(n)))
             .collect();
         for (from, to) in hops {
-            let allow_reorder = rng.gen_bool(0.3);
-            let link = sim.add_link(from, to, random_config(rng, allow_reorder));
+            let link = sim.add_link(from, to, random_config(rng));
             if rng.gen_bool(0.5) {
                 sim.attach_fault_plan(link, random_plan(rng));
             }
             for _ in 0..rng.gen_range(0..=2) {
                 let at = SimTime::from_micros(rng.gen_range(0..100_000));
-                sim.schedule_link_reconfig(at, link, random_config(rng, allow_reorder));
+                sim.schedule_link_reconfig(at, link, random_config(rng));
             }
             let from_source = sources.contains(&from).then_some(from);
             let offered_dir = if from_source.is_some() { Direction::Out } else { Direction::In };
             observed.push(Observed {
                 link,
-                allow_reorder,
                 offered: (taps[&from], offered_dir),
                 arrived: (taps[&to], from_source),
             });
@@ -212,23 +208,21 @@ proptest! {
             }
             // In order: leaving out the packets a fault plan held back,
             // the arrivals are the admissions with the drops left out.
-            if !o.allow_reorder {
-                let held: HashSet<u64> = logged(Impairment::Reordered).into_iter().collect();
-                let mut admissions = Vec::new();
-                for &id in offered.iter().filter(|id| !held.contains(id)) {
+            let held: HashSet<u64> = logged(Impairment::Reordered).into_iter().collect();
+            let mut admissions = Vec::new();
+            for &id in offered.iter().filter(|id| !held.contains(id)) {
+                admissions.push(id);
+                if duplicated.contains(&id) {
                     admissions.push(id);
-                    if duplicated.contains(&id) {
-                        admissions.push(id);
-                    }
                 }
-                let in_order: Vec<u64> =
-                    arrived.into_iter().filter(|id| !held.contains(id)).collect();
-                prop_assert!(
-                    is_subsequence(&in_order, &admissions),
-                    "link {:?} reordered its in-order packets",
-                    o.link
-                );
             }
+            let in_order: Vec<u64> =
+                arrived.into_iter().filter(|id| !held.contains(id)).collect();
+            prop_assert!(
+                is_subsequence(&in_order, &admissions),
+                "link {:?} reordered its in-order packets",
+                o.link
+            );
         }
     }
 }

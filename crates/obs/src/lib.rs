@@ -2,13 +2,14 @@
 //! stack.
 //!
 //! Every component between a packet entering `csig-netsim` and a
-//! verdict leaving `csig-core` registers into the two primitives here:
+//! verdict leaving `csig-core` reports into the two primitives here:
 //!
-//! * [`MetricsRegistry`] — named counters and high-water-mark gauges.
-//!   Updates are plain atomic operations (no lock on the write *or*
-//!   read path; a mutex guards only registration, which happens once
-//!   per metric). A [`Snapshot`] freezes every metric for rendering or
-//!   comparison.
+//! * [`MetricsRegistry`] — named counter and high-water-mark *values*.
+//!   Components count in plain integer fields of their own and write
+//!   their totals once per run with [`MetricsRegistry::add`] and
+//!   [`MetricsRegistry::record_max`]; a mutex guards the map, and no
+//!   per-event update touches it. A [`Snapshot`] freezes every metric
+//!   for rendering or comparison.
 //! * [`TraceBuffer`] — a bounded ring of structured
 //!   [`TraceEvent`]s (`time`, `scope`, `kind`, `fields`) with JSONL
 //!   rendering, for after-the-fact inspection of what the measurement
@@ -33,7 +34,7 @@
 mod metrics;
 mod trace;
 
-pub use metrics::{Counter, Gauge, MetricEntry, MetricValue, MetricsRegistry, Snapshot};
+pub use metrics::{MetricEntry, MetricValue, MetricsRegistry, Snapshot};
 pub use trace::{FieldValue, TraceBuffer, TraceEvent};
 
 /// Escape a string for embedding in a JSON string literal (quotes,

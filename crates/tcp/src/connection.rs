@@ -146,18 +146,16 @@ impl ConnStats {
     /// Add this connection's counters into `reg` under the `tcp.*`
     /// namespace (`tcp.segments_sent`, `tcp.retransmits`,
     /// `tcp.fast_retransmits`, `tcp.timeouts`, `tcp.rtt_samples`,
-    /// `tcp.bytes_acked`). Registration is idempotent, so exporting
-    /// several connections into one registry aggregates them. All of
+    /// `tcp.bytes_acked`). Counters add, so exporting several
+    /// connections into one registry aggregates them. All of
     /// these are deterministic functions of the simulation seed.
     pub fn export_metrics(&self, reg: &csig_obs::MetricsRegistry) {
-        reg.counter("tcp.segments_sent").add(self.segments_sent);
-        reg.counter("tcp.retransmits").add(self.retransmits);
-        reg.counter("tcp.fast_retransmits")
-            .add(self.fast_retransmits);
-        reg.counter("tcp.timeouts").add(self.timeouts);
-        reg.counter("tcp.rtt_samples")
-            .add(self.rtt_samples.len() as u64);
-        reg.counter("tcp.bytes_acked").add(self.bytes_acked);
+        reg.add("tcp.segments_sent", self.segments_sent);
+        reg.add("tcp.retransmits", self.retransmits);
+        reg.add("tcp.fast_retransmits", self.fast_retransmits);
+        reg.add("tcp.timeouts", self.timeouts);
+        reg.add("tcp.rtt_samples", self.rtt_samples.len() as u64);
+        reg.add("tcp.bytes_acked", self.bytes_acked);
     }
 }
 

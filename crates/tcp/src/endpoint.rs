@@ -96,11 +96,6 @@ impl TcpServerAgent {
         self.conns.get(&flow).map(|s| &s.conn)
     }
 
-    /// Number of currently live connections.
-    pub fn live_connections(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Remove a finished connection, keeping its counters if asked to.
     fn reap(&mut self, flow: FlowId) {
         if let Some(slot) = self.conns.remove(&flow) {
@@ -261,11 +256,6 @@ impl TcpClientAgent {
     pub fn with_fetch_timeout(mut self, timeout: SimDuration) -> Self {
         self.fetch_timeout = Some(timeout);
         self
-    }
-
-    /// The flow id of fetch `n`.
-    pub fn flow_of(&self, n: u32) -> FlowId {
-        FlowId(self.flow_base + n)
     }
 
     /// The currently open connection, if any.

@@ -55,42 +55,42 @@ impl TestResult {
 
 /// Build the testbed for `cfg`, run it to the test end plus a drain
 /// tail, and analyze the test flow's packet stream with a streaming
-/// probe.
+/// probe. The run's metrics go to a fresh registry that is then
+/// dropped; [`run_test_observed`] keeps them.
 ///
 /// # Panics
 /// Panics if the simulation exhausts its event budget, since its
 /// results would be truncated; `Executor::run_isolated_with_progress`
 /// reports that as a failed scenario.
 pub fn run_test(cfg: &TestbedConfig) -> TestResult {
-    run_test_inner(cfg, build(cfg), None)
+    run_test_observed(cfg, &MetricsRegistry::new(), None)
 }
 
-/// [`run_test`] with observability attached: simulator counters and
-/// trace events go to `reg`/`trace`, the test flow's Web100 counters
-/// are exported as `tcp.*` metrics, and the per-flow outcome is counted
-/// under `flows.features_ok` / `flows.skips_insufficient` plus
-/// `rtt.samples`. With a trace buffer, `trace.dropped` counts the
-/// events its ring evicted when full, so a snapshot shows whether the
-/// trace is complete. The measured [`TestResult`] is byte-identical to
-/// the unobserved path.
+/// [`run_test`] into the caller's registry, with an optional trace
+/// ring: simulator counters go to `reg` and drop/fault events to
+/// `trace`, the test flow's Web100 counters are exported as `tcp.*`
+/// metrics, and the per-flow outcome is counted under
+/// `flows.features_ok` / `flows.skips_insufficient` plus
+/// `rtt.samples`. With a trace ring, `trace.dropped` counts the events
+/// it evicted when full, so a snapshot shows whether the trace is
+/// complete. The measured [`TestResult`] does not depend on either.
 pub fn run_test_observed(
     cfg: &TestbedConfig,
     reg: &MetricsRegistry,
     trace: Option<TraceBuffer>,
 ) -> TestResult {
-    run_test_inner(cfg, build(cfg), Some((reg, trace)))
+    run_test_inner(cfg, build(cfg), reg, trace)
 }
 
 fn run_test_inner(
     cfg: &TestbedConfig,
     mut tb: Testbed,
-    obs: Option<(&MetricsRegistry, Option<TraceBuffer>)>,
+    reg: &MetricsRegistry,
+    trace: Option<TraceBuffer>,
 ) -> TestResult {
-    if let Some((reg, trace)) = &obs {
-        tb.sim.attach_obs(reg);
-        if let Some(buf) = trace {
-            tb.sim.attach_trace_buffer(buf.clone());
-        }
+    tb.sim.attach_obs(reg);
+    if let Some(buf) = &trace {
+        tb.sim.attach_trace_buffer(buf.clone());
     }
     let probe = tb
         .sim
@@ -110,19 +110,17 @@ fn run_test_inner(
     let slow_start = probe.slow_start();
     let throughput = probe.throughput();
     let features = probe.features();
-    if let Some((reg, trace)) = &obs {
-        if let Some(buf) = trace {
-            reg.counter("trace.dropped").add(buf.dropped());
-        }
-        reg.counter("rtt.samples").add(probe.samples_total() as u64);
-        if features.is_ok() {
-            reg.counter("flows.features_ok").add(1);
-        } else {
-            reg.counter("flows.skips_insufficient").add(1);
-        }
-        if let Some(stats) = &conn_stats {
-            stats.export_metrics(reg);
-        }
+    if let Some(buf) = &trace {
+        reg.add("trace.dropped", buf.dropped());
+    }
+    reg.add("rtt.samples", probe.samples_total() as u64);
+    if features.is_ok() {
+        reg.add("flows.features_ok", 1);
+    } else {
+        reg.add("flows.skips_insufficient", 1);
+    }
+    if let Some(stats) = &conn_stats {
+        stats.export_metrics(reg);
     }
     // Capacity-style slow-start estimate, falling back to the
     // whole-test mean for flows that never retransmitted.
@@ -198,7 +196,7 @@ mod tests {
         let cfg = TestbedConfig::scaled(AccessParams::figure1(), 105);
         let mut tb = build(&cfg);
         tb.sim.set_event_budget(10_000);
-        let _ = run_test_inner(&cfg, tb, None);
+        let _ = run_test_inner(&cfg, tb, &csig_obs::MetricsRegistry::new(), None);
     }
 
     #[test]
@@ -208,7 +206,7 @@ mod tests {
         let reg = csig_obs::MetricsRegistry::new();
         let trace = csig_obs::TraceBuffer::new();
         let observed = run_test_observed(&cfg, &reg, Some(trace.clone()));
-        // Observability must not perturb the measurement.
+        // A trace ring must not perturb the measurement.
         assert_eq!(format!("{plain:?}"), format!("{observed:?}"));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sim.events"), Some(observed.events));

@@ -16,7 +16,7 @@ cargo test -q --doc --workspace
 echo "==> cargo test -q --test stream_equivalence (streaming == batch)"
 cargo test -q --test stream_equivalence
 
-echo "==> observability: same-seed campaign snapshots are jobs-invariant"
+echo "==> observability: same-seed campaign snapshots are jobs-invariant and pinned"
 obsdir="$(mktemp -d)"
 trap 'rm -rf "$obsdir"' EXIT
 ./target/release/fig1 2 --seed 7 --jobs 1 \
@@ -28,6 +28,10 @@ test -s "$obsdir/t1.jsonl" || { echo "verify: empty trace"; exit 1; }
 grep -q '"sim.events"' "$obsdir/m1.json" || { echo "verify: snapshot missing sim.events"; exit 1; }
 cmp -s "$obsdir/m1.json" "$obsdir/m2.json" || { echo "verify: metrics snapshot differs across --jobs"; exit 1; }
 cmp -s "$obsdir/t1.jsonl" "$obsdir/t2.jsonl" || { echo "verify: trace differs across --jobs"; exit 1; }
+# The snapshot is pinned: a deliberate change to a metric's name or
+# value updates the file and says so in CHANGES.md.
+cmp -s "$obsdir/m1.json" scripts/fig1_metrics_seed7.json ||
+  { echo "verify: metrics snapshot differs from scripts/fig1_metrics_seed7.json"; exit 1; }
 # Wall-clock timing belongs to perfbench: no timer or histogram may
 # leak into the deterministic snapshot.
 if grep -q -e '"time\.' -e '"buckets"' "$obsdir/m1.json"; then

@@ -380,36 +380,6 @@ impl DecisionTree {
         out
     }
 
-    /// Graphviz DOT rendering of the tree (for reports/papers).
-    pub fn to_dot(&self, feature_names: &[&str]) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("digraph tree {\n  node [shape=box, fontname=\"monospace\"];\n");
-        for (i, node) in self.nodes.iter().enumerate() {
-            match node {
-                Node::Leaf { class, counts } => {
-                    let _ = writeln!(
-                        out,
-                        "  n{i} [label=\"class {class}\\n{counts:?}\", style=filled, fillcolor=\"{}\"];",
-                        if *class == 0 { "#cde7cd" } else { "#e7cdcd" }
-                    );
-                }
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let name = feature_names.get(*feature).copied().unwrap_or("f?");
-                    let _ = writeln!(out, "  n{i} [label=\"{name} < {threshold:.4}\"];");
-                    let _ = writeln!(out, "  n{i} -> n{left} [label=\"yes\"];");
-                    let _ = writeln!(out, "  n{i} -> n{right} [label=\"no\"];");
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     fn render_node(&self, at: usize, indent: usize, names: &[&str], out: &mut String) {
         use std::fmt::Write;
         let pad = "  ".repeat(indent);
@@ -566,20 +536,6 @@ mod tests {
         }
         let tree = DecisionTree::fit(&d, TreeParams::default());
         assert_eq!(tree.feature_importances(), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn dot_export_is_wellformed() {
-        let d = separable();
-        let tree = DecisionTree::fit(&d, TreeParams::with_depth(2));
-        let dot = tree.to_dot(&["norm_diff", "cov"]);
-        assert!(dot.starts_with("digraph tree {"));
-        assert!(dot.trim_end().ends_with('}'));
-        assert!(dot.contains("->"));
-        assert!(dot.contains("norm_diff") || dot.contains("cov"));
-        // One node line per arena node.
-        let node_defs = dot.matches("\n  n").count();
-        assert!(node_defs >= tree.node_count());
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! after the propagation delay plus optional uniform jitter. I.i.d.
 //! random loss (netem-style) is applied at admission.
 //!
+//! Token credit is an integer count of 1/(8·10⁹) byte, so one elapsed
+//! nanosecond adds exactly `rate_bps` units and a packet waits for its
+//! credit until the exact nanosecond it exists (rounded up), with no
+//! re-check.
+//!
 //! The link is a FIFO, work-conserving server, so it knows each packet's
 //! departure the moment it admits the packet: [`Link::enqueue`] computes
 //! the departure and arrival on the spot. In-order packets arrive in
@@ -141,54 +146,51 @@ impl LinkConfig {
     }
 }
 
-/// Token bucket: accumulates byte credit at the shaped rate up to the
-/// burst depth.
+/// Token credit units per byte: one elapsed ns at `rate_bps` adds
+/// exactly `rate_bps` units, so credit is exact integer arithmetic.
+const UNITS_PER_BYTE: u64 = 8 * 1_000_000_000;
+
+/// Token bucket: accumulates credit at the shaped rate up to the burst
+/// depth, in [`UNITS_PER_BYTE`] units.
 #[derive(Debug, Clone, Copy)]
 struct TokenBucket {
     rate_bps: u64,
-    burst_bytes: f64,
-    tokens: f64,
-    last_refill: SimTime,
+    burst: u64,
+    credit: u64,
+    /// The instant `credit` was last brought up to date.
+    at: SimTime,
 }
 
 impl TokenBucket {
+    /// A full bucket at time zero, like tbf.
     fn new(rate_bps: u64, burst_bytes: u64) -> Self {
-        let burst = burst_bytes.max(1500) as f64;
+        let burst = burst_bytes.max(1500).saturating_mul(UNITS_PER_BYTE);
         TokenBucket {
             rate_bps,
-            burst_bytes: burst,
-            tokens: burst, // starts full, like tbf
-            last_refill: SimTime::ZERO,
+            burst,
+            credit: burst,
+            at: SimTime::ZERO,
         }
     }
 
-    fn refill(&mut self, now: SimTime) {
-        let elapsed = now.saturating_since(self.last_refill);
-        if !elapsed.is_zero() {
-            let credit = elapsed.as_nanos() as f64 * self.rate_bps as f64 / 8e9;
-            self.tokens = (self.tokens + credit).min(self.burst_bytes);
-            self.last_refill = now;
-        }
-    }
-
-    fn has(&self, bytes: u32) -> bool {
-        self.tokens >= bytes as f64
-    }
-
-    fn consume(&mut self, bytes: u32) {
-        debug_assert!(self.has(bytes));
-        self.tokens -= bytes as f64;
-    }
-
-    /// Time until `bytes` of credit are available (zero if already).
-    fn time_until(&self, bytes: u32) -> SimDuration {
-        let deficit = bytes as f64 - self.tokens;
-        if deficit <= 0.0 {
-            return SimDuration::ZERO;
-        }
-        let ns = deficit * 8e9 / self.rate_bps as f64;
-        // Round up and add 1 ns so the retry definitely has the credit.
-        SimDuration::from_nanos(ns.ceil() as u64 + 1)
+    /// Spend `bytes` of credit no earlier than `at`, returning the
+    /// first instant the credit exists: the bucket refills up to `at`
+    /// (capped at the burst), then waits `ceil(deficit / rate)` ns.
+    fn take(&mut self, bytes: u32, at: SimTime) -> SimTime {
+        let cost = bytes as u64 * UNITS_PER_BYTE;
+        assert!(cost <= self.burst, "packet exceeds the token-bucket burst");
+        let (rate, burst) = (self.rate_bps, self.burst);
+        // Saturating: `elapsed · rate` overflows after an idle spell of
+        // u64::MAX / rate ns (1.8 s at 10 Gbps); the bucket is full then.
+        let elapsed = at.saturating_since(self.at).as_nanos();
+        let credit = elapsed
+            .saturating_mul(rate)
+            .saturating_add(self.credit)
+            .min(burst);
+        let wait = cost.saturating_sub(credit).div_ceil(rate);
+        self.credit = credit.saturating_add(wait * rate).min(burst) - cost;
+        self.at = at + SimDuration::from_nanos(wait);
+        self.at
     }
 }
 
@@ -413,10 +415,11 @@ impl Link {
 
     fn set_config(&mut self, now: SimTime, cfg: LinkConfig) {
         let capacity = checked_capacity(&cfg);
-        let mut bucket = TokenBucket::new(cfg.rate_bps, cfg.burst_bytes);
-        bucket.tokens = 0.0;
-        bucket.last_refill = now;
-        self.clock.bucket = bucket;
+        self.clock.bucket = TokenBucket {
+            credit: 0,
+            at: now,
+            ..TokenBucket::new(cfg.rate_bps, cfg.burst_bytes)
+        };
         self.queue.set_capacity(capacity);
         if self.queue.kind() != cfg.queue {
             // Queue-kind swaps keep the FIFO but adopt the new policy.
@@ -602,25 +605,14 @@ impl Link {
     }
 
     /// Compute `e`'s departure and arrival from the link clock and
-    /// schedule the arrival. Service starts when the wire is free, then
-    /// waits for token credit, refilling the bucket at the same instants
-    /// a chain of head-of-line re-checks would.
+    /// schedule the arrival. Service starts when the wire is free and
+    /// the token bucket holds the packet's credit.
     fn schedule(&mut self, e: &mut Scheduled, now: SimTime, events: &mut EventQueue) {
         e.before = self.clock;
-        let bucket = &mut self.clock.bucket;
-        assert!(
-            e.size as f64 <= bucket.burst_bytes,
-            "packet exceeds the token-bucket burst"
-        );
-        let mut depart = now.max(self.clock.wire_free_at);
-        loop {
-            bucket.refill(depart);
-            if bucket.has(e.size) {
-                break;
-            }
-            depart += bucket.time_until(e.size);
-        }
-        bucket.consume(e.size);
+        let depart = self
+            .clock
+            .bucket
+            .take(e.size, now.max(self.clock.wire_free_at));
         e.depart = depart;
         let done = depart + transmission_time(e.size as u64, self.cfg.phy_rate_bps);
         self.clock.wire_free_at = done;
@@ -808,17 +800,51 @@ mod tests {
         let mut r = Rig::new(cfg);
         r.enqueue(pkt(1, 1500), SimTime::ZERO);
         r.enqueue(pkt(2, 1500), SimTime::ZERO);
-        let out = r.drain();
-        assert_eq!(out[0], (1, SimTime::from_millis(1)));
-        // At 1 ms the bucket has regenerated exactly 1500 bytes; float
-        // token accounting may need a re-check a hair later.
-        let gap = out[1].1.saturating_since(out[0].1);
-        assert_eq!(out[1].0, 2);
-        assert!(
-            gap >= SimDuration::from_millis(1)
-                && gap <= SimDuration::from_millis(1) + SimDuration::from_micros(1),
-            "gap {gap}"
+        assert_eq!(
+            r.drain(),
+            vec![(1, SimTime::from_millis(1)), (2, SimTime::from_millis(2))]
         );
+    }
+
+    #[test]
+    fn credit_wait_ends_at_the_exact_instant() {
+        // 12 Mbps shaped, 120 Mbps physical, one-MTU burst: the first
+        // packet leaves the bucket empty at 0 and takes 100 us on the
+        // wire; the second waits until exactly 1500 B of credit have
+        // accrued (1 ms), then takes another 100 us.
+        let cfg = LinkConfig::new(12_000_000, SimDuration::ZERO)
+            .phy_rate(120_000_000)
+            .burst(1500);
+        let mut r = Rig::new(cfg);
+        r.enqueue(pkt(1, 1500), SimTime::ZERO);
+        r.enqueue(pkt(2, 1500), SimTime::ZERO);
+        assert_eq!(
+            r.drain(),
+            vec![
+                (1, SimTime::from_micros(100)),
+                (2, SimTime::from_micros(1100))
+            ]
+        );
+    }
+
+    #[test]
+    fn bucket_is_full_after_a_long_idle_spell() {
+        // 10 Gbps shaped, 100 Gbps physical, three-MTU burst. An hour of
+        // credit at 10 Gbps overflows a u64 count of units, yet it only
+        // refills the bucket to its burst: after the idle hour three
+        // packets again leave at the physical rate, 120 ns apart.
+        let cfg = LinkConfig::new(10_000_000_000, SimDuration::ZERO)
+            .phy_rate(100_000_000_000)
+            .burst(4500);
+        let mut r = Rig::new(cfg);
+        let hour = SimTime::from_secs(3600);
+        for start in [SimTime::ZERO, hour] {
+            for i in 1..=3 {
+                r.enqueue(pkt(i, 1500), start);
+            }
+            let at = |ns| start + SimDuration::from_nanos(ns);
+            assert_eq!(r.drain(), vec![(1, at(120)), (2, at(240)), (3, at(360))]);
+        }
     }
 
     #[test]
@@ -956,12 +982,7 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3]);
         assert_eq!(out[0].1, SimTime::from_millis(12));
         assert_eq!(out[1].1, SimTime::from_millis(62));
-        let third = out[2].1.saturating_since(SimTime::from_millis(74));
-        assert!(
-            third <= SimDuration::from_micros(1),
-            "third at {}",
-            out[2].1
-        );
+        assert_eq!(out[2].1, SimTime::from_millis(74));
         assert_eq!(r.l.stats.delivered_pkts, 3);
         assert_eq!(r.l.queued_bytes(), 0);
         assert_eq!(r.pool.live(), 0);

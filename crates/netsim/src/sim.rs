@@ -70,12 +70,18 @@ struct Tallies {
     /// `sim.packets_dropped` — drops of any kind: enqueue-time (loss,
     /// buffer full, early drop, link down) and unroutable packets.
     packets_dropped: u64,
+    /// Router probe replies made. With `duplicates` they form
+    /// `sim.packets_injected`: packets no agent sent.
+    probe_replies: u64,
+    /// Fault-plan duplicates the links admitted, read off their
+    /// [`LinkStats::duplicated`] when each run returns.
+    duplicates: u64,
 }
 
 impl Tallies {
     /// Add to `reg` what these tallies gained since `before`, and raise
     /// its `sim.queue_hwm_bytes` gauge to `queue_hwm_bytes`. Every name
-    /// is written, so the first export registers all eleven.
+    /// is written, so the first export registers all twelve.
     fn export(&self, before: &Tallies, queue_hwm_bytes: u64, reg: &MetricsRegistry) {
         let mut events = 0;
         for (i, name) in EVENT_METRICS.iter().enumerate() {
@@ -92,6 +98,10 @@ impl Tallies {
         reg.add(
             "sim.packets_dropped",
             self.packets_dropped - before.packets_dropped,
+        );
+        reg.add(
+            "sim.packets_injected",
+            self.probe_replies + self.duplicates - before.probe_replies - before.duplicates,
         );
         reg.record_max("sim.queue_hwm_bytes", queue_hwm_bytes);
     }
@@ -198,7 +208,8 @@ impl Simulator {
     /// Register the simulator's metrics (`sim.events` and its per-kind
     /// split `sim.events.{deliver,timer,start,reconfig,fault,stale}`,
     /// `sim.packets_sent`, `sim.packets_delivered`,
-    /// `sim.packets_dropped` and the `sim.queue_hwm_bytes` gauge) into
+    /// `sim.packets_dropped`, `sim.packets_injected` and the
+    /// `sim.queue_hwm_bytes` gauge) into
     /// `reg`, the counters at zero. Each [`Simulator::run_until`] from
     /// then on adds what its run counted, so one registry attached to
     /// several simulators holds their sum. All are deterministic
@@ -251,17 +262,12 @@ impl Simulator {
 
     /// Add a host running `agent`, activated at time zero.
     pub fn add_host(&mut self, agent: Box<dyn Agent>) -> NodeId {
-        self.add_host_at(agent, SimTime::ZERO)
-    }
-
-    /// Add a host running `agent`, activated at `start`.
-    pub fn add_host_at(&mut self, agent: Box<dyn Agent>, start: SimTime) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeSlot::Host { agent: Some(agent) });
         self.host_rngs
             .push(stream_rng(self.seed, 0x1000_0000 + id.0 as u64));
         self.tap_counts.push(0);
-        self.events.push(start, EventKind::Start(id));
+        self.events.push(SimTime::ZERO, EventKind::Start(id));
         id
     }
 
@@ -455,6 +461,7 @@ impl Simulator {
         for l in &mut self.links {
             l.retire(self.now);
         }
+        self.tallies.duplicates = self.links.iter().map(|l| l.stats.duplicated).sum();
         if let Some((reg, exported)) = &mut self.obs {
             // The largest queue any link has held.
             let hwm = self.links.iter().map(Link::max_occupancy).max();
@@ -562,11 +569,8 @@ impl Simulator {
     }
 
     /// Packets currently buffered or in flight (the packet pool's live
-    /// count). Together with the `sim.*` counters it closes the packet
-    /// ledger: `sent = delivered + dropped + in flight` when no router
-    /// replies to probes and no fault plan duplicates packets. Router
-    /// probe replies and fault-injected duplicates also enter the pool
-    /// but are not counted as sent.
+    /// count). Between runs it closes the packet ledger of the `sim.*`
+    /// counters: `sent + injected = delivered + dropped + in flight`.
     pub fn packets_in_flight(&self) -> usize {
         self.pool.live()
     }
@@ -643,6 +647,7 @@ impl Simulator {
                         },
                     };
                     self.next_packet_id += 1;
+                    self.tallies.probe_replies += 1;
                     match self.route(node, reply.dst) {
                         Some(link) => self.enqueue_on_link(link, Offered::Fresh(reply)),
                         None => self.drop_unroutable(node),
@@ -1138,7 +1143,7 @@ mod tests {
             sim.run().expect_within_budget();
         }
         let (a, b, both) = (alone(5), alone(6), shared.snapshot());
-        assert_eq!(both.entries.len(), 11);
+        assert_eq!(both.entries.len(), 12);
         for e in &both.entries {
             let name = e.name.as_str();
             match e.value {
@@ -1440,11 +1445,24 @@ mod tests {
             LinkConfig::new(100_000_000, SimDuration::from_millis(5)),
         );
         sim.compute_routes();
+        let reg = MetricsRegistry::new();
+        sim.attach_obs(&reg);
         sim.run().expect_within_budget();
         let prober: &Prober = sim.agent(p).unwrap();
         let rtt = prober.rtt_ns.expect("router reply");
         // ~2 × 5 ms plus serialization.
         assert!(rtt > 10_000_000 && rtt < 11_000_000, "rtt {rtt}");
+        // The reply was injected, not sent, and the ledger closes.
+        let snap = reg.snapshot();
+        let count = |name| snap.counter(name).unwrap();
+        assert_eq!(count("sim.packets_sent"), 1);
+        assert_eq!(count("sim.packets_injected"), 1);
+        assert_eq!(
+            count("sim.packets_sent") + count("sim.packets_injected"),
+            count("sim.packets_delivered")
+                + count("sim.packets_dropped")
+                + sim.packets_in_flight() as u64
+        );
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! reordering, duplication, flaps and rate/delay steps, and link
 //! reconfigurations. Every admitted packet
 //! must be delivered exactly once, each link must deliver its in-order
-//! packets in admission order, and no tap may see the clock run
-//! backwards. Debug builds also check, on every pop, that the
-//! scheduler's `(time, seq)` keys strictly increase.
+//! packets in admission order, no tap may see the clock run
+//! backwards, and the simulator's packet ledger must close with the
+//! admitted duplicates counted as injected. Debug builds also check, on
+//! every pop, that the scheduler's `(time, seq)` keys strictly increase.
 
 use csig_netsim::{
     Agent, CaptureHandle, Ctx, Direction, FaultAction, FaultPlan, FlowId, GilbertElliott,
     Impairment, LinkConfig, LinkId, NodeId, Packet, PacketSpec, SimDuration, SimTime, Simulator,
     SinkAgent, StopReason, TimerToken,
 };
+use csig_obs::MetricsRegistry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,8 +171,17 @@ proptest! {
             });
         }
         sim.compute_routes();
+        let reg = MetricsRegistry::new();
+        sim.attach_obs(&reg);
         prop_assert_eq!(sim.run(), StopReason::Drained);
         prop_assert_eq!(sim.packets_in_flight(), 0);
+        let snap = reg.snapshot();
+        let count = |name| snap.counter(name).unwrap();
+        prop_assert_eq!(
+            count("sim.packets_sent") + count("sim.packets_injected"),
+            count("sim.packets_delivered") + count("sim.packets_dropped"),
+            "sent + injected = delivered + dropped (nothing in flight)"
+        );
         for &tap in taps.values() {
             let records = &sim.capture(tap).records;
             prop_assert!(

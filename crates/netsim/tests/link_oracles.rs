@@ -14,10 +14,10 @@
 //! `(k + 1)·tx + w` with `k ∈ {n − 2, n − 1}` and `w ∈ [0, tx]`:
 //! between `C/R − tx` and `C/R + tx`. So the sojourn is the configured
 //! buffer depth `C/R` (the paper's "100 ms buffer") within one
-//! serialization time, plus the nanoseconds the float token bucket may
-//! round up. Figure 1's max − min RTT of a self-induced flow (101.4 ms
-//! for a 100 ms buffer) also includes the ACK path and the min-RTT
-//! sample's own serialization; this oracle measures the queue alone.
+//! serialization time. Figure 1's max − min RTT of a self-induced flow
+//! (101.4 ms for a 100 ms buffer) also includes the ACK path and the
+//! min-RTT sample's own serialization; this oracle measures the queue
+//! alone.
 //!
 //! **Long-run rate of a shaped link.** A backlogged token-bucket link
 //! with burst `b` and physical rate `P ≥ R` first drains its burst at
@@ -116,11 +116,10 @@ proptest! {
         prop_assert!((seen.len() as u64) < offered as u64, "the buffer never overflowed");
         // Skip the fill-up: the first 2n + 4 arrivals found a partly
         // empty buffer.
-        let slack = tx + SimDuration::from_micros(1);
         for &(sent, arrived) in &seen[(2 * n + 4) as usize..] {
             let sojourn = arrived.saturating_since(sent) - prop;
             prop_assert!(
-                sojourn + slack >= depth && sojourn <= depth + slack,
+                sojourn + tx >= depth && sojourn <= depth + tx,
                 "sojourn {} vs buffer depth {} (tx {})",
                 sojourn, depth, tx
             );

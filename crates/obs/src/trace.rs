@@ -200,17 +200,6 @@ impl TraceBuffer {
     pub fn drain(&self) -> Vec<TraceEvent> {
         self.lock().events.drain(..).collect()
     }
-
-    /// Render the current contents as JSONL (one event per line,
-    /// trailing newline when non-empty).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.lock().events.iter() {
-            out.push_str(&e.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl Default for TraceBuffer {
@@ -249,10 +238,6 @@ mod tests {
         assert_eq!(buf.dropped(), 2);
         let times: Vec<u64> = buf.snapshot().iter().map(|e| e.time_ns).collect();
         assert_eq!(times, vec![2, 3, 4], "oldest evicted first");
-        // JSONL renders the survivors in order.
-        let jsonl = buf.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 3);
-        assert!(jsonl.starts_with("{\"time_ns\": 2"));
         // Drain empties the ring but keeps the dropped count.
         let drained = buf.drain();
         assert_eq!(drained.len(), 3);

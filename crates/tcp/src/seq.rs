@@ -13,22 +13,10 @@ pub fn seq_lt(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) < 0
 }
 
-/// `a <= b` in modular sequence space.
-#[inline]
-pub fn seq_le(a: u32, b: u32) -> bool {
-    a == b || seq_lt(a, b)
-}
-
 /// `a > b` in modular sequence space.
 #[inline]
 pub fn seq_gt(a: u32, b: u32) -> bool {
     seq_lt(b, a)
-}
-
-/// `a >= b` in modular sequence space.
-#[inline]
-pub fn seq_ge(a: u32, b: u32) -> bool {
-    a == b || seq_gt(a, b)
 }
 
 /// Signed distance `a − b` interpreted in modular space.
@@ -77,9 +65,7 @@ mod tests {
     fn basic_comparisons() {
         assert!(seq_lt(1, 2));
         assert!(!seq_lt(2, 2));
-        assert!(seq_le(2, 2));
         assert!(seq_gt(2, 1));
-        assert!(seq_ge(2, 2));
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl SweepScenario {
         let events = ring.map(|r| r.drain()).unwrap_or_default();
         (result, reg.snapshot(), events)
     }
-
-    /// [`SweepScenario::observe`] with a trace ring. Kept only for
-    /// `tests/metrics_determinism.rs`; new callers use `observe`.
-    pub fn run_observed(&self, seed: u64) -> (TestResult, Snapshot, Vec<TraceEvent>) {
-        self.observe(seed, true)
-    }
 }
 
 impl Scenario for SweepScenario {
@@ -153,11 +147,6 @@ impl Sweep {
             profile: Profile::Scaled,
             seed,
         }
-    }
-
-    /// Total number of tests this sweep runs (both scenarios).
-    pub fn total_tests(&self) -> usize {
-        self.grid.len() * self.reps as usize * 2
     }
 
     /// The sweep as an executable campaign. Scenario order (and thus
@@ -229,7 +218,6 @@ mod tests {
             profile: Profile::Scaled,
             seed: 1,
         };
-        assert_eq!(s.total_tests(), 54);
         assert_eq!(s.campaign().len(), 54);
     }
 

@@ -121,14 +121,6 @@ impl FlowTrace {
         Some((first, last))
     }
 
-    /// Duration of the trace in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        match self.time_span() {
-            Some((a, b)) => b.saturating_since(a).as_secs_f64(),
-            None => 0.0,
-        }
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -270,6 +262,5 @@ mod tests {
             b.saturating_since(a),
             csig_netsim::SimDuration::from_millis(500)
         );
-        assert!((ft.duration_secs() - 0.5).abs() < 1e-9);
     }
 }

@@ -13,9 +13,6 @@ cargo test -q --workspace
 echo "==> cargo test -q --doc --workspace"
 cargo test -q --doc --workspace
 
-echo "==> cargo test -q --test stream_equivalence (streaming == batch)"
-cargo test -q --test stream_equivalence
-
 echo "==> observability: same-seed campaign snapshots are jobs-invariant and pinned"
 obsdir="$(mktemp -d)"
 trap 'rm -rf "$obsdir"' EXIT

@@ -11,8 +11,8 @@
 //!   events, RTT samples, flows with features — must actually be
 //!   non-empty.
 //! * The simulator's packet counters close the ledger on real
-//!   Figure-1 cells: every sent packet was delivered, dropped or is
-//!   still in flight at the horizon.
+//!   Figure-1 cells: every sent or injected packet was delivered,
+//!   dropped or is still in flight at the horizon.
 
 use csig_exec::{Campaign, Executor, Scenario};
 use csig_netsim::SimDuration;
@@ -33,7 +33,7 @@ fn campaign(
                 external,
                 profile: Profile::Scaled,
             };
-            campaign.push(move |s| sc.run_observed(s));
+            campaign.push(move |s| sc.observe(s, true));
         }
     }
     campaign
@@ -110,9 +110,9 @@ fn figure1_cells_balance_the_packet_ledger() {
         assert!(count("sim.packets_dropped") > 0, "external={external}");
         assert!(in_flight > 0, "horizon cuts traffic mid-flight");
         assert_eq!(
-            count("sim.packets_sent"),
+            count("sim.packets_sent") + count("sim.packets_injected"),
             count("sim.packets_delivered") + count("sim.packets_dropped") + in_flight,
-            "external={external}: sent = delivered + dropped + in flight"
+            "external={external}: sent + injected = delivered + dropped + in flight"
         );
     }
 }

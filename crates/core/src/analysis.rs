@@ -81,9 +81,9 @@ pub struct FlowReport {
 
 /// Classify every TCP flow in a server-side capture.
 ///
-/// Replays the buffered capture through [`LiveAnalyzer`], so the batch
-/// and streaming paths share one classification code path; reports come
-/// back ordered by flow id.
+/// Replays the capture's records through a [`LiveAnalyzer`], the one
+/// classification path for live taps and recorded captures alike;
+/// reports come back ordered by flow id.
 pub fn analyze_capture(clf: &SignatureClassifier, cap: &Capture) -> Vec<FlowReport> {
     let mut live = LiveAnalyzer::new(clf.clone());
     for rec in &cap.records {

@@ -2,8 +2,8 @@
 //! contribution packaged as a library type.
 
 use csig_dtree::{ConfusionMatrix, Dataset, DecisionTree, TreeParams};
-use csig_features::{features_from_samples, CongestionClass, FeatureError, FlowFeatures};
-use csig_trace::{detect_slow_start, extract_rtt_samples, FlowTrace, SlowStart};
+use csig_features::{CongestionClass, FlowFeatures};
+use csig_trace::SlowStart;
 use serde::{Deserialize, Serialize};
 
 /// Metadata describing how a model was trained.
@@ -67,21 +67,6 @@ impl SignatureClassifier {
         let proba = self.tree.predict_proba(&features.as_vector());
         let class = self.classify(features);
         (class, proba[class.index()])
-    }
-
-    /// Full pipeline on a server-side flow trace: RTT extraction,
-    /// slow-start windowing, feature computation, classification.
-    pub fn classify_trace(&self, trace: &FlowTrace) -> Result<Verdict, FeatureError> {
-        let samples = extract_rtt_samples(trace);
-        let slow_start = detect_slow_start(trace);
-        let features = features_from_samples(&samples, &slow_start)?;
-        let (class, confidence) = self.classify_with_confidence(&features);
-        Ok(Verdict {
-            class,
-            confidence,
-            features,
-            slow_start,
-        })
     }
 
     /// Evaluate on a labeled dataset.

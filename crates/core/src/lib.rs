@@ -22,11 +22,10 @@
 //! [`SignatureClassifier`] wraps the whole pipeline; [`training`]
 //! builds models from testbed sweeps with the paper's
 //! congestion-threshold labeling; [`analysis`] applies a model to every
-//! flow of a capture. The same pipeline runs online: [`LiveAnalyzer`]
+//! flow of a capture. There is one classification path: [`LiveAnalyzer`]
 //! is a packet sink that classifies each flow the moment it closes,
 //! retaining only bounded per-flow state, and [`analyze_capture`]
-//! replays buffered captures through it so both paths share one code
-//! path and produce identical reports.
+//! replays a recorded capture through it.
 //!
 //! ## Example
 //!
@@ -68,7 +67,7 @@ pub mod web100_mode;
 
 pub use analysis::{analyze_capture, FlowQuality, FlowReport};
 pub use classifier::{ModelMeta, SignatureClassifier, Verdict};
-pub use live::{cross_check_reports, CrossCheckError, LiveAnalyzer};
+pub use live::LiveAnalyzer;
 pub use training::{
     dataset_at_threshold, ground_truth_accuracy, threshold_point, threshold_sweep,
     train_from_results, train_sweep_with, GroundTruthAccuracy, ThresholdPoint,

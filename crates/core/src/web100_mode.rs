@@ -59,7 +59,6 @@ mod tests {
     use csig_netsim::{LinkConfig, SimDuration, Simulator};
     use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
     use csig_testbed::{AccessParams, Profile, Sweep};
-    use csig_trace::split_flows;
 
     /// Run a download and return both the server's kernel stats and its
     /// packet capture.
@@ -105,10 +104,9 @@ mod tests {
         let clf = model();
 
         // Trace pipeline.
-        let flows = split_flows(&cap);
-        let trace_verdict = clf
-            .classify_trace(flows.values().next().expect("flow"))
-            .expect("classifiable");
+        let reports = crate::analysis::analyze_capture(&clf, &cap);
+        assert_eq!(reports.len(), 1);
+        let trace_verdict = reports[0].verdict.as_ref().expect("classifiable");
 
         // Web100 pipeline, full-rate sampling.
         let (class, features) = classify_conn_stats(&clf, &stats, 1).expect("classifiable");

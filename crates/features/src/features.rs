@@ -12,7 +12,6 @@
 //! during slow-start").
 
 use crate::stats::Summary;
-use csig_trace::{RttSample, SlowStart};
 use serde::{Deserialize, Serialize};
 
 /// Minimum slow-start RTT samples required for a valid feature vector.
@@ -116,9 +115,7 @@ impl std::error::Error for FeatureError {}
 /// [`features_from_rtts_ms`].
 ///
 /// Wraps the one-pass [`Summary`] (Welford), so NormDiff and CoV update
-/// per RTT sample in O(1) state — no sample vector is retained. Pushing
-/// samples in trace order produces bit-identical floats to the batch
-/// path, which folds the same `Summary` over the same values.
+/// per RTT sample in O(1) state — no sample vector is retained.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct FeatureAccumulator {
     summary: Summary,
@@ -188,25 +185,9 @@ pub fn features_from_rtts_ms(rtts_ms: &[f64]) -> Result<FlowFeatures, FeatureErr
     acc.finish()
 }
 
-/// Compute features from trace-extracted samples, windowed to slow
-/// start.
-pub fn features_from_samples(
-    samples: &[RttSample],
-    ss: &SlowStart,
-) -> Result<FlowFeatures, FeatureError> {
-    let boundary = ss.boundary();
-    let rtts: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.at <= boundary)
-        .map(|s| s.rtt.as_millis_f64())
-        .collect();
-    features_from_rtts_ms(&rtts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csig_netsim::{SimDuration, SimTime};
     use proptest::prelude::*;
 
     #[test]
@@ -259,27 +240,6 @@ mod tests {
             features_from_rtts_ms(&rtts),
             Err(FeatureError::DegenerateRtt)
         );
-    }
-
-    #[test]
-    fn windowing_respects_slow_start_boundary() {
-        let mk = |ms: u64, rtt: u64| RttSample {
-            at: SimTime::from_millis(ms),
-            rtt: SimDuration::from_millis(rtt),
-            seq_end: 0,
-        };
-        // 10 in-window constant samples + ramping ones after boundary.
-        let mut samples: Vec<RttSample> = (0..10).map(|i| mk(i, 50)).collect();
-        samples.extend((0..10).map(|i| mk(100 + i, 50 + 10 * i)));
-        let ss = SlowStart {
-            first_data_at: Some(SimTime::ZERO),
-            end: Some(SimTime::from_millis(50)),
-            bytes_acked: 0,
-        };
-        let f = features_from_samples(&samples, &ss).unwrap();
-        assert_eq!(f.samples, 10);
-        assert_eq!(f.norm_diff, 0.0);
-        assert_eq!(f.cov, 0.0);
     }
 
     #[test]

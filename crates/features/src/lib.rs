@@ -5,15 +5,15 @@
 //! (`stddev / mean`), plus the summary-statistics toolbox they are
 //! built on ([`stats`]).
 //!
-//! The end-to-end path is: `csig-trace` extracts RTT samples and the
-//! slow-start boundary from a server-side capture;
-//! [`features_from_samples`] windows the samples and reduces them to a
-//! [`FlowFeatures`] vector; `csig-dtree`/`csig-core` classify it.
-//!
-//! The streaming equivalents — [`FeatureAccumulator`] for online
-//! NormDiff/CoV and [`FlowProbe`] for the whole per-flow measurement
-//! pipeline as a [`PacketSink`](csig_netsim::PacketSink) — produce
-//! bit-identical results without buffering samples or records.
+//! The end-to-end path is one pass over a server-side packet stream:
+//! [`FlowProbe`], a [`PacketSink`](csig_netsim::PacketSink), feeds each
+//! record of its flow to `csig-trace`'s RTT extractor and slow-start
+//! tracker, and folds the samples inside the slow-start window into a
+//! [`FeatureAccumulator`] (online NormDiff/CoV) — no samples or records
+//! are buffered. `csig-dtree`/`csig-core` classify the resulting
+//! [`FlowFeatures`]. [`features_from_rtts_ms`] computes the same vector
+//! from RTT values that are already windowed, such as a connection's
+//! in-stack samples.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,8 +24,8 @@ pub mod probe;
 pub mod stats;
 
 pub use features::{
-    features_from_rtts_ms, features_from_samples, CongestionClass, FeatureAccumulator,
-    FeatureError, FlowFeatures, MIN_SAMPLES,
+    features_from_rtts_ms, CongestionClass, FeatureAccumulator, FeatureError, FlowFeatures,
+    MIN_SAMPLES,
 };
 pub use probe::FlowProbe;
 pub use stats::{ecdf, median, percentile, Summary};

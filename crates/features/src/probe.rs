@@ -5,8 +5,8 @@
 //! ([`RttExtractor`], [`SlowStartTracker`], [`ThroughputTracker`]) with
 //! the online [`FeatureAccumulator`], consuming one packet record at a
 //! time and retaining only bounded per-flow state — no trace is
-//! buffered. Attached directly to a simulator node it replaces the
-//! capture-then-post-process path; `csig-core`'s `LiveAnalyzer` routes
+//! buffered. Attached directly to a simulator node it measures its flow
+//! while the simulation runs; `csig-core`'s `LiveAnalyzer` routes
 //! records of many flows to one probe each.
 //!
 //! ## Windowing invariant
@@ -14,10 +14,11 @@
 //! Records arrive in time order, so every RTT sample produced *before*
 //! the slow-start boundary fires carries a timestamp at or before the
 //! boundary and belongs in the feature window; once the boundary is
-//! known, samples are admitted only when `at <= boundary`. This is
-//! exactly the batch filter `s.at <= ss.boundary()`, applied online,
-//! and the accumulator sees the samples in the same order the batch
-//! path folds them — the resulting floats are bit-identical.
+//! known, samples are admitted only when `at <= boundary`. This is the
+//! filter `s.at <= ss.boundary()` over all of the flow's samples,
+//! applied online, and the accumulator folds the admitted samples in
+//! extraction order — so the features are bit-identical to filtering
+//! the whole sample list against the final boundary and folding it.
 
 use crate::features::{FeatureAccumulator, FeatureError, FlowFeatures};
 use csig_netsim::{FlowId, PacketRecord, PacketSink};
@@ -178,10 +179,7 @@ mod tests {
     use csig_netsim::{
         Direction, NodeId, Packet, PacketId, PacketKind, SimTime, TcpFlags, TcpHeader, NO_SACK,
     };
-    use csig_trace::{
-        capacity_estimate_bps, detect_slow_start, extract_rtt_samples, throughput_summary,
-        FlowTrace,
-    };
+    use csig_trace::RttSample;
 
     const ISS: u32 = 5000;
 
@@ -290,34 +288,44 @@ mod tests {
         recs
     }
 
+    /// The features computed from scratch: every sample of the flow,
+    /// filtered to the final slow-start boundary, folded in extraction
+    /// order.
+    fn windowed_features(
+        samples: &[RttSample],
+        boundary: SimTime,
+    ) -> Result<FlowFeatures, FeatureError> {
+        let mut acc = FeatureAccumulator::new();
+        for s in samples.iter().filter(|s| s.at <= boundary) {
+            acc.push(s.rtt.as_millis_f64());
+        }
+        acc.finish()
+    }
+
     #[test]
-    fn probe_matches_batch_pipeline_exactly() {
+    fn probe_matches_fresh_cores_fed_its_flow() {
         let records = sample_records();
         let mut probe = FlowProbe::new(FlowId(1));
         for r in &records {
             probe.on_record(r);
         }
 
-        let trace = FlowTrace {
-            flow: FlowId(1),
-            records: records
-                .iter()
-                .filter(|r| r.pkt.flow == FlowId(1))
-                .cloned()
-                .collect(),
-        };
-        let samples = extract_rtt_samples(&trace);
-        let ss = detect_slow_start(&trace);
-        let batch_features = crate::features::features_from_samples(&samples, &ss);
+        // The same cores, fed only this flow's records.
+        let mut rtt = RttExtractor::new();
+        let mut ss = SlowStartTracker::new();
+        let mut tput = ThroughputTracker::new();
+        let mut samples = Vec::new();
+        for r in records.iter().filter(|r| r.pkt.flow == FlowId(1)) {
+            samples.extend(rtt.push(r));
+            ss.push(r);
+            tput.push(r);
+        }
 
-        assert_eq!(probe.slow_start(), ss);
-        assert!(ss.end.is_some(), "retransmission must close the window");
-        assert_eq!(probe.features(), batch_features);
-        assert_eq!(probe.throughput(), throughput_summary(&trace));
-        assert_eq!(
-            probe.capacity_estimate_bps(),
-            capacity_estimate_bps(&trace, &ss)
-        );
+        assert_eq!(probe.slow_start(), ss.snapshot());
+        assert!(ss.ended(), "retransmission must close the window");
+        assert_eq!(probe.features(), windowed_features(&samples, ss.boundary()));
+        assert_eq!(probe.throughput(), tput.summary());
+        assert_eq!(probe.capacity_estimate_bps(), ss.capacity_estimate_bps());
         assert_eq!(probe.samples_total(), samples.len());
         assert_eq!(
             probe.min_rtt_ms(),
@@ -328,6 +336,7 @@ mod tests {
         );
         let f = probe.features().unwrap();
         assert!(f.samples >= 10);
+        assert!(f.samples < samples.len(), "a sample lies past the boundary");
         assert!(f.norm_diff > 0.0);
     }
 
@@ -394,14 +403,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_probe_is_degenerate_like_empty_trace() {
+    fn empty_probe_is_degenerate() {
         let probe = FlowProbe::new(FlowId(9));
-        let empty = FlowTrace {
-            flow: FlowId(9),
-            records: vec![],
-        };
-        assert_eq!(probe.slow_start(), detect_slow_start(&empty));
-        assert_eq!(probe.throughput(), throughput_summary(&empty));
+        assert_eq!(probe.slow_start(), SlowStartTracker::new().snapshot());
+        assert_eq!(probe.throughput(), ThroughputTracker::new().summary());
         assert_eq!(probe.min_rtt_ms(), None);
         assert_eq!(
             probe.features(),

@@ -49,8 +49,8 @@ pub enum EventKind {
     /// end. The entry carries that packet's `(time, seq)`; if a re-time
     /// has replaced the head since, the entry is stale and skipped.
     Arrive(LinkId),
-    /// A packet that may overtake others (a fault plan's reorder hold,
-    /// or a link that allows reordering) arrives at `node`. If the
+    /// A packet that may overtake others (held back by a fault plan's
+    /// reorder impairment) arrives at `node`. If the
     /// packet was re-timed since, the handle is stale and the event is
     /// skipped.
     Deliver(NodeId, PacketHandle),

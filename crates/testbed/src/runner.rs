@@ -4,9 +4,7 @@
 //! The runner attaches a streaming [`FlowProbe`] at Server 1 instead of
 //! a buffer-everything capture: RTT samples, the slow-start window,
 //! features and throughput accumulate online, so no packet history is
-//! retained. The probe's cores are the exact machines the batch
-//! functions wrap, so results are byte-identical to the old
-//! capture-then-post-process path.
+//! retained.
 
 use crate::config::TestbedConfig;
 use crate::topology::{build, Testbed, TEST_FLOW};

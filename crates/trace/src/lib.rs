@@ -3,31 +3,28 @@
 //! The `tcpdump`/`tshark` stage of the paper's pipeline, applied to
 //! simulated captures:
 //!
-//! * [`flow`] — demultiplex a capture into per-flow traces, recover
-//!   initial sequence numbers, translate wire seqs to stream offsets.
+//! * [`flow`] — translate wire sequence numbers to stream offsets.
 //! * [`rtt`] — extract per-ACK flow-RTT samples with Karn filtering.
 //! * [`slow_start`] — find the slow-start boundary (first
-//!   retransmission) and window samples/throughput to it.
-//! * [`throughput`] — goodput summaries and time series from the
-//!   cumulative-ACK stream.
+//!   retransmission) and the goodput of its late half.
+//! * [`throughput`] — goodput summaries from the cumulative-ACK
+//!   stream.
 //! * [`pcap`] — genuine libpcap export (synthesized IPv4+TCP bytes,
-//!   SACK options, valid IP checksums) and re-import.
-//! * [`pcap_import`] — import of *foreign* `tcpdump` files (µs/ns
-//!   magic, Ethernet or raw-IP framing) with 4-tuple flow assembly.
+//!   SACK options, valid IP checksums).
+//! * [`pcap_import`] — the one pcap reader: `tcpdump` files (µs/ns
+//!   magic, Ethernet or raw-IP framing) and this crate's own exports,
+//!   with 4-tuple flow assembly.
 //!
 //! ## Streaming cores
 //!
-//! Every per-flow analysis is implemented as an incremental state
-//! machine consuming one [`PacketRecord`](csig_netsim::PacketRecord) at
-//! a time — [`FlowDemux`], [`RttExtractor`], [`AckAccountant`],
-//! [`SlowStartTracker`], [`ThroughputTracker`] — with state bounded by
-//! the flow's in-flight window, not by trace length. The batch
-//! functions ([`extract_rtt_samples`], [`detect_slow_start`],
-//! [`throughput_summary`], …) are thin wrappers that replay a buffered
-//! trace through the corresponding core, so both paths produce
-//! byte-identical results by construction. Only
-//! [`throughput_timeseries`] remains batch-only (its binning needs the
-//! trace's time span up front).
+//! Every per-flow analysis is an incremental state machine consuming
+//! one [`PacketRecord`](csig_netsim::PacketRecord) of one flow at a
+//! time — [`RttExtractor`], [`AckAccountant`], [`SlowStartTracker`],
+//! [`ThroughputTracker`] — with state bounded by the flow's in-flight
+//! window, not by trace length. There is no buffered-trace API: a
+//! caller holding a capture replays its records (for one flow,
+//! `Capture::flow`) through the cores, as `csig-features`' `FlowProbe`
+//! does for a live tap.
 //!
 //! The end-to-end integration test in this crate cross-validates the
 //! trace-derived RTT samples against the TCP stack's own Karn-filtered
@@ -44,23 +41,19 @@ pub mod rtt;
 pub mod slow_start;
 pub mod throughput;
 
-pub use flow::{split_flows, FlowDemux, FlowIsn, FlowTrace, OffsetTracker};
-pub use pcap::{read_pcap, write_pcap, PcapError};
+pub use flow::OffsetTracker;
+pub use pcap::write_pcap;
 pub use pcap_import::{
     assemble_capture, import_pcap, parse_pcap_tcp, ImportError, RawTcpPacket, ServerSelector,
 };
-pub use rtt::{bytes_acked_by, extract_rtt_samples, AckAccountant, RttExtractor, RttSample};
-pub use slow_start::{
-    capacity_estimate_bps, detect_slow_start, slow_start_samples, SlowStart, SlowStartTracker,
-};
-pub use throughput::{
-    throughput_summary, throughput_timeseries, ThroughputSummary, ThroughputTracker,
-};
+pub use rtt::{AckAccountant, RttExtractor, RttSample};
+pub use slow_start::{SlowStart, SlowStartTracker};
+pub use throughput::{ThroughputSummary, ThroughputTracker};
 
 #[cfg(test)]
 mod integration_tests {
     use super::*;
-    use csig_netsim::{FlowId, LinkConfig, SimDuration, Simulator};
+    use csig_netsim::{FlowId, LinkConfig, PacketRecord, SimDuration, Simulator};
     use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 
     /// Run a download over a bottleneck and capture at the server.
@@ -90,12 +83,26 @@ mod integration_tests {
         (sim.take_capture(cap), stats)
     }
 
+    fn rtt_samples<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> Vec<RttSample> {
+        let mut extractor = RttExtractor::new();
+        records
+            .into_iter()
+            .filter_map(|r| extractor.push(r))
+            .collect()
+    }
+
+    fn slow_start<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> SlowStart {
+        let mut tracker = SlowStartTracker::new();
+        for r in records {
+            tracker.push(r);
+        }
+        tracker.snapshot()
+    }
+
     #[test]
     fn trace_rtt_matches_in_stack_estimator() {
         let (cap, stats) = run_download(11, 4_000_000);
-        let flows = split_flows(&cap);
-        let trace = &flows[&FlowId(500)];
-        let samples = extract_rtt_samples(trace);
+        let samples = rtt_samples(cap.flow(FlowId(500)));
         assert!(
             samples.len() >= 100,
             "too few trace samples: {}",
@@ -125,8 +132,7 @@ mod integration_tests {
     #[test]
     fn trace_slow_start_matches_stack_first_retransmit() {
         let (cap, stats) = run_download(12, 4_000_000);
-        let flows = split_flows(&cap);
-        let ss = detect_slow_start(&flows[&FlowId(500)]);
+        let ss = slow_start(cap.flow(FlowId(500)));
         let stack = stats.first_retransmit_at.expect("loss expected");
         let trace_end = ss.end.expect("trace retransmission expected");
         // The trace sees the retransmission the instant it is sent.
@@ -136,8 +142,11 @@ mod integration_tests {
     #[test]
     fn trace_throughput_matches_transfer() {
         let (cap, stats) = run_download(13, 4_000_000);
-        let flows = split_flows(&cap);
-        let s = throughput_summary(&flows[&FlowId(500)]);
+        let mut tracker = ThroughputTracker::new();
+        for r in cap.flow(FlowId(500)) {
+            tracker.push(r);
+        }
+        let s = tracker.summary();
         assert_eq!(s.bytes_acked, stats.bytes_acked);
         // 20 Mbps bottleneck: mean goodput below capacity, above half.
         assert!(s.mean_bps < 20.5e6, "{}", s.mean_bps);
@@ -150,14 +159,13 @@ mod integration_tests {
         let mut buf = Vec::new();
         let n = write_pcap(&cap, &mut buf).unwrap();
         assert!(n > 100);
-        let parsed = read_pcap(&buf[..], cap.node).unwrap();
+        let parsed = import_pcap(&buf[..], ServerSelector::Port(pcap::TAP_PORT)).unwrap();
+        // The one flow comes back as the importer's first flow id.
+        assert!(parsed.records.iter().all(|r| r.pkt.flow == FlowId(0)));
         // RTT extraction on the re-imported capture agrees with the
         // original (timestamps and header fields round-trip).
-        let of = split_flows(&cap);
-        let pf = split_flows(&parsed);
-        // Flow ids are recovered mod 50k from ports; id 500 is stable.
-        let a = extract_rtt_samples(&of[&FlowId(500)]);
-        let b = extract_rtt_samples(&pf[&FlowId(500)]);
+        let a = rtt_samples(cap.flow(FlowId(500)));
+        let b = rtt_samples(&parsed.records);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.rtt, y.rtt);
@@ -171,11 +179,11 @@ mod integration_tests {
         // trace: slow-start RTT grows from the propagation baseline
         // (~40 ms) toward baseline + buffer (~140 ms).
         let (cap, _) = run_download(15, 4_000_000);
-        let flows = split_flows(&cap);
-        let trace = &flows[&FlowId(500)];
-        let samples = extract_rtt_samples(trace);
-        let ss = detect_slow_start(trace);
-        let win = slow_start_samples(&samples, &ss);
+        let boundary = slow_start(cap.flow(FlowId(500))).boundary();
+        let win: Vec<_> = rtt_samples(cap.flow(FlowId(500)))
+            .into_iter()
+            .filter(|s| s.at <= boundary)
+            .collect();
         assert!(win.len() >= 10);
         let min = win
             .iter()

@@ -1,24 +1,22 @@
-//! Real libpcap-format export/import of simulated captures.
+//! Real libpcap-format export of simulated captures.
 //!
 //! The simulator's packets carry structured headers rather than bytes,
 //! so export synthesizes genuine IPv4 + TCP wire bytes (including SACK
 //! options and valid IPv4 header checksums). Files use the nanosecond
 //! pcap magic and `LINKTYPE_RAW` (101, raw IPv4), and are snapped to
 //! headers-only (like `tcpdump -s 96`): `orig_len` records the true
-//! on-wire size while payload bytes are not stored. The reader parses
-//! such files back into [`PacketRecord`]s, inferring direction from the
-//! tap node's synthesized address. Non-TCP simulator packets (probes,
-//! background filler) are skipped on export.
+//! on-wire size while payload bytes are not stored. Such files read
+//! back through [`crate::pcap_import`] like any `tcpdump` capture;
+//! `ServerSelector::Port(TAP_PORT)` makes the tap the server side.
+//! Non-TCP simulator packets (probes, background filler) are skipped
+//! on export.
 //!
 //! Addresses: node `n` becomes `10.(n>>16).(n>>8 & 255).(n & 255)`.
 //! Ports: the data/tap side is 5001 (an iperf/NDT-style server port),
 //! the peer side is `10000 + (flow % 50000)`.
 
-use csig_netsim::{
-    Capture, Direction, FlowId, NodeId, Packet, PacketId, PacketKind, SimTime, TcpFlags, TcpHeader,
-    NO_SACK, TCP_HEADER_BYTES,
-};
-use std::io::{self, Read, Write};
+use csig_netsim::{Capture, Direction, FlowId, NodeId, Packet, TcpHeader};
+use std::io::{self, Write};
 
 const PCAP_MAGIC_NANO: u32 = 0xA1B2_3C4D;
 const LINKTYPE_RAW: u32 = 101;
@@ -159,171 +157,13 @@ fn encode_ipv4_tcp(pkt: &Packet, h: &TcpHeader, dir: Direction, tap: NodeId) -> 
     buf
 }
 
-/// Error type for pcap parsing.
-#[derive(Debug)]
-pub enum PcapError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Not a pcap file / unsupported variant.
-    Format(&'static str),
-}
-
-impl From<io::Error> for PcapError {
-    fn from(e: io::Error) -> Self {
-        PcapError::Io(e)
-    }
-}
-
-impl std::fmt::Display for PcapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PcapError::Io(e) => write!(f, "pcap io error: {e}"),
-            PcapError::Format(m) => write!(f, "pcap format error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for PcapError {}
-
-/// Parse a pcap file produced by [`write_pcap`] back into a capture for
-/// tap node `tap`. Only `LINKTYPE_RAW` IPv4/TCP files with the
-/// nanosecond magic are supported.
-pub fn read_pcap<R: Read>(mut r: R, tap: NodeId) -> Result<Capture, PcapError> {
-    let mut global = [0u8; 24];
-    r.read_exact(&mut global)?;
-    let magic = crate::pcap_import::le_u32(&global, 0);
-    if magic != PCAP_MAGIC_NANO {
-        return Err(PcapError::Format("unsupported magic (need nanosecond LE)"));
-    }
-    let linktype = crate::pcap_import::le_u32(&global, 20);
-    if linktype != LINKTYPE_RAW {
-        return Err(PcapError::Format("unsupported linktype (need RAW=101)"));
-    }
-
-    let mut cap = Capture::new(tap);
-    let mut pkt_hdr = [0u8; 16];
-    let mut next_id = 0u64;
-    loop {
-        match r.read_exact(&mut pkt_hdr) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e.into()),
-        }
-        let ts_sec = crate::pcap_import::le_u32(&pkt_hdr, 0) as u64;
-        let ts_nsec = crate::pcap_import::le_u32(&pkt_hdr, 4) as u64;
-        let incl = crate::pcap_import::le_u32(&pkt_hdr, 8) as usize;
-        let orig = crate::pcap_import::le_u32(&pkt_hdr, 12);
-        let mut data = vec![0u8; incl];
-        r.read_exact(&mut data)?;
-        if data.len() < 40 || data[0] >> 4 != 4 {
-            continue; // not IPv4/TCP we understand
-        }
-        let ihl = ((data[0] & 0xF) as usize) * 4;
-        if data[9] != 6 || data.len() < ihl + 20 {
-            continue;
-        }
-        let src_ip = crate::pcap_import::ip4(&data, 12);
-        let dst_ip = crate::pcap_import::ip4(&data, 16);
-        let tcp = &data[ihl..];
-        let sport = crate::pcap_import::be_u16(tcp, 0);
-        let dport = crate::pcap_import::be_u16(tcp, 2);
-        let seq = crate::pcap_import::be_u32(tcp, 4);
-        let ack = crate::pcap_import::be_u32(tcp, 8);
-        let doff = ((tcp[12] >> 4) as usize) * 4;
-        let fbyte = tcp[13];
-        let window = crate::pcap_import::be_u16(tcp, 14) as u32;
-
-        let mut flags = TcpFlags::default();
-        if fbyte & 0x01 != 0 {
-            flags = flags | TcpFlags::FIN;
-        }
-        if fbyte & 0x02 != 0 {
-            flags = flags | TcpFlags::SYN;
-        }
-        if fbyte & 0x04 != 0 {
-            flags = flags | TcpFlags::RST;
-        }
-        if fbyte & 0x10 != 0 {
-            flags = flags | TcpFlags::ACK;
-        }
-
-        // Parse options for SACK.
-        let mut sack = NO_SACK;
-        if doff > 20 && tcp.len() >= doff {
-            let mut opts = &tcp[20..doff];
-            while !opts.is_empty() {
-                match opts[0] {
-                    0 => break,
-                    1 => opts = &opts[1..],
-                    kind => {
-                        let Some(&l) = opts.get(1) else {
-                            return Err(PcapError::Format("TCP option missing its length byte"));
-                        };
-                        let len = l as usize;
-                        if len < 2 || len > opts.len() {
-                            return Err(PcapError::Format(
-                                "TCP option with invalid declared length",
-                            ));
-                        }
-                        if kind == 5 {
-                            let nblocks = ((len - 2) / 8).min(3);
-                            for (i, slot) in sack.iter_mut().enumerate().take(nblocks) {
-                                let o = 2 + i * 8;
-                                *slot = Some((
-                                    crate::pcap_import::be_u32(opts, o),
-                                    crate::pcap_import::be_u32(opts, o + 4),
-                                ));
-                            }
-                        }
-                        opts = &opts[len..];
-                    }
-                }
-            }
-        }
-
-        let payload_len = orig.saturating_sub((ihl + doff) as u32);
-        let ip_of =
-            |ip: [u8; 4]| NodeId(((ip[1] as u32) << 16) | ((ip[2] as u32) << 8) | ip[3] as u32);
-        let tap_ip = node_ip(tap);
-        let dir = if src_ip == tap_ip {
-            Direction::Out
-        } else {
-            Direction::In
-        };
-        let flow = FlowId(match dir {
-            Direction::Out => (dport as u32).wrapping_sub(10_000),
-            Direction::In => (sport as u32).wrapping_sub(10_000),
-        });
-        let time = SimTime::from_nanos(ts_sec * 1_000_000_000 + ts_nsec);
-        let (src, dst) = (ip_of(src_ip), ip_of(dst_ip));
-        cap.records.push(csig_netsim::PacketRecord {
-            time,
-            dir,
-            pkt: Packet {
-                id: PacketId(next_id),
-                flow,
-                src,
-                dst,
-                size: payload_len + TCP_HEADER_BYTES,
-                sent_at: time,
-                kind: PacketKind::Tcp(TcpHeader {
-                    seq,
-                    ack,
-                    flags,
-                    payload_len,
-                    window,
-                    sack,
-                }),
-            },
-        });
-        next_id += 1;
-    }
-    Ok(cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pcap_import::parse_pcap_tcp;
+    use csig_netsim::{
+        PacketId, PacketKind, SimDuration, SimTime, TcpFlags, NO_SACK, TCP_HEADER_BYTES,
+    };
 
     fn mk_record(
         dir: Direction,
@@ -385,18 +225,23 @@ mod tests {
         let n = write_pcap(&cap, &mut buf).unwrap();
         assert_eq!(n, 2);
 
-        let parsed = read_pcap(&buf[..], NodeId(0)).unwrap();
-        assert_eq!(parsed.records.len(), 2);
-        for (orig, got) in cap.records.iter().zip(&parsed.records) {
-            assert_eq!(orig.time, got.time);
-            assert_eq!(orig.dir, got.dir);
-            let (oh, gh) = (orig.pkt.tcp().unwrap(), got.pkt.tcp().unwrap());
-            assert_eq!(oh.seq, gh.seq);
-            assert_eq!(oh.ack, gh.ack);
-            assert_eq!(oh.flags, gh.flags);
-            assert_eq!(oh.payload_len, gh.payload_len);
-            assert_eq!(oh.sack, gh.sack);
-            assert_eq!(orig.pkt.flow, got.pkt.flow);
+        let parsed = parse_pcap_tcp(&buf[..]).unwrap();
+        assert_eq!(parsed.len(), 2);
+        for (orig, got) in cap.records.iter().zip(&parsed) {
+            // The reader counts time from the first packet's whole second.
+            assert_eq!(got.time + SimDuration::from_secs(1), orig.time);
+            let oh = orig.pkt.tcp().unwrap();
+            assert_eq!(oh.seq, got.seq);
+            assert_eq!(oh.ack, got.ack);
+            assert_eq!(oh.flags, got.flags);
+            assert_eq!(oh.payload_len, got.payload_len);
+            assert_eq!(oh.sack, got.sack);
+            let client = flow_port(orig.pkt.flow);
+            let (src, sport, dport) = match orig.dir {
+                Direction::Out => (node_ip(NodeId(0)), TAP_PORT, client),
+                Direction::In => (node_ip(NodeId(1)), client, TAP_PORT),
+            };
+            assert_eq!((got.src_ip, got.sport, got.dport), (src, sport, dport));
         }
     }
 
@@ -419,24 +264,6 @@ mod tests {
         let mut buf = Vec::new();
         assert_eq!(write_pcap(&cap, &mut buf).unwrap(), 0);
         assert_eq!(buf.len(), 24); // just the global header
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let buf = [0u8; 24];
-        assert!(matches!(
-            read_pcap(&buf[..], NodeId(0)),
-            Err(PcapError::Format(_))
-        ));
-    }
-
-    #[test]
-    fn truncated_file_rejected() {
-        let buf = [0u8; 3];
-        assert!(matches!(
-            read_pcap(&buf[..], NodeId(0)),
-            Err(PcapError::Io(_))
-        ));
     }
 
     #[test]

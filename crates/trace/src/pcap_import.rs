@@ -1,5 +1,5 @@
-//! Import of *foreign* pcap files (real `tcpdump` output), beyond the
-//! round-trip format of [`crate::pcap`].
+//! Import of pcap files: real `tcpdump` output and the files
+//! [`crate::pcap`] writes.
 //!
 //! Supports little-endian microsecond (`0xA1B2C3D4`) and nanosecond
 //! (`0xA1B23C4D`) magics with `LINKTYPE_RAW` (101) or
@@ -7,7 +7,7 @@
 //! are decoded). Packets are grouped into flows by 4-tuple and
 //! converted into a server-side [`Capture`]: the "server" endpoint is
 //! either given explicitly (by port) or inferred as the endpoint that
-//! sent the most payload bytes.
+//! sent the most payload bytes (see [`ServerSelector`]).
 //!
 //! Malformed TCP packets are rejected with [`ImportError::Format`]
 //! rather than silently repaired: an option with a declared length of 0
@@ -84,21 +84,20 @@ impl std::error::Error for ImportError {}
 
 // Fixed-width reads at a caller-bounds-checked offset. Plain indexing
 // keeps these panic-free for every call site (each is preceded by a
-// length check) without `expect` on an infallible `try_into`. Shared
-// with the round-trip reader in [`crate::pcap`].
-pub(crate) fn le_u32(b: &[u8], o: usize) -> u32 {
+// length check) without `expect` on an infallible `try_into`.
+fn le_u32(b: &[u8], o: usize) -> u32 {
     u32::from_le_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]])
 }
 
-pub(crate) fn be_u16(b: &[u8], o: usize) -> u16 {
+fn be_u16(b: &[u8], o: usize) -> u16 {
     u16::from_be_bytes([b[o], b[o + 1]])
 }
 
-pub(crate) fn be_u32(b: &[u8], o: usize) -> u32 {
+fn be_u32(b: &[u8], o: usize) -> u32 {
     u32::from_be_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]])
 }
 
-pub(crate) fn ip4(b: &[u8], o: usize) -> [u8; 4] {
+fn ip4(b: &[u8], o: usize) -> [u8; 4] {
     [b[o], b[o + 1], b[o + 2], b[o + 3]]
 }
 
@@ -259,7 +258,9 @@ pub fn parse_pcap_tcp<R: Read>(mut r: R) -> Result<Vec<RawTcpPacket>, ImportErro
 pub enum ServerSelector {
     /// The endpoint using this TCP port.
     Port(u16),
-    /// The endpoint that transmitted the most payload bytes.
+    /// The endpoint that transmitted the most payload bytes. Among
+    /// endpoints tied on bytes, the one that sent first in capture
+    /// order wins, so the choice never depends on hashing.
     MostBytesSent,
 }
 
@@ -278,11 +279,21 @@ pub fn assemble_capture(packets: &[RawTcpPacket], server: ServerSelector) -> Cap
             }
         }),
         ServerSelector::MostBytesSent => {
-            let mut sent: HashMap<([u8; 4], u16), u64> = HashMap::new();
+            // Bytes per endpoint, in the order the endpoints first sent.
+            let mut index: HashMap<([u8; 4], u16), usize> = HashMap::new();
+            let mut sent: Vec<(([u8; 4], u16), u64)> = Vec::new();
             for pkt in packets {
-                *sent.entry((pkt.src_ip, pkt.sport)).or_default() += pkt.payload_len as u64;
+                let key = (pkt.src_ip, pkt.sport);
+                let i = *index.entry(key).or_insert_with(|| {
+                    sent.push((key, 0));
+                    sent.len() - 1
+                });
+                sent[i].1 += pkt.payload_len as u64;
             }
-            sent.into_iter().max_by_key(|&(_, b)| b).map(|(k, _)| k)
+            // `min_by_key` keeps the first of equal keys.
+            sent.into_iter()
+                .min_by_key(|&(_, b)| std::cmp::Reverse(b))
+                .map(|(k, _)| k)
         }
     };
     let Some(server_key) = server_key else {
@@ -451,6 +462,37 @@ mod tests {
         // The 100-byte sender (port 5001) must be chosen automatically.
         let cap = assemble_capture(&packets, ServerSelector::MostBytesSent);
         assert_eq!(cap.records[0].dir, Direction::Out);
+    }
+
+    #[test]
+    fn server_inference_breaks_byte_ties_by_first_sender() {
+        let sender = |src: [u8; 4], sport: u16, dst: [u8; 4], dport: u16, t_ms: u64| RawTcpPacket {
+            time: SimTime::from_millis(t_ms),
+            src_ip: src,
+            dst_ip: dst,
+            sport,
+            dport,
+            seq: 1,
+            ack: 1,
+            flags: TcpFlags::ACK,
+            payload_len: 100,
+            window: 65535,
+            sack: NO_SACK,
+        };
+        // Both endpoints send 100 payload bytes; 10.0.0.2:40000 first.
+        let packets = [
+            sender([10, 0, 0, 2], 40_000, [10, 0, 0, 1], 5001, 1),
+            sender([10, 0, 0, 1], 5001, [10, 0, 0, 2], 40_000, 2),
+        ];
+        for _ in 0..64 {
+            let cap = assemble_capture(&packets, ServerSelector::MostBytesSent);
+            assert_eq!(
+                cap.records[0].dir,
+                Direction::Out,
+                "first sender is the server"
+            );
+            assert_eq!(cap.records[1].dir, Direction::In);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! sequence range is retransmitted, samples for that range are
 //! discarded (the ACK can't be attributed to a specific transmission).
 
-use crate::flow::{FlowTrace, OffsetTracker};
+use crate::flow::OffsetTracker;
 use csig_netsim::{Direction, PacketRecord, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -32,8 +32,7 @@ struct Outstanding {
     tainted: bool,
 }
 
-/// Incremental flow-RTT extractor: the streaming core behind
-/// [`extract_rtt_samples`].
+/// Incremental flow-RTT extractor.
 ///
 /// Feed it one (server-side) [`PacketRecord`] of a single flow at a
 /// time; each `In` cumulative ACK that cleanly retires outstanding data
@@ -48,9 +47,7 @@ struct Outstanding {
 ///
 /// Offsets are anchored at the first `Out` SYN's ISS, or at the first
 /// outgoing data packet's sequence number if the tap missed the
-/// handshake — the same anchoring the batch function recovers with its
-/// ISN pre-pass, provided the SYN (when captured) precedes the data,
-/// which holds for any well-formed capture.
+/// handshake. Samples come out in ACK-arrival order.
 #[derive(Debug, Clone, Default)]
 pub struct RttExtractor {
     out_tracker: Option<OffsetTracker>,
@@ -145,31 +142,12 @@ impl RttExtractor {
     }
 }
 
-/// Extract downstream flow-RTT samples from a (server-side) flow trace.
-///
-/// Only `Out` data segments and `In` pure/cumulative ACKs are
-/// consulted. Returns samples in ACK-arrival order. If the capture
-/// missed the SYN, the first outgoing data packet's sequence number is
-/// used as the offset base instead.
-///
-/// Thin wrapper over [`RttExtractor`]: replays the trace through the
-/// streaming core.
-pub fn extract_rtt_samples(trace: &FlowTrace) -> Vec<RttSample> {
-    let mut extractor = RttExtractor::new();
-    trace
-        .records
-        .iter()
-        .filter_map(|rec| extractor.push(rec))
-        .collect()
-}
-
-/// Incremental cumulative-acknowledgment accountant: the streaming core
-/// behind [`bytes_acked_by`].
+/// Incremental cumulative-acknowledgment accountant.
 ///
 /// Tracks the highest cumulative acknowledgment offset (payload bytes
 /// delivered) of one flow, capped below the FIN's sequence slot.
 /// Accounting starts at the `Out` SYN — without a captured local SYN it
-/// stays at zero, matching the batch function's behavior.
+/// stays at zero.
 #[derive(Debug, Clone, Default)]
 pub struct AckAccountant {
     out_tracker: Option<OffsetTracker>,
@@ -229,26 +207,9 @@ impl AckAccountant {
     }
 }
 
-/// Highest cumulative acknowledgment offset observed in the trace up to
-/// (and including) `until`, i.e. payload bytes delivered by then.
-///
-/// Thin wrapper over [`AckAccountant`]: replays the trace prefix
-/// through the streaming core.
-pub fn bytes_acked_by(trace: &FlowTrace, until: SimTime) -> u64 {
-    let mut acct = AckAccountant::new();
-    for rec in &trace.records {
-        if rec.time > until {
-            break;
-        }
-        acct.push(rec);
-    }
-    acct.bytes_acked()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowTrace;
     use csig_netsim::{FlowId, NodeId, Packet, PacketId, PacketKind, TcpFlags, TcpHeader, NO_SACK};
 
     const ISS: u32 = 5000;
@@ -328,11 +289,9 @@ mod tests {
         )
     }
 
-    fn trace(records: Vec<csig_netsim::PacketRecord>) -> FlowTrace {
-        FlowTrace {
-            flow: FlowId(7),
-            records,
-        }
+    fn extract(records: &[PacketRecord]) -> Vec<RttSample> {
+        let mut extractor = RttExtractor::new();
+        records.iter().filter_map(|r| extractor.push(r)).collect()
     }
 
     #[test]
@@ -342,7 +301,7 @@ mod tests {
         recs.push(ack(41_000, 1000)); // 40 ms later
         recs.push(data(42_000, 1000, 1000));
         recs.push(ack(92_000, 2000)); // 50 ms later
-        let samples = extract_rtt_samples(&trace(recs));
+        let samples = extract(&recs);
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].rtt, SimDuration::from_millis(40));
         assert_eq!(samples[0].seq_end, 1000);
@@ -356,7 +315,7 @@ mod tests {
         recs.push(data(2_000, 1000, 1000));
         recs.push(data(3_000, 2000, 1000));
         recs.push(ack(53_000, 3000)); // covers all three
-        let samples = extract_rtt_samples(&trace(recs));
+        let samples = extract(&recs);
         assert_eq!(samples.len(), 1);
         // Newest segment sent at 3 ms, acked at 53 ms → 50 ms.
         assert_eq!(samples[0].rtt, SimDuration::from_millis(50));
@@ -371,7 +330,7 @@ mod tests {
         // Retransmission of the first segment.
         recs.push(data(300_000, 0, 1000));
         recs.push(ack(350_000, 2000));
-        let samples = extract_rtt_samples(&trace(recs));
+        let samples = extract(&recs);
         // Segment 1 tainted; segment 2 clean and newest → 1 sample.
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].seq_end, 2000);
@@ -385,21 +344,30 @@ mod tests {
         recs.push(ack(41_000, 1000));
         recs.push(ack(42_000, 1000));
         recs.push(ack(43_000, 1000));
-        let samples = extract_rtt_samples(&trace(recs));
+        let samples = extract(&recs);
         assert_eq!(samples.len(), 1);
     }
 
     #[test]
-    fn bytes_acked_by_tracks_cumulative_ack() {
+    fn ack_accountant_tracks_cumulative_ack() {
         let mut recs = handshake();
         recs.push(data(1_000, 0, 1000));
         recs.push(ack(41_000, 1000));
         recs.push(data(42_000, 1000, 1000));
         recs.push(ack(92_000, 2000));
-        let t = trace(recs);
-        assert_eq!(bytes_acked_by(&t, SimTime::from_micros(41_000)), 1000);
-        assert_eq!(bytes_acked_by(&t, SimTime::from_micros(100_000)), 2000);
-        assert_eq!(bytes_acked_by(&t, SimTime::from_micros(10)), 0);
+        let acked_by = |until: u64| {
+            let mut acct = AckAccountant::new();
+            for r in recs
+                .iter()
+                .take_while(|r| r.time <= SimTime::from_micros(until))
+            {
+                acct.push(r);
+            }
+            acct.bytes_acked()
+        };
+        assert_eq!(acked_by(41_000), 1000);
+        assert_eq!(acked_by(100_000), 2000);
+        assert_eq!(acked_by(10), 0);
     }
 
     /// The extractor before `outstanding` became a sorted deque: every
@@ -545,7 +513,7 @@ mod tests {
         // Without a SYN the extractor anchors offsets at the first data
         // packet, so samples still come out.
         let recs = vec![data(1_000, 0, 1000), ack(41_000, 1000)];
-        let samples = extract_rtt_samples(&trace(recs));
+        let samples = extract(&recs);
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].rtt, SimDuration::from_millis(40));
     }

@@ -7,8 +7,8 @@
 //! data segment whose sequence range regresses below the highest
 //! sequence already sent.
 
-use crate::flow::{FlowTrace, OffsetTracker};
-use crate::rtt::{bytes_acked_by, AckAccountant, RttSample};
+use crate::flow::OffsetTracker;
+use crate::rtt::AckAccountant;
 use csig_netsim::{Direction, PacketRecord, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -47,8 +47,7 @@ impl SlowStart {
     }
 }
 
-/// Incremental slow-start detector: the streaming core behind
-/// [`detect_slow_start`].
+/// Incremental slow-start detector.
 ///
 /// Combines three bounded sub-machines fed record by record:
 ///
@@ -85,7 +84,7 @@ impl SlowStartTracker {
     /// Consume one record.
     pub fn push(&mut self, rec: &PacketRecord) {
         // Ack accounting runs up to (and including) the boundary
-        // instant, exactly like `bytes_acked_by(trace, end)`.
+        // instant.
         if self.end.is_none_or(|end| rec.time <= end) {
             let before = self.acct.bytes_acked();
             self.acct.push(rec);
@@ -160,9 +159,13 @@ impl SlowStartTracker {
         }
     }
 
-    /// Streaming equivalent of [`capacity_estimate_bps`]: goodput over
-    /// the second half of the slow-start window, `None` while the
-    /// window is still open or when it is degenerate.
+    /// Capacity-style slow-start throughput estimate: goodput over the
+    /// *second half* of the slow-start window, in bits/s. A plain window
+    /// average systematically underestimates capacity (most of an
+    /// exponential ramp's bytes arrive at its end); the late-window rate
+    /// is the quantity the paper calls "indicative of the capacity of
+    /// the bottleneck link". `None` while the window is still open (the
+    /// flow has not retransmitted) or when it is degenerate.
     pub fn capacity_estimate_bps(&self) -> Option<f64> {
         let (start, end) = (self.first_data_at?, self.end?);
         let span = end.saturating_since(start);
@@ -185,58 +188,10 @@ impl SlowStartTracker {
     }
 }
 
-/// Detect the slow-start window of a server-side flow trace.
-///
-/// Thin wrapper over [`SlowStartTracker`]: replays the trace through
-/// the streaming core.
-pub fn detect_slow_start(trace: &FlowTrace) -> SlowStart {
-    let mut tracker = SlowStartTracker::new();
-    for rec in &trace.records {
-        tracker.push(rec);
-    }
-    tracker.snapshot()
-}
-
-/// Capacity-style slow-start throughput estimate: goodput over the
-/// *second half* of the slow-start window, in bits/s. A plain window
-/// average systematically underestimates capacity (most of an
-/// exponential ramp's bytes arrive at its end); the late-window rate is
-/// the quantity the paper calls "indicative of the capacity of the
-/// bottleneck link". Returns `None` when the window is degenerate or
-/// the flow never retransmitted.
-pub fn capacity_estimate_bps(trace: &FlowTrace, ss: &SlowStart) -> Option<f64> {
-    let (start, end) = (ss.first_data_at?, ss.end?);
-    let span = end.saturating_since(start);
-    if span.is_zero() {
-        return None;
-    }
-    let mid = start + span / 2;
-    let late_bytes = bytes_acked_by(trace, end).saturating_sub(bytes_acked_by(trace, mid));
-    let secs = (span / 2).as_secs_f64();
-    if secs <= 0.0 || late_bytes == 0 {
-        return None;
-    }
-    Some(late_bytes as f64 * 8.0 / secs)
-}
-
-/// Filter RTT samples to the slow-start window (samples whose ACK
-/// arrived no later than the boundary).
-pub fn slow_start_samples(samples: &[RttSample], ss: &SlowStart) -> Vec<RttSample> {
-    let boundary = ss.boundary();
-    samples
-        .iter()
-        .filter(|s| s.at <= boundary)
-        .copied()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowTrace;
-    use csig_netsim::{
-        FlowId, NodeId, Packet, PacketId, PacketKind, SimDuration, TcpFlags, TcpHeader, NO_SACK,
-    };
+    use csig_netsim::{FlowId, NodeId, Packet, PacketId, PacketKind, TcpFlags, TcpHeader, NO_SACK};
 
     const ISS: u32 = 1000;
 
@@ -297,21 +252,49 @@ mod tests {
         }
     }
 
+    fn track(records: &[PacketRecord]) -> SlowStartTracker {
+        let mut tracker = SlowStartTracker::new();
+        for r in records {
+            tracker.push(r);
+        }
+        tracker
+    }
+
+    /// The capacity estimate computed from scratch: two replays of the
+    /// records through an [`AckAccountant`], one up to the window's
+    /// midpoint and one up to its boundary. The tracker answers the
+    /// midpoint query from its pruned advance log instead.
+    fn reference_capacity_bps(records: &[PacketRecord], ss: &SlowStart) -> Option<f64> {
+        let acked_by = |until: SimTime| {
+            let mut acct = AckAccountant::new();
+            for r in records.iter().take_while(|r| r.time <= until) {
+                acct.push(r);
+            }
+            acct.bytes_acked()
+        };
+        let (start, end) = (ss.first_data_at?, ss.end?);
+        let span = end.saturating_since(start);
+        let mid = start + span / 2;
+        let late_bytes = acked_by(end).saturating_sub(acked_by(mid));
+        let secs = (span / 2).as_secs_f64();
+        if secs <= 0.0 || late_bytes == 0 {
+            return None;
+        }
+        Some(late_bytes as f64 * 8.0 / secs)
+    }
+
     #[test]
     fn detects_first_retransmission() {
-        let trace = FlowTrace {
-            flow: FlowId(1),
-            records: vec![
-                syn_out(),
-                rec(Direction::Out, 10, 0, 1000, 0, TcpFlags::ACK),
-                rec(Direction::Out, 11, 1000, 1000, 0, TcpFlags::ACK),
-                rec(Direction::In, 50, 0, 0, 1000, TcpFlags::ACK),
-                // Retransmission of offset 0 at t=300.
-                rec(Direction::Out, 300, 0, 1000, 0, TcpFlags::ACK),
-                rec(Direction::Out, 400, 2000, 1000, 0, TcpFlags::ACK),
-            ],
-        };
-        let ss = detect_slow_start(&trace);
+        let ss = track(&[
+            syn_out(),
+            rec(Direction::Out, 10, 0, 1000, 0, TcpFlags::ACK),
+            rec(Direction::Out, 11, 1000, 1000, 0, TcpFlags::ACK),
+            rec(Direction::In, 50, 0, 0, 1000, TcpFlags::ACK),
+            // Retransmission of offset 0 at t=300.
+            rec(Direction::Out, 300, 0, 1000, 0, TcpFlags::ACK),
+            rec(Direction::Out, 400, 2000, 1000, 0, TcpFlags::ACK),
+        ])
+        .snapshot();
         assert_eq!(ss.first_data_at, Some(SimTime::from_millis(10)));
         assert_eq!(ss.end, Some(SimTime::from_millis(300)));
         // Only 1000 bytes were cumulatively acked before the boundary.
@@ -320,15 +303,12 @@ mod tests {
 
     #[test]
     fn clean_flow_has_no_boundary() {
-        let trace = FlowTrace {
-            flow: FlowId(1),
-            records: vec![
-                syn_out(),
-                rec(Direction::Out, 10, 0, 1000, 0, TcpFlags::ACK),
-                rec(Direction::In, 50, 0, 0, 1000, TcpFlags::ACK),
-            ],
-        };
-        let ss = detect_slow_start(&trace);
+        let ss = track(&[
+            syn_out(),
+            rec(Direction::Out, 10, 0, 1000, 0, TcpFlags::ACK),
+            rec(Direction::In, 50, 0, 0, 1000, TcpFlags::ACK),
+        ])
+        .snapshot();
         assert_eq!(ss.end, None);
         assert_eq!(ss.boundary(), SimTime::MAX);
         assert_eq!(ss.bytes_acked, 1000);
@@ -337,16 +317,13 @@ mod tests {
 
     #[test]
     fn slow_start_throughput_is_bytes_over_window() {
-        let trace = FlowTrace {
-            flow: FlowId(1),
-            records: vec![
-                syn_out(),
-                rec(Direction::Out, 100, 0, 100_000, 0, TcpFlags::ACK),
-                rec(Direction::In, 500, 0, 0, 100_000, TcpFlags::ACK),
-                rec(Direction::Out, 600, 0, 1000, 0, TcpFlags::ACK), // retx
-            ],
-        };
-        let ss = detect_slow_start(&trace);
+        let ss = track(&[
+            syn_out(),
+            rec(Direction::Out, 100, 0, 100_000, 0, TcpFlags::ACK),
+            rec(Direction::In, 500, 0, 0, 100_000, TcpFlags::ACK),
+            rec(Direction::Out, 600, 0, 1000, 0, TcpFlags::ACK), // retx
+        ])
+        .snapshot();
         // 100 kB acked over (600-100) ms → 1.6 Mbps.
         let bps = ss.throughput_bps().unwrap();
         assert!((bps - 1.6e6).abs() < 1e3, "{bps}");
@@ -357,49 +334,44 @@ mod tests {
         // 100 kB acked in the first half, 400 kB in the second half of
         // a 1 s slow-start window: the estimate must reflect the late
         // rate (400 kB / 0.5 s = 6.4 Mbps), not the 4 Mbps average.
-        let trace = FlowTrace {
-            flow: FlowId(1),
-            records: vec![
-                syn_out(),
-                rec(Direction::Out, 0, 0, 1000, 0, TcpFlags::ACK),
-                rec(Direction::In, 400, 0, 0, 100_000, TcpFlags::ACK),
-                rec(Direction::In, 900, 0, 0, 500_000, TcpFlags::ACK),
-                rec(Direction::Out, 1000, 0, 1000, 0, TcpFlags::ACK), // retx
-            ],
-        };
-        let ss = detect_slow_start(&trace);
-        let est = capacity_estimate_bps(&trace, &ss).unwrap();
+        let records = [
+            syn_out(),
+            rec(Direction::Out, 0, 0, 1000, 0, TcpFlags::ACK),
+            rec(Direction::In, 400, 0, 0, 100_000, TcpFlags::ACK),
+            rec(Direction::In, 900, 0, 0, 500_000, TcpFlags::ACK),
+            rec(Direction::Out, 1000, 0, 1000, 0, TcpFlags::ACK), // retx
+        ];
+        let tracker = track(&records);
+        let est = tracker.capacity_estimate_bps().unwrap();
         assert!((est - 6.4e6).abs() < 1e5, "{est}");
-        // Degenerate cases return None.
-        let open = SlowStart { end: None, ..ss };
-        assert_eq!(capacity_estimate_bps(&trace, &open), None);
+        assert_eq!(
+            Some(est),
+            reference_capacity_bps(&records, &tracker.snapshot())
+        );
+        // Before the retransmission the window is still open.
+        assert_eq!(track(&records[..4]).capacity_estimate_bps(), None);
     }
 
     #[test]
-    fn streaming_tracker_matches_batch_capacity() {
-        let trace = FlowTrace {
-            flow: FlowId(1),
-            records: vec![
-                syn_out(),
-                rec(Direction::Out, 0, 0, 1000, 0, TcpFlags::ACK),
-                rec(Direction::In, 100, 0, 0, 50_000, TcpFlags::ACK),
-                rec(Direction::In, 400, 0, 0, 100_000, TcpFlags::ACK),
-                rec(Direction::In, 700, 0, 0, 300_000, TcpFlags::ACK),
-                rec(Direction::In, 900, 0, 0, 500_000, TcpFlags::ACK),
-                rec(Direction::Out, 1000, 0, 1000, 0, TcpFlags::ACK), // retx
-                // Post-boundary traffic must not perturb the window.
-                rec(Direction::In, 1100, 0, 0, 600_000, TcpFlags::ACK),
-            ],
-        };
-        let mut tracker = SlowStartTracker::new();
-        for r in &trace.records {
-            tracker.push(r);
-        }
-        let batch = detect_slow_start(&trace);
-        assert_eq!(tracker.snapshot(), batch);
+    fn pruned_advance_log_matches_two_replay_capacity() {
+        let records = [
+            syn_out(),
+            rec(Direction::Out, 0, 0, 1000, 0, TcpFlags::ACK),
+            rec(Direction::In, 100, 0, 0, 50_000, TcpFlags::ACK),
+            rec(Direction::In, 400, 0, 0, 100_000, TcpFlags::ACK),
+            rec(Direction::In, 700, 0, 0, 300_000, TcpFlags::ACK),
+            rec(Direction::In, 900, 0, 0, 500_000, TcpFlags::ACK),
+            rec(Direction::Out, 1000, 0, 1000, 0, TcpFlags::ACK), // retx
+            // Post-boundary traffic must not perturb the window.
+            rec(Direction::In, 1100, 0, 0, 600_000, TcpFlags::ACK),
+        ];
+        let tracker = track(&records);
+        let ss = tracker.snapshot();
+        assert_eq!(ss.end, Some(SimTime::from_millis(1000)));
+        assert_eq!(ss.bytes_acked, 500_000);
         assert_eq!(
             tracker.capacity_estimate_bps(),
-            capacity_estimate_bps(&trace, &batch)
+            reference_capacity_bps(&records, &ss)
         );
         // The advance log was pruned but still answers the midpoint
         // query: 400 kB over the late half second.
@@ -409,39 +381,21 @@ mod tests {
 
     #[test]
     fn open_window_tracker_reports_running_state() {
-        let trace = FlowTrace {
-            flow: FlowId(1),
-            records: vec![
-                syn_out(),
-                rec(Direction::Out, 10, 0, 1000, 0, TcpFlags::ACK),
-                rec(Direction::In, 50, 0, 0, 1000, TcpFlags::ACK),
-            ],
-        };
-        let mut tracker = SlowStartTracker::new();
-        for r in &trace.records {
-            tracker.push(r);
-        }
+        let tracker = track(&[
+            syn_out(),
+            rec(Direction::Out, 10, 0, 1000, 0, TcpFlags::ACK),
+            rec(Direction::In, 50, 0, 0, 1000, TcpFlags::ACK),
+        ]);
         assert!(!tracker.ended());
         assert_eq!(tracker.boundary(), SimTime::MAX);
-        assert_eq!(tracker.snapshot(), detect_slow_start(&trace));
+        assert_eq!(
+            tracker.snapshot(),
+            SlowStart {
+                first_data_at: Some(SimTime::from_millis(10)),
+                end: None,
+                bytes_acked: 1000,
+            }
+        );
         assert_eq!(tracker.capacity_estimate_bps(), None);
-    }
-
-    #[test]
-    fn sample_windowing() {
-        let mk = |ms| RttSample {
-            at: SimTime::from_millis(ms),
-            rtt: SimDuration::from_millis(10),
-            seq_end: 0,
-        };
-        let samples = vec![mk(10), mk(20), mk(30)];
-        let ss = SlowStart {
-            first_data_at: Some(SimTime::ZERO),
-            end: Some(SimTime::from_millis(20)),
-            bytes_acked: 0,
-        };
-        assert_eq!(slow_start_samples(&samples, &ss).len(), 2);
-        let open = SlowStart { end: None, ..ss };
-        assert_eq!(slow_start_samples(&samples, &open).len(), 3);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Mirrors what NDT reports: downstream goodput measured from the
 //! cumulative acknowledgment stream (bytes the client demonstrably
-//! received), overall and as a binned time series.
+//! received).
 
-use crate::flow::{FlowTrace, OffsetTracker};
+use crate::flow::OffsetTracker;
 use csig_netsim::{Direction, PacketRecord, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -20,8 +20,7 @@ pub struct ThroughputSummary {
     pub mean_bps: f64,
 }
 
-/// Incremental goodput accountant: the streaming core behind
-/// [`throughput_summary`].
+/// Incremental goodput accountant.
 ///
 /// Holds O(1) state per flow — an offset tracker, the running max
 /// cumulative ack, and two timestamps — and can report a
@@ -100,64 +99,9 @@ impl ThroughputTracker {
     }
 }
 
-/// Compute the goodput summary of a server-side flow trace.
-///
-/// Thin wrapper over [`ThroughputTracker`]: replays the trace through
-/// the streaming core.
-pub fn throughput_summary(trace: &FlowTrace) -> ThroughputSummary {
-    let mut tracker = ThroughputTracker::new();
-    for rec in &trace.records {
-        tracker.push(rec);
-    }
-    tracker.summary()
-}
-
-/// Goodput time series: bits/s in consecutive bins of width `bin`,
-/// starting at the first record. Bins with no ack progress report 0.
-pub fn throughput_timeseries(trace: &FlowTrace, bin: SimDuration) -> Vec<(SimTime, f64)> {
-    assert!(!bin.is_zero(), "bin width must be positive");
-    let Some((t0, t1)) = trace.time_span() else {
-        return Vec::new();
-    };
-    let isn = trace.isn();
-    let mut tracker: Option<OffsetTracker> = isn.local_iss.map(OffsetTracker::new);
-    let nbins = (t1.saturating_since(t0).as_nanos() / bin.as_nanos()).min(1_000_000) as usize + 1;
-    let mut acked_per_bin = vec![0u64; nbins];
-    let mut max_ack = 0u64;
-
-    for rec in &trace.records {
-        let Some(h) = rec.pkt.tcp() else { continue };
-        match rec.dir {
-            Direction::Out if h.payload_len > 0 => {
-                let tr = tracker.get_or_insert_with(|| OffsetTracker::new(h.seq.wrapping_sub(1)));
-                let _ = tr.offset(h.seq);
-            }
-            Direction::In if h.flags.ack() => {
-                let Some(tr) = tracker.as_ref() else { continue };
-                let off = csig_tcp::seq::offset_of(tr.base().wrapping_add(1), h.ack, max_ack);
-                if off > max_ack {
-                    let idx = (rec.time.saturating_since(t0).as_nanos() / bin.as_nanos()) as usize;
-                    if idx < nbins {
-                        acked_per_bin[idx] += off - max_ack;
-                    }
-                    max_ack = off;
-                }
-            }
-            _ => {}
-        }
-    }
-    let secs = bin.as_secs_f64();
-    acked_per_bin
-        .into_iter()
-        .enumerate()
-        .map(|(i, bytes)| (t0 + bin * i as u64, bytes as f64 * 8.0 / secs))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowTrace;
     use csig_netsim::{FlowId, NodeId, Packet, PacketId, PacketKind, TcpFlags, TcpHeader, NO_SACK};
 
     const ISS: u32 = 77;
@@ -192,29 +136,26 @@ mod tests {
         }
     }
 
-    fn simple_trace() -> FlowTrace {
-        FlowTrace {
-            flow: FlowId(1),
-            records: vec![
-                rec(Direction::Out, 0, ISS, 0, 0, TcpFlags::SYN | TcpFlags::ACK),
-                rec(Direction::Out, 100, ISS + 1, 0, 50_000, TcpFlags::ACK),
-                rec(Direction::In, 300, 1, ISS + 1 + 50_000, 0, TcpFlags::ACK),
-                rec(
-                    Direction::Out,
-                    350,
-                    ISS + 1 + 50_000,
-                    0,
-                    50_000,
-                    TcpFlags::ACK,
-                ),
-                rec(Direction::In, 1100, 1, ISS + 1 + 100_000, 0, TcpFlags::ACK),
-            ],
-        }
-    }
-
     #[test]
     fn summary_counts_acked_bytes_over_active_window() {
-        let s = throughput_summary(&simple_trace());
+        let mut tracker = ThroughputTracker::new();
+        for r in [
+            rec(Direction::Out, 0, ISS, 0, 0, TcpFlags::SYN | TcpFlags::ACK),
+            rec(Direction::Out, 100, ISS + 1, 0, 50_000, TcpFlags::ACK),
+            rec(Direction::In, 300, 1, ISS + 1 + 50_000, 0, TcpFlags::ACK),
+            rec(
+                Direction::Out,
+                350,
+                ISS + 1 + 50_000,
+                0,
+                50_000,
+                TcpFlags::ACK,
+            ),
+            rec(Direction::In, 1100, 1, ISS + 1 + 100_000, 0, TcpFlags::ACK),
+        ] {
+            tracker.push(&r);
+        }
+        let s = tracker.summary();
         assert_eq!(s.bytes_acked, 100_000);
         assert_eq!(s.active, SimDuration::from_millis(1000));
         // 100 kB over 1 s = 800 kbps.
@@ -222,27 +163,9 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_bins_progress() {
-        let ts = throughput_timeseries(&simple_trace(), SimDuration::from_millis(500));
-        // Trace spans 1.1 s → 3 bins. Bin 0 gets the first 50 kB, bin 2
-        // the second.
-        assert_eq!(ts.len(), 3);
-        assert!(ts[0].1 > 0.0);
-        assert_eq!(ts[1].1, 0.0);
-        assert!(ts[2].1 > 0.0);
-        let total: f64 = ts.iter().map(|(_, bps)| bps * 0.5 / 8.0).sum();
-        assert!((total - 100_000.0).abs() < 1.0);
-    }
-
-    #[test]
     fn empty_trace_is_degenerate() {
-        let t = FlowTrace {
-            flow: FlowId(1),
-            records: vec![],
-        };
-        let s = throughput_summary(&t);
+        let s = ThroughputTracker::new().summary();
         assert_eq!(s.bytes_acked, 0);
         assert_eq!(s.mean_bps, 0.0);
-        assert!(throughput_timeseries(&t, SimDuration::from_millis(10)).is_empty());
     }
 }

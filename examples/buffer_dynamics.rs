@@ -9,7 +9,6 @@
 
 use tcp_congestion_signatures::prelude::*;
 use tcp_congestion_signatures::testbed;
-use tcp_congestion_signatures::trace::{extract_rtt_samples, split_flows};
 
 fn bar(v: f64, max: f64, width: usize) -> String {
     let n = ((v / max) * width as f64).clamp(0.0, width as f64) as usize;
@@ -23,7 +22,9 @@ fn main() {
             cfg = cfg.externally_congested();
         }
         let mut tb = testbed::build(&cfg);
-        let cap = tb.attach_capture();
+        let probe = tb
+            .sim
+            .attach_sink(tb.server1, Box::new(FlowProbe::new(testbed::TEST_FLOW)));
 
         // Sample the access-link buffer occupancy every 100 ms from
         // test start through the first second of the test.
@@ -61,17 +62,9 @@ fn main() {
             );
         }
 
-        // And the resulting RTT ramp from the trace.
-        let capture = tb.sim.take_capture(cap);
-        let flows = split_flows(&capture);
-        let samples = extract_rtt_samples(&flows[&testbed::TEST_FLOW]);
-        let ss = detect_slow_start(&flows[&testbed::TEST_FLOW]);
-        let win: Vec<f64> = samples
-            .iter()
-            .filter(|s| s.at <= ss.boundary())
-            .map(|s| s.rtt.as_millis_f64())
-            .collect();
-        if let Ok(f) = features_from_rtts_ms(&win) {
+        // And the resulting slow-start RTT ramp, as the probe saw it.
+        let probe: &FlowProbe = tb.sim.sink(probe).expect("probe tap");
+        if let Ok(f) = probe.features() {
             println!(
                 "slow-start RTT: {:.0} → {:.0} ms over {} samples  →  \
                  NormDiff={:.2} CoV={:.2}\n",

@@ -10,9 +10,6 @@ cargo build --release --workspace --all-targets
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> cargo test -q --doc --workspace"
-cargo test -q --doc --workspace
-
 echo "==> observability: same-seed campaign snapshots are jobs-invariant and pinned"
 obsdir="$(mktemp -d)"
 trap 'rm -rf "$obsdir"' EXIT

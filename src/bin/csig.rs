@@ -18,28 +18,27 @@
 //! ```
 //!
 //! Each subcommand accepts exactly the flags of its `USAGE` line and
-//! exits with status 2 on any other (`csig_exec::cli::CommonArgs`).
+//! exits with status 2 on any other (`csig_exec::cli::CommonArgs`), as
+//! on a missing or unknown subcommand.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::process::ExitCode;
 
 use csig_core::{train_sweep_with, SignatureClassifier};
 use csig_dtree::TreeParams;
 use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
-use csig_features::features_from_samples;
-use csig_netsim::SimDuration;
+use csig_features::FlowProbe;
+use csig_netsim::{FlowId, SimDuration};
 use csig_testbed::{paper_grid, small_grid, AccessParams, Profile, Sweep, TestbedConfig};
-use csig_trace::{
-    capacity_estimate_bps, detect_slow_start, extract_rtt_samples, import_pcap, split_flows,
-    throughput_summary, write_pcap, ServerSelector,
-};
+use csig_trace::{import_pcap, write_pcap, ServerSelector};
 use Flag::{Switch, Value};
 
 fn main() -> ExitCode {
     let all: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = all.first().cloned() else {
         eprintln!("{}", USAGE);
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     type Command = fn(&CommonArgs) -> Result<(), String>;
     let (run, flags): (Command, &[Flag]) = match cmd.as_str() {
@@ -68,7 +67,7 @@ fn main() -> ExitCode {
         }
         other => {
             eprintln!("csig: unknown command `{other}`\n{USAGE}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let args = match CommonArgs::from_vec(all[1..].to_vec(), flags) {
@@ -230,7 +229,15 @@ fn cmd_simulate(args: &CommonArgs) -> Result<(), String> {
 
 fn cmd_inspect(args: &CommonArgs) -> Result<(), String> {
     let capture = load_capture(args)?;
-    let flows = split_flows(&capture);
+    // One probe and a packet count per flow, in flow-id order.
+    let mut flows: BTreeMap<FlowId, (FlowProbe, usize)> = BTreeMap::new();
+    for rec in &capture.records {
+        let (probe, packets) = flows
+            .entry(rec.pkt.flow)
+            .or_insert_with(|| (FlowProbe::new(rec.pkt.flow), 0));
+        probe.push(rec);
+        *packets += 1;
+    }
     if flows.is_empty() {
         return Err("no TCP flows found".into());
     }
@@ -238,18 +245,18 @@ fn cmd_inspect(args: &CommonArgs) -> Result<(), String> {
         "{:>6} {:>8} {:>10} {:>10} {:>10} {:>9} {:>12}",
         "flow", "packets", "acked(kB)", "mean Mbps", "ss end(s)", "samples", "capacity est"
     );
-    for (flow, trace) in &flows {
-        let tput = throughput_summary(trace);
-        let ss = detect_slow_start(trace);
-        let samples = extract_rtt_samples(trace);
-        let feat = features_from_samples(&samples, &ss);
-        let cap_est = capacity_estimate_bps(trace, &ss)
+    for (flow, (probe, packets)) in &flows {
+        let tput = probe.throughput();
+        let ss = probe.slow_start();
+        let feat = probe.features();
+        let cap_est = probe
+            .capacity_estimate_bps()
             .map(|b| format!("{:.1} Mbps", b / 1e6))
             .unwrap_or_else(|| "-".into());
         println!(
             "{:>6} {:>8} {:>10.0} {:>10.2} {:>10} {:>9} {:>12}",
             flow.0,
-            trace.len(),
+            packets,
             tput.bytes_acked as f64 / 1e3,
             tput.mean_bps / 1e6,
             ss.end

@@ -60,9 +60,7 @@ pub mod prelude {
     };
     pub use csig_dtree::{Dataset, DecisionTree, TreeParams};
     pub use csig_exec::{Campaign, Executor, ProgressEvent, Scenario};
-    pub use csig_features::{
-        features_from_rtts_ms, features_from_samples, CongestionClass, FlowFeatures, FlowProbe,
-    };
+    pub use csig_features::{features_from_rtts_ms, CongestionClass, FlowFeatures, FlowProbe};
     pub use csig_netsim::{LinkConfig, NodeId, QueueKind, SimDuration, SimTime, Simulator};
     pub use csig_tcp::{
         CcKind, ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent,
@@ -70,5 +68,4 @@ pub mod prelude {
     pub use csig_testbed::{
         run_test, AccessParams, CongestionMode, Profile, Sweep, TestResult, TestbedConfig,
     };
-    pub use csig_trace::{detect_slow_start, extract_rtt_samples, split_flows, throughput_summary};
 }

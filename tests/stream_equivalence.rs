@@ -1,23 +1,32 @@
-//! Streaming / batch equivalence, proven on live simulations.
+//! Streaming equivalence, proven on live simulations.
 //!
-//! The streaming per-flow pipeline (`RttExtractor`, `SlowStartTracker`,
-//! `ThroughputTracker`, `FeatureAccumulator`, `FlowProbe`,
-//! `LiveAnalyzer`) must produce *exactly* — bit for bit — the results
-//! of the buffer-everything batch path, across randomized loss rates,
-//! jitter (reordering pressure), flow counts and transfer sizes. Both
-//! paths observe the same simulation through independent taps: a
-//! buffering `Capture` and the streaming sinks, attached side by side.
+//! One simulation is observed through independent taps on the server:
+//! a buffering `Capture`, one `FlowProbe` per flow and a
+//! `LiveAnalyzer`, attached side by side. Across randomized loss rates,
+//! jitter (reordering pressure), flow counts and transfer sizes:
+//!
+//! * each probe, fed the interleaved multi-flow stream, must match —
+//!   bit for bit — fresh cores (`RttExtractor`, `SlowStartTracker`,
+//!   `ThroughputTracker`) fed only its flow's records
+//!   (`Capture::flow`), so demultiplexing changes nothing;
+//! * two results are checked against references computed differently
+//!   from the cores: the capacity estimate against two
+//!   `AckAccountant` replays (to the window's midpoint and to its
+//!   boundary), and the features against the flow's whole sample list
+//!   filtered to the final boundary and folded afterwards;
+//! * the live analyzer must report what `analyze_capture` reports for
+//!   the buffered capture.
 
 use proptest::prelude::*;
 use tcp_congestion_signatures::core::{analyze_capture, LiveAnalyzer, ModelMeta};
 use tcp_congestion_signatures::dtree::TreeParams;
-use tcp_congestion_signatures::features::{features_from_samples, FlowProbe};
+use tcp_congestion_signatures::features::{FeatureAccumulator, FeatureError, FlowProbe};
 use tcp_congestion_signatures::netsim::{
-    Capture, FlowId, LinkConfig, SimDuration, Simulator, SinkHandle,
+    Capture, FlowId, LinkConfig, PacketRecord, SimDuration, Simulator, SinkHandle,
 };
 use tcp_congestion_signatures::prelude::*;
 use tcp_congestion_signatures::trace::{
-    capacity_estimate_bps, RttExtractor, SlowStartTracker, ThroughputTracker,
+    AckAccountant, RttExtractor, RttSample, SlowStart, SlowStartTracker, ThroughputTracker,
 };
 
 /// Build a server-behind-router topology with `n_flows` clients, run it
@@ -101,70 +110,109 @@ fn tiny_model() -> SignatureClassifier {
     )
 }
 
+/// The capacity estimate computed from scratch: two replays of the
+/// flow's records through an `AckAccountant`, one up to the slow-start
+/// window's midpoint and one up to its boundary.
+fn reference_capacity_bps(records: &[&PacketRecord], ss: &SlowStart) -> Option<f64> {
+    let acked_by = |until: SimTime| {
+        let mut acct = AckAccountant::new();
+        for r in records.iter().take_while(|r| r.time <= until) {
+            acct.push(r);
+        }
+        acct.bytes_acked()
+    };
+    let (start, end) = (ss.first_data_at?, ss.end?);
+    let span = end.saturating_since(start);
+    let mid = start + span / 2;
+    let late_bytes = acked_by(end).saturating_sub(acked_by(mid));
+    let secs = (span / 2).as_secs_f64();
+    if secs <= 0.0 || late_bytes == 0 {
+        return None;
+    }
+    Some(late_bytes as f64 * 8.0 / secs)
+}
+
+/// The features computed from scratch: every sample of the flow,
+/// filtered to the final slow-start boundary, folded in extraction
+/// order.
+fn windowed_features(
+    samples: &[RttSample],
+    boundary: SimTime,
+) -> Result<FlowFeatures, FeatureError> {
+    let mut acc = FeatureAccumulator::new();
+    for s in samples.iter().filter(|s| s.at <= boundary) {
+        acc.push(s.rtt.as_millis_f64());
+    }
+    acc.finish()
+}
+
 fn check_equivalence(seed: u64, loss_pct: f64, jitter_ms: u64, n_flows: u32, size: u64) {
     let (sim, capture, probes, live_h) =
         run_with_both_taps(seed, loss_pct, jitter_ms, n_flows, size);
-    let flows = split_flows(&capture);
 
     for (flow, probe_h) in &probes {
         let probe: &FlowProbe = sim.sink(*probe_h).expect("probe tap");
-        let trace = &flows[flow];
 
-        // Streaming state machines, fed incrementally, against the
-        // batch functions over the buffered trace.
+        // Fresh cores, fed only this flow's records.
+        let records: Vec<&PacketRecord> = capture.flow(*flow).collect();
         let mut rtt = RttExtractor::new();
         let mut ss_tracker = SlowStartTracker::new();
         let mut tput = ThroughputTracker::new();
-        let streamed: Vec<_> = trace.records.iter().filter_map(|r| rtt.push(r)).collect();
-        for r in &trace.records {
+        let mut samples = Vec::new();
+        for r in &records {
+            samples.extend(rtt.push(r));
             ss_tracker.push(r);
             tput.push(r);
         }
-        let samples = extract_rtt_samples(trace);
-        let ss = detect_slow_start(trace);
-        assert_eq!(streamed, samples, "RttExtractor diverged (flow {flow:?})");
-        assert_eq!(ss_tracker.snapshot(), ss, "SlowStartTracker diverged");
-        assert_eq!(
-            tput.summary(),
-            throughput_summary(trace),
-            "ThroughputTracker diverged"
-        );
-        assert_eq!(
-            ss_tracker.capacity_estimate_bps(),
-            capacity_estimate_bps(trace, &ss),
-            "capacity estimate diverged"
-        );
+        let ss = ss_tracker.snapshot();
 
-        // The live probe saw the interleaved multi-flow stream, not a
-        // pre-split trace — its results must still be bit-identical.
-        assert_eq!(probe.slow_start(), ss, "live probe slow start diverged");
+        // The probe saw the interleaved multi-flow stream, not one
+        // flow's records — its results must still be bit-identical.
+        assert_eq!(
+            probe.slow_start(),
+            ss,
+            "probe slow start diverged ({flow:?})"
+        );
         assert_eq!(
             probe.throughput(),
-            throughput_summary(trace),
-            "live probe throughput diverged"
+            tput.summary(),
+            "probe throughput diverged"
         );
         assert_eq!(
-            probe.features(),
-            features_from_samples(&samples, &ss),
-            "live probe features diverged"
+            probe.capacity_estimate_bps(),
+            ss_tracker.capacity_estimate_bps(),
+            "probe capacity estimate diverged"
         );
+        assert_eq!(probe.samples_total(), samples.len(), "probe sample count");
         assert_eq!(
             probe.min_rtt_ms(),
             samples
                 .iter()
                 .map(|s| s.rtt.as_millis_f64())
                 .reduce(f64::min),
-            "live probe min RTT diverged"
+            "probe min RTT diverged"
+        );
+
+        // The references computed differently from the cores.
+        assert_eq!(
+            ss_tracker.capacity_estimate_bps(),
+            reference_capacity_bps(&records, &ss),
+            "capacity estimate diverged from the two-replay reference"
+        );
+        assert_eq!(
+            probe.features(),
+            windowed_features(&samples, ss.boundary()),
+            "probe features diverged from the filter-then-fold reference"
         );
     }
 
     // The live analyzer (emit-on-close, bounded state) against the
-    // batch capture analysis.
+    // buffered capture replayed afterwards.
     let live: &LiveAnalyzer = sim.sink(live_h).expect("live analyzer tap");
     let live_reports = live.clone().finish();
-    let batch_reports = analyze_capture(&tiny_model(), &capture);
-    assert_eq!(live_reports.len(), batch_reports.len());
-    for (l, b) in live_reports.iter().zip(&batch_reports) {
+    let replayed = analyze_capture(&tiny_model(), &capture);
+    assert_eq!(live_reports.len(), replayed.len());
+    for (l, b) in live_reports.iter().zip(&replayed) {
         assert_eq!(l.flow, b.flow);
         match (&l.verdict, &b.verdict) {
             (Ok(lv), Ok(bv)) => {
@@ -214,7 +262,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized loss, reordering jitter, flow count and size: the
-    /// streaming pipeline reproduces the batch pipeline exactly.
+    /// probes reproduce the per-flow cores and both references exactly.
     #[test]
     fn prop_streaming_equals_batch(
         seed in 0u64..10_000,

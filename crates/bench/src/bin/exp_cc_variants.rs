@@ -11,7 +11,8 @@ fn main() {
     let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED]);
     let reps: u32 = args.positional_parsed(6);
     eprintln!("cc_variants: training reference model…");
-    let clf = dispute::testbed_model_with(5, Profile::Scaled, 0xCC01, &args.executor());
-    let rows = cc_variants::run(&clf, reps, args.seed_or(0xCC02));
+    let exec = args.executor();
+    let clf = dispute::testbed_model_with(5, Profile::Scaled, 0xCC01, &exec);
+    let rows = cc_variants::run(&clf, reps, args.seed_or(0xCC02), &exec);
     cc_variants::print(&rows);
 }

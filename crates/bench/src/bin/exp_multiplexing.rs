@@ -17,7 +17,8 @@ fn main() {
         Profile::Scaled
     };
     eprintln!("multiplexing: {reps} tests per point (training model first)");
-    let clf = dispute::testbed_model_with(5, profile, 0xE331, &args.executor());
-    let data = multiplexing::run(&clf, reps, profile, args.seed_or(0xE332));
+    let exec = args.executor();
+    let clf = dispute::testbed_model_with(5, profile, 0xE331, &exec);
+    let data = multiplexing::run(&clf, reps, profile, args.seed_or(0xE332), &exec);
     multiplexing::print(&data);
 }

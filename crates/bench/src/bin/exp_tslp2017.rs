@@ -6,12 +6,8 @@
 //!  [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::{dispute, tslp_exp};
-use csig_core::{ModelMeta, SignatureClassifier};
-use csig_dtree::{Dataset, TreeParams};
 use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PROGRESS, SEED};
-use csig_mlab::{
-    generate_with, label_dispute2014, run_campaign_with, Dispute2014Config, Tslp2017Config,
-};
+use csig_mlab::{generate_with, run_campaign_with, Dispute2014Config, Tslp2017Config};
 use csig_netsim::SimDuration;
 use csig_testbed::Profile;
 
@@ -47,28 +43,11 @@ fn main() {
         &args.executor(),
         args.progress_printer(0),
     );
-    let mut data = Dataset::new();
-    for t in &d2014 {
-        if let (Some(label), Ok(f)) = (label_dispute2014(t), &t.measurement.features) {
-            data.push(f.as_vector().to_vec(), label.index());
-        }
-    }
-    if data.class_counts().iter().filter(|&&c| c > 0).count() == 2 {
-        let clf = SignatureClassifier::train(
-            &data,
-            TreeParams::default(),
-            ModelMeta {
-                congestion_threshold: f64::NAN,
-                trained_on: "Dispute2014 labels".into(),
-                n_train: data.len(),
-                n_filtered: 0,
-            },
-        );
-        tslp_exp::print_accuracy(
+    match dispute::dispute_model(&d2014, "Dispute2014 labels") {
+        Some(clf) => tslp_exp::print_accuracy(
             "Dispute2014-trained model",
             &tslp_exp::evaluate(&clf, &out, 25),
-        );
-    } else {
-        eprintln!("Dispute2014 labels produced a single class; skipping");
+        ),
+        None => eprintln!("Dispute2014 labels produced a single class; skipping"),
     }
 }

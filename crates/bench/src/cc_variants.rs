@@ -6,7 +6,8 @@
 //! loss-based TCPs, while latency-controlling TCPs like BBR "might
 //! confound" it. This module measures all three claims.
 
-use csig_core::SignatureClassifier;
+use csig_core::{ground_truth_confusion, SignatureClassifier};
+use csig_exec::{Campaign, Executor};
 use csig_features::CongestionClass;
 use csig_netsim::rng::derive_seed;
 use csig_netsim::QueueKind;
@@ -27,107 +28,90 @@ pub struct VariantRow {
     pub n: usize,
 }
 
-fn accuracy(
-    clf: &SignatureClassifier,
-    mut mk: impl FnMut(u64, bool) -> TestbedConfig,
-    reps: u32,
-    seed: u64,
-) -> (f64, f64, usize) {
-    let mut counts = [[0usize; 2]; 2];
-    for rep in 0..reps {
-        for external in [false, true] {
-            let cfg = mk(
-                derive_seed(seed, (rep as u64) << 1 | external as u64),
-                external,
-            );
-            let r = run_test(&cfg);
-            if let Ok(f) = &r.features {
-                let pred = clf.classify(f);
-                counts[external as usize][(pred == CongestionClass::External) as usize] += 1;
-            }
-        }
-    }
-    let self_n = counts[0][0] + counts[0][1];
-    let ext_n = counts[1][0] + counts[1][1];
-    (
-        counts[0][0] as f64 / self_n.max(1) as f64,
-        counts[1][1] as f64 / ext_n.max(1) as f64,
-        self_n.min(ext_n),
-    )
-}
-
 /// Run the §6 robustness sweep: CC variant × queue discipline, plus a
-/// buffer-depth sweep (1–5 × BDP-ish via the paper's buffer grid).
-pub fn run(clf: &SignatureClassifier, reps: u32, seed: u64) -> Vec<VariantRow> {
-    let mut rows = Vec::new();
+/// buffer-depth sweep (1–5 × BDP-ish via the paper's buffer grid), as
+/// one campaign on `exec`. Every row runs `reps` self-induced and
+/// `reps` external tests, each seeded `derive_seed(row_seed, rep << 1 |
+/// external)`.
+pub fn run(clf: &SignatureClassifier, reps: u32, seed: u64, exec: &Executor) -> Vec<VariantRow> {
+    // (label, row seed, self-induced config; its seed is set per test).
+    let mut variants: Vec<(String, u64, TestbedConfig)> = Vec::new();
     let base = AccessParams::figure1();
 
     for cc in [CcKind::NewReno, CcKind::Cubic, CcKind::BbrLite] {
-        for (qname, queue) in [
-            ("drop-tail", QueueKind::DropTail),
-            ("RED", QueueKind::Red(Default::default())),
+        for (qname, queue, tag) in [
+            ("drop-tail", QueueKind::DropTail, 0),
+            ("RED", QueueKind::Red(Default::default()), 1),
         ] {
-            let (self_acc, ext_acc, n) = accuracy(
-                clf,
-                |s, external| {
-                    let mut cfg = TestbedConfig::scaled(base, s);
-                    cfg.tcp.cc = cc;
-                    // Only the measured flow's stack varies; the
-                    // background stays on the default (the Internet does
-                    // not switch algorithms with you).
-                    cfg.cross_tcp = Some(csig_tcp::TcpConfig {
-                        record_samples: false,
-                        ..csig_tcp::TcpConfig::default()
-                    });
-                    cfg.queue = queue;
-                    if external {
-                        cfg = cfg.externally_congested();
-                    }
-                    cfg
-                },
-                reps,
-                derive_seed(seed, cc as u64 * 31 + queue_tag(queue)),
-            );
-            rows.push(VariantRow {
-                variant: format!("{} / {}", cc.name(), qname),
-                self_accuracy: self_acc,
-                external_accuracy: ext_acc,
-                n,
+            let mut cfg = TestbedConfig::scaled(base, 0);
+            cfg.tcp.cc = cc;
+            // Only the measured flow's stack varies; the background
+            // stays on the default (the Internet does not switch
+            // algorithms with you).
+            cfg.cross_tcp = Some(csig_tcp::TcpConfig {
+                record_samples: false,
+                ..csig_tcp::TcpConfig::default()
             });
+            cfg.queue = queue;
+            variants.push((
+                format!("{} / {}", cc.name(), qname),
+                derive_seed(seed, cc as u64 * 31 + tag),
+                cfg,
+            ));
         }
     }
 
     // Buffer-depth sweep with the default stack (the §6 "1–5× BDP"
     // claim): BDP at 20 Mbps / ~46 ms RTT ≈ 115 kB ≈ 46 ms of buffer.
     for buffer_ms in [20u64, 50, 100, 150, 200] {
-        let access = AccessParams { buffer_ms, ..base };
-        let (self_acc, ext_acc, n) = accuracy(
-            clf,
-            |s, external| {
-                let mut cfg = TestbedConfig::scaled(access, s);
-                if external {
-                    cfg = cfg.externally_congested();
-                }
-                cfg
-            },
-            reps,
+        variants.push((
+            format!("buffer {buffer_ms} ms"),
             derive_seed(seed, 0xB0F + buffer_ms),
-        );
-        rows.push(VariantRow {
-            variant: format!("buffer {buffer_ms} ms"),
-            self_accuracy: self_acc,
-            external_accuracy: ext_acc,
-            n,
-        });
+            TestbedConfig::scaled(AccessParams { buffer_ms, ..base }, 0),
+        ));
     }
-    rows
-}
 
-fn queue_tag(q: QueueKind) -> u64 {
-    match q {
-        QueueKind::DropTail => 0,
-        QueueKind::Red(_) => 1,
+    let mut campaign = Campaign::new(seed);
+    for (_, row_seed, cfg) in &variants {
+        for rep in 0..reps {
+            for external in [false, true] {
+                let cell = if external {
+                    cfg.clone().externally_congested()
+                } else {
+                    cfg.clone()
+                };
+                campaign.push_seeded(
+                    derive_seed(*row_seed, (rep as u64) << 1 | external as u64),
+                    move |seed| {
+                        run_test(&TestbedConfig {
+                            seed,
+                            ..cell.clone()
+                        })
+                    },
+                );
+            }
+        }
     }
+    let results = exec
+        .run_isolated_with_progress(&campaign, |_| {})
+        .expect_artifacts();
+
+    let per_row = 2 * reps as usize;
+    variants
+        .into_iter()
+        .enumerate()
+        .map(|(i, (variant, _, _))| {
+            let cm = ground_truth_confusion(clf, &results[i * per_row..(i + 1) * per_row]);
+            let s = CongestionClass::SelfInduced.index();
+            let e = CongestionClass::External.index();
+            VariantRow {
+                variant,
+                self_accuracy: cm.recall(s).unwrap_or(0.0),
+                external_accuracy: cm.recall(e).unwrap_or(0.0),
+                n: cm.support(s).min(cm.support(e)),
+            }
+        })
+        .collect()
 }
 
 /// Print the robustness table.
@@ -157,8 +141,9 @@ mod tests {
 
     #[test]
     fn loss_based_stacks_stay_accurate_bbr_may_not() {
-        let clf = testbed_model_with(4, Profile::Scaled, 71, &Executor::sequential());
-        let rows = run(&clf, 3, 72);
+        let exec = Executor::sequential();
+        let clf = testbed_model_with(4, Profile::Scaled, 71, &exec);
+        let rows = run(&clf, 3, 72, &exec);
         let get = |name: &str| {
             rows.iter()
                 .find(|r| r.variant.starts_with(name))

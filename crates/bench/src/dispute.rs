@@ -114,32 +114,44 @@ pub struct Fig7Bar {
     pub n: usize,
 }
 
+/// The Figure-7 bar of one (site, ISP, timeframe): the fraction of
+/// its classifiable flows `clf` calls self-induced (NaN when none).
+fn fig7_bar(
+    clf: &SignatureClassifier,
+    tests: &[NdtTest],
+    site: TransitSite,
+    isp: AccessIsp,
+    frame: Timeframe,
+) -> Fig7Bar {
+    let flows: Vec<_> = tests
+        .iter()
+        .filter(|t| t.site == site && t.isp == isp && frame.contains(t))
+        .filter_map(|t| t.measurement.features.as_ref().ok())
+        .collect();
+    let self_count = flows
+        .iter()
+        .filter(|f| clf.classify(f) == CongestionClass::SelfInduced)
+        .count();
+    Fig7Bar {
+        site,
+        isp,
+        frame,
+        frac_self: if flows.is_empty() {
+            f64::NAN
+        } else {
+            self_count as f64 / flows.len() as f64
+        },
+        n: flows.len(),
+    }
+}
+
 /// Compute Figure 7 for a classifier.
 pub fn fig7(clf: &SignatureClassifier, tests: &[NdtTest]) -> Vec<Fig7Bar> {
     let mut bars = Vec::new();
     for site in TransitSite::ALL {
         for isp in AccessIsp::ALL {
             for frame in Timeframe::ALL {
-                let flows: Vec<_> = tests
-                    .iter()
-                    .filter(|t| t.site == site && t.isp == isp && frame.contains(t))
-                    .filter_map(|t| t.measurement.features.as_ref().ok())
-                    .collect();
-                let self_count = flows
-                    .iter()
-                    .filter(|f| clf.classify(f) == CongestionClass::SelfInduced)
-                    .count();
-                bars.push(Fig7Bar {
-                    site,
-                    isp,
-                    frame,
-                    frac_self: if flows.is_empty() {
-                        f64::NAN
-                    } else {
-                        self_count as f64 / flows.len() as f64
-                    },
-                    n: flows.len(),
-                });
+                bars.push(fig7_bar(clf, tests, site, isp, frame));
             }
         }
     }
@@ -214,60 +226,54 @@ pub fn print_fig8(
     }
 }
 
+/// Train a model on the Dispute2014 labels of `tests` (unlabeled or
+/// unclassifiable tests are skipped), recording
+/// `trained_on` in its metadata. `None` unless both classes occur.
+pub fn dispute_model<'a>(
+    tests: impl IntoIterator<Item = &'a NdtTest>,
+    trained_on: &str,
+) -> Option<SignatureClassifier> {
+    let mut data = Dataset::new();
+    for t in tests {
+        if let (Some(label), Ok(f)) = (label_dispute2014(t), &t.measurement.features) {
+            data.push(f.as_vector().to_vec(), label.index());
+        }
+    }
+    if data.class_counts().iter().filter(|&&c| c > 0).count() < 2 {
+        return None;
+    }
+    let meta = ModelMeta {
+        congestion_threshold: f64::NAN,
+        trained_on: trained_on.into(),
+        n_train: data.len(),
+        n_filtered: 0,
+    };
+    Some(SignatureClassifier::train(
+        &data,
+        TreeParams::default(),
+        meta,
+    ))
+}
+
 /// Figure 9: retrain the model on 20 % of the Dispute2014 labels,
 /// excluding the (site, ISP) combination under test, then classify.
 pub fn fig9(tests: &[NdtTest], seed: u64) -> Vec<Fig7Bar> {
     let mut bars = Vec::new();
     for site in TransitSite::ALL {
         for isp in AccessIsp::ALL {
-            // Build the training set from *labeled* tests of all other
-            // combinations, subsampled to 20 %.
-            let mut data = Dataset::new();
-            for (i, t) in tests.iter().enumerate() {
-                if t.site == site && t.isp == isp {
-                    continue;
-                }
-                if i % 5 != (seed % 5) as usize {
-                    continue; // deterministic 20% subsample
-                }
-                if let (Some(label), Ok(f)) = (label_dispute2014(t), &t.measurement.features) {
-                    data.push(f.as_vector().to_vec(), label.index());
-                }
-            }
-            if data.is_empty() || data.class_counts().iter().filter(|&&c| c > 0).count() < 2 {
+            // Train on the *labeled* tests of all other combinations,
+            // subsampled to a deterministic 20 %.
+            let others = tests.iter().enumerate().filter(|&(i, t)| {
+                !(t.site == site && t.isp == isp) && i % 5 == (seed % 5) as usize
+            });
+            let Some(clf) = dispute_model(
+                others.map(|(_, t)| t),
+                "Dispute2014 labels (leave-target-out)",
+            ) else {
                 continue;
-            }
-            let clf = SignatureClassifier::train(
-                &data,
-                TreeParams::default(),
-                ModelMeta {
-                    congestion_threshold: f64::NAN,
-                    trained_on: "Dispute2014 labels (leave-target-out)".into(),
-                    n_train: data.len(),
-                    n_filtered: 0,
-                },
-            );
+            };
             for frame in Timeframe::ALL {
-                let flows: Vec<_> = tests
-                    .iter()
-                    .filter(|t| t.site == site && t.isp == isp && frame.contains(t))
-                    .filter_map(|t| t.measurement.features.as_ref().ok())
-                    .collect();
-                let self_count = flows
-                    .iter()
-                    .filter(|f| clf.classify(f) == CongestionClass::SelfInduced)
-                    .count();
-                bars.push(Fig7Bar {
-                    site,
-                    isp,
-                    frame,
-                    frac_self: if flows.is_empty() {
-                        f64::NAN
-                    } else {
-                        self_count as f64 / flows.len() as f64
-                    },
-                    n: flows.len(),
-                });
+                bars.push(fig7_bar(&clf, tests, site, isp, frame));
             }
         }
     }

@@ -10,7 +10,7 @@
 //! the downstream access link; the fault stream is drawn from the
 //! scenario seed, so rows are byte-identical across `--jobs`.
 
-use csig_core::SignatureClassifier;
+use csig_core::{ground_truth_confusion, SignatureClassifier};
 use csig_exec::{Campaign, Executor, Scenario};
 use csig_features::CongestionClass;
 use csig_netsim::{FaultPlan, GilbertElliott, SimDuration};
@@ -142,29 +142,21 @@ pub fn run(clf: &SignatureClassifier, reps: u32, seed: u64, exec: &Executor) -> 
     levels
         .iter()
         .map(|&kind| {
-            // counts[truth][prediction]: 1 = self-induced.
-            let mut counts = [[0usize; 2]; 2];
-            let mut skipped = 0usize;
-            for (k, external, result) in artifacts.iter().filter(|(k, _, _)| *k == kind) {
-                debug_assert_eq!(*k, kind);
-                match &result.features {
-                    Ok(f) => {
-                        let pred = clf.classify(f) == CongestionClass::SelfInduced;
-                        counts[usize::from(!*external)][usize::from(pred)] += 1;
-                    }
-                    Err(_) => skipped += 1,
-                }
-            }
-            let tp = counts[1][1] as f64;
-            let fp = counts[0][1] as f64;
-            let fnn = counts[1][0] as f64;
+            let cells = || {
+                artifacts
+                    .iter()
+                    .filter(move |(k, _, _)| *k == kind)
+                    .map(|(_, _, r)| r)
+            };
+            let cm = ground_truth_confusion(clf, cells());
+            let s = CongestionClass::SelfInduced.index();
             ImpairRow {
                 impairment: kind.label(),
-                precision: tp / (tp + fp).max(1.0),
-                recall: tp / (tp + fnn).max(1.0),
-                n_self: counts[1][0] + counts[1][1],
-                n_external: counts[0][0] + counts[0][1],
-                n_skipped: skipped,
+                precision: cm.precision(s).unwrap_or(0.0),
+                recall: cm.recall(s).unwrap_or(0.0),
+                n_self: cm.support(s),
+                n_external: cm.support(CongestionClass::External.index()),
+                n_skipped: cells().filter(|r| r.features.is_err()).count(),
             }
         })
         .collect()

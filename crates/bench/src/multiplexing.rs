@@ -7,8 +7,8 @@
 //! flows; self-induced accuracy falls 86 % → 70 % as access cross
 //! traffic rises from 1 to 5 flows.
 
-use csig_core::SignatureClassifier;
-use csig_features::CongestionClass;
+use csig_core::{ground_truth_confusion, SignatureClassifier};
+use csig_exec::{Campaign, Executor};
 use csig_netsim::rng::derive_seed;
 use csig_testbed::{run_test, AccessParams, CongestionMode, Profile, TestbedConfig};
 use serde::{Deserialize, Serialize};
@@ -42,81 +42,65 @@ fn access50() -> AccessParams {
     }
 }
 
-fn accuracy_over(
+/// Run the experiment: `reps` tests per point, as one campaign on
+/// `exec`. Flow counts are the paper's, scaled ×0.4 under the scaled
+/// profile (whose baseline external scenario uses 40 flows instead of
+/// 100).
+pub fn run(
     clf: &SignatureClassifier,
-    configs: impl Iterator<Item = TestbedConfig>,
-    expect: CongestionClass,
-) -> MultiplexPoint {
-    let mut right = 0usize;
-    let mut n = 0usize;
-    let mut flows = 0;
-    for cfg in configs {
-        flows = match cfg.congestion {
-            CongestionMode::TgCong { flows } => flows,
-            _ => cfg.access_cross_flows,
-        };
-        let r = run_test(&cfg);
-        if let Ok(f) = &r.features {
-            n += 1;
-            if clf.classify(f) == expect {
-                right += 1;
-            }
-        }
-    }
-    MultiplexPoint {
-        flows,
-        accuracy: if n == 0 { 0.0 } else { right as f64 / n as f64 },
-        n,
-    }
-}
-
-/// Run the experiment: `reps` tests per point. Flow counts are the
-/// paper's, scaled ×0.4 under the scaled profile (whose baseline
-/// external scenario uses 40 flows instead of 100).
-pub fn run(clf: &SignatureClassifier, reps: u32, profile: Profile, seed: u64) -> MultiplexData {
+    reps: u32,
+    profile: Profile,
+    seed: u64,
+    exec: &Executor,
+) -> MultiplexData {
     let flow_counts: Vec<u32> = match profile {
         Profile::Paper => vec![100, 50, 20, 10],
         Profile::Scaled => vec![40, 20, 8, 4],
     };
-    let mk = |s: u64| match profile {
-        Profile::Paper => TestbedConfig::paper(access50(), s),
-        Profile::Scaled => TestbedConfig::scaled(access50(), s),
-    };
-    let external_vs_flows = flow_counts
+    // (external?, `TGcong` or access cross flows) per point.
+    let points: Vec<(bool, u32)> = flow_counts
         .iter()
-        .map(|&flows| {
-            accuracy_over(
-                clf,
-                (0..reps).map(|rep| {
-                    mk(derive_seed(seed, ((flows as u64) << 20) | rep as u64))
-                        .with_congestion(CongestionMode::TgCong { flows })
-                }),
-                CongestionClass::External,
-            )
-        })
+        .map(|&flows| (true, flows))
+        .chain([1, 2, 5].map(|cross| (false, cross)))
         .collect();
+    let mut campaign = Campaign::new(seed);
+    for &(external, flows) in &points {
+        let tag = if external {
+            (flows as u64) << 20
+        } else {
+            0xAC0000 | (flows as u64) << 8
+        };
+        for rep in 0..reps {
+            campaign.push_seeded(derive_seed(seed, tag | rep as u64), move |s| {
+                let mut cfg = match profile {
+                    Profile::Paper => TestbedConfig::paper(access50(), s),
+                    Profile::Scaled => TestbedConfig::scaled(access50(), s),
+                };
+                if external {
+                    cfg = cfg.with_congestion(CongestionMode::TgCong { flows });
+                } else {
+                    cfg.access_cross_flows = flows;
+                }
+                run_test(&cfg)
+            });
+        }
+    }
+    let results = exec
+        .run_isolated_with_progress(&campaign, |_| {})
+        .expect_artifacts();
 
-    let self_vs_cross = [1u32, 2, 5]
-        .iter()
-        .map(|&cross| {
-            accuracy_over(
-                clf,
-                (0..reps).map(|rep| {
-                    let mut cfg = mk(derive_seed(
-                        seed,
-                        0xAC0000 | ((cross as u64) << 8) | rep as u64,
-                    ));
-                    cfg.access_cross_flows = cross;
-                    cfg
-                }),
-                CongestionClass::SelfInduced,
-            )
-        })
-        .collect();
-
+    let reps = reps as usize;
+    let mut rows = points.iter().enumerate().map(|(i, &(_, flows))| {
+        let cm = ground_truth_confusion(clf, &results[i * reps..(i + 1) * reps]);
+        MultiplexPoint {
+            flows,
+            accuracy: cm.accuracy(),
+            n: cm.total(),
+        }
+    });
     MultiplexData {
-        external_vs_flows,
-        self_vs_cross,
+        external_vs_flows: rows.by_ref().take(flow_counts.len()).collect(),
+        self_vs_cross: rows.collect(),
     }
 }
 
@@ -146,7 +130,13 @@ mod tests {
             31,
             &csig_exec::Executor::sequential(),
         );
-        let data = run(&clf, 3, Profile::Scaled, 32);
+        let data = run(
+            &clf,
+            3,
+            Profile::Scaled,
+            32,
+            &csig_exec::Executor::sequential(),
+        );
         assert_eq!(data.external_vs_flows.len(), 4);
         let first = data.external_vs_flows.first().unwrap();
         let last = data.external_vs_flows.last().unwrap();

@@ -1,9 +1,9 @@
 //! Figure 6 and §5.4: the TSLP2017 targeted experiment.
 
 use csig_core::SignatureClassifier;
+use csig_dtree::ConfusionMatrix;
 use csig_features::CongestionClass;
 use csig_mlab::{label_tslp2017, Tslp2017Output};
-use serde::{Deserialize, Serialize};
 
 /// Print Figure 6: TSLP far-router latency and NDT throughput around
 /// one episode window.
@@ -57,76 +57,33 @@ fn bar(v: f64, scale: f64) -> String {
     "#".repeat(n)
 }
 
-/// §5.4 accuracy result.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Tslp2017Accuracy {
-    /// Correctly classified self-induced-labeled tests.
-    pub self_correct: usize,
-    /// Total self-induced-labeled tests.
-    pub self_total: usize,
-    /// Correctly classified external-labeled tests.
-    pub external_correct: usize,
-    /// Total external-labeled tests.
-    pub external_total: usize,
-}
-
-impl Tslp2017Accuracy {
-    /// Self-induced accuracy in [0, 1].
-    pub fn self_accuracy(&self) -> f64 {
-        self.self_correct as f64 / self.self_total.max(1) as f64
-    }
-
-    /// External accuracy in [0, 1].
-    pub fn external_accuracy(&self) -> f64 {
-        self.external_correct as f64 / self.external_total.max(1) as f64
-    }
-}
-
-/// Classify every labeled test of the campaign with `clf`.
+/// Classify every labeled test of the campaign with `clf`, tallied
+/// against its TSLP label.
 pub fn evaluate(
     clf: &SignatureClassifier,
     out: &Tslp2017Output,
     plan_mbps: u64,
-) -> Tslp2017Accuracy {
-    let mut acc = Tslp2017Accuracy {
-        self_correct: 0,
-        self_total: 0,
-        external_correct: 0,
-        external_total: 0,
-    };
+) -> ConfusionMatrix {
+    let mut cm = ConfusionMatrix::default();
     for t in &out.tests {
-        let (Some(label), Ok(f)) = (label_tslp2017(t, plan_mbps), &t.measurement.features) else {
-            continue;
-        };
-        let pred = clf.classify(f);
-        match label {
-            CongestionClass::SelfInduced => {
-                acc.self_total += 1;
-                if pred == label {
-                    acc.self_correct += 1;
-                }
-            }
-            CongestionClass::External => {
-                acc.external_total += 1;
-                if pred == label {
-                    acc.external_correct += 1;
-                }
-            }
+        if let (Some(label), Ok(f)) = (label_tslp2017(t, plan_mbps), &t.measurement.features) {
+            cm.record(label.index(), clf.classify(f).index());
         }
     }
-    acc
+    cm
 }
 
-/// Print the §5.4 result table.
-pub fn print_accuracy(label: &str, acc: &Tslp2017Accuracy) {
+/// Print the §5.4 result table: per-label accuracy.
+pub fn print_accuracy(label: &str, cm: &ConfusionMatrix) {
+    let class = |c: CongestionClass| {
+        let i = c.index();
+        let pct = cm.recall(i).unwrap_or(0.0) * 100.0;
+        format!("{}/{} = {pct:.0}%", cm.count(i, i), cm.support(i))
+    };
     println!(
-        "§5.4 ({label}): self {}/{} = {:.0}%, external {}/{} = {:.0}%",
-        acc.self_correct,
-        acc.self_total,
-        acc.self_accuracy() * 100.0,
-        acc.external_correct,
-        acc.external_total,
-        acc.external_accuracy() * 100.0,
+        "§5.4 ({label}): self {}, external {}",
+        class(CongestionClass::SelfInduced),
+        class(CongestionClass::External),
     );
 }
 
@@ -152,24 +109,21 @@ mod tests {
         let exec = Executor::sequential();
         let out = run_campaign_with(&cfg, &exec, |_| {});
         let clf = testbed_model_with(5, Profile::Scaled, 77, &exec);
-        let acc = evaluate(&clf, &out, 25);
-        assert!(acc.self_total >= 20, "self_total {}", acc.self_total);
-        assert!(
-            acc.external_total >= 2,
-            "external_total {}",
-            acc.external_total
+        let cm = evaluate(&clf, &out, 25);
+        let (s, e) = (
+            CongestionClass::SelfInduced.index(),
+            CongestionClass::External.index(),
         );
+        assert!(cm.support(s) >= 20, "self_total {}", cm.support(s));
+        assert!(cm.support(e) >= 2, "external_total {}", cm.support(e));
         // Paper: self ≥ 99 %, external 75–85 %. Require the same order
         // of performance.
+        let self_accuracy = cm.recall(s).unwrap_or(0.0);
+        let external_accuracy = cm.recall(e).unwrap_or(0.0);
+        assert!(self_accuracy >= 0.9, "self accuracy {self_accuracy}");
         assert!(
-            acc.self_accuracy() >= 0.9,
-            "self accuracy {}",
-            acc.self_accuracy()
-        );
-        assert!(
-            acc.external_accuracy() >= 0.7,
-            "external accuracy {}",
-            acc.external_accuracy()
+            external_accuracy >= 0.7,
+            "external accuracy {external_accuracy}"
         );
     }
 }

@@ -9,6 +9,7 @@
 //! truth accuracy.
 
 use csig_core::{classify_conn_stats, SignatureClassifier};
+use csig_dtree::ConfusionMatrix;
 use csig_testbed::TestResult;
 use serde::{Deserialize, Serialize};
 
@@ -37,10 +38,11 @@ pub fn run(
     strides
         .iter()
         .map(|&stride| {
-            let mut n = 0usize;
-            let mut agree = 0usize;
-            let mut trace_right = 0usize;
-            let mut web_right = 0usize;
+            // Tallies: capture vs Web100 verdicts, and each against
+            // ground truth; their accuracies are the three columns.
+            let mut agreement = ConfusionMatrix::default();
+            let mut trace = ConfusionMatrix::default();
+            let mut web100 = ConfusionMatrix::default();
             for r in results {
                 let (Ok(f), Some(stats)) = (&r.features, &r.conn_stats) else {
                     continue;
@@ -49,17 +51,16 @@ pub fn run(
                     continue;
                 };
                 let trace_class = clf.classify(f);
-                n += 1;
-                agree += usize::from(trace_class == web_class);
-                trace_right += usize::from(trace_class == r.intended);
-                web_right += usize::from(web_class == r.intended);
+                agreement.record(trace_class.index(), web_class.index());
+                trace.record(r.intended.index(), trace_class.index());
+                web100.record(r.intended.index(), web_class.index());
             }
             Web100Point {
                 stride,
-                n,
-                agreement: agree as f64 / n.max(1) as f64,
-                trace_accuracy: trace_right as f64 / n.max(1) as f64,
-                web100_accuracy: web_right as f64 / n.max(1) as f64,
+                n: trace.total(),
+                agreement: agreement.accuracy(),
+                trace_accuracy: trace.accuracy(),
+                web100_accuracy: web100.accuracy(),
             }
         })
         .collect()

@@ -2,7 +2,7 @@
 //! methodology.
 
 use crate::classifier::{ModelMeta, SignatureClassifier};
-use csig_dtree::{ConfusionMatrix, Dataset, TreeParams};
+use csig_dtree::{ConfusionMatrix, TreeParams};
 use csig_exec::{Executor, ProgressEvent};
 use csig_features::CongestionClass;
 use csig_testbed::{build_dataset, Sweep, TestResult};
@@ -109,57 +109,21 @@ pub fn threshold_sweep(
         .collect()
 }
 
-/// Accuracy of a classifier against results with *known ground truth*
-/// (the scenario that produced them), per class. This is how §3.3 and
-/// §5.4 report numbers.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct GroundTruthAccuracy {
-    /// Fraction of self-induced-scenario flows classified self-induced.
-    pub self_accuracy: f64,
-    /// Fraction of external-scenario flows classified external.
-    pub external_accuracy: f64,
-    /// Number of self-induced-scenario flows with valid features.
-    pub n_self: usize,
-    /// Number of external-scenario flows with valid features.
-    pub n_external: usize,
-}
-
-/// Measure per-scenario accuracy of `clf` on raw results.
-pub fn ground_truth_accuracy(
+/// Tally `clf`'s verdicts on the classifiable `results` against each
+/// scenario's ground truth ([`TestResult::intended`]), indexed by
+/// [`CongestionClass::index`]; results without features are skipped.
+/// Per-class accuracy is the matrix's recall.
+pub fn ground_truth_confusion<'a>(
     clf: &SignatureClassifier,
-    results: &[TestResult],
-) -> GroundTruthAccuracy {
-    let mut counts = [[0usize; 2]; 2]; // [intended][predicted]
+    results: impl IntoIterator<Item = &'a TestResult>,
+) -> ConfusionMatrix {
+    let mut cm = ConfusionMatrix::default();
     for r in results {
         if let Ok(f) = &r.features {
-            let pred = clf.classify(f);
-            counts[r.intended.index()][pred.index()] += 1;
+            cm.record(r.intended.index(), clf.classify(f).index());
         }
     }
-    let s = CongestionClass::SelfInduced.index();
-    let e = CongestionClass::External.index();
-    let n_self = counts[s][0] + counts[s][1];
-    let n_external = counts[e][0] + counts[e][1];
-    GroundTruthAccuracy {
-        self_accuracy: if n_self == 0 {
-            0.0
-        } else {
-            counts[s][s] as f64 / n_self as f64
-        },
-        external_accuracy: if n_external == 0 {
-            0.0
-        } else {
-            counts[e][e] as f64 / n_external as f64
-        },
-        n_self,
-        n_external,
-    }
-}
-
-/// Re-labelable view of a dataset built from results (used by ablation
-/// benches that retrain with a subset of features).
-pub fn dataset_at_threshold(results: &[TestResult], threshold: f64) -> Dataset {
-    build_dataset(results, threshold).0
+    cm
 }
 
 #[cfg(test)]
@@ -226,10 +190,12 @@ mod tests {
         let results = synthetic_results(100);
         let clf = train_from_results(&results, 0.8, TreeParams::default()).expect("model");
         assert_eq!(clf.meta.n_train, 200);
-        let acc = ground_truth_accuracy(&clf, &results);
-        assert!(acc.self_accuracy > 0.95);
-        assert!(acc.external_accuracy > 0.95);
-        assert_eq!(acc.n_self, 100);
+        let cm = ground_truth_confusion(&clf, &results);
+        let s = CongestionClass::SelfInduced.index();
+        let e = CongestionClass::External.index();
+        assert!(cm.recall(s).unwrap() > 0.95);
+        assert!(cm.recall(e).unwrap() > 0.95);
+        assert_eq!(cm.support(s), 100);
     }
 
     #[test]

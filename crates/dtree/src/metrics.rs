@@ -7,7 +7,13 @@ use crate::tree::{DecisionTree, TreeParams};
 use serde::{Deserialize, Serialize};
 
 /// Confusion matrix: `counts[actual][predicted]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The one place (truth, prediction) pairs become counts, precision,
+/// recall and accuracy. Start from an empty tally
+/// ([`ConfusionMatrix::default`]) and [`record`](Self::record) pairs;
+/// every rate of an empty tally is defined (`None` or `0`), so callers
+/// never special-case "no samples".
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConfusionMatrix {
     counts: Vec<Vec<usize>>,
 }
@@ -16,16 +22,30 @@ impl ConfusionMatrix {
     /// Build from parallel actual/predicted label slices.
     ///
     /// # Panics
-    /// Panics if the slices differ in length or are empty.
+    /// Panics if the slices differ in length or are empty (an empty
+    /// test set has no accuracy to evaluate; start an empty tally with
+    /// [`ConfusionMatrix::default`] instead).
     pub fn from_labels(actual: &[usize], predicted: &[usize]) -> Self {
         assert_eq!(actual.len(), predicted.len(), "length mismatch");
         assert!(!actual.is_empty(), "no samples");
-        let k = actual.iter().chain(predicted).max().map_or(1, |&m| m + 1);
-        let mut counts = vec![vec![0usize; k]; k];
+        let mut cm = ConfusionMatrix::default();
         for (&a, &p) in actual.iter().zip(predicted) {
-            counts[a][p] += 1;
+            cm.record(a, p);
         }
-        ConfusionMatrix { counts }
+        cm
+    }
+
+    /// Count one sample of class `actual` predicted as `predicted`,
+    /// growing the matrix to cover both classes.
+    pub fn record(&mut self, actual: usize, predicted: usize) {
+        let k = actual.max(predicted) + 1;
+        if k > self.counts.len() {
+            for row in &mut self.counts {
+                row.resize(k, 0);
+            }
+            self.counts.resize(k, vec![0; k]);
+        }
+        self.counts[actual][predicted] += 1;
     }
 
     /// Number of classes.
@@ -42,11 +62,25 @@ impl ConfusionMatrix {
             .unwrap_or(0)
     }
 
-    /// Overall accuracy.
+    /// Number of recorded samples.
+    pub fn total(&self) -> usize {
+        self.counts.iter().flatten().sum()
+    }
+
+    /// Number of samples whose prediction matches their class.
+    pub fn correct(&self) -> usize {
+        (0..self.n_classes()).map(|i| self.counts[i][i]).sum()
+    }
+
+    /// Number of samples of class `class` (its row total; 0 for
+    /// classes never observed).
+    pub fn support(&self, class: usize) -> usize {
+        self.counts.get(class).map_or(0, |row| row.iter().sum())
+    }
+
+    /// Overall accuracy; 0 for an empty tally.
     pub fn accuracy(&self) -> f64 {
-        let correct: usize = (0..self.n_classes()).map(|i| self.counts[i][i]).sum();
-        let total: usize = self.counts.iter().flatten().sum();
-        correct as f64 / total as f64
+        self.correct() as f64 / self.total().max(1) as f64
     }
 
     /// Precision of `class`: TP / (TP + FP). `None` when the class is
@@ -57,16 +91,12 @@ impl ConfusionMatrix {
         (predicted > 0).then(|| tp as f64 / predicted as f64)
     }
 
-    /// Recall of `class`: TP / (TP + FN). `None` when the class has no
+    /// Recall of `class`: TP / (TP + FN), the per-class accuracy the
+    /// paper reports against ground truth. `None` when the class has no
     /// actual samples (including classes beyond the observed range).
     pub fn recall(&self, class: usize) -> Option<f64> {
-        let tp = self.count(class, class);
-        let actual: usize = self
-            .counts
-            .get(class)
-            .map(|row| row.iter().sum())
-            .unwrap_or(0);
-        (actual > 0).then(|| tp as f64 / actual as f64)
+        let actual = self.support(class);
+        (actual > 0).then(|| self.count(class, class) as f64 / actual as f64)
     }
 
     /// F1 score of `class` (harmonic mean of precision and recall).
@@ -160,6 +190,35 @@ mod tests {
         assert_eq!(cm.precision(1), None);
         assert_eq!(cm.recall(1), None);
         assert_eq!(cm.f1(1), None);
+    }
+
+    #[test]
+    fn empty_tally_is_defined() {
+        let cm = ConfusionMatrix::default();
+        assert_eq!(cm.n_classes(), 0);
+        assert_eq!((cm.total(), cm.correct(), cm.support(0)), (0, 0, 0));
+        assert_eq!(cm.count(0, 0), 0);
+        for class in 0..2 {
+            assert_eq!(cm.precision(class), None);
+            assert_eq!(cm.recall(class), None);
+            assert_eq!(cm.f1(class), None);
+        }
+        assert_eq!(cm.accuracy(), 0.0);
+    }
+
+    #[test]
+    fn recorded_pairs_match_from_labels() {
+        let actual = [1, 0, 2, 1, 1, 0];
+        let predicted = [1, 1, 0, 1, 0, 0];
+        let mut cm = ConfusionMatrix::default();
+        for (&a, &p) in actual.iter().zip(&predicted) {
+            cm.record(a, p);
+        }
+        assert_eq!(cm, ConfusionMatrix::from_labels(&actual, &predicted));
+        assert_eq!(cm.n_classes(), 3);
+        assert_eq!((cm.total(), cm.correct()), (6, 3));
+        assert_eq!((cm.support(0), cm.support(1), cm.support(2)), (2, 3, 1));
+        assert_eq!(cm.recall(1), Some(2.0 / 3.0));
     }
 
     #[test]

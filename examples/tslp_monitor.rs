@@ -10,6 +10,7 @@
 //! cargo run --release --example tslp_monitor
 //! ```
 
+use tcp_congestion_signatures::dtree::ConfusionMatrix;
 use tcp_congestion_signatures::mlab::{label_tslp2017, run_campaign_with, Tslp2017Config};
 use tcp_congestion_signatures::prelude::*;
 use tcp_congestion_signatures::testbed;
@@ -72,29 +73,18 @@ fn main() {
     .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
 
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    let mut external_right = 0usize;
-    let mut external_total = 0usize;
+    let mut cm = ConfusionMatrix::default();
     for t in &out.tests {
-        let (Some(label), Ok(f)) = (label_tslp2017(t, cfg.plan_mbps), &t.measurement.features)
-        else {
-            continue;
-        };
-        let pred = clf.classify(f);
-        total += 1;
-        if pred == label {
-            agree += 1;
-        }
-        if label == CongestionClass::External {
-            external_total += 1;
-            if pred == label {
-                external_right += 1;
-            }
+        if let (Some(label), Ok(f)) = (label_tslp2017(t, cfg.plan_mbps), &t.measurement.features) {
+            cm.record(label.index(), clf.classify(f).index());
         }
     }
+    let ext = CongestionClass::External.index();
     println!(
-        "classifier vs TSLP labels: {agree}/{total} agree \
-         ({external_right}/{external_total} on external-congestion tests)"
+        "classifier vs TSLP labels: {}/{} agree ({}/{} on external-congestion tests)",
+        cm.correct(),
+        cm.total(),
+        cm.count(ext, ext),
+        cm.support(ext),
     );
 }

@@ -32,8 +32,8 @@ if grep -q -e '"time\.' -e '"buckets"' "$obsdir/m1.json"; then
   echo "verify: metrics snapshot holds wall-clock timers or histograms"; exit 1
 fi
 
-echo "==> jobs invariance: fig3 (Sweep::run_with) and fig5 (generate_with) stdout"
-for bin in fig3 fig5; do
+echo "==> jobs invariance: fig3, fig5, exp_sack_ablation and exp_multiplexing stdout"
+for bin in fig3 fig5 exp_sack_ablation exp_multiplexing; do
   ./target/release/$bin 2 --seed 7 --jobs 1 >"$obsdir/$bin-j1.txt" 2>/dev/null
   ./target/release/$bin 2 --seed 7 --jobs 4 >"$obsdir/$bin-j4.txt" 2>/dev/null
   test -s "$obsdir/$bin-j1.txt" || { echo "verify: empty $bin output"; exit 1; }

@@ -19,7 +19,8 @@
 //!
 //! Each subcommand accepts exactly the flags of its `USAGE` line and
 //! exits with status 2 on any other (`csig_exec::cli::CommonArgs`), as
-//! on a missing or unknown subcommand.
+//! on a missing or unknown subcommand, a missing capture path or a
+//! malformed flag value.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -40,7 +41,7 @@ fn main() -> ExitCode {
         eprintln!("{}", USAGE);
         return ExitCode::from(2);
     };
-    type Command = fn(&CommonArgs) -> Result<(), String>;
+    type Command = fn(&CommonArgs) -> Result<(), Failure>;
     let (run, flags): (Command, &[Flag]) = match cmd.as_str() {
         "train" => (
             cmd_train,
@@ -79,10 +80,33 @@ fn main() -> ExitCode {
     };
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
+            eprintln!("csig {cmd}: {e}");
+            ExitCode::from(2)
+        }
+        Err(Failure::Run(e)) => {
             eprintln!("csig: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a subcommand failed: misuse exits with status 2, like an
+/// unknown flag; anything else with status 1.
+enum Failure {
+    Usage(String),
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Run(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Self {
+        Failure::Run(e.into())
     }
 }
 
@@ -94,13 +118,19 @@ const USAGE: &str = "usage:
   csig simulate [--external] [--out capture.pcap] [--seed S]
   csig inspect  <capture.pcap> [--server-port P]";
 
-fn cmd_train(args: &CommonArgs) -> Result<(), String> {
+fn cmd_train(args: &CommonArgs) -> Result<(), Failure> {
     let out = args
         .flag_value("--out")
         .cloned()
         .unwrap_or_else(|| "model.json".into());
-    let reps: u32 = args.parsed_flag("--reps")?.unwrap_or(4);
-    let threshold: f64 = args.parsed_flag("--threshold")?.unwrap_or(0.7);
+    let reps: u32 = args
+        .parsed_flag("--reps")
+        .map_err(Failure::Usage)?
+        .unwrap_or(4);
+    let threshold: f64 = args
+        .parsed_flag("--threshold")
+        .map_err(Failure::Usage)?
+        .unwrap_or(0.7);
     let grid = if args.has_flag("--full-grid") {
         paper_grid()
     } else {
@@ -160,17 +190,19 @@ fn load_or_train_model(args: &CommonArgs) -> Result<SignatureClassifier, String>
     }
 }
 
-fn load_capture(args: &CommonArgs) -> Result<csig_netsim::Capture, String> {
-    let path = args.positional().ok_or("missing capture path")?;
-    let selector = match args.flag_value("--server-port") {
-        Some(p) => ServerSelector::Port(p.parse().map_err(|_| "bad --server-port")?),
+fn load_capture(args: &CommonArgs) -> Result<csig_netsim::Capture, Failure> {
+    let path = args
+        .positional()
+        .ok_or_else(|| Failure::Usage("missing capture path".into()))?;
+    let selector = match args.parsed_flag("--server-port").map_err(Failure::Usage)? {
+        Some(port) => ServerSelector::Port(port),
         None => ServerSelector::MostBytesSent,
     };
     let file = fs::File::open(path).map_err(|e| format!("opening {path}: {e}"))?;
-    import_pcap(file, selector).map_err(|e| e.to_string())
+    Ok(import_pcap(file, selector).map_err(|e| e.to_string())?)
 }
 
-fn cmd_classify(args: &CommonArgs) -> Result<(), String> {
+fn cmd_classify(args: &CommonArgs) -> Result<(), Failure> {
     let capture = load_capture(args)?;
     let clf = load_or_train_model(args)?;
     let reports = csig_core::analyze_capture(&clf, &capture);
@@ -198,7 +230,7 @@ fn cmd_classify(args: &CommonArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(args: &CommonArgs) -> Result<(), String> {
+fn cmd_simulate(args: &CommonArgs) -> Result<(), Failure> {
     let out = args
         .flag_value("--out")
         .cloned()
@@ -227,7 +259,7 @@ fn cmd_simulate(args: &CommonArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_inspect(args: &CommonArgs) -> Result<(), String> {
+fn cmd_inspect(args: &CommonArgs) -> Result<(), Failure> {
     let capture = load_capture(args)?;
     // One probe and a packet count per flow, in flow-id order.
     let mut flows: BTreeMap<FlowId, (FlowProbe, usize)> = BTreeMap::new();

@@ -57,3 +57,15 @@ fn missing_or_unknown_subcommand_is_a_usage_error() {
         assert!(stderr.contains("usage:"), "csig {args:?}: {stderr}");
     }
 }
+
+#[test]
+fn missing_capture_or_malformed_flag_value_is_a_usage_error() {
+    for args in [
+        &["inspect"][..],
+        &["inspect", "cap.pcap", "--server-port", "abc"][..],
+        &["train", "--reps", "abc"][..],
+    ] {
+        let out = csig(args);
+        assert_eq!(out.status.code(), Some(2), "csig {args:?}: {out:?}");
+    }
+}

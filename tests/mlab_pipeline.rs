@@ -1,6 +1,7 @@
 //! Cross-crate integration over the M-Lab reconstructions: campaign
 //! generation, Web100 filtering, labeling and classification.
 
+use tcp_congestion_signatures::dtree::ConfusionMatrix;
 use tcp_congestion_signatures::mlab::{
     generate_with, label_dispute2014, run_campaign_with, AccessIsp, Dispute2014Config, Month,
     Tslp2017Config,
@@ -54,21 +55,18 @@ fn dispute_labels_track_generator_ground_truth() {
         &Executor::sequential(),
         |_| {},
     );
-    let mut agree = 0usize;
-    let mut labeled = 0usize;
+    let mut cm = ConfusionMatrix::default();
     for t in &tests {
         if let Some(label) = label_dispute2014(t) {
-            labeled += 1;
             let truth = if t.congested {
                 CongestionClass::External
             } else {
                 CongestionClass::SelfInduced
             };
-            if truth == label {
-                agree += 1;
-            }
+            cm.record(truth.index(), label.index());
         }
     }
+    let (agree, labeled) = (cm.correct(), cm.total());
     assert!(labeled > 20, "only {labeled} labeled");
     // The paper's coarse labeling is imperfect by design, but with the
     // synthetic campaign's near-deterministic peak congestion it should
@@ -147,23 +145,23 @@ fn tslp_campaign_detection_and_classification_agree() {
     }
     .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
-    let mut ep_external = 0usize;
-    let mut ep_total = 0usize;
-    let mut clean_self = 0usize;
-    let mut clean_total = 0usize;
+    let mut cm = ConfusionMatrix::default();
     for t in &out.tests {
-        let Ok(f) = &t.measurement.features else {
-            continue;
-        };
-        let pred = clf.classify(f);
-        if t.during_episode {
-            ep_total += 1;
-            ep_external += usize::from(pred == CongestionClass::External);
-        } else {
-            clean_total += 1;
-            clean_self += usize::from(pred == CongestionClass::SelfInduced);
+        if let Ok(f) = &t.measurement.features {
+            let truth = if t.during_episode {
+                CongestionClass::External
+            } else {
+                CongestionClass::SelfInduced
+            };
+            cm.record(truth.index(), clf.classify(f).index());
         }
     }
+    let (s, e) = (
+        CongestionClass::SelfInduced.index(),
+        CongestionClass::External.index(),
+    );
+    let (ep_external, ep_total) = (cm.count(e, e), cm.support(e));
+    let (clean_self, clean_total) = (cm.count(s, s), cm.support(s));
     assert!(ep_total >= 2);
     assert!(
         ep_external as f64 >= 0.75 * ep_total as f64,

@@ -10,7 +10,7 @@
 use csig_core::{ground_truth_confusion, SignatureClassifier};
 use csig_exec::{Campaign, Executor};
 use csig_netsim::rng::derive_seed;
-use csig_testbed::{run_test, AccessParams, CongestionMode, Profile, TestbedConfig};
+use csig_testbed::{run_test, AccessParams, CongestionMode, Profile};
 use serde::{Deserialize, Serialize};
 
 /// One row of the multiplexing result.
@@ -72,10 +72,7 @@ pub fn run(
         };
         for rep in 0..reps {
             campaign.push_seeded(derive_seed(seed, tag | rep as u64), move |s| {
-                let mut cfg = match profile {
-                    Profile::Paper => TestbedConfig::paper(access50(), s),
-                    Profile::Scaled => TestbedConfig::scaled(access50(), s),
-                };
+                let mut cfg = profile.config(access50(), s);
                 if external {
                     cfg = cfg.with_congestion(CongestionMode::TgCong { flows });
                 } else {

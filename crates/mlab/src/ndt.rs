@@ -19,9 +19,11 @@
 //! cross-traffic in `csig-testbed`).
 
 use crate::web100::Web100Log;
-use csig_features::{FeatureError, FlowFeatures, FlowProbe};
+use csig_features::{FeatureError, FlowFeatures};
 use csig_netsim::{FlowId, LinkConfig, SimDuration, SimTime, Simulator};
+use csig_obs::MetricsRegistry;
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
+use csig_testbed::runner::observe_download;
 use csig_trace::{SlowStart, ThroughputSummary};
 use serde::{Deserialize, Serialize};
 
@@ -102,7 +104,9 @@ pub struct NdtMeasurement {
 /// Flow id used by every NDT micro-simulation.
 pub const NDT_FLOW: FlowId = FlowId(4000);
 
-/// Run one NDT test over the given path.
+/// Run one NDT test over the given path: build its topology, then
+/// measure the download with the testbed's [`observe_download`] step
+/// into a registry that is then dropped.
 ///
 /// # Panics
 /// Panics if the simulation exhausts its event budget, since its
@@ -170,46 +174,23 @@ pub fn run_ndt(path: &NdtPath) -> NdtMeasurement {
         LinkConfig::new(100_000_000, ms(path.access_latency_ms)).buffer_ms(20),
     );
     sim.compute_routes();
-    // Streaming tap at the server: the NDT analysis accumulates online,
-    // no capture is retained.
-    let probe = sim.attach_sink(server, Box::new(FlowProbe::new(NDT_FLOW)));
-
-    let horizon = SimTime::ZERO + path.duration + SimDuration::from_millis(500);
     sim.set_event_budget(500_000_000);
-    sim.run_until(horizon).expect_within_budget();
 
-    // Web100 from the server's connection (live or completed).
-    let Some(server_agent) = sim.agent::<TcpServerAgent>(server) else {
-        unreachable!("server added above as a TcpServerAgent")
-    };
-    let stats = server_agent
-        .connection(NDT_FLOW)
-        .map(|c| c.stats.clone())
-        .or_else(|| {
-            server_agent
-                .completed
-                .iter()
-                .find(|(f, _)| *f == NDT_FLOW)
-                .map(|(_, s)| s.clone())
-        })
-        .unwrap_or_default();
-    let web100 = Web100Log::from_stats(&stats);
-
-    let Some(probe) = sim.sink::<FlowProbe>(probe) else {
-        unreachable!("handle attached above holds a FlowProbe")
-    };
-    let slow_start = probe.slow_start();
-    let throughput = probe.throughput();
-    let features = probe.features();
-    let min_rtt_ms = probe.min_rtt_ms();
-
+    let d = observe_download(
+        &mut sim,
+        server,
+        NDT_FLOW,
+        SimTime::ZERO + path.duration,
+        &MetricsRegistry::new(),
+        None,
+    );
     NdtMeasurement {
-        throughput_mbps: throughput.mean_bps / 1e6,
-        features,
-        slow_start,
-        throughput,
-        web100,
-        min_rtt_ms,
+        throughput_mbps: d.throughput.mean_bps / 1e6,
+        features: d.features,
+        slow_start: d.slow_start,
+        throughput: d.throughput,
+        web100: Web100Log::from_stats(&d.conn_stats.unwrap_or_default()),
+        min_rtt_ms: d.min_rtt_ms,
     }
 }
 

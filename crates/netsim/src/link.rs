@@ -15,7 +15,7 @@
 //! re-check.
 //!
 //! The link is a FIFO, work-conserving server, so it knows each packet's
-//! departure the moment it admits the packet: [`Link::enqueue`] computes
+//! departure the moment it admits the packet: `Link::enqueue` computes
 //! the departure and arrival on the spot. In-order packets arrive in
 //! admission order, so the link queues their arrivals itself and keeps
 //! only the head in the scheduler (an `Arrive` event); a packet that may

@@ -455,13 +455,20 @@ impl Simulator {
     /// every link has retired the packets that departed before
     /// [`Simulator::now`], so link occupancy and statistics read
     /// between runs are current, and an attached registry holds the
-    /// counts up to now.
+    /// counts up to now. Debug builds then check the packet ledger:
+    /// `sent + injected = delivered + dropped + in flight`.
     pub fn run_until(&mut self, horizon: SimTime) -> StopReason {
         let stop = self.run_until_inner(horizon);
         for l in &mut self.links {
             l.retire(self.now);
         }
         self.tallies.duplicates = self.links.iter().map(|l| l.stats.duplicated).sum();
+        let t = &self.tallies;
+        debug_assert_eq!(
+            t.packets_sent + t.probe_replies + t.duplicates,
+            t.packets_delivered + t.packets_dropped + self.pool.live() as u64,
+            "packet ledger: sent + injected = delivered + dropped + in flight"
+        );
         if let Some((reg, exported)) = &mut self.obs {
             // The largest queue any link has held.
             let hwm = self.links.iter().map(Link::max_occupancy).max();

@@ -4,7 +4,7 @@
 //! contains a send half (sequence tracking, retransmission, recovery,
 //! RTO) and a receive half (reassembly, cumulative ACK generation),
 //! delegates window management to a pluggable
-//! [`CongestionControl`](crate::cc::CongestionControl), and exposes
+//! [`CongestionControl`], and exposes
 //! Web100-style counters in [`ConnStats`].
 //!
 //! The model implements: three-way handshake (with handshake

@@ -1,6 +1,6 @@
 //! Auxiliary host agents for the testbed: a composite agent hosting
 //! several TCP clients on one node, and a constant-bit-rate background
-//! source for scaled congestion runs.
+//! source that congests a link with real packets.
 
 use csig_netsim::{
     Agent, Ctx, FlowId, NodeId, Packet, PacketSpec, SimDuration, SimTime, TimerToken,
@@ -71,9 +71,9 @@ impl Agent for MultiClientAgent {
 }
 
 /// Constant-bit-rate background source: emits fixed-size opaque packets
-/// towards `dst` at `rate_bps` between `start` and `stop`. Used by the
-/// scaled congestion profile to keep an interconnect buffer pegged at a
-/// fraction of the cost of 100 TCP flows.
+/// towards `dst` at `rate_bps` between `start` and `stop`, pegging a
+/// link's buffer at a fraction of the cost of many TCP flows (the TSLP
+/// episode tests congest an interdomain link with it).
 pub struct CbrAgent {
     dst: NodeId,
     flow: FlowId,

@@ -49,13 +49,6 @@ pub enum CongestionMode {
         /// Number of concurrent fetch loops.
         flows: u32,
     },
-    /// Scaled substitute: a constant-bit-rate source at
-    /// `utilization × interconnect rate` keeps the buffer pegged.
-    Cbr {
-        /// Offered load as a fraction of the interconnect rate (>1
-        /// keeps the buffer full).
-        utilization: f64,
-    },
 }
 
 impl CongestionMode {
@@ -75,9 +68,6 @@ pub struct TestbedConfig {
     /// Extra bulk flows sharing the access link with the test flow
     /// (the §3.3 multiplexing experiment; paper: 0, 1, 2, 5).
     pub access_cross_flows: u32,
-    /// Run the `TGtrans` transient cross-traffic generator (the paper
-    /// runs it during *all* experiments).
-    pub tgtrans: bool,
     /// netperf test duration (paper: 10 s).
     pub test_duration: SimDuration,
     /// Cross-traffic warm-up before the test starts.
@@ -111,7 +101,6 @@ impl TestbedConfig {
             access,
             congestion: CongestionMode::None,
             access_cross_flows: 0,
-            tgtrans: true,
             test_duration: SimDuration::from_secs(10),
             warmup: SimDuration::from_secs(2),
             interconnect_mbps: 950,
@@ -157,7 +146,7 @@ impl TestbedConfig {
     }
 
     /// Builder: use the profile's default external congestion — 100
-    /// `TGcong` flows under the paper profile, 20 under the scaled one.
+    /// `TGcong` flows under the paper profile, 40 under the scaled one.
     pub fn externally_congested(self) -> Self {
         let flows = if self.interconnect_mbps >= 900 {
             100
@@ -213,7 +202,7 @@ mod tests {
         );
         assert_eq!(
             TestbedConfig::scaled(a, 1)
-                .with_congestion(CongestionMode::Cbr { utilization: 1.05 })
+                .with_congestion(CongestionMode::TgCong { flows: 10 })
                 .intended_class(),
             CongestionClass::External
         );

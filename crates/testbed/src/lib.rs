@@ -2,7 +2,7 @@
 //!
 //! Recreates §3 of the paper on the simulator: the Figure-2 topology
 //! ([`topology`]), the `TGtrans`/`TGcong` cross-traffic generators and
-//! CBR substitute ([`agents`]), netperf-style throughput tests with
+//! a CBR source ([`agents`]), netperf-style throughput tests with
 //! trace analysis ([`runner`]), congestion-threshold labeling
 //! ([`labeling`]) and the §3.1 parameter-grid sweep ([`grid`]).
 //!
@@ -27,5 +27,5 @@ pub use agents::{CbrAgent, MultiClientAgent};
 pub use config::{AccessParams, CongestionMode, TestbedConfig};
 pub use grid::{paper_grid, small_grid, Profile, Sweep, SweepScenario};
 pub use labeling::{build_dataset, label_with_threshold};
-pub use runner::{run_test, run_test_observed, TestResult};
+pub use runner::{observe_download, run_test, run_test_observed, Download, TestResult, DRAIN_TAIL};
 pub use topology::{build, Testbed, TEST_FLOW};

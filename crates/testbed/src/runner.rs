@@ -1,15 +1,16 @@
 //! Run one netperf-style throughput test and analyze the test flow's
 //! packet stream as it happens.
 //!
-//! The runner attaches a streaming [`FlowProbe`] at Server 1 instead of
-//! a buffer-everything capture: RTT samples, the slow-start window,
-//! features and throughput accumulate online, so no packet history is
-//! retained.
+//! [`observe_download`] is the one measurement step of a download
+//! test, shared with the M-Lab NDT runner: it attaches a streaming
+//! [`FlowProbe`] at the server instead of a buffer-everything capture,
+//! so RTT samples, the slow-start window, features and throughput
+//! accumulate online and no packet history is retained.
 
 use crate::config::TestbedConfig;
-use crate::topology::{build, Testbed, TEST_FLOW};
+use crate::topology::{build, TEST_FLOW};
 use csig_features::{CongestionClass, FeatureError, FlowFeatures, FlowProbe};
-use csig_netsim::SimDuration;
+use csig_netsim::{FlowId, NodeId, SimDuration, SimTime, Simulator};
 use csig_obs::{MetricsRegistry, TraceBuffer};
 use csig_tcp::{ConnStats, TcpServerAgent};
 use csig_trace::{SlowStart, ThroughputSummary};
@@ -51,100 +52,141 @@ impl TestResult {
     }
 }
 
-/// Build the testbed for `cfg`, run it to the test end plus a drain
-/// tail, and analyze the test flow's packet stream with a streaming
-/// probe. The run's metrics go to a fresh registry that is then
-/// dropped; [`run_test_observed`] keeps them.
+/// How long a download test runs past its end, so the data in flight
+/// at the test end drains and the server sees its last ACKs.
+pub const DRAIN_TAIL: SimDuration = SimDuration::from_millis(500);
+
+/// What the server saw of one download test: its streaming probe's
+/// read-out and the kernel's Web100 counters.
+#[derive(Debug)]
+pub struct Download {
+    /// The classifier features (or why they could not be computed).
+    pub features: Result<FlowFeatures, FeatureError>,
+    /// Slow-start window of the flow.
+    pub slow_start: SlowStart,
+    /// Whole-test goodput summary.
+    pub throughput: ThroughputSummary,
+    /// Capacity-style goodput estimate over slow start, bits/s; `None`
+    /// if the flow never retransmitted.
+    pub capacity_estimate_bps: Option<f64>,
+    /// Minimum RTT over the whole test, ms.
+    pub min_rtt_ms: Option<f64>,
+    /// Web100-style counters of the server's connection, live or
+    /// completed.
+    pub conn_stats: Option<ConnStats>,
+    /// Number of simulation events processed (cost diagnostic).
+    pub events: u64,
+}
+
+/// Observe one download test on a built simulator: the §3 testbed and
+/// the §4 NDT tests both measure a flow this way. Attaches `reg`, the
+/// optional trace ring and a streaming [`FlowProbe`] for `flow` at
+/// `server`, runs to `test_end` plus [`DRAIN_TAIL`], reads the server
+/// connection's [`ConnStats`], and exports `rtt.samples`,
+/// `flows.features_ok` / `flows.skips_insufficient` and the `tcp.*`
+/// counters to `reg`. With a trace ring, `trace.dropped` counts the
+/// events it evicted when full, so a snapshot shows whether the trace
+/// is complete. The read-out does not depend on `reg` or `trace`.
 ///
 /// # Panics
 /// Panics if the simulation exhausts its event budget, since its
 /// results would be truncated; `Executor::run_isolated_with_progress`
 /// reports that as a failed scenario.
-pub fn run_test(cfg: &TestbedConfig) -> TestResult {
-    run_test_observed(cfg, &MetricsRegistry::new(), None)
-}
-
-/// [`run_test`] into the caller's registry, with an optional trace
-/// ring: simulator counters go to `reg` and drop/fault events to
-/// `trace`, the test flow's Web100 counters are exported as `tcp.*`
-/// metrics, and the per-flow outcome is counted under
-/// `flows.features_ok` / `flows.skips_insufficient` plus
-/// `rtt.samples`. With a trace ring, `trace.dropped` counts the events
-/// it evicted when full, so a snapshot shows whether the trace is
-/// complete. The measured [`TestResult`] does not depend on either.
-pub fn run_test_observed(
-    cfg: &TestbedConfig,
+pub fn observe_download(
+    sim: &mut Simulator,
+    server: NodeId,
+    flow: FlowId,
+    test_end: SimTime,
     reg: &MetricsRegistry,
     trace: Option<TraceBuffer>,
-) -> TestResult {
-    run_test_inner(cfg, build(cfg), reg, trace)
-}
-
-fn run_test_inner(
-    cfg: &TestbedConfig,
-    mut tb: Testbed,
-    reg: &MetricsRegistry,
-    trace: Option<TraceBuffer>,
-) -> TestResult {
-    tb.sim.attach_obs(reg);
+) -> Download {
+    sim.attach_obs(reg);
     if let Some(buf) = &trace {
-        tb.sim.attach_trace_buffer(buf.clone());
+        sim.attach_trace_buffer(buf.clone());
     }
-    let probe = tb
-        .sim
-        .attach_sink(tb.server1, Box::new(FlowProbe::new(TEST_FLOW)));
-    let horizon = tb.test_end + SimDuration::from_millis(500);
-    tb.sim.run_until(horizon).expect_within_budget();
+    let probe = sim.attach_sink(server, Box::new(FlowProbe::new(flow)));
+    sim.run_until(test_end + DRAIN_TAIL).expect_within_budget();
 
-    // Kernel-side view of the test flow, read off the server agent.
-    let conn_stats = tb
-        .sim
-        .agent::<TcpServerAgent>(tb.server1)
-        .and_then(|s| s.connection(TEST_FLOW).map(|c| c.stats.clone()));
-
-    let Some(probe) = tb.sim.sink::<FlowProbe>(probe) else {
-        unreachable!("handle attached above holds a FlowProbe")
-    };
-    let slow_start = probe.slow_start();
-    let throughput = probe.throughput();
-    let features = probe.features();
+    // Kernel-side view of the flow, read off the server agent.
+    let conn_stats = sim.agent::<TcpServerAgent>(server).and_then(|s| {
+        s.connection(flow).map(|c| c.stats.clone()).or_else(|| {
+            s.completed
+                .iter()
+                .find(|(f, _)| *f == flow)
+                .map(|(_, stats)| stats.clone())
+        })
+    });
+    if let Some(stats) = &conn_stats {
+        stats.export_metrics(reg);
+    }
     if let Some(buf) = &trace {
         reg.add("trace.dropped", buf.dropped());
     }
+
+    let Some(probe) = sim.sink::<FlowProbe>(probe) else {
+        unreachable!("handle attached above holds a FlowProbe")
+    };
+    let features = probe.features();
     reg.add("rtt.samples", probe.samples_total() as u64);
     if features.is_ok() {
         reg.add("flows.features_ok", 1);
     } else {
         reg.add("flows.skips_insufficient", 1);
     }
-    if let Some(stats) = &conn_stats {
-        stats.export_metrics(reg);
+    Download {
+        features,
+        slow_start: probe.slow_start(),
+        throughput: probe.throughput(),
+        capacity_estimate_bps: probe.capacity_estimate_bps(),
+        min_rtt_ms: probe.min_rtt_ms(),
+        conn_stats,
+        events: sim.events_processed(),
     }
-    // Capacity-style slow-start estimate, falling back to the
-    // whole-test mean for flows that never retransmitted.
-    let ss_throughput_bps = probe.capacity_estimate_bps().unwrap_or(throughput.mean_bps);
+}
 
+/// Build the testbed for `cfg` and observe its test flow with
+/// [`observe_download`]. The run's metrics go to a fresh registry that
+/// is then dropped; [`run_test_observed`] keeps them.
+///
+/// # Panics
+/// Panics if the simulation exhausts its event budget.
+pub fn run_test(cfg: &TestbedConfig) -> TestResult {
+    run_test_observed(cfg, &MetricsRegistry::new(), None)
+}
+
+/// [`run_test`] into the caller's registry, with an optional trace
+/// ring: simulator counters go to `reg` and drop/fault events to
+/// `trace`, alongside what [`observe_download`] exports. The measured
+/// [`TestResult`] does not depend on either.
+pub fn run_test_observed(
+    cfg: &TestbedConfig,
+    reg: &MetricsRegistry,
+    trace: Option<TraceBuffer>,
+) -> TestResult {
+    let mut tb = build(cfg);
+    let d = observe_download(&mut tb.sim, tb.server1, TEST_FLOW, tb.test_end, reg, trace);
     let icl = tb.sim.link(tb.interconnect_down);
     let interconnect_max_occupancy = icl.max_occupancy() as f64 / icl.buffer_capacity() as f64;
-
     TestResult {
-        features,
-        slow_start,
-        throughput,
-        ss_throughput_bps,
+        // Capacity-style slow-start estimate, falling back to the
+        // whole-test mean for flows that never retransmitted.
+        ss_throughput_bps: d.capacity_estimate_bps.unwrap_or(d.throughput.mean_bps),
+        features: d.features,
+        slow_start: d.slow_start,
+        throughput: d.throughput,
         intended: cfg.intended_class(),
         access_rate_bps: cfg.access.rate_bps(),
         interconnect_max_occupancy,
-        events: tb.sim.events_processed(),
+        events: d.events,
         seed: cfg.seed,
-        conn_stats,
+        conn_stats: d.conn_stats,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AccessParams, CongestionMode};
+    use crate::config::AccessParams;
 
     #[test]
     fn self_induced_test_saturates_access_and_shows_signature() {
@@ -194,7 +236,8 @@ mod tests {
         let cfg = TestbedConfig::scaled(AccessParams::figure1(), 105);
         let mut tb = build(&cfg);
         tb.sim.set_event_budget(10_000);
-        let _ = run_test_inner(&cfg, tb, &csig_obs::MetricsRegistry::new(), None);
+        let reg = csig_obs::MetricsRegistry::new();
+        observe_download(&mut tb.sim, tb.server1, TEST_FLOW, tb.test_end, &reg, None);
     }
 
     #[test]
@@ -225,22 +268,5 @@ mod tests {
         let dropped = trace.dropped();
         assert!(dropped > 0, "a 16-event ring overflows");
         assert_eq!(reg.snapshot().counter("trace.dropped"), Some(dropped));
-    }
-
-    #[test]
-    fn cbr_congestion_mode_also_limits_the_flow() {
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 103)
-            .with_congestion(CongestionMode::Cbr { utilization: 1.05 });
-        let r = run_test(&cfg);
-        assert!(
-            r.interconnect_max_occupancy > 0.9,
-            "occupancy {}",
-            r.interconnect_max_occupancy
-        );
-        assert!(
-            r.throughput.mean_bps < 0.8 * 20e6,
-            "mean {} bps",
-            r.throughput.mean_bps
-        );
     }
 }

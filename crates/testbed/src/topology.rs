@@ -17,7 +17,7 @@
 //!   away"), server3 30 ms ("60 ms away"), server4 1 ms ("less than
 //!   2 ms away", attached at r1 so its fetches cross the interconnect).
 
-use crate::agents::{CbrAgent, MultiClientAgent};
+use crate::agents::MultiClientAgent;
 use crate::config::{CongestionMode, TestbedConfig};
 use csig_netsim::{
     CaptureHandle, FlowId, LinkConfig, LinkId, NodeId, SimDuration, SimTime, Simulator,
@@ -30,8 +30,6 @@ pub const TEST_FLOW: FlowId = FlowId(0);
 pub const TGTRANS_BLOCK: u32 = 1 << 20;
 /// Flow-id block base of the `TGcong` clients.
 pub const TGCONG_BLOCK: u32 = 1 << 24;
-/// Flow id of the CBR background stream.
-pub const CBR_FLOW: FlowId = FlowId(0xFFFF_0000);
 
 /// The constructed testbed: the simulator plus the handles experiments
 /// need.
@@ -129,10 +127,12 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
     }
     let pi1 = sim.add_host(Box::new(MultiClientAgent::new(0, pi1_children)));
 
-    // Pi 2: TGtrans fetchers to servers 2 and 3.
+    // Pi 2: TGtrans fetchers to servers 2 and 3 (the paper runs them
+    // during all experiments).
     let server2 = sim.add_host(Box::new(catalog_server(lean_tcp.clone())));
     let server3 = sim.add_host(Box::new(catalog_server(lean_tcp.clone())));
-    let tgtrans_children = if cfg.tgtrans {
+    let pi2 = sim.add_host(Box::new(MultiClientAgent::new(
+        TGTRANS_BLOCK,
         vec![
             TcpClientAgent::new(
                 server2,
@@ -152,13 +152,7 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
                 },
                 MultiClientAgent::child_flow_base(TGTRANS_BLOCK, 1),
             ),
-        ]
-    } else {
-        Vec::new()
-    };
-    let pi2 = sim.add_host(Box::new(MultiClientAgent::new(
-        TGTRANS_BLOCK,
-        tgtrans_children,
+        ],
     )));
 
     // TGcong: bulk fetch loops from server 4, attached at r2.
@@ -186,27 +180,9 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
                 .with_start_delay(stagger)
             })
             .collect(),
-        _ => Vec::new(),
+        CongestionMode::None => Vec::new(),
     };
     let cong = sim.add_host(Box::new(MultiClientAgent::new(TGCONG_BLOCK, cong_children)));
-
-    // CBR source (scaled congestion substitute), attached at r1 side,
-    // absorbed by the `cong` host behind r2.
-    if let CongestionMode::Cbr { utilization } = cfg.congestion {
-        let rate = (cfg.interconnect_mbps as f64 * 1e6 * utilization) as u64;
-        let cbr = sim.add_host(Box::new(CbrAgent::new(
-            cong,
-            CBR_FLOW,
-            rate,
-            SimTime::ZERO,
-            test_end,
-        )));
-        sim.add_duplex_link(
-            cbr,
-            r1,
-            LinkConfig::new(10_000_000_000, ms(0)).buffer_ms(20),
-        );
-    }
 
     // --- links -------------------------------------------------------------
     let gig = |delay_ms: u64| {

@@ -43,7 +43,7 @@ fn main() {
             })
             .expect_within_budget();
         tb.sim
-            .run_until(tb.test_end + SimDuration::from_millis(500))
+            .run_until(tb.test_end + testbed::DRAIN_TAIL)
             .expect_within_budget();
 
         let access_cap = tb.sim.link(access).buffer_capacity() as f64;

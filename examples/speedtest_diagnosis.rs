@@ -45,7 +45,7 @@ fn main() {
             // Run the test and capture at the server, like the paper.
             let mut tb = testbed::build(&cfg);
             let cap_h = tb.attach_capture();
-            let horizon = tb.test_end + SimDuration::from_millis(500);
+            let horizon = tb.test_end + testbed::DRAIN_TAIL;
             tb.sim.run_until(horizon).expect_within_budget();
             let cap = tb.sim.take_capture(cap_h);
             let classifiable = analyze_capture(&clf, &cap)

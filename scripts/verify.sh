@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification gate: build, test, format, lint.
+# Full verification gate: build, test, format, lint, docs.
 # Run from the repository root: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,6 +48,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy -p csig-netsim -p csig-tcp --all-targets -- -D clippy::perf (hot-path perf gate)"
 cargo clippy -p csig-netsim -p csig-tcp --all-targets -- -D clippy::perf
+
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
+  --exclude rand --exclude serde --exclude serde_derive --exclude serde_json --exclude proptest
 
 echo "==> bit identity: perfbench outputs_digest matches scripts/outputs_digests.txt"
 while read -r workload want; do

@@ -30,8 +30,10 @@ use csig_core::{train_sweep_with, SignatureClassifier};
 use csig_dtree::TreeParams;
 use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
 use csig_features::FlowProbe;
-use csig_netsim::{FlowId, SimDuration};
-use csig_testbed::{paper_grid, small_grid, AccessParams, Profile, Sweep, TestbedConfig};
+use csig_netsim::FlowId;
+use csig_testbed::{
+    paper_grid, small_grid, AccessParams, Profile, Sweep, TestbedConfig, DRAIN_TAIL,
+};
 use csig_trace::{import_pcap, write_pcap, ServerSelector};
 use Flag::{Switch, Value};
 
@@ -250,7 +252,7 @@ fn cmd_simulate(args: &CommonArgs) -> Result<(), Failure> {
     let mut tb = csig_testbed::build(&cfg);
     let cap = tb.attach_capture();
     tb.sim
-        .run_until(tb.test_end + SimDuration::from_millis(500))
+        .run_until(tb.test_end + DRAIN_TAIL)
         .expect_within_budget();
     let capture = tb.sim.take_capture(cap);
     let file = fs::File::create(&out).map_err(|e| format!("creating {out}: {e}"))?;

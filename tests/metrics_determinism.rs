@@ -15,9 +15,10 @@
 //!   dropped or is still in flight at the horizon.
 
 use csig_exec::{Campaign, Executor, Scenario};
-use csig_netsim::SimDuration;
 use csig_obs::{MetricsRegistry, Snapshot, TraceEvent};
-use csig_testbed::{build, AccessParams, Profile, SweepScenario, TestResult, TestbedConfig};
+use csig_testbed::{
+    build, AccessParams, Profile, SweepScenario, TestResult, TestbedConfig, DRAIN_TAIL,
+};
 
 /// A small interleaved self/external campaign on the figure-1 point,
 /// each cell observed through its own registry and trace buffer.
@@ -102,7 +103,7 @@ fn figure1_cells_balance_the_packet_ledger() {
         let reg = MetricsRegistry::new();
         tb.sim.attach_obs(&reg);
         tb.sim
-            .run_until(tb.test_end + SimDuration::from_millis(500))
+            .run_until(tb.test_end + DRAIN_TAIL)
             .expect_within_budget();
         let snap = reg.snapshot();
         let count = |name| snap.counter(name).unwrap_or(0);

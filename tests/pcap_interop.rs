@@ -27,7 +27,7 @@ fn verdict_survives_pcap_roundtrip() {
     let mut tb = testbed::build(&cfg);
     let cap = tb.attach_capture();
     tb.sim
-        .run_until(tb.test_end + SimDuration::from_millis(500))
+        .run_until(tb.test_end + testbed::DRAIN_TAIL)
         .expect_within_budget();
     let capture = tb.sim.take_capture(cap);
 

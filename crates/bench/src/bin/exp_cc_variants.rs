@@ -4,12 +4,12 @@
 //!  [--jobs N] [--seed S]`
 
 use csig_bench::{cc_variants, dispute};
-use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED]);
-    let reps: u32 = args.positional_parsed(6);
+    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, DEADLINE, SEED]);
+    let reps = args.count_or(6);
     eprintln!("cc_variants: training reference model…");
     let exec = args.executor();
     let clf = dispute::testbed_model_with(5, Profile::Scaled, 0xCC01, &exec);

@@ -5,12 +5,12 @@
 //!  [--paper] [--jobs N] [--seed S]`
 
 use csig_bench::{dispute, multiplexing};
-use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PAPER, SEED};
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PAPER, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PAPER]);
-    let reps: u32 = args.positional_parsed(8);
+    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, DEADLINE, SEED, PAPER]);
+    let reps = args.count_or(8);
     let profile = if args.paper {
         Profile::Paper
     } else {

@@ -6,14 +6,14 @@
 //!  [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::{dispute, tslp_exp};
-use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
 use csig_mlab::{generate_with, run_campaign_with, Dispute2014Config, Tslp2017Config};
 use csig_netsim::SimDuration;
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PROGRESS]);
-    let days: u32 = args.positional_parsed(14);
+    let args = CommonArgs::parse(&[Flag::Count("days"), JOBS, DEADLINE, SEED, PROGRESS]);
+    let days = args.count_or(14);
     let cfg = Tslp2017Config {
         days,
         episode_days: (0..days).filter(|d| d % 3 == 2).collect(),

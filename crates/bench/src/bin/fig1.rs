@@ -13,11 +13,14 @@
 //! (`perfbench --workload testbed_fig1 --trace 1`).
 
 use csig_bench::fig1;
-use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, METRICS_OUT, PAPER, PROGRESS, SEED, TRACE_OUT};
+use csig_exec::cli::{
+    CommonArgs, Flag, DEADLINE, JOBS, METRICS_OUT, PAPER, PROGRESS, SEED, TRACE_OUT,
+};
 use csig_testbed::Profile;
 
 fn main() {
     let args = CommonArgs::parse(&[
+        Flag::Count("reps"),
         JOBS,
         DEADLINE,
         SEED,
@@ -26,7 +29,7 @@ fn main() {
         METRICS_OUT,
         TRACE_OUT,
     ]);
-    let reps: u32 = args.positional_parsed(25);
+    let reps = args.count_or(25);
     let profile = if args.paper {
         Profile::Paper
     } else {

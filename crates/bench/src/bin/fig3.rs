@@ -5,20 +5,21 @@
 //!  [--raw] [--paper] [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::fig3;
-use csig_exec::cli::{CommonArgs, Flag::Switch, DEADLINE, JOBS, PAPER, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PAPER, PROGRESS, SEED};
 use csig_testbed::Profile;
 
 fn main() {
     let args = CommonArgs::parse(&[
+        Flag::Count("reps"),
         JOBS,
         DEADLINE,
         SEED,
         PAPER,
         PROGRESS,
-        Switch("--full-grid"),
-        Switch("--raw"),
+        Flag::Switch("--full-grid"),
+        Flag::Switch("--raw"),
     ]);
-    let reps: u32 = args.positional_parsed(5);
+    let reps = args.count_or(5);
     let full = args.has_flag("--full-grid");
     let profile = if args.paper {
         Profile::Paper

@@ -4,12 +4,20 @@
 //!  [--paper] [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::fig3;
-use csig_exec::cli::{CommonArgs, Flag::Switch, DEADLINE, JOBS, PAPER, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PAPER, PROGRESS, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PAPER, PROGRESS, Switch("--full-grid")]);
-    let reps: u32 = args.positional_parsed(5);
+    let args = CommonArgs::parse(&[
+        Flag::Count("reps"),
+        JOBS,
+        DEADLINE,
+        SEED,
+        PAPER,
+        PROGRESS,
+        Flag::Switch("--full-grid"),
+    ]);
+    let reps = args.count_or(5);
     let full = args.has_flag("--full-grid");
     let profile = if args.paper {
         Profile::Paper

@@ -4,13 +4,20 @@
 //! `cargo run --release -p csig-bench --bin fig5 [tests_per_cell]
 //!  [--csv PATH] [--jobs N] [--seed S] [--progress]`
 
-use csig_exec::cli::{CommonArgs, Flag::Value, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
 use csig_mlab::{generate_with, to_csv, Dispute2014Config, Month, TransitSite};
 use csig_netsim::SimDuration;
 
 fn main() {
-    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PROGRESS, Value("--csv")]);
-    let tests_per_cell: u32 = args.positional_parsed(25);
+    let args = CommonArgs::parse(&[
+        Flag::Count("tests_per_cell"),
+        JOBS,
+        DEADLINE,
+        SEED,
+        PROGRESS,
+        Flag::Value("--csv"),
+    ]);
+    let tests_per_cell = args.count_or(25);
     let cfg = Dispute2014Config {
         tests_per_cell,
         test_duration: SimDuration::from_secs(4),

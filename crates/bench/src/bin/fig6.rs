@@ -5,12 +5,12 @@
 //!  [--seed S] [--progress]`
 
 use csig_bench::tslp_exp;
-use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
 use csig_mlab::{run_campaign_with, Tslp2017Config};
 
 fn main() {
-    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PROGRESS]);
-    let days: u32 = args.positional_parsed(7);
+    let args = CommonArgs::parse(&[Flag::Count("days"), JOBS, DEADLINE, SEED, PROGRESS]);
+    let days = args.count_or(7);
     let cfg = Tslp2017Config {
         days,
         episode_days: (0..days).filter(|d| d % 3 == 2).collect(),

@@ -5,13 +5,19 @@
 //!  [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::dispute;
-use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
 use csig_mlab::{generate_with, Dispute2014Config};
 use csig_netsim::SimDuration;
 
 fn main() {
-    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED, PROGRESS]);
-    let tests_per_cell: u32 = args.positional_parsed(20);
+    let args = CommonArgs::parse(&[
+        Flag::Count("tests_per_cell"),
+        JOBS,
+        DEADLINE,
+        SEED,
+        PROGRESS,
+    ]);
+    let tests_per_cell = args.count_or(20);
     let cfg = Dispute2014Config {
         tests_per_cell,
         test_duration: SimDuration::from_secs(4),

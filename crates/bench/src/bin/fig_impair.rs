@@ -5,12 +5,12 @@
 //!  [--jobs N] [--seed S] [--deadline SECS]`
 
 use csig_bench::{dispute, impair};
-use csig_exec::cli::{CommonArgs, DEADLINE, JOBS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse(&[JOBS, DEADLINE, SEED]);
-    let reps: u32 = args.positional_parsed(4);
+    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, DEADLINE, SEED]);
+    let reps = args.count_or(4);
     eprintln!("fig_impair: training reference model…");
     let clf = dispute::testbed_model_with(5, Profile::Scaled, 0xFA01, &args.executor());
     eprintln!(

@@ -2,9 +2,10 @@
 //! saw.
 
 use crate::classifier::{SignatureClassifier, Verdict};
-use crate::live::LiveAnalyzer;
-use csig_features::FeatureError;
-use csig_netsim::{Capture, FlowId};
+use csig_features::{FeatureError, FlowProbe};
+use csig_netsim::{Capture, Direction, FlowId, PacketRecord};
+use csig_trace::OffsetTracker;
+use std::collections::BTreeMap;
 
 /// Data-quality flags attached to a [`FlowReport`]: the flow was still
 /// classified (when possible), but the conditions below degrade how
@@ -12,16 +13,9 @@ use csig_netsim::{Capture, FlowId};
 /// from a cleanly closed, in-order flow.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowQuality {
-    /// The record stream ended while the flow was still open — the
+    /// The flow's FIN exchange never completed within the capture: the
     /// report covers a truncated prefix of the flow.
-    pub truncated: bool,
-    /// The flow's FIN exchange never completed before the report was
-    /// emitted (truncated and idle-evicted flows always set this).
     pub never_closed: bool,
-    /// The flow was dropped by the analyzer's idle timeout
-    /// ([`crate::LiveAnalyzer::with_idle_timeout`]) after producing no
-    /// records for at least the timeout.
-    pub idle_evicted: bool,
     /// The probe saw inbound packets out of order (packet-id or
     /// cumulative-ACK regression): RTT samples may be contaminated.
     pub reorder_suspect: bool,
@@ -35,36 +29,7 @@ pub struct FlowQuality {
 impl FlowQuality {
     /// `true` when no degradation flag is set.
     pub fn is_clean(&self) -> bool {
-        !(self.truncated
-            || self.never_closed
-            || self.idle_evicted
-            || self.reorder_suspect
-            || self.insufficient_samples)
-    }
-}
-
-impl std::fmt::Display for FlowQuality {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.is_clean() {
-            return write!(f, "clean");
-        }
-        let mut flags = vec![];
-        if self.truncated {
-            flags.push("truncated");
-        }
-        if self.never_closed {
-            flags.push("never-closed");
-        }
-        if self.idle_evicted {
-            flags.push("idle-evicted");
-        }
-        if self.reorder_suspect {
-            flags.push("reorder-suspect");
-        }
-        if self.insufficient_samples {
-            flags.push("insufficient-samples");
-        }
-        write!(f, "{}", flags.join("+"))
+        !(self.never_closed || self.reorder_suspect || self.insufficient_samples)
     }
 }
 
@@ -81,15 +46,114 @@ pub struct FlowReport {
 
 /// Classify every TCP flow in a server-side capture.
 ///
-/// Replays the capture's records through a [`LiveAnalyzer`], the one
-/// classification path for live taps and recorded captures alike;
-/// reports come back ordered by flow id.
+/// One pass routes each record to its flow's [`FlowProbe`]. A flow
+/// takes no records after its FIN exchange completes, so a 4-tuple
+/// reused later in an imported pcap cannot disturb the closed flow's
+/// verdict. Reports come back ordered by flow id.
 pub fn analyze_capture(clf: &SignatureClassifier, cap: &Capture) -> Vec<FlowReport> {
-    let mut live = LiveAnalyzer::new(clf.clone());
+    let mut flows: BTreeMap<FlowId, (FlowProbe, FinWatcher)> = BTreeMap::new();
     for rec in &cap.records {
-        live.push(rec);
+        let flow = rec.pkt.flow;
+        let (probe, fin) = flows
+            .entry(flow)
+            .or_insert_with(|| (FlowProbe::new(flow), FinWatcher::default()));
+        if !fin.closed() {
+            probe.push(rec);
+            fin.push(rec);
+        }
     }
-    live.finish()
+    flows
+        .values()
+        .map(|(probe, fin)| report_for(clf, probe, !fin.closed()))
+        .collect()
+}
+
+/// Classify one probe's accumulated state: its slow-start features
+/// through the classifier, with the window they cover. Flows whose
+/// features cannot be computed get
+/// [`FlowQuality::insufficient_samples`] set alongside the `Err`
+/// verdict, so quality flags and verdicts never disagree.
+fn report_for(clf: &SignatureClassifier, probe: &FlowProbe, never_closed: bool) -> FlowReport {
+    let verdict = probe.features().map(|features| {
+        let (class, confidence) = clf.classify_with_confidence(&features);
+        Verdict {
+            class,
+            confidence,
+            features,
+            slow_start: probe.slow_start(),
+        }
+    });
+    FlowReport {
+        flow: probe.flow(),
+        quality: FlowQuality {
+            never_closed,
+            reorder_suspect: probe.reorder_suspect(),
+            insufficient_samples: verdict.is_err(),
+        },
+        verdict,
+    }
+}
+
+/// Watches one flow's FIN exchange from the server-side tap.
+///
+/// A download flow is complete when the tap node's FIN has been
+/// cumulatively acknowledged *and* the remote side has sent its own
+/// FIN. Records after that point cannot change the flow's verdict (all
+/// data is acked, the ack accountant is capped at the FIN, and pure
+/// ACKs/RSTs carry no payload), so the analysis stops tracking the
+/// flow.
+#[derive(Debug, Clone, Default)]
+struct FinWatcher {
+    tracker: Option<OffsetTracker>,
+    fin_end: Option<u64>,
+    in_fin: bool,
+    fin_acked: bool,
+}
+
+impl FinWatcher {
+    fn push(&mut self, rec: &PacketRecord) {
+        let Some(h) = rec.pkt.tcp() else { return };
+        match rec.dir {
+            Direction::Out => {
+                if h.flags.syn() {
+                    if self.tracker.is_none() {
+                        self.tracker = Some(OffsetTracker::new(h.seq));
+                    }
+                    return;
+                }
+                if h.payload_len == 0 && !h.flags.fin() {
+                    return;
+                }
+                let tr = self
+                    .tracker
+                    .get_or_insert_with(|| OffsetTracker::new(h.seq.wrapping_sub(1)));
+                let start = tr.offset(h.seq);
+                if h.flags.fin() {
+                    // The FIN occupies one sequence slot after the payload.
+                    self.fin_end = Some(start + h.payload_len as u64 + 1);
+                }
+            }
+            Direction::In => {
+                if h.flags.fin() {
+                    self.in_fin = true;
+                }
+                if !h.flags.ack() {
+                    return;
+                }
+                let (Some(tr), Some(fin_end)) = (self.tracker.as_ref(), self.fin_end) else {
+                    return;
+                };
+                let ack_off = csig_tcp::seq::offset_of(tr.base().wrapping_add(1), h.ack, fin_end);
+                if ack_off >= fin_end {
+                    self.fin_acked = true;
+                }
+            }
+        }
+    }
+
+    fn closed(&self) -> bool {
+        self.in_fin && self.fin_acked
+    }
 }
 
 #[cfg(test)]
@@ -98,7 +162,7 @@ mod tests {
     use crate::classifier::{ModelMeta, SignatureClassifier};
     use csig_dtree::TreeParams;
     use csig_features::CongestionClass;
-    use csig_netsim::{LinkConfig, SimDuration, Simulator};
+    use csig_netsim::{LinkConfig, SimDuration, SimTime, Simulator};
     use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 
     fn tiny_model() -> SignatureClassifier {
@@ -121,10 +185,9 @@ mod tests {
         )
     }
 
-    #[test]
-    fn analyze_simulated_capture_end_to_end() {
-        // A download that fills an idle 100 ms buffer: the verdict must
-        // be self-induced.
+    /// The server-side capture of one complete 4 MB download that fills
+    /// an idle 100 ms buffer.
+    fn download_capture() -> Capture {
         let mut sim = Simulator::new(21);
         let server = sim.add_host(Box::new(TcpServerAgent::new(
             TcpConfig::default(),
@@ -145,15 +208,82 @@ mod tests {
         let cap = sim.attach_capture(server);
         sim.set_event_budget(50_000_000);
         sim.run().expect_within_budget();
-        let capture = sim.take_capture(cap);
+        sim.take_capture(cap)
+    }
 
-        let clf = tiny_model();
-        let reports = analyze_capture(&clf, &capture);
+    #[test]
+    fn closed_download_is_classified_self_induced_and_clean() {
+        let reports = analyze_capture(&tiny_model(), &download_capture());
         assert_eq!(reports.len(), 1);
         let verdict = reports[0].verdict.as_ref().expect("classifiable");
         assert_eq!(verdict.class, CongestionClass::SelfInduced);
         assert!(verdict.features.norm_diff > 0.5);
         assert!(verdict.confidence > 0.5);
+        assert!(
+            reports[0].quality.is_clean(),
+            "a cleanly closed flow carries no degradation flags: {:?}",
+            reports[0].quality
+        );
+    }
+
+    #[test]
+    fn unclosed_flow_is_never_closed() {
+        let mut capture = download_capture();
+        capture.records.truncate(capture.len() / 2);
+        let reports = analyze_capture(&tiny_model(), &capture);
+        assert_eq!(reports.len(), 1);
+        assert!(reports[0].quality.never_closed);
+        assert!(reports[0].verdict.is_ok(), "the prefix is still classified");
+    }
+
+    /// Records of a flow after its FIN exchange completed (a reused
+    /// 4-tuple in an imported pcap) leave its report unchanged.
+    #[test]
+    fn records_after_close_are_ignored() {
+        let clf = tiny_model();
+        let capture = download_capture();
+        let mut reused = capture.clone();
+        reused.records.extend_from_within(..);
+        // `Debug` prints every float exactly, so equal renderings mean
+        // bit-identical verdicts and equal quality flags.
+        assert_eq!(
+            format!("{:?}", analyze_capture(&clf, &reused)),
+            format!("{:?}", analyze_capture(&clf, &capture))
+        );
+    }
+
+    #[test]
+    fn short_flow_is_skipped_with_insufficient_samples() {
+        use csig_netsim::{NodeId, Packet, PacketId, PacketKind, TcpFlags, TcpHeader, NO_SACK};
+        let t = SimTime::from_secs(1);
+        let mut capture = Capture::new(NodeId(0));
+        // One bare data record: far below MIN_SAMPLES, never closes.
+        capture.records.push(PacketRecord {
+            time: t,
+            dir: Direction::Out,
+            pkt: Packet {
+                id: PacketId(0),
+                flow: FlowId(7),
+                src: NodeId(0),
+                dst: NodeId(1),
+                size: 1052,
+                sent_at: t,
+                kind: PacketKind::Tcp(TcpHeader {
+                    seq: 1,
+                    ack: 0,
+                    flags: TcpFlags::ACK,
+                    payload_len: 1000,
+                    window: 65535,
+                    sack: NO_SACK,
+                }),
+            },
+        });
+        let reports = analyze_capture(&tiny_model(), &capture);
+        assert_eq!(reports.len(), 1);
+        assert!(reports[0].verdict.is_err(), "no verdict for a short flow");
+        assert!(reports[0].quality.insufficient_samples);
+        assert!(reports[0].quality.never_closed);
+        assert!(!reports[0].quality.is_clean());
     }
 
     #[test]

@@ -22,10 +22,9 @@
 //! [`SignatureClassifier`] wraps the whole pipeline; [`training`]
 //! builds models from testbed sweeps with the paper's
 //! congestion-threshold labeling; [`analysis`] applies a model to every
-//! flow of a capture. There is one classification path: [`LiveAnalyzer`]
-//! is a packet sink that classifies each flow the moment it closes,
-//! retaining only bounded per-flow state, and [`analyze_capture`]
-//! replays a recorded capture through it.
+//! flow of a capture: [`analyze_capture`] replays a recorded capture
+//! once, routing each record to its flow's `FlowProbe`, and classifies
+//! every flow at the end.
 //!
 //! ## Example
 //!
@@ -61,13 +60,11 @@
 
 pub mod analysis;
 pub mod classifier;
-pub mod live;
 pub mod training;
 pub mod web100_mode;
 
 pub use analysis::{analyze_capture, FlowQuality, FlowReport};
 pub use classifier::{ModelMeta, SignatureClassifier, Verdict};
-pub use live::LiveAnalyzer;
 pub use training::{
     ground_truth_confusion, threshold_point, threshold_sweep, train_from_results, train_sweep_with,
     ThresholdPoint,

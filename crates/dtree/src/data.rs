@@ -105,52 +105,6 @@ impl Dataset {
     }
 }
 
-impl Dataset {
-    /// Serialize as CSV: `f0,f1,…,label` per row with a header.
-    pub fn to_csv(&self) -> String {
-        let dim = self.dim();
-        let mut out: String = (0..dim)
-            .map(|i| format!("f{i},"))
-            .chain(std::iter::once("label\n".to_string()))
-            .collect();
-        for (row, label) in self.features.iter().zip(&self.labels) {
-            for v in row {
-                out.push_str(&format!("{v},"));
-            }
-            out.push_str(&format!("{label}\n"));
-        }
-        out
-    }
-
-    /// Parse the CSV format produced by [`Dataset::to_csv`].
-    pub fn from_csv(csv: &str) -> Result<Dataset, String> {
-        let mut lines = csv.lines();
-        let header = lines.next().ok_or("empty csv")?;
-        let dim = header.split(',').count().saturating_sub(1);
-        let mut data = Dataset::new();
-        for (i, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != dim + 1 {
-                return Err(format!("row {i}: expected {} fields", dim + 1));
-            }
-            let feats: Result<Vec<f64>, _> =
-                fields[..dim].iter().map(|f| f.parse::<f64>()).collect();
-            let label: usize = fields[dim]
-                .trim()
-                .parse()
-                .map_err(|e| format!("row {i}: bad label: {e}"))?;
-            data.push(
-                feats.map_err(|e| format!("row {i}: bad feature: {e}"))?,
-                label,
-            );
-        }
-        Ok(data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,27 +158,6 @@ mod tests {
         for (tr, v) in &folds {
             assert_eq!(tr.len() + v.len(), 30);
         }
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let d = toy(7);
-        let csv = d.to_csv();
-        let back = Dataset::from_csv(&csv).unwrap();
-        assert_eq!(back.labels, d.labels);
-        assert_eq!(back.features, d.features);
-        assert_eq!(back.dim(), d.dim());
-    }
-
-    #[test]
-    fn csv_rejects_malformed_rows() {
-        assert!(Dataset::from_csv("").is_err());
-        assert!(Dataset::from_csv("f0,label\n1.0").is_err());
-        assert!(Dataset::from_csv("f0,label\nx,0").is_err());
-        assert!(Dataset::from_csv("f0,label\n1.0,notalabel").is_err());
-        // Blank trailing lines are fine.
-        let d = Dataset::from_csv("f0,label\n1.5,1\n\n").unwrap();
-        assert_eq!(d.len(), 1);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Every `fig*`/`exp_*` binary and each subcommand of the root `csig`
 //! CLI parse their arguments through [`CommonArgs`], declaring the
-//! flags they read as [`Flag`]s. The shared execution flags are:
+//! flags and positionals they read as [`Flag`]s. The shared execution
+//! flags are:
 //!
 //! * `--jobs N` — worker count for campaign execution (`0` or absent
 //!   means one worker per available core). Results are byte-identical
@@ -23,14 +24,16 @@
 //! * `--trace-out FILE` — write the campaign's structured trace events
 //!   as JSONL at campaign end.
 //!
-//! A binary accepts exactly the flags it declares, so one that does not
-//! write `--metrics-out` rejects it. An undeclared flag, a value flag
-//! without its value, or a malformed `--jobs`, `--seed` or `--deadline`
-//! value is an error (exit status 2 from [`CommonArgs::parse`]).
+//! A binary accepts exactly the flags and positionals it declares, so
+//! one that does not write `--metrics-out` rejects it. An undeclared
+//! flag, a value flag without its value, a malformed `--jobs`, `--seed`
+//! or `--deadline` value, a positional beyond those declared or a
+//! malformed [`Flag::Count`] is an error (exit status 2 from
+//! [`CommonArgs::parse`]).
 //!
 //! Experiment-specific flags and positionals stay with the binary;
 //! the accessor helpers here ([`CommonArgs::flag_value`],
-//! [`CommonArgs::positional_parsed`], …) keep their parsing uniform.
+//! [`CommonArgs::count_or`], …) keep their parsing uniform.
 
 use std::str::FromStr;
 use std::time::Duration;
@@ -38,13 +41,20 @@ use std::time::Duration;
 use crate::{Executor, ProgressEvent};
 use csig_obs::{Snapshot, TraceEvent};
 
-/// A flag a binary reads, as declared to [`CommonArgs::parse`].
+/// A flag or positional a binary reads, as declared to
+/// [`CommonArgs::parse`]. Positionals are taken in declaration order.
 #[derive(Debug, Clone, Copy)]
 pub enum Flag {
     /// A flag that stands alone, such as `--paper`.
     Switch(&'static str),
     /// A flag followed by its value, such as `--jobs 4`.
     Value(&'static str),
+    /// A positional whole number (`u32`), such as the reps of
+    /// `fig1 5`; read by [`CommonArgs::count_or`].
+    Count(&'static str),
+    /// A positional path, such as the capture of `csig inspect
+    /// cap.pcap`; read by [`CommonArgs::positional`].
+    Path(&'static str),
 }
 
 /// `--jobs N`, read by [`CommonArgs::executor`].
@@ -63,9 +73,11 @@ pub const METRICS_OUT: Flag = Flag::Value("--metrics-out");
 pub const TRACE_OUT: Flag = Flag::Value("--trace-out");
 
 impl Flag {
-    fn name(self) -> &'static str {
+    /// The flag's spelling, or `None` for a positional.
+    fn flag_name(self) -> Option<&'static str> {
         match self {
-            Flag::Switch(name) | Flag::Value(name) => name,
+            Flag::Switch(name) | Flag::Value(name) => Some(name),
+            Flag::Count(_) | Flag::Path(_) => None,
         }
     }
 }
@@ -76,7 +88,8 @@ impl Flag {
 pub struct CommonArgs {
     /// Each flag given, in order, with its value (`None` for a switch).
     flags: Vec<(&'static str, Option<String>)>,
-    /// Every argument that is neither a flag nor a flag's value.
+    /// Every argument that is neither a flag nor a flag's value, one
+    /// per declared positional at most.
     positionals: Vec<String>,
     /// Worker count (`0` = one per core; resolved by [`Executor::new`]).
     pub jobs: usize,
@@ -97,9 +110,10 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Parse the process arguments (skipping the program name) against
-    /// the `declared` flags. An undeclared flag, a missing value or a
-    /// malformed `--jobs`, `--seed` or `--deadline` value prints an
-    /// error naming the flag and exits with status 2.
+    /// the `declared` flags and positionals. An undeclared flag or
+    /// positional, a missing value or a malformed `--jobs`, `--seed`,
+    /// `--deadline` or [`Flag::Count`] value prints an error naming the
+    /// argument and exits with status 2.
     pub fn parse(declared: &[Flag]) -> Self {
         Self::from_vec(std::env::args().skip(1).collect(), declared).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -107,20 +121,32 @@ impl CommonArgs {
         })
     }
 
-    /// Parse `args` against the `declared` flags. Every argument
-    /// starting with `--` must be a declared flag; a [`Flag::Value`]
-    /// takes the next argument as its value unless that is itself a
-    /// flag. The error names the offending flag.
+    /// Parse `args` against the `declared` flags and positionals. Every
+    /// argument starting with `--` must be a declared flag; a
+    /// [`Flag::Value`] takes the next argument as its value unless that
+    /// is itself a flag. Every other argument fills the next declared
+    /// positional, and a [`Flag::Count`] must parse as a `u32`. The
+    /// error names the offending argument.
     pub fn from_vec(args: Vec<String>, declared: &[Flag]) -> Result<Self, String> {
         let mut flags = Vec::new();
         let mut positionals = Vec::new();
+        let mut slots = declared.iter().filter(|f| f.flag_name().is_none());
         let mut args = args.into_iter().peekable();
         while let Some(arg) = args.next() {
             if !arg.starts_with("--") {
-                positionals.push(arg);
+                match slots.next() {
+                    None => return Err(format!("unexpected argument `{arg}`")),
+                    Some(Flag::Count(name)) if arg.parse::<u32>().is_err() => {
+                        return Err(format!("bad {name} value `{arg}`"))
+                    }
+                    Some(_) => positionals.push(arg),
+                }
                 continue;
             }
-            match declared.iter().find(|f| f.name() == arg) {
+            match declared
+                .iter()
+                .find(|f| f.flag_name() == Some(arg.as_str()))
+            {
                 Some(&Flag::Switch(name)) => flags.push((name, None)),
                 Some(&Flag::Value(name)) => {
                     let value = args
@@ -128,8 +154,8 @@ impl CommonArgs {
                         .ok_or_else(|| format!("{name} needs a value"))?;
                     flags.push((name, Some(value)));
                 }
-                None => {
-                    let accepted: Vec<_> = declared.iter().map(|f| f.name()).collect();
+                _ => {
+                    let accepted: Vec<_> = declared.iter().filter_map(|f| f.flag_name()).collect();
                     return Err(format!(
                         "unknown flag `{arg}` (accepted: {})",
                         accepted.join(" ")
@@ -240,11 +266,13 @@ impl CommonArgs {
         self.positionals.first()
     }
 
-    /// The first positional that parses as `T`, or `default`.
-    pub fn positional_parsed<T: FromStr>(&self, default: T) -> T {
+    /// The first positional, declared as a [`Flag::Count`] (so
+    /// [`CommonArgs::from_vec`] has checked that it parses), or
+    /// `default` when it is absent.
+    pub fn count_or(&self, default: u32) -> u32 {
         self.positionals
-            .iter()
-            .find_map(|a| a.parse().ok())
+            .first()
+            .and_then(|a| a.parse().ok())
             .unwrap_or(default)
     }
 
@@ -284,10 +312,14 @@ fn parse_seed(v: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use Flag::{Switch, Value};
+    use Flag::{Count, Path, Switch, Value};
 
-    /// Every shared execution flag.
+    /// A reps count, as the experiment binaries declare it.
+    const REPS: Flag = Count("reps");
+
+    /// A reps count and every shared execution flag.
     const COMMON: &[Flag] = &[
+        REPS,
         JOBS,
         DEADLINE,
         SEED,
@@ -315,7 +347,7 @@ mod tests {
         assert_eq!(a.jobs, 4);
         assert_eq!(a.seed, Some(99));
         assert!(a.paper && a.progress);
-        assert_eq!(a.positional_parsed(0u32), 7);
+        assert_eq!(a.count_or(0), 7);
     }
 
     #[test]
@@ -324,7 +356,7 @@ mod tests {
         assert_eq!(a.jobs, 0);
         assert_eq!(a.seed_or(42), 42);
         assert!(!a.paper && !a.progress);
-        assert_eq!(a.positional_parsed(5u32), 5);
+        assert_eq!(a.count_or(5), 5);
     }
 
     #[test]
@@ -337,7 +369,7 @@ mod tests {
         assert!(try_args(&["--deadline", "x"]).is_err());
         assert_eq!(args(&["--deadline", "0"]).deadline, None);
         // The value is not a positional.
-        assert_eq!(args(&["--deadline", "2"]).positional_parsed(9u32), 9);
+        assert_eq!(args(&["--deadline", "2"]).count_or(9), 9);
     }
 
     #[test]
@@ -377,7 +409,7 @@ mod tests {
         assert!(err.contains("`--frobnicate`"), "{err}");
         // A shared flag the binary does not read is rejected too, so
         // `--metrics-out` never silently writes nothing.
-        let err = parse(&["1", "--metrics-out", "m.json"], &[JOBS, SEED])
+        let err = parse(&["1", "--metrics-out", "m.json"], &[REPS, JOBS, SEED])
             .expect_err("undeclared shared flag");
         assert!(err.contains("`--metrics-out`"), "{err}");
         assert!(err.contains("(accepted: --jobs --seed)"), "{err}");
@@ -387,22 +419,22 @@ mod tests {
 
     #[test]
     fn declared_switch_does_not_swallow_the_next_positional() {
-        let a = parse(&["--raw", "3"], &[Switch("--raw")]).unwrap();
+        let a = parse(&["--raw", "3"], &[Switch("--raw"), REPS]).unwrap();
         assert!(a.has_flag("--raw"));
         assert_eq!(a.flag_value("--raw"), None);
-        assert_eq!(a.positional_parsed(5u32), 3);
-        assert_eq!(args(&["--paper", "3"]).positional_parsed(5u32), 3);
+        assert_eq!(a.count_or(5), 3);
+        assert_eq!(args(&["--paper", "3"]).count_or(5), 3);
     }
 
     #[test]
     fn declared_value_flag_value_is_not_a_positional() {
         // `fig3 --jobs 4` must not read `4` as the reps positional.
-        assert_eq!(args(&["--jobs", "4"]).positional_parsed(5u32), 5);
-        let a = parse(&["--csv", "7", "3"], &[Value("--csv")]).unwrap();
+        assert_eq!(args(&["--jobs", "4"]).count_or(5), 5);
+        let a = parse(&["--csv", "7", "3"], &[Value("--csv"), REPS]).unwrap();
         assert_eq!(a.flag_value("--csv").map(String::as_str), Some("7"));
         assert_eq!(a.positional().map(String::as_str), Some("3"));
-        assert_eq!(a.positional_parsed(5u32), 3);
-        let err = parse(&["3", "--csv"], &[Value("--csv")]).expect_err("missing value");
+        assert_eq!(a.count_or(5), 3);
+        let err = parse(&["3", "--csv"], &[Value("--csv"), REPS]).expect_err("missing value");
         assert!(err.contains("--csv needs a value"), "{err}");
     }
 
@@ -411,8 +443,32 @@ mod tests {
         let a = args(&["--metrics-out", "m.json", "--trace-out", "t.jsonl", "3"]);
         assert_eq!(a.metrics_out.as_deref(), Some("m.json"));
         assert_eq!(a.trace_out.as_deref(), Some("t.jsonl"));
-        assert_eq!(a.positional_parsed(9u32), 3);
+        assert_eq!(a.count_or(9), 3);
         assert_eq!(args(&[]).metrics_out, None);
+    }
+
+    #[test]
+    fn malformed_extra_or_undeclared_positionals_are_errors_naming_them() {
+        for (list, want) in [
+            (&["2x"][..], "bad reps value `2x`"),
+            (&["abc", "3"][..], "bad reps value `abc`"),
+            (&["-1"][..], "bad reps value `-1`"),
+            (&["3", "4"][..], "unexpected argument `4`"),
+        ] {
+            let err = try_args(list).expect_err(want);
+            assert!(err.contains(want), "{list:?}: {err}");
+        }
+        // A binary that declares no positional takes none.
+        let err = parse(&["3"], &[JOBS]).expect_err("undeclared positional");
+        assert!(err.contains("unexpected argument `3`"), "{err}");
+    }
+
+    #[test]
+    fn path_positional_takes_any_value() {
+        let a = parse(&["cap.pcap", "--jobs", "2"], &[Path("capture"), JOBS]).unwrap();
+        assert_eq!(a.positional().map(String::as_str), Some("cap.pcap"));
+        assert_eq!(a.jobs, 2);
+        assert_eq!(parse(&[], &[Path("capture")]).unwrap().positional(), None);
     }
 
     #[test]

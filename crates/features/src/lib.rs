@@ -28,4 +28,4 @@ pub use features::{
     MIN_SAMPLES,
 };
 pub use probe::FlowProbe;
-pub use stats::{ecdf, median, percentile, Summary};
+pub use stats::{median, percentile, Summary};

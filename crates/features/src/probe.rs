@@ -6,8 +6,8 @@
 //! the online [`FeatureAccumulator`], consuming one packet record at a
 //! time and retaining only bounded per-flow state — no trace is
 //! buffered. Attached directly to a simulator node it measures its flow
-//! while the simulation runs; `csig-core`'s `LiveAnalyzer` routes
-//! records of many flows to one probe each.
+//! while the simulation runs; `csig-core`'s `analyze_capture` routes
+//! the records of a capture's flows to one probe each.
 //!
 //! ## Windowing invariant
 //!

@@ -105,18 +105,6 @@ pub fn median(values: &[f64]) -> Option<f64> {
     })
 }
 
-/// Empirical CDF points `(value, fraction ≤ value)` for plotting, one
-/// per sorted sample.
-pub fn ecdf(values: &[f64]) -> Vec<(f64, f64)> {
-    let mut v: Vec<f64> = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len() as f64;
-    v.into_iter()
-        .enumerate()
-        .map(|(i, x)| (x, (i + 1) as f64 / n))
-        .collect()
-}
-
 /// Interpolated percentile; `None` when the slice is empty, when `p`
 /// is NaN or outside `[0, 100]`, or when any sample is NaN (a NaN rank
 /// would otherwise index garbage).
@@ -176,14 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_monotone() {
-        let pts = ecdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[0], (1.0, 1.0 / 3.0));
-        assert_eq!(pts[2], (3.0, 1.0));
-    }
-
-    #[test]
     fn percentile_interpolates() {
         let v = [10.0, 20.0, 30.0];
         assert_eq!(percentile(&v, 0.0), Some(10.0));
@@ -222,16 +202,6 @@ mod tests {
             let s = Summary::of(&values);
             prop_assert!(s.min().unwrap() <= s.mean() + 1e-9);
             prop_assert!(s.max().unwrap() >= s.mean() - 1e-9);
-        }
-
-        #[test]
-        fn prop_ecdf_is_monotone(values in proptest::collection::vec(0f64..1e6, 1..100)) {
-            let pts = ecdf(&values);
-            for w in pts.windows(2) {
-                prop_assert!(w[0].0 <= w[1].0);
-                prop_assert!(w[0].1 <= w[1].1);
-            }
-            prop_assert!((pts.last().unwrap().1 - 1.0).abs() < 1e-12);
         }
     }
 }

@@ -33,7 +33,7 @@ pub use dispute2014::{
 pub use isp::{AccessIsp, Month, TransitSite};
 pub use ndt::{run_ndt, CongestedState, NdtMeasurement, NdtPath, NDT_FLOW};
 pub use tslp2017::{
-    build_schedule, label_tslp2017, run_campaign_with, test_schedule, tests_to_csv, EpisodeWindow,
+    build_schedule, label_tslp2017, run_campaign_with, test_schedule, EpisodeWindow,
     Tslp2017Config, Tslp2017Output, TslpNdtScenario, TslpNdtTest,
 };
 pub use web100::Web100Log;

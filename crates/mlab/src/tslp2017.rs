@@ -305,40 +305,6 @@ pub fn run_campaign_with<F: FnMut(ProgressEvent)>(
     }
 }
 
-/// Export the campaign's NDT tests as CSV for external analysis.
-pub fn tests_to_csv(out: &Tslp2017Output, plan_mbps: u64) -> String {
-    let mut csv = String::from(
-        "t_days,during_episode,throughput_mbps,min_rtt_ms,norm_diff,cov,samples,label\n",
-    );
-    for t in &out.tests {
-        let (nd, cov, n) = match &t.measurement.features {
-            Ok(f) => (
-                format!("{:.4}", f.norm_diff),
-                format!("{:.4}", f.cov),
-                f.samples.to_string(),
-            ),
-            Err(_) => ("".into(), "".into(), "0".into()),
-        };
-        csv.push_str(&format!(
-            "{:.4},{},{:.3},{},{},{},{},{}\n",
-            t.at.as_secs_f64() / 86_400.0,
-            t.during_episode,
-            t.measurement.throughput_mbps,
-            t.measurement
-                .min_rtt_ms
-                .map(|v| format!("{v:.2}"))
-                .unwrap_or_default(),
-            nd,
-            cov,
-            n,
-            label_tslp2017(t, plan_mbps)
-                .map(|c| c.label().to_string())
-                .unwrap_or_default(),
-        ));
-    }
-    csv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,14 +355,6 @@ mod tests {
         let truth = out.episodes[0];
         assert!(detected[0].start >= truth.start - SimDuration::from_secs(1200));
         assert!(detected[0].end <= truth.end + SimDuration::from_secs(1200));
-    }
-
-    #[test]
-    fn csv_export_shape() {
-        let out = run_campaign_with(&tiny_cfg(), &Executor::sequential(), |_| {});
-        let csv = tests_to_csv(&out, 25);
-        assert_eq!(csv.lines().count(), out.tests.len() + 1);
-        assert!(csv.lines().nth(1).unwrap().split(',').count() == 8);
     }
 
     #[test]

@@ -76,10 +76,9 @@ pub struct TraceEvent {
     /// Event time in simulation nanoseconds (deterministic — never
     /// wall-clock).
     pub time_ns: u64,
-    /// Emitting component (`"sim"`, `"link"`, `"tcp"`, `"live"`,
-    /// `"exec"`, …).
+    /// Emitting component (`"sim"`, …).
     pub scope: &'static str,
-    /// Event kind within the scope (`"drop"`, `"fault"`, `"skip"`, …).
+    /// Event kind within the scope (`"drop"`, `"fault"`, …).
     pub kind: &'static str,
     /// Typed key/value payload.
     pub fields: Vec<(&'static str, FieldValue)>,

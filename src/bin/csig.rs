@@ -17,10 +17,10 @@
 //!     Per-flow RTT/slow-start statistics without classification.
 //! ```
 //!
-//! Each subcommand accepts exactly the flags of its `USAGE` line and
-//! exits with status 2 on any other (`csig_exec::cli::CommonArgs`), as
-//! on a missing or unknown subcommand, a missing capture path or a
-//! malformed flag value.
+//! Each subcommand accepts exactly the flags and positionals of its
+//! `USAGE` line and exits with status 2 on any other
+//! (`csig_exec::cli::CommonArgs`), as on a missing or unknown
+//! subcommand, a missing capture path or a malformed flag value.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -35,7 +35,7 @@ use csig_testbed::{
     paper_grid, small_grid, AccessParams, Profile, Sweep, TestbedConfig, DRAIN_TAIL,
 };
 use csig_trace::{import_pcap, write_pcap, ServerSelector};
-use Flag::{Switch, Value};
+use Flag::{Path, Switch, Value};
 
 fn main() -> ExitCode {
     let all: Vec<String> = std::env::args().skip(1).collect();
@@ -60,10 +60,16 @@ fn main() -> ExitCode {
         ),
         "classify" => (
             cmd_classify,
-            &[Value("--model"), Value("--server-port"), JOBS, DEADLINE],
+            &[
+                Path("capture.pcap"),
+                Value("--model"),
+                Value("--server-port"),
+                JOBS,
+                DEADLINE,
+            ],
         ),
         "simulate" => (cmd_simulate, &[Switch("--external"), Value("--out"), SEED]),
-        "inspect" => (cmd_inspect, &[Value("--server-port")]),
+        "inspect" => (cmd_inspect, &[Path("capture.pcap"), Value("--server-port")]),
         "-h" | "--help" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

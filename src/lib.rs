@@ -55,8 +55,8 @@ pub use csig_tslp as tslp;
 /// The most common imports in one place.
 pub mod prelude {
     pub use csig_core::{
-        analyze_capture, threshold_sweep, train_from_results, LiveAnalyzer, ModelMeta,
-        SignatureClassifier, Verdict,
+        analyze_capture, threshold_sweep, train_from_results, ModelMeta, SignatureClassifier,
+        Verdict,
     };
     pub use csig_dtree::{Dataset, DecisionTree, TreeParams};
     pub use csig_exec::{Campaign, Executor, ProgressEvent, Scenario};

@@ -1,9 +1,9 @@
 //! Streaming equivalence, proven on live simulations.
 //!
 //! One simulation is observed through independent taps on the server:
-//! a buffering `Capture`, one `FlowProbe` per flow and a
-//! `LiveAnalyzer`, attached side by side. Across randomized loss rates,
-//! jitter (reordering pressure), flow counts and transfer sizes:
+//! a buffering `Capture` and one `FlowProbe` per flow, attached side by
+//! side. Across randomized loss rates, jitter (reordering pressure),
+//! flow counts and transfer sizes:
 //!
 //! * each probe, fed the interleaved multi-flow stream, must match —
 //!   bit for bit — fresh cores (`RttExtractor`, `SlowStartTracker`,
@@ -14,11 +14,12 @@
 //!   `AckAccountant` replays (to the window's midpoint and to its
 //!   boundary), and the features against the flow's whole sample list
 //!   filtered to the final boundary and folded afterwards;
-//! * the live analyzer must report what `analyze_capture` reports for
-//!   the buffered capture.
+//! * `analyze_capture` on the buffered capture, which stops feeding a
+//!   flow once its FIN exchange completes, must report the verdict each
+//!   probe's features yield.
 
 use proptest::prelude::*;
-use tcp_congestion_signatures::core::{analyze_capture, LiveAnalyzer, ModelMeta};
+use tcp_congestion_signatures::core::{analyze_capture, ModelMeta};
 use tcp_congestion_signatures::dtree::TreeParams;
 use tcp_congestion_signatures::features::{FeatureAccumulator, FeatureError, FlowProbe};
 use tcp_congestion_signatures::netsim::{
@@ -30,15 +31,15 @@ use tcp_congestion_signatures::trace::{
 };
 
 /// Build a server-behind-router topology with `n_flows` clients, run it
-/// with a buffering capture *and* streaming sinks attached to the same
-/// server node, and return everything.
+/// with a buffering capture *and* one probe per flow attached to the
+/// same server node, and return everything.
 fn run_with_both_taps(
     seed: u64,
     loss_pct: f64,
     jitter_ms: u64,
     n_flows: u32,
     size: u64,
-) -> (Simulator, Capture, Vec<(FlowId, SinkHandle)>, SinkHandle) {
+) -> (Simulator, Capture, Vec<(FlowId, SinkHandle)>) {
     let ms = SimDuration::from_millis;
     let mut sim = Simulator::new(seed);
     let server = sim.add_host(Box::new(TcpServerAgent::new(
@@ -81,14 +82,13 @@ fn run_with_both_taps(
         .iter()
         .map(|&f| (f, sim.attach_sink(server, Box::new(FlowProbe::new(f)))))
         .collect();
-    let live = sim.attach_sink(server, Box::new(LiveAnalyzer::new(tiny_model())));
 
     sim.set_event_budget(50_000_000);
     sim.run_until(tcp_congestion_signatures::netsim::SimTime::ZERO + SimDuration::from_secs(30))
         .expect_within_budget();
 
     let capture = sim.take_capture(cap);
-    (sim, capture, probes, live)
+    (sim, capture, probes)
 }
 
 fn tiny_model() -> SignatureClassifier {
@@ -147,8 +147,7 @@ fn windowed_features(
 }
 
 fn check_equivalence(seed: u64, loss_pct: f64, jitter_ms: u64, n_flows: u32, size: u64) {
-    let (sim, capture, probes, live_h) =
-        run_with_both_taps(seed, loss_pct, jitter_ms, n_flows, size);
+    let (sim, capture, probes) = run_with_both_taps(seed, loss_pct, jitter_ms, n_flows, size);
 
     for (flow, probe_h) in &probes {
         let probe: &FlowProbe = sim.sink(*probe_h).expect("probe tap");
@@ -206,23 +205,28 @@ fn check_equivalence(seed: u64, loss_pct: f64, jitter_ms: u64, n_flows: u32, siz
         );
     }
 
-    // The live analyzer (emit-on-close, bounded state) against the
-    // buffered capture replayed afterwards.
-    let live: &LiveAnalyzer = sim.sink(live_h).expect("live analyzer tap");
-    let live_reports = live.clone().finish();
-    let replayed = analyze_capture(&tiny_model(), &capture);
-    assert_eq!(live_reports.len(), replayed.len());
-    for (l, b) in live_reports.iter().zip(&replayed) {
-        assert_eq!(l.flow, b.flow);
-        match (&l.verdict, &b.verdict) {
-            (Ok(lv), Ok(bv)) => {
-                assert_eq!(lv.class, bv.class);
-                assert_eq!(lv.confidence, bv.confidence);
-                assert_eq!(lv.features, bv.features);
-                assert_eq!(lv.slow_start, bv.slow_start);
+    // The capture replayed afterwards (one demultiplexing pass that
+    // ignores a flow's records after its FIN exchange) against the
+    // probes, which saw every record.
+    let clf = tiny_model();
+    let reports = analyze_capture(&clf, &capture);
+    assert_eq!(
+        reports.iter().map(|r| r.flow).collect::<Vec<_>>(),
+        probes.iter().map(|(flow, _)| *flow).collect::<Vec<_>>()
+    );
+    for (report, (flow, probe_h)) in reports.iter().zip(&probes) {
+        let probe: &FlowProbe = sim.sink(*probe_h).expect("probe tap");
+        match (&report.verdict, probe.features()) {
+            (Ok(v), Ok(features)) => {
+                assert_eq!(v.features, features);
+                assert_eq!(
+                    (v.class, v.confidence),
+                    clf.classify_with_confidence(&features)
+                );
+                assert_eq!(v.slow_start, probe.slow_start());
             }
-            (Err(le), Err(be)) => assert_eq!(le, be),
-            (l, b) => panic!("verdict mismatch for flow: {l:?} vs {b:?}"),
+            (Err(e), Err(probe_e)) => assert_eq!(*e, probe_e),
+            (r, p) => panic!("verdict mismatch for {flow:?}: {r:?} vs {p:?}"),
         }
     }
 }
@@ -233,7 +237,7 @@ fn check_equivalence(seed: u64, loss_pct: f64, jitter_ms: u64, n_flows: u32, siz
 #[test]
 fn streaming_equals_batch_on_lossy_multiflow_run() {
     check_equivalence(42, 1.0, 2, 3, 2_000_000);
-    let (sim, capture, probes, _) = run_with_both_taps(42, 1.0, 2, 3, 2_000_000);
+    let (sim, capture, probes) = run_with_both_taps(42, 1.0, 2, 3, 2_000_000);
     assert!(
         capture.len() > 1000,
         "only {} records captured",

@@ -347,14 +347,11 @@ impl DecisionTree {
         match &self.nodes[at] {
             Node::Leaf { counts, .. } => gini(counts),
             Node::Split { left, right, .. } => {
-                let nl = self.node_samples(*left);
-                let nr = self.node_samples(*right);
                 // Recombine child histograms.
                 let mut counts = self.node_counts(*left);
                 for (c, v) in counts.iter_mut().zip(self.node_counts(*right)) {
                     *c += v;
                 }
-                let _ = (nl, nr);
                 gini(&counts)
             }
         }

@@ -6,7 +6,9 @@
 //!
 //! * [`seq`] — wrapping 32-bit sequence arithmetic and 64-bit
 //!   stream-offset unwrapping.
-//! * [`rtt`] — RFC 6298 RTT estimation / RTO computation.
+//! * [`rtt`] — RFC 6298 RTT estimation / RTO computation, with the
+//!   SRTT/RTTVAR averages in integer nanoseconds (equal to the rounded
+//!   `f64` averages for every value below 2⁵⁰ ns).
 //! * [`cc`] — congestion control: NewReno, CUBIC, and a BBR
 //!   approximation.
 //! * [`connection`] — the endpoint state machine (handshake, NewReno

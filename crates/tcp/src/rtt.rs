@@ -5,13 +5,17 @@
 //! a configurable floor (Linux uses 200 ms), a 60 s ceiling, and
 //! exponential backoff on timeout. Karn's rule (never sample a
 //! retransmitted segment) is enforced by the caller.
+//!
+//! The averages (α = 1/8, β = 1/4) are integer nanoseconds rounded half
+//! up: `srtt ← (7·srtt + rtt + 4) >> 3` and
+//! `rttvar ← (3·rttvar + |srtt − rtt| + 2) >> 2`. For every value below
+//! 2⁵⁰ ns (13 days) these equal the `f64` forms
+//! `(0.875·srtt + 0.125·rtt).round()` and
+//! `(0.75·rttvar + 0.25·err).round()`, whose products and sums are then
+//! exact in a 53-bit mantissa.
 
 use csig_netsim::SimDuration;
 use serde::{Deserialize, Serialize};
-
-/// RFC 6298 smoothing parameters.
-const ALPHA: f64 = 1.0 / 8.0;
-const BETA: f64 = 1.0 / 4.0;
 
 /// RTT estimator state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -66,15 +70,10 @@ impl RttEstimator {
                 self.rttvar = rtt / 2;
             }
             Some(srtt) => {
-                let err = if rtt >= srtt { rtt - srtt } else { srtt - rtt };
-                self.rttvar = SimDuration::from_nanos(
-                    ((1.0 - BETA) * self.rttvar.as_nanos() as f64 + BETA * err.as_nanos() as f64)
-                        .round() as u64,
-                );
-                self.srtt = Some(SimDuration::from_nanos(
-                    ((1.0 - ALPHA) * srtt.as_nanos() as f64 + ALPHA * rtt.as_nanos() as f64).round()
-                        as u64,
-                ));
+                let (s, r) = (srtt.as_nanos(), rtt.as_nanos());
+                let err = s.abs_diff(r);
+                self.rttvar = SimDuration::from_nanos((3 * self.rttvar.as_nanos() + err + 2) >> 2);
+                self.srtt = Some(SimDuration::from_nanos((7 * s + r + 4) >> 3));
             }
         }
         self.backoff = 0;
@@ -125,6 +124,7 @@ impl RttEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
@@ -200,5 +200,28 @@ mod tests {
         }
         assert!(jittery.rttvar() > stable.rttvar());
         assert!(jittery.rto() >= stable.rto());
+    }
+
+    proptest! {
+        #[test]
+        fn prop_integer_update_equals_the_f64_rounding(
+            srtt in 0u64..(1 << 50),
+            rttvar in 0u64..(1 << 50),
+            rtt in 0u64..(1 << 50),
+        ) {
+            let mut e = RttEstimator {
+                srtt: Some(SimDuration::from_nanos(srtt)),
+                rttvar: SimDuration::from_nanos(rttvar),
+                ..RttEstimator::default()
+            };
+            e.on_sample(SimDuration::from_nanos(rtt));
+            // The RFC 6298 update in f64, rounded half away from zero.
+            let (alpha, beta) = (1.0 / 8.0, 1.0 / 4.0);
+            let err = srtt.abs_diff(rtt);
+            let want_var = ((1.0 - beta) * rttvar as f64 + beta * err as f64).round() as u64;
+            let want_srtt = ((1.0 - alpha) * srtt as f64 + alpha * rtt as f64).round() as u64;
+            prop_assert_eq!(e.rttvar().as_nanos(), want_var);
+            prop_assert_eq!(e.srtt().map(SimDuration::as_nanos), Some(want_srtt));
+        }
     }
 }

@@ -29,11 +29,9 @@ pub fn seq_diff(a: u32, b: u32) -> i32 {
 /// and which is closest to the reference offset `near`.
 #[inline]
 pub fn unwrap_near(wire: u32, near: u64) -> u64 {
-    let base = near & !0xFFFF_FFFFu64;
     let low = near as u32;
     let delta = wire.wrapping_sub(low) as i32 as i64;
     let candidate = near as i64 + delta;
-    let _ = base;
     if candidate < 0 {
         // Cannot go below zero; clamp to the non-negative unwrapping.
         (candidate + (1i64 << 32)) as u64

@@ -46,8 +46,8 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy -p csig-netsim -p csig-tcp -p csig-trace -p csig-features --all-targets -- -D clippy::perf (hot-path perf gate)"
-cargo clippy -p csig-netsim -p csig-tcp -p csig-trace -p csig-features --all-targets -- -D clippy::perf
+echo "==> cargo clippy -p csig-netsim -p csig-tcp -p csig-trace -p csig-features -p csig-testbed -p csig-mlab --all-targets -- -D clippy::perf (hot-path perf gate)"
+cargo clippy -p csig-netsim -p csig-tcp -p csig-trace -p csig-features -p csig-testbed -p csig-mlab --all-targets -- -D clippy::perf
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \

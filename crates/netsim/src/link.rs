@@ -18,13 +18,13 @@
 //! departure the moment it admits the packet: `Link::enqueue` computes
 //! the departure and arrival on the spot. In-order packets arrive in
 //! admission order, so the link queues their arrivals itself and keeps
-//! only the head in the scheduler (an `Arrive` event); a packet that may
+//! only the head in the scheduler's arrivals heap; a packet that may
 //! overtake others gets a `Deliver` event of its own. The FIFO of
 //! admitted packets gives the buffer occupancy (packets whose departure
 //! has passed are retired at the next admission) and lets a fault or a
 //! reconfiguration re-time the packets that have not departed yet.
 
-use crate::event::{EventEntry, EventKind, EventQueue};
+use crate::event::{EventKind, EventQueue};
 use crate::fault::{FaultAction, FaultState, Impairment, ImpairmentRecord};
 use crate::ids::{LinkId, NodeId, PacketId};
 use crate::packet::Packet;
@@ -290,7 +290,7 @@ pub struct Link {
     fifo: VecDeque<Scheduled>,
     /// Arrivals of the in-order packets, from scheduling until arrival.
     /// The FIFO clamp makes their times strictly increasing, and the
-    /// scheduler holds an `Arrive` keyed by the head whenever this is
+    /// scheduler holds an arrival keyed by the head whenever this is
     /// non-empty.
     arrivals: VecDeque<Arrival>,
     /// Attached fault plan state (impairments + dedicated RNG stream).
@@ -446,7 +446,7 @@ impl Link {
     /// Apply `change` at `now`. The clock rewinds to the one the first
     /// undeparted packet was scheduled from, and the undeparted packets'
     /// in-order arrivals, a suffix of `arrivals`, are dropped (if that
-    /// empties it, the scheduler's `Arrive` for the old head goes
+    /// empties it, the scheduler's arrival for the old head goes
     /// stale). Then each undeparted packet moves to a fresh pool handle
     /// (so a pending `Deliver` of its own goes stale) and is scheduled
     /// again from `now`, or parked while down.
@@ -640,7 +640,7 @@ impl Link {
             self.clock.last_arrival = time;
             let seq = events.next_seq();
             if self.arrivals.is_empty() {
-                events.push_keyed(time, seq, EventKind::Arrive(self.id));
+                events.push_arrival(time, seq, self.id);
             }
             self.arrivals.push_back(Arrival {
                 time,
@@ -651,9 +651,9 @@ impl Link {
     }
 
     /// Take the head of the in-order arrivals if the scheduler's minimum,
-    /// an `Arrive` for this link keyed `(time, seq)`, still names it; the
+    /// an arrival for this link keyed `(time, seq)`, still names it; the
     /// entry is then re-keyed in place to the next head, or vacated for
-    /// the next `Arrive` pushed in this event. A stale entry (its head
+    /// the next arrival pushed in this event. A stale entry (its head
     /// was re-timed) is popped and `None` returned.
     pub(crate) fn arrive(
         &mut self,
@@ -666,18 +666,12 @@ impl Link {
             .front()
             .filter(|a| (a.time, a.seq) == (time, seq))
         else {
-            events.pop();
+            events.pop_arrival();
             return None;
         };
         self.arrivals.pop_front();
         match self.arrivals.front() {
-            Some(next) => {
-                events.replace_min(EventEntry {
-                    time: next.time,
-                    seq: next.seq,
-                    kind: EventKind::Arrive(self.id),
-                });
-            }
+            Some(next) => events.replace_min(next.time, next.seq, self.id),
             None => events.vacate_min(),
         }
         Some(head.handle)
@@ -687,6 +681,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Next;
     use crate::ids::{FlowId, PacketId};
     use crate::packet::PacketKind;
     use rand::rngs::StdRng;
@@ -747,11 +742,10 @@ mod tests {
         /// departed packet.
         fn drain(&mut self) -> Vec<(u64, SimTime)> {
             let mut out = vec![];
-            while let Some(top) = self.events.peek() {
-                let time = top.time;
-                let handle = match top.kind {
-                    EventKind::Arrive(_) => self.l.arrive(time, top.seq, &mut self.events),
-                    _ => match self.events.pop().map(|e| e.kind) {
+            while let Some((time, seq, next)) = self.events.peek() {
+                let handle = match next {
+                    Next::Link(_) => self.l.arrive(time, seq, &mut self.events),
+                    Next::Other => match self.events.pop_other().map(|e| e.kind) {
                         Some(EventKind::Deliver(_, h)) => {
                             Some(h).filter(|&h| self.pool.contains(h))
                         }

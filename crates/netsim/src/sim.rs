@@ -20,7 +20,7 @@ use crate::agent::{Agent, Command, Ctx};
 use crate::capture::{
     Capture, CaptureHandle, Direction, NullSink, PacketRecord, PacketSink, SinkHandle,
 };
-use crate::event::{EventKind, EventQueue, TimerToken};
+use crate::event::{EventKind, EventQueue, Next, TimerToken};
 use crate::fault::{FaultPlan, FaultState, ImpairmentRecord};
 use crate::ids::{LinkId, NodeId, PacketId};
 use crate::link::{EnqueueOutcome, Link, LinkConfig, Offered};
@@ -36,9 +36,9 @@ use std::collections::VecDeque;
 
 /// The per-kind event metrics, in the order of
 /// `Tallies::events_by_kind`. `sim.events.deliver` counts packet arrivals,
-/// whether a link's in-order `Arrive` or a packet's own `Deliver`.
+/// whether a link's in-order arrival or a packet's own `Deliver`.
 /// `sim.events.stale` counts scheduler entries a re-time superseded:
-/// an `Arrive` whose head packet was re-timed, or a re-timed packet's
+/// a link arrival whose head packet was re-timed, or a re-timed packet's
 /// own `Deliver`. They are skipped, never delivered, and do not advance
 /// the clock.
 const EVENT_METRICS: [&str; 6] = [
@@ -485,10 +485,9 @@ impl Simulator {
             if budget == 0 {
                 return StopReason::EventBudget;
             }
-            let Some(top) = self.events.peek() else {
+            let Some((time, seq, next)) = self.events.peek() else {
                 return StopReason::Drained;
             };
-            let (time, seq) = (top.time, top.seq);
             if time > horizon {
                 self.now = horizon;
                 return StopReason::Horizon;
@@ -499,12 +498,12 @@ impl Simulator {
             );
             self.last_key = Some((time, seq));
             budget -= 1;
-            let kind = if let EventKind::Arrive(link) = top.kind {
+            let kind = if let Next::Link(link) = next {
                 let l = &mut self.links[link.index()];
                 l.arrive(time, seq, &mut self.events)
                     .map(|h| EventKind::Deliver(l.to, h))
             } else {
-                let Some(ev) = self.events.pop() else {
+                let Some(ev) = self.events.pop_other() else {
                     unreachable!("peek just returned Some")
                 };
                 match ev.kind {
@@ -523,7 +522,6 @@ impl Simulator {
                 EventKind::Start(_) => 2,
                 EventKind::LinkReconfig(..) => 3,
                 EventKind::LinkFault(..) => 4,
-                EventKind::Arrive(_) => unreachable!("an arrival pops as a delivery"),
             }] += 1;
             self.now = time;
             self.dispatch(kind);
@@ -587,7 +585,6 @@ impl Simulator {
             EventKind::Start(node) => self.agent_callback(node, AgentCall::Start),
             EventKind::Timer(node, token) => self.agent_callback(node, AgentCall::Timer(token)),
             EventKind::Deliver(node, handle) => self.deliver(node, handle),
-            EventKind::Arrive(_) => unreachable!("an arrival pops as a delivery"),
             EventKind::LinkReconfig(link, cfg) => {
                 let l = &mut self.links[link.index()];
                 l.reconfigure(self.now, *cfg, &mut self.pool, &mut self.events);

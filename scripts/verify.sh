@@ -54,6 +54,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
   --exclude rand --exclude serde --exclude serde_derive --exclude serde_json --exclude proptest
 
 echo "==> bit identity: perfbench outputs_digest matches scripts/outputs_digests.txt"
+# Building perfbench may rewrite its lock file; the EXIT trap puts the
+# committed one back, on success or failure, so a run leaves the tree
+# clean.
+cp perfbench/Cargo.lock "$obsdir/perfbench.Cargo.lock"
+trap 'cp "$obsdir/perfbench.Cargo.lock" perfbench/Cargo.lock; rm -rf "$obsdir"' EXIT
 while read -r workload want; do
   case "$workload" in '' | '#'*) continue ;; esac
   last="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \

@@ -6,10 +6,9 @@
 
 use csig_dtree::{cross_val_accuracy, Dataset, TreeParams};
 use csig_testbed::{build_dataset, TestResult};
-use serde::{Deserialize, Serialize};
 
 /// Which feature subset to train on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureSet {
     /// NormDiff and CoV (the paper's choice).
     Both,
@@ -53,7 +52,7 @@ impl FeatureSet {
 
 /// One ablation row: cross-validated accuracy for a feature set and
 /// tree depth.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AblationRow {
     /// Feature subset.
     pub features: FeatureSet,

@@ -13,10 +13,9 @@ use csig_netsim::rng::derive_seed;
 use csig_netsim::QueueKind;
 use csig_tcp::CcKind;
 use csig_testbed::{run_test, AccessParams, TestbedConfig};
-use serde::{Deserialize, Serialize};
 
 /// One robustness row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VariantRow {
     /// What was varied.
     pub variant: String,

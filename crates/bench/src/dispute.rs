@@ -9,10 +9,9 @@ use csig_mlab::{
     NdtTest, TransitSite,
 };
 use csig_testbed::{small_grid, Profile, Sweep};
-use serde::{Deserialize, Serialize};
 
 /// The two timeframes of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Timeframe {
     /// January–February, peak hours (dispute active).
     JanFebPeak,
@@ -100,7 +99,7 @@ pub fn testbed_model_with(
 }
 
 /// One Figure-7 bar: fraction classified self-induced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Bar {
     /// Transit site.
     pub site: TransitSite,

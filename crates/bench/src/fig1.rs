@@ -10,10 +10,9 @@ use csig_exec::{Campaign, Executor, ProgressEvent};
 use csig_netsim::rng::derive_seed;
 use csig_obs::{MetricsRegistry, Snapshot, TraceEvent};
 use csig_testbed::{AccessParams, Profile, SweepScenario, TestResult};
-use serde::{Deserialize, Serialize};
 
 /// One flow's Figure-1 metrics.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig1Point {
     /// max − min slow-start RTT, ms.
     pub max_minus_min_ms: f64,
@@ -22,7 +21,7 @@ pub struct Fig1Point {
 }
 
 /// Both scenarios' point clouds.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Fig1Data {
     /// Self-induced-scenario flows.
     pub self_induced: Vec<Fig1Point>,

@@ -5,7 +5,6 @@ use csig_core::{threshold_sweep, ThresholdPoint};
 use csig_dtree::TreeParams;
 use csig_features::CongestionClass;
 use csig_testbed::{paper_grid, small_grid, Profile, Sweep, TestResult};
-use serde::{Deserialize, Serialize};
 
 /// The sweep specification backing Figures 3 and 4; run it with
 /// [`Sweep::run_with`].
@@ -49,7 +48,7 @@ pub fn print_fig3(points: &[ThresholdPoint]) {
 }
 
 /// One Figure-4 scatter point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig4Point {
     /// NormDiff.
     pub norm_diff: f64,

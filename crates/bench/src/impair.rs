@@ -15,7 +15,6 @@ use csig_exec::{Campaign, Executor, Scenario};
 use csig_features::CongestionClass;
 use csig_netsim::{FaultPlan, GilbertElliott, SimDuration};
 use csig_testbed::{run_test, AccessParams, TestResult, TestbedConfig};
-use serde::{Deserialize, Serialize};
 
 /// Mean burst length of the Gilbert–Elliott loss chain, packets.
 pub const BURST_LEN: f64 = 8.0;
@@ -23,7 +22,7 @@ pub const BURST_LEN: f64 = 8.0;
 pub const REORDER_HOLD_MS: u64 = 3;
 
 /// One impairment level of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ImpairKind {
     /// No impairment (baseline row).
     Clean,
@@ -105,7 +104,7 @@ impl Scenario for ImpairScenario {
 
 /// Precision/recall of the self-induced decision at one impairment
 /// level (self-induced is the positive class).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ImpairRow {
     /// Impairment label.
     pub impairment: String,

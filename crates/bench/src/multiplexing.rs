@@ -11,10 +11,9 @@ use csig_core::{ground_truth_confusion, SignatureClassifier};
 use csig_exec::{Campaign, Executor};
 use csig_netsim::rng::derive_seed;
 use csig_testbed::{run_test, AccessParams, CongestionMode, Profile};
-use serde::{Deserialize, Serialize};
 
 /// One row of the multiplexing result.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MultiplexPoint {
     /// `TGcong` flows (external rows) or access cross flows (self rows).
     pub flows: u32,
@@ -25,7 +24,7 @@ pub struct MultiplexPoint {
 }
 
 /// Full §3.3 output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiplexData {
     /// External accuracy vs `TGcong` flow count (descending).
     pub external_vs_flows: Vec<MultiplexPoint>,

@@ -11,10 +11,9 @@
 use csig_core::{classify_conn_stats, SignatureClassifier};
 use csig_dtree::ConfusionMatrix;
 use csig_testbed::TestResult;
-use serde::{Deserialize, Serialize};
 
 /// Agreement/accuracy of one sampling stride.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Web100Point {
     /// Keep every `stride`-th kernel RTT sample (1 = all, 8 ≈ 5 ms
     /// polling at typical rates).

@@ -4,10 +4,12 @@
 use csig_dtree::{ConfusionMatrix, Dataset, DecisionTree, TreeParams};
 use csig_features::{CongestionClass, FlowFeatures};
 use csig_trace::SlowStart;
-use serde::{Deserialize, Serialize};
+
+mod json;
+pub use json::ModelError;
 
 /// Metadata describing how a model was trained.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelMeta {
     /// Congestion threshold used to label the training data.
     pub congestion_threshold: f64,
@@ -21,7 +23,7 @@ pub struct ModelMeta {
 
 /// A trained classifier that maps slow-start RTT features to a
 /// [`CongestionClass`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SignatureClassifier {
     tree: DecisionTree,
     /// Provenance and labeling parameters.
@@ -29,7 +31,7 @@ pub struct SignatureClassifier {
 }
 
 /// A complete per-flow diagnosis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Verdict {
     /// The predicted congestion class.
     pub class: CongestionClass,
@@ -84,17 +86,16 @@ impl SignatureClassifier {
         self.tree.render(&["NormDiff", "CoV"])
     }
 
-    /// Serialize to JSON.
+    /// The model file: pretty-printed JSON (schema in DESIGN.md §3.1).
     pub fn to_json(&self) -> String {
-        match serde_json::to_string_pretty(self) {
-            Ok(s) => s,
-            Err(e) => unreachable!("model serialization cannot fail: {e}"),
-        }
+        json::write(self)
     }
 
-    /// Load from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Load a model file written by [`to_json`](Self::to_json). Any
+    /// departure from its schema, or a tree `fit` could not have
+    /// built, is an error naming the problem.
+    pub fn from_json(json: &str) -> Result<Self, ModelError> {
+        json::parse(json)
     }
 }
 
@@ -120,7 +121,7 @@ pub(crate) mod tests {
         d
     }
 
-    fn meta() -> ModelMeta {
+    pub(crate) fn meta() -> ModelMeta {
         ModelMeta {
             congestion_threshold: 0.8,
             trained_on: "synthetic".into(),
@@ -160,23 +161,6 @@ pub(crate) mod tests {
         let clf = SignatureClassifier::train(&train, TreeParams::default(), meta());
         let cm = clf.evaluate(&test);
         assert!(cm.accuracy() > 0.95, "accuracy {}", cm.accuracy());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let data = synthetic_dataset(50, 9);
-        let clf = SignatureClassifier::train(&data, TreeParams::default(), meta());
-        let json = clf.to_json();
-        let back = SignatureClassifier::from_json(&json).unwrap();
-        let f = FlowFeatures {
-            norm_diff: 0.7,
-            cov: 0.25,
-            samples: 15,
-            min_rtt_ms: 20.0,
-            max_rtt_ms: 70.0,
-        };
-        assert_eq!(clf.classify(&f), back.classify(&f));
-        assert_eq!(back.meta.trained_on, "synthetic");
     }
 
     #[test]

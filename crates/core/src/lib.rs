@@ -26,6 +26,13 @@
 //! once, routing each record to its flow's `FlowProbe`, and classifies
 //! every flow at the end.
 //!
+//! A trained model persists as one JSON file, written and parsed by
+//! hand ([`SignatureClassifier::to_json`] /
+//! [`SignatureClassifier::from_json`]). The parser takes exactly the
+//! writer's schema and rejects anything else, a tree that could loop
+//! or index out of range included, with a [`ModelError`] naming the
+//! field and byte offset.
+//!
 //! ## Example
 //!
 //! ```
@@ -64,7 +71,7 @@ pub mod training;
 pub mod web100_mode;
 
 pub use analysis::{analyze_capture, FlowQuality, FlowReport};
-pub use classifier::{ModelMeta, SignatureClassifier, Verdict};
+pub use classifier::{ModelError, ModelMeta, SignatureClassifier, Verdict};
 pub use training::{
     ground_truth_confusion, threshold_point, threshold_sweep, train_from_results, train_sweep_with,
     ThresholdPoint,

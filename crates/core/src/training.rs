@@ -6,7 +6,6 @@ use csig_dtree::{ConfusionMatrix, TreeParams};
 use csig_exec::{Executor, ProgressEvent};
 use csig_features::CongestionClass;
 use csig_testbed::{build_dataset, Sweep, TestResult};
-use serde::{Deserialize, Serialize};
 
 /// Train a classifier from raw testbed results, applying the paper's
 /// congestion-threshold labeling. Returns `None` if labeling leaves an
@@ -49,7 +48,7 @@ pub fn train_sweep_with<F: FnMut(ProgressEvent)>(
 
 /// Per-class precision/recall at one labeling threshold — one point of
 /// the paper's Figure 3.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThresholdPoint {
     /// The labeling threshold.
     pub threshold: f64,

@@ -2,10 +2,9 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A labeled dataset: row-major feature matrix plus class indices.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dataset {
     /// Feature rows; every row has the same length.
     pub features: Vec<Vec<f64>>,

@@ -5,8 +5,8 @@
 //! together with dataset plumbing and evaluation metrics:
 //!
 //! * [`data`] — labeled datasets, train/test splits, k-folds.
-//! * [`tree`] — fitting, prediction, probabilities, serialization,
-//!   human-readable rendering.
+//! * [`tree`] — fitting, prediction, probabilities, reassembly from a
+//!   loaded model's parts, human-readable rendering.
 //! * [`metrics`] — confusion matrices, precision/recall/F1/accuracy and
 //!   cross-validation (the vocabulary of the paper's Figure 3).
 

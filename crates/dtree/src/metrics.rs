@@ -4,7 +4,6 @@
 
 use crate::data::Dataset;
 use crate::tree::{DecisionTree, TreeParams};
-use serde::{Deserialize, Serialize};
 
 /// Confusion matrix: `counts[actual][predicted]`.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// ([`ConfusionMatrix::default`]) and [`record`](Self::record) pairs;
 /// every rate of an empty tally is defined (`None` or `0`), so callers
 /// never special-case "no samples".
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     counts: Vec<Vec<usize>>,
 }

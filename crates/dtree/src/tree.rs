@@ -7,10 +7,9 @@
 //! minimum samples per leaf).
 
 use crate::data::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Training hyperparameters (defaults match the paper: depth 4).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TreeParams {
     /// Maximum tree depth (root = depth 0).
     pub max_depth: usize,
@@ -41,7 +40,7 @@ impl TreeParams {
 }
 
 /// A node in the fitted tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Node {
     /// Terminal node predicting `class`.
     Leaf {
@@ -64,7 +63,7 @@ pub enum Node {
 }
 
 /// A fitted CART classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     dim: usize,
@@ -206,6 +205,80 @@ impl DecisionTree {
         best
     }
 
+    /// Reassemble a tree from its parts, as a loaded model file holds
+    /// them. The parts must form a tree [`fit`](Self::fit) could have
+    /// built, so that prediction neither loops nor indexes out of
+    /// range: at least one node; every split's `feature` below `dim`
+    /// and its `left`/`right` after its own index, inside the arena
+    /// and no other split's child (`fit` pushes children after their
+    /// parent); every leaf's `class` below `n_classes` and `counts`
+    /// of length `n_classes`.
+    pub fn from_parts(
+        nodes: Vec<Node>,
+        dim: usize,
+        n_classes: usize,
+        params: TreeParams,
+    ) -> Result<Self, String> {
+        if nodes.is_empty() {
+            return Err("the tree has no nodes".into());
+        }
+        let mut parent = vec![None; nodes.len()];
+        for (i, node) in nodes.iter().enumerate() {
+            match node {
+                Node::Leaf { class, counts } => {
+                    if *class >= n_classes {
+                        return Err(format!(
+                            "node {i}: `class` {class} is not below `n_classes` {n_classes}"
+                        ));
+                    }
+                    if counts.len() != n_classes {
+                        return Err(format!(
+                            "node {i}: `counts` has {} entries, not `n_classes` {n_classes}",
+                            counts.len()
+                        ));
+                    }
+                }
+                Node::Split {
+                    feature,
+                    left,
+                    right,
+                    ..
+                } => {
+                    if *feature >= dim {
+                        return Err(format!(
+                            "node {i}: `feature` {feature} is not below `dim` {dim}"
+                        ));
+                    }
+                    for (name, child) in [("left", *left), ("right", *right)] {
+                        if child <= i || child >= nodes.len() {
+                            return Err(format!(
+                                "node {i}: `{name}` {child} is outside {}..{} (a child comes after its parent)",
+                                i + 1,
+                                nodes.len()
+                            ));
+                        }
+                        if let Some(other) = parent[child].replace(i) {
+                            return Err(format!(
+                                "node {i}: `{name}` {child} is already a child of node {other}"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(DecisionTree {
+            nodes,
+            dim,
+            n_classes,
+            params,
+        })
+    }
+
+    /// The node arena; node 0 is the root.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
     /// Predict the class of a feature vector.
     ///
     /// # Panics
@@ -286,6 +359,11 @@ impl DecisionTree {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Feature-vector dimension the tree was fitted on.
+    pub fn dim(&self) -> usize {
+        self.dim
     }
 
     /// Number of classes the tree predicts.
@@ -488,15 +566,6 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(p[0] > p[1]);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_predictions() {
-        let d = separable();
-        let tree = DecisionTree::fit(&d, TreeParams::default());
-        let json = serde_json::to_string(&tree).unwrap();
-        let back: DecisionTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(tree.predict_all(&d), back.predict_all(&d));
     }
 
     #[test]

@@ -12,13 +12,12 @@
 //! during slow-start").
 
 use crate::stats::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Minimum slow-start RTT samples required for a valid feature vector.
 pub const MIN_SAMPLES: usize = 10;
 
 /// The two congestion classes the paper distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CongestionClass {
     /// The flow itself filled an otherwise idle bottleneck buffer
     /// (typical of an access-link bottleneck).
@@ -65,7 +64,7 @@ impl std::fmt::Display for CongestionClass {
 }
 
 /// The classifier's input features for one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowFeatures {
     /// `(max − min) / max` of slow-start RTT.
     pub norm_diff: f64,
@@ -87,7 +86,7 @@ impl FlowFeatures {
 }
 
 /// Why a flow produced no feature vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureError {
     /// Fewer than [`MIN_SAMPLES`] slow-start RTT samples.
     TooFewSamples {
@@ -116,7 +115,7 @@ impl std::error::Error for FeatureError {}
 ///
 /// Wraps the one-pass [`Summary`] (Welford), so NormDiff and CoV update
 /// per RTT sample in O(1) state — no sample vector is retained.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FeatureAccumulator {
     summary: Summary,
 }

@@ -1,10 +1,8 @@
 //! Summary statistics used by the feature extractor.
 
-use serde::{Deserialize, Serialize};
-
 /// One-pass summary of a sample set: count, mean, standard deviation,
 /// extremes. Uses Welford's algorithm for numerical stability.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Summary {
     n: u64,
     mean: f64,

@@ -24,10 +24,9 @@ use csig_features::CongestionClass;
 use csig_netsim::rng::stream_rng;
 use csig_netsim::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Campaign generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dispute2014Config {
     /// Tests per (site, ISP, month) cell.
     pub tests_per_cell: u32,
@@ -48,7 +47,7 @@ impl Default for Dispute2014Config {
 }
 
 /// One synthetic NDT test with its metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NdtTest {
     /// M-Lab server site.
     pub site: TransitSite,

@@ -2,10 +2,9 @@
 //! study.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The four access ISPs the paper studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessIsp {
     /// Comcast — affected by the Cogent dispute.
     Comcast,
@@ -72,7 +71,7 @@ impl AccessIsp {
 }
 
 /// The transit-side M-Lab server sites the paper analyzes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransitSite {
     /// Cogent, Los Angeles — congested during the dispute.
     CogentLax,
@@ -116,7 +115,7 @@ impl TransitSite {
 }
 
 /// Months of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Month {
     /// January 2014 — dispute ongoing.
     Jan,

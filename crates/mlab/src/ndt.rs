@@ -25,10 +25,9 @@ use csig_obs::MetricsRegistry;
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 use csig_testbed::runner::observe_download;
 use csig_trace::{SlowStart, ThroughputSummary};
-use serde::{Deserialize, Serialize};
 
 /// Interconnect congestion state during a test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestedState {
     /// Capacity available to a new flow, Mbit/s (the fair share among
     /// the elastic traffic keeping the link busy).
@@ -44,7 +43,7 @@ pub struct CongestedState {
 }
 
 /// Path configuration of one NDT test.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NdtPath {
     /// Subscriber plan (shaped access rate), Mbit/s.
     pub plan_mbps: u64,
@@ -85,7 +84,7 @@ impl NdtPath {
 }
 
 /// One NDT measurement's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NdtMeasurement {
     /// Mean downstream goodput over the test, Mbit/s.
     pub throughput_mbps: f64,

@@ -22,10 +22,9 @@ use csig_netsim::rng::{derive_seed, stream_rng};
 use csig_netsim::{FlowId, LinkConfig, NodeId, SimDuration, SimTime, Simulator};
 use csig_tslp::{LatencySeries, TslpProber};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Campaign configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tslp2017Config {
     /// Campaign length in days (paper: ~75; scaled default: 14).
     pub days: u32,
@@ -61,7 +60,7 @@ impl Default for Tslp2017Config {
 }
 
 /// One congestion episode window in campaign time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpisodeWindow {
     /// Window start.
     pub start: SimTime,
@@ -79,7 +78,7 @@ impl EpisodeWindow {
 }
 
 /// One scheduled NDT test and its outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TslpNdtTest {
     /// Campaign time the test started.
     pub at: SimTime,
@@ -90,7 +89,7 @@ pub struct TslpNdtTest {
 }
 
 /// Full campaign output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tslp2017Output {
     /// Near-router (Comcast side) probe series.
     pub near: LatencySeries,

@@ -8,10 +8,9 @@
 
 use csig_netsim::SimDuration;
 use csig_tcp::ConnStats;
-use serde::{Deserialize, Serialize};
 
 /// Condensed Web100 log for one NDT test.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Web100Log {
     /// Test duration (handshake to close/abort).
     pub duration: SimDuration,

@@ -13,11 +13,10 @@
 use crate::ids::NodeId;
 use crate::packet::Packet;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Which way a captured packet was travelling relative to the tap node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// The tap node transmitted the packet.
     Out,
@@ -26,7 +25,7 @@ pub enum Direction {
 }
 
 /// One captured packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketRecord {
     /// Capture timestamp.
     pub time: SimTime,
@@ -61,7 +60,7 @@ pub struct SinkHandle(pub(crate) usize);
 
 /// A tap attached to one node, accumulating [`PacketRecord`]s in
 /// capture order (which equals timestamp order).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Capture {
     /// The tapped node.
     pub node: NodeId,

@@ -27,7 +27,6 @@ use crate::ids::PacketId;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Gilbert–Elliott two-state (good/bad) Markov loss model.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// state's loss probability, then transitions. The stationary loss rate
 /// is `π_bad · loss_bad + π_good · loss_good` with
 /// `π_bad = p_enter_bad / (p_enter_bad + p_exit_bad)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliott {
     /// Per-packet probability of moving good → bad.
     pub p_enter_bad: f64,
@@ -85,7 +84,7 @@ impl GilbertElliott {
 
 /// How a fault plan decides per-packet loss. Replaces the link's
 /// configured i.i.d. loss while attached.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
     /// Independent per-packet loss with this probability.
     Iid(f64),
@@ -96,7 +95,7 @@ pub enum LossModel {
 /// Reordering impairment: with `probability`, an admitted packet's
 /// arrival is delayed by `extra_delay` and exempted from the link's
 /// in-order delivery clamp, so later packets overtake it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReorderSpec {
     /// Per-packet reorder probability in `[0, 1)`.
     pub probability: f64,
@@ -105,7 +104,7 @@ pub struct ReorderSpec {
 }
 
 /// A scheduled mid-flow fault applied to the link state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Take the link down: every offered packet is dropped; queued
     /// packets stay queued but are not serviced.
@@ -120,7 +119,7 @@ pub enum FaultAction {
 }
 
 /// One scheduled fault: apply `action` at simulated time `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires.
     pub at: SimTime,
@@ -143,7 +142,7 @@ pub struct FaultEvent {
 ///     .down_between(SimTime::from_secs(2), SimTime::from_secs(3));
 /// assert_eq!(plan.events.len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Loss model replacing the link's configured i.i.d. loss
     /// (`None` = keep the link's own `loss` setting).
@@ -235,7 +234,7 @@ impl FaultPlan {
 }
 
 /// What happened to one packet at an impaired link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Impairment {
     /// Dropped by the loss model.
     Lost,
@@ -248,7 +247,7 @@ pub enum Impairment {
 }
 
 /// One entry of a link's impairment log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImpairmentRecord {
     /// Simulated time of the decision.
     pub at: SimTime,

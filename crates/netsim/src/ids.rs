@@ -4,14 +4,13 @@
 //! newtypes (rather than bare integers) prevents the classic bug of
 //! indexing the link table with a node id.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
         #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(pub u32);
 
@@ -58,7 +57,7 @@ id_type!(
 /// Identifies a single packet instance. Retransmissions of the same TCP
 /// sequence range get fresh packet ids, which makes wire-level debugging
 /// unambiguous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
 impl fmt::Display for PacketId {

@@ -34,11 +34,10 @@ use crate::stats::LinkStats;
 use crate::time::{transmission_time, SimDuration, SimTime, BIT_NS_PER_BYTE};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How the buffer depth is specified.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BufferSize {
     /// Absolute byte capacity.
     Bytes(u64),
@@ -62,7 +61,7 @@ impl BufferSize {
 }
 
 /// Static configuration of a link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkConfig {
     /// Shaped (token generation) rate in bits per second.
     pub rate_bps: u64,

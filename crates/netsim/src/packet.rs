@@ -7,7 +7,6 @@
 
 use crate::ids::{FlowId, NodeId, PacketId};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bytes of IP + TCP header (with timestamp option), mirroring a typical
@@ -19,7 +18,7 @@ pub const TCP_HEADER_BYTES: u32 = 52;
 pub const DEFAULT_MSS: u32 = 1448;
 
 /// TCP control-bit flags. Only the bits the model uses are defined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
@@ -105,7 +104,7 @@ pub const NO_SACK: SackBlocks = [None, None, None];
 ///
 /// Sequence and acknowledgment numbers are 32-bit and wrap, exactly like
 /// real TCP; use `csig_tcp::seq` helpers for comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHeader {
     /// First sequence number of the segment payload (or of SYN/FIN).
     pub seq: u32,
@@ -142,7 +141,7 @@ impl TcpHeader {
 }
 
 /// Direction/role of a latency probe packet ([`PacketKind::Probe`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeKind {
     /// Echo request travelling towards the target.
     Request,
@@ -154,7 +153,7 @@ pub enum ProbeKind {
 }
 
 /// What a packet *is*, above the link layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketKind {
     /// A TCP segment.
     Tcp(TcpHeader),
@@ -175,7 +174,7 @@ pub enum PacketKind {
 /// A packet in flight. All fields are plain values, so packets are
 /// `Copy` — the hot path moves them by bitwise copy, never by heap
 /// allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Unique per-transmission id (assigned by the simulator).
     pub id: PacketId,

@@ -14,10 +14,9 @@
 //! dropped packet is rejected before a pool slot is ever allocated.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Admission policy selector for a link buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum QueueKind {
     /// Plain drop-tail: admit while total queued bytes stay within
     /// capacity, else drop.
@@ -29,7 +28,7 @@ pub enum QueueKind {
 
 /// RED parameters (Floyd & Jacobson 1993), with thresholds expressed as
 /// fractions of the queue's byte capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RedParams {
     /// Average-occupancy fraction below which no packet is dropped.
     pub min_th: f64,

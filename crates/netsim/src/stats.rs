@@ -1,10 +1,9 @@
 //! Per-link counters used by tests and experiment reports.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Counters a [`crate::link::Link`] accumulates over its lifetime.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkStats {
     /// Packets offered to the link (before loss/queue admission).
     pub offered_pkts: u64,

@@ -24,8 +24,8 @@
 //! recorded here: the `perfbench` harness times each layer from
 //! outside the library.
 //!
-//! The crate deliberately depends on nothing (not even the vendored
-//! `serde`): JSON is rendered by hand.
+//! The crate deliberately depends on nothing: JSON is rendered by
+//! hand.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -16,7 +16,6 @@ pub mod cubic;
 pub mod reno;
 
 use csig_netsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Everything an algorithm may want to know about an arriving ACK.
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +73,7 @@ pub trait CongestionControl: std::fmt::Debug + Send {
 }
 
 /// Algorithm selector carried in `TcpConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcKind {
     /// Classic NewReno.
     NewReno,

@@ -21,11 +21,10 @@ use crate::seq::{offset_of, wire_seq};
 use csig_netsim::{
     Ctx, FlowId, NodeId, PacketSpec, SimDuration, SimTime, TcpFlags, TcpHeader, TimerToken, NO_SACK,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Endpoint configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Maximum segment size (payload bytes).
     pub mss: u32,
@@ -72,7 +71,7 @@ impl Default for TcpConfig {
 }
 
 /// Connection lifecycle state (simplified: no TIME_WAIT).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
     /// Not yet opened.
     Closed,
@@ -101,7 +100,7 @@ pub enum SendLimit {
 }
 
 /// Web100-style per-connection counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ConnStats {
     /// When the three-way handshake completed.
     pub established_at: Option<SimTime>,

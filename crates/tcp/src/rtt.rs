@@ -15,10 +15,9 @@
 //! exact in a 53-bit mantissa.
 
 use csig_netsim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// RTT estimator state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,

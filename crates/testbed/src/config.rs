@@ -3,10 +3,9 @@
 
 use csig_netsim::{FaultPlan, QueueKind, SimDuration};
 use csig_tcp::TcpConfig;
-use serde::{Deserialize, Serialize};
 
 /// Emulated access-link parameters (the paper's `AccessLink` grid).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessParams {
     /// Shaped downstream rate in Mbit/s (paper: 10, 20, 50).
     pub rate_mbps: u64,
@@ -37,7 +36,7 @@ impl AccessParams {
 }
 
 /// How (and whether) the interconnect link is congested.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CongestionMode {
     /// No interconnect congestion: the test flow saturates the access
     /// link (the self-induced scenario).
@@ -59,7 +58,7 @@ impl CongestionMode {
 }
 
 /// Full configuration of one testbed throughput test.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TestbedConfig {
     /// Access-link emulation parameters.
     pub access: AccessParams,

@@ -4,7 +4,6 @@ use crate::config::{AccessParams, TestbedConfig};
 use crate::runner::{run_test, run_test_observed, TestResult};
 use csig_exec::{Campaign, Executor, ProgressEvent, Scenario};
 use csig_obs::{MetricsRegistry, Snapshot, TraceBuffer, TraceEvent};
-use serde::{Deserialize, Serialize};
 
 /// Canonical §3.1 grid axes. Every grid in the workspace is built from
 /// these values; do not restate the literals elsewhere.
@@ -58,7 +57,7 @@ pub fn small_grid() -> Vec<AccessParams> {
 }
 
 /// Fidelity of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
     /// Full paper settings (expensive).
     Paper,

@@ -14,10 +14,9 @@ use csig_netsim::{FlowId, NodeId, SimDuration, SimTime, Simulator};
 use csig_obs::{MetricsRegistry, TraceBuffer};
 use csig_tcp::{ConnStats, TcpServerAgent};
 use csig_trace::{SlowStart, ThroughputSummary};
-use serde::{Deserialize, Serialize};
 
 /// Everything measured from one throughput test.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TestResult {
     /// The classifier features (or why they could not be computed).
     pub features: Result<FlowFeatures, FeatureError>,

@@ -9,11 +9,10 @@
 
 use crate::flow::OffsetTracker;
 use csig_netsim::{Direction, PacketRecord, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One RTT sample extracted from the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RttSample {
     /// Arrival time of the acknowledging packet.
     pub at: SimTime,

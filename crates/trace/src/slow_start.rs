@@ -10,11 +10,10 @@
 use crate::flow::OffsetTracker;
 use crate::rtt::AckAccountant;
 use csig_netsim::{Direction, PacketRecord, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The slow-start window of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowStart {
     /// When the first downstream data segment left the server.
     pub first_data_at: Option<SimTime>,

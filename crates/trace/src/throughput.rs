@@ -6,10 +6,9 @@
 
 use crate::flow::OffsetTracker;
 use csig_netsim::{Direction, PacketRecord, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Goodput summary for one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputSummary {
     /// Payload bytes cumulatively acknowledged over the whole trace.
     pub bytes_acked: u64,

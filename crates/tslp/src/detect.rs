@@ -7,10 +7,9 @@
 
 use crate::timeseries::LatencySeries;
 use csig_netsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Detector parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DetectorParams {
     /// RTT elevation above baseline (ms) that counts as congested —
     /// roughly the interdomain buffer's queueing delay (the paper's
@@ -31,7 +30,7 @@ impl Default for DetectorParams {
 }
 
 /// One detected congestion episode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Episode {
     /// First elevated probe's send time.
     pub start: SimTime,

@@ -1,10 +1,9 @@
 //! Latency time series collected by the prober.
 
 use csig_netsim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// RTT samples over time for one probe target.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencySeries {
     /// `(probe send time, measured RTT)`, in send order.
     pub points: Vec<(SimTime, SimDuration)>,

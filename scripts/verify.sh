@@ -51,7 +51,7 @@ cargo clippy -p csig-netsim -p csig-tcp -p csig-trace -p csig-features -p csig-t
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
-  --exclude rand --exclude serde --exclude serde_derive --exclude serde_json --exclude proptest
+  --exclude rand --exclude proptest
 
 echo "==> bit identity: perfbench outputs_digest matches scripts/outputs_digests.txt"
 # Building perfbench may rewrite its lock file; the EXIT trap puts the

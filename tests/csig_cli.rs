@@ -1,6 +1,6 @@
 //! The `csig` binary end to end: `simulate` exports a capture that
-//! `inspect` and `classify` read back, and usage errors exit with
-//! status 2.
+//! `inspect` and `classify` read back, usage errors exit with status
+//! 2, and a malformed model file exits 1 naming the file and problem.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -142,5 +142,38 @@ fn missing_capture_or_malformed_flag_value_is_a_usage_error() {
     ] {
         let out = csig(args);
         assert_eq!(out.status.code(), Some(2), "csig {args:?}: {out:?}");
+    }
+}
+
+#[test]
+fn classify_rejects_a_malformed_model_naming_the_file_and_the_problem() {
+    let capture = simulate("csig_cli_bad_model.pcap", &["--seed", "7"]);
+    let good = std::fs::read_to_string(tiny_model_json("csig_cli_good_model.json")).expect("model");
+    for (name, model, problem) in [
+        (
+            "truncated",
+            &good[..good.len() / 2],
+            "found the end of the input",
+        ),
+        (
+            "unknown_variant",
+            &good.replacen("\"Leaf\"", "\"Twig\"", 1),
+            "unknown variant `Twig`",
+        ),
+        (
+            "cyclic",
+            &good.replacen("\"left\": 1", "\"left\": 0", 1),
+            "node 0: `left` 0 is outside 1..",
+        ),
+    ] {
+        let path = tmp_path(&format!("csig_cli_{name}_model.json"));
+        std::fs::write(&path, model).expect("model written");
+        let out = csig(&["classify", &capture, "--model", &path]);
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&path) && stderr.contains(problem),
+            "{name}: {stderr}"
+        );
     }
 }

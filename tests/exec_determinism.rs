@@ -1,7 +1,7 @@
 //! Satellite check for the executor layer: a parallel campaign run
-//! (`jobs = 4`) must serialize to *exactly* the same bytes as a
-//! sequential run (`jobs = 1`). Byte-level comparison of the JSON
-//! output is deliberately stricter than field-wise equality — any
+//! (`jobs = 4`) must render to *exactly* the same `Debug` text as a
+//! sequential run (`jobs = 1`). Derived `Debug` prints every field and
+//! each `f64` at round-trip precision (NaN and ±inf distinct), so any
 //! scheduling-dependent float or reordering shows up here.
 
 use csig_bench::fig1;
@@ -19,13 +19,16 @@ fn fig1_campaign_is_jobs_invariant() {
     let par = Executor::new(4)
         .run_isolated_with_progress(&campaign, |_| {})
         .expect_artifacts();
-    let seq_json = serde_json::to_string(&seq).expect("serialize sequential");
-    let par_json = serde_json::to_string(&par).expect("serialize parallel");
-    assert_eq!(seq_json, par_json, "fig1 campaign output depends on jobs");
+    assert_eq!(
+        format!("{seq:?}"),
+        format!("{par:?}"),
+        "fig1 campaign output depends on jobs"
+    );
     // And the folded figure data agrees too.
-    let a = serde_json::to_string(&fig1::collect(&seq)).unwrap();
-    let b = serde_json::to_string(&fig1::collect(&par)).unwrap();
-    assert_eq!(a, b);
+    assert_eq!(
+        format!("{:?}", fig1::collect(&seq)),
+        format!("{:?}", fig1::collect(&par))
+    );
 }
 
 #[test]
@@ -38,7 +41,9 @@ fn dispute2014_campaign_is_jobs_invariant() {
     let seq = dispute2014::generate_with(&cfg, &Executor::new(1), |_| {});
     let par = dispute2014::generate_with(&cfg, &Executor::new(4), |_| {});
     assert_eq!(seq.len(), par.len());
-    let seq_json = serde_json::to_string(&seq).expect("serialize sequential");
-    let par_json = serde_json::to_string(&par).expect("serialize parallel");
-    assert_eq!(seq_json, par_json, "Dispute2014 output depends on jobs");
+    assert_eq!(
+        format!("{seq:?}"),
+        format!("{par:?}"),
+        "Dispute2014 output depends on jobs"
+    );
 }

@@ -76,9 +76,11 @@ fn fault_plans_are_jobs_invariant() {
     let par = Executor::new(8)
         .run_isolated_with_progress(&campaign, |_| {})
         .expect_artifacts();
-    let seq_json = serde_json::to_string(&seq).expect("serialize sequential");
-    let par_json = serde_json::to_string(&par).expect("serialize parallel");
-    assert_eq!(seq_json, par_json, "impairment traces depend on jobs");
+    assert_eq!(
+        format!("{seq:?}"),
+        format!("{par:?}"),
+        "impairment traces depend on jobs"
+    );
     // The plans actually fired: every scenario logged impairments and
     // lost something (GE loss + a flap over a 400 kB transfer).
     for (log, dropped, delivered) in &seq {
@@ -134,7 +136,9 @@ fn panicking_scenario_is_isolated_and_rest_is_byte_identical() {
     let reference = Executor::new(2)
         .run_isolated_with_progress(&clean, |_| {})
         .expect_artifacts();
-    let a = serde_json::to_string(&survivors).expect("serialize survivors");
-    let b = serde_json::to_string(&reference).expect("serialize reference");
-    assert_eq!(a, b, "panic isolation perturbed surviving artifacts");
+    assert_eq!(
+        format!("{survivors:?}"),
+        format!("{reference:?}"),
+        "panic isolation perturbed surviving artifacts"
+    );
 }

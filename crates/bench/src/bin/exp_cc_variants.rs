@@ -4,11 +4,11 @@
 //!  [--jobs N] [--seed S]`
 
 use csig_bench::{cc_variants, dispute};
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, DEADLINE, SEED]);
+    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, SEED]);
     let reps = args.count_or(6);
     eprintln!("cc_variants: training reference model…");
     let exec = args.executor();

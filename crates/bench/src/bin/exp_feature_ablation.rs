@@ -4,11 +4,11 @@
 //!  [--paper] [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::ablation;
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PAPER, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PAPER, PROGRESS, SEED};
 use csig_testbed::{paper_grid, Profile, Sweep};
 
 fn main() {
-    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, DEADLINE, SEED, PAPER, PROGRESS]);
+    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, SEED, PAPER, PROGRESS]);
     let reps = args.count_or(3);
     eprintln!(
         "ablation: sweeping full grid reps={reps} ({} workers)…",

@@ -5,11 +5,11 @@
 //!  [--paper] [--jobs N] [--seed S]`
 
 use csig_bench::{dispute, multiplexing};
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PAPER, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PAPER, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, DEADLINE, SEED, PAPER]);
+    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, SEED, PAPER]);
     let reps = args.count_or(8);
     let profile = if args.paper {
         Profile::Paper

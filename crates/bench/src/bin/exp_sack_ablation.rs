@@ -8,13 +8,13 @@
 
 use csig_bench::dispute::testbed_model_with;
 use csig_core::ground_truth_confusion;
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, SEED};
 use csig_exec::Campaign;
 use csig_netsim::rng::derive_seed;
 use csig_testbed::{run_test, AccessParams, Profile, TestbedConfig};
 
 fn main() {
-    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, DEADLINE, SEED]);
+    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, SEED]);
     let reps = args.count_or(8);
     let exec = args.executor();
     eprintln!("exp_sack_ablation: training reference model…");

@@ -6,13 +6,13 @@
 //!  [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::{dispute, tslp_exp};
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PROGRESS, SEED};
 use csig_mlab::{generate_with, run_campaign_with, Dispute2014Config, Tslp2017Config};
 use csig_netsim::SimDuration;
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse(&[Flag::Count("days"), JOBS, DEADLINE, SEED, PROGRESS]);
+    let args = CommonArgs::parse(&[Flag::Count("days"), JOBS, SEED, PROGRESS]);
     let days = args.count_or(14);
     let cfg = Tslp2017Config {
         days,

@@ -5,11 +5,11 @@
 //!  [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::{dispute, web100_exp};
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PROGRESS, SEED};
 use csig_testbed::{paper_grid, Profile, Sweep};
 
 fn main() {
-    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, DEADLINE, SEED, PROGRESS]);
+    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, SEED, PROGRESS]);
     let reps = args.count_or(3);
     eprintln!("exp_web100_mode: sweeping full grid reps={reps}…");
     let results = Sweep {

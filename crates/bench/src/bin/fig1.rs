@@ -13,16 +13,13 @@
 //! (`perfbench --workload testbed_fig1 --trace 1`).
 
 use csig_bench::fig1;
-use csig_exec::cli::{
-    CommonArgs, Flag, DEADLINE, JOBS, METRICS_OUT, PAPER, PROGRESS, SEED, TRACE_OUT,
-};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, METRICS_OUT, PAPER, PROGRESS, SEED, TRACE_OUT};
 use csig_testbed::Profile;
 
 fn main() {
     let args = CommonArgs::parse(&[
         Flag::Count("reps"),
         JOBS,
-        DEADLINE,
         SEED,
         PAPER,
         PROGRESS,

@@ -4,14 +4,13 @@
 //!  [--paper] [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::fig3;
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PAPER, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PAPER, PROGRESS, SEED};
 use csig_testbed::Profile;
 
 fn main() {
     let args = CommonArgs::parse(&[
         Flag::Count("reps"),
         JOBS,
-        DEADLINE,
         SEED,
         PAPER,
         PROGRESS,

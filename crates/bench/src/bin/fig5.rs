@@ -4,7 +4,7 @@
 //! `cargo run --release -p csig-bench --bin fig5 [tests_per_cell]
 //!  [--csv PATH] [--jobs N] [--seed S] [--progress]`
 
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PROGRESS, SEED};
 use csig_mlab::{generate_with, to_csv, Dispute2014Config, Month, TransitSite};
 use csig_netsim::SimDuration;
 
@@ -12,7 +12,6 @@ fn main() {
     let args = CommonArgs::parse(&[
         Flag::Count("tests_per_cell"),
         JOBS,
-        DEADLINE,
         SEED,
         PROGRESS,
         Flag::Value("--csv"),

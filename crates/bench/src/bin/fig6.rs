@@ -5,11 +5,11 @@
 //!  [--seed S] [--progress]`
 
 use csig_bench::tslp_exp;
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PROGRESS, SEED};
 use csig_mlab::{run_campaign_with, Tslp2017Config};
 
 fn main() {
-    let args = CommonArgs::parse(&[Flag::Count("days"), JOBS, DEADLINE, SEED, PROGRESS]);
+    let args = CommonArgs::parse(&[Flag::Count("days"), JOBS, SEED, PROGRESS]);
     let days = args.count_or(7);
     let cfg = Tslp2017Config {
         days,

@@ -8,19 +8,13 @@
 use csig_bench::dispute;
 use csig_core::train_from_results;
 use csig_dtree::TreeParams;
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PROGRESS, SEED};
 use csig_mlab::{generate_with, Dispute2014Config, TransitSite};
 use csig_netsim::SimDuration;
 use csig_testbed::{paper_grid, Profile, Sweep};
 
 fn main() {
-    let args = CommonArgs::parse(&[
-        Flag::Count("tests_per_cell"),
-        JOBS,
-        DEADLINE,
-        SEED,
-        PROGRESS,
-    ]);
+    let args = CommonArgs::parse(&[Flag::Count("tests_per_cell"), JOBS, SEED, PROGRESS]);
     let tests_per_cell = args.count_or(20);
     eprintln!(
         "fig7: generating Dispute2014 campaign ({} workers)…",

@@ -5,18 +5,12 @@
 //!  [--jobs N] [--seed S] [--progress]`
 
 use csig_bench::dispute;
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PROGRESS, SEED};
 use csig_mlab::{generate_with, Dispute2014Config};
 use csig_netsim::SimDuration;
 
 fn main() {
-    let args = CommonArgs::parse(&[
-        Flag::Count("tests_per_cell"),
-        JOBS,
-        DEADLINE,
-        SEED,
-        PROGRESS,
-    ]);
+    let args = CommonArgs::parse(&[Flag::Count("tests_per_cell"), JOBS, SEED, PROGRESS]);
     let tests_per_cell = args.count_or(20);
     let cfg = Dispute2014Config {
         tests_per_cell,

@@ -2,14 +2,14 @@
 //! reordering on the access link.
 //!
 //! `cargo run --release -p csig-bench --bin fig_impair [reps]
-//!  [--jobs N] [--seed S] [--deadline SECS]`
+//!  [--jobs N] [--seed S]`
 
 use csig_bench::{dispute, impair};
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, SEED};
 use csig_testbed::Profile;
 
 fn main() {
-    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, DEADLINE, SEED]);
+    let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, SEED]);
     let reps = args.count_or(4);
     eprintln!("fig_impair: training reference model…");
     let clf = dispute::testbed_model_with(5, Profile::Scaled, 0xFA01, &args.executor());

@@ -72,9 +72,8 @@ pub fn print_fig5(tests: &[NdtTest], site: TransitSite, months: &[Month], title:
 
 /// Train the testbed reference model used by Figures 7 and 8 and the
 /// other M-Lab and robustness experiments: a `small_grid()` sweep of
-/// `reps` repetitions under `profile` on `exec` (worker count,
-/// per-scenario deadline, …), labeled at threshold 0.7, with the
-/// default tree.
+/// `reps` repetitions under `profile` on `exec`'s workers, labeled at
+/// threshold 0.7, with the default tree.
 ///
 /// # Panics
 /// Panics if a sweep test fails or the labeled sweep holds a single

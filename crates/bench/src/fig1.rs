@@ -83,8 +83,8 @@ pub struct Fig1Observed {
     pub trace: Vec<TraceEvent>,
 }
 
-/// Run the Figure-1 experiment with `reps` tests per scenario on `exec`
-/// (worker count, per-scenario deadline, …). Every cell runs with its
+/// Run the Figure-1 experiment with `reps` tests per scenario on
+/// `exec`'s workers. Every cell runs with its
 /// own registry, and the per-cell snapshots are merged into one
 /// campaign registry with the executor's own counters. With `traced`,
 /// every cell also gets a trace ring and the events are collected.

@@ -29,8 +29,8 @@ pub fn train_from_results(
     Some(SignatureClassifier::train(&data, params, meta))
 }
 
-/// Run a sweep's campaign on `exec` (worker count, per-scenario
-/// deadline, …) and train on the results: the testbed → executor →
+/// Run a sweep's campaign on `exec`'s workers and train on the
+/// results: the testbed → executor →
 /// classifier path in one call. Returns the raw results alongside the
 /// model (None under the usual degenerate labelings) so callers can
 /// evaluate without re-running the sweep.

@@ -14,9 +14,6 @@
 //!   scaled one (interpreted by the binary; this module only parses).
 //! * `--progress` — verbose per-scenario completion lines (index,
 //!   elapsed, worker) instead of the default sparse `done/total` ones.
-//! * `--deadline SECS` — soft per-scenario deadline: a scenario that
-//!   runs longer is reported as failed (with its seed) instead of its
-//!   artifact; the rest of the campaign is unaffected.
 //! * `--metrics-out FILE` — write the campaign's metrics snapshot
 //!   (JSON, see [`csig_obs::Snapshot::to_json`]) at campaign end. Every
 //!   metric is a fact about the simulation, so two same-seed runs
@@ -26,9 +23,9 @@
 //!
 //! A binary accepts exactly the flags and positionals it declares, so
 //! one that does not write `--metrics-out` rejects it. An undeclared
-//! flag, a value flag without its value, a malformed `--jobs`, `--seed`
-//! or `--deadline` value, a positional beyond those declared or a
-//! malformed [`Flag::Count`] is an error (exit status 2 from
+//! flag, a value flag without its value, a malformed `--jobs` or
+//! `--seed` value, a positional beyond those declared or a malformed
+//! [`Flag::Count`] is an error (exit status 2 from
 //! [`CommonArgs::parse`]).
 //!
 //! Experiment-specific flags and positionals stay with the binary;
@@ -36,7 +33,6 @@
 //! [`CommonArgs::count_or`], …) keep their parsing uniform.
 
 use std::str::FromStr;
-use std::time::Duration;
 
 use crate::{Executor, ProgressEvent};
 use csig_obs::{Snapshot, TraceEvent};
@@ -59,8 +55,6 @@ pub enum Flag {
 
 /// `--jobs N`, read by [`CommonArgs::executor`].
 pub const JOBS: Flag = Flag::Value("--jobs");
-/// `--deadline SECS`, read by [`CommonArgs::executor`].
-pub const DEADLINE: Flag = Flag::Value("--deadline");
 /// `--seed S`, read by [`CommonArgs::seed_or`].
 pub const SEED: Flag = Flag::Value("--seed");
 /// `--paper`, read from [`CommonArgs::paper`].
@@ -99,8 +93,6 @@ pub struct CommonArgs {
     pub paper: bool,
     /// Verbose per-scenario progress requested.
     pub progress: bool,
-    /// Soft per-scenario deadline (`--deadline SECS`).
-    pub deadline: Option<Duration>,
     /// Where to write the deterministic metrics snapshot
     /// (`--metrics-out FILE`).
     pub metrics_out: Option<String>,
@@ -111,9 +103,9 @@ pub struct CommonArgs {
 impl CommonArgs {
     /// Parse the process arguments (skipping the program name) against
     /// the `declared` flags and positionals. An undeclared flag or
-    /// positional, a missing value or a malformed `--jobs`, `--seed`,
-    /// `--deadline` or [`Flag::Count`] value prints an error naming the
-    /// argument and exits with status 2.
+    /// positional, a missing value or a malformed `--jobs`, `--seed` or
+    /// [`Flag::Count`] value prints an error naming the argument and
+    /// exits with status 2.
     pub fn parse(declared: &[Flag]) -> Self {
         Self::from_vec(std::env::args().skip(1).collect(), declared).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -170,7 +162,6 @@ impl CommonArgs {
             seed: None,
             paper: false,
             progress: false,
-            deadline: None,
             metrics_out: None,
             trace_out: None,
         };
@@ -178,14 +169,6 @@ impl CommonArgs {
         parsed.seed = parsed.flag_parsed_with("--seed", parse_seed)?;
         parsed.paper = parsed.has_flag("--paper");
         parsed.progress = parsed.has_flag("--progress");
-        // `--deadline 0` means no deadline.
-        parsed.deadline = parsed
-            .flag_parsed_with("--deadline", |v| {
-                v.parse()
-                    .ok()
-                    .and_then(|s| Duration::try_from_secs_f64(s).ok())
-            })?
-            .filter(|d| !d.is_zero());
         parsed.metrics_out = parsed.flag_value("--metrics-out").cloned();
         parsed.trace_out = parsed.flag_value("--trace-out").cloned();
         Ok(parsed)
@@ -217,9 +200,9 @@ impl CommonArgs {
         Ok(())
     }
 
-    /// An executor sized by `--jobs`, with any `--deadline` applied.
+    /// An executor sized by `--jobs`.
     pub fn executor(&self) -> Executor {
-        Executor::new(self.jobs).with_deadline(self.deadline)
+        Executor::new(self.jobs)
     }
 
     /// The `--seed` override, or the experiment's default.
@@ -318,16 +301,7 @@ mod tests {
     const REPS: Flag = Count("reps");
 
     /// A reps count and every shared execution flag.
-    const COMMON: &[Flag] = &[
-        REPS,
-        JOBS,
-        DEADLINE,
-        SEED,
-        PAPER,
-        PROGRESS,
-        METRICS_OUT,
-        TRACE_OUT,
-    ];
+    const COMMON: &[Flag] = &[REPS, JOBS, SEED, PAPER, PROGRESS, METRICS_OUT, TRACE_OUT];
 
     fn parse(list: &[&str], declared: &[Flag]) -> Result<CommonArgs, String> {
         CommonArgs::from_vec(list.iter().map(|s| s.to_string()).collect(), declared)
@@ -360,19 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_parses_and_feeds_executor() {
-        let a = args(&["--deadline", "2.5"]);
-        assert_eq!(a.deadline, Some(Duration::from_secs_f64(2.5)));
-        assert_eq!(a.executor().deadline(), a.deadline);
-        // Absent or zero means no deadline; a malformed value is an error.
-        assert_eq!(args(&[]).deadline, None);
-        assert!(try_args(&["--deadline", "x"]).is_err());
-        assert_eq!(args(&["--deadline", "0"]).deadline, None);
-        // The value is not a positional.
-        assert_eq!(args(&["--deadline", "2"]).count_or(9), 9);
-    }
-
-    #[test]
     fn seed_parses_decimal_and_hex() {
         assert_eq!(args(&["--seed", "0xBEEF"]).seed, Some(48879));
         assert_eq!(
@@ -389,9 +350,6 @@ mod tests {
             ("--seed", "beef"),
             ("--jobs", "x"),
             ("--jobs", "-2"),
-            ("--deadline", "abc"),
-            ("--deadline", "-1"),
-            ("--deadline", "NaN"),
         ] {
             let err = try_args(&[flag, bad]).expect_err(bad);
             assert!(err.contains(flag), "{err}");
@@ -405,8 +363,10 @@ mod tests {
 
     #[test]
     fn undeclared_flags_are_errors_naming_the_flag() {
-        let err = try_args(&["--frobnicate", "1"]).expect_err("unknown flag");
-        assert!(err.contains("`--frobnicate`"), "{err}");
+        for flag in ["--frobnicate", "--deadline"] {
+            let err = try_args(&[flag, "1"]).expect_err(flag);
+            assert!(err.contains(&format!("`{flag}`")), "{err}");
+        }
         // A shared flag the binary does not read is rejected too, so
         // `--metrics-out` never silently writes nothing.
         let err = parse(&["1", "--metrics-out", "m.json"], &[REPS, JOBS, SEED])

@@ -131,36 +131,14 @@ pub struct ProgressEvent {
     pub elapsed: Duration,
     /// Id of the worker that ran it (0 for a sequential run).
     pub worker: usize,
-    /// Whether the scenario produced an artifact (`false`: it panicked
-    /// or overran the deadline).
+    /// Whether the scenario produced an artifact (`false`: it panicked).
     pub ok: bool,
     /// Wall-clock time this scenario itself ran (not campaign time).
     pub scenario_elapsed: Duration,
 }
 
-/// Why a scenario failed to produce an artifact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The scenario panicked; the worker caught the unwind.
-    Panicked,
-    /// The scenario finished after the executor's per-scenario deadline.
-    /// Scenarios run on ordinary OS threads and cannot be interrupted,
-    /// so the deadline is *soft*: the overrun is detected at completion
-    /// and the late artifact is discarded.
-    DeadlineExceeded,
-}
-
-impl fmt::Display for FailureKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FailureKind::Panicked => write!(f, "panicked"),
-            FailureKind::DeadlineExceeded => write!(f, "exceeded deadline"),
-        }
-    }
-}
-
-/// Structured record of a scenario that failed: everything needed to
-/// reproduce it (`seed`) and triage it (panic payload, timing).
+/// Structured record of a scenario that panicked: everything needed
+/// to reproduce it (`seed`) and triage it (panic payload, timing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioError {
     /// Submission index within the campaign.
@@ -168,9 +146,7 @@ pub struct ScenarioError {
     /// The seed the scenario ran with — rerunning the same scenario
     /// with this seed reproduces the failure deterministically.
     pub seed: u64,
-    /// What went wrong.
-    pub kind: FailureKind,
-    /// The panic payload (if it was a string), or a timing description.
+    /// The panic payload (if it was a string).
     pub message: String,
     /// How long the scenario ran before failing.
     pub elapsed: Duration,
@@ -180,10 +156,9 @@ impl fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "scenario {} (seed {:#018x}) {} after {:.2}s: {}",
+            "scenario {} (seed {:#018x}) panicked after {:.2}s: {}",
             self.index,
             self.seed,
-            self.kind,
             self.elapsed.as_secs_f64(),
             self.message
         )
@@ -196,7 +171,7 @@ impl std::error::Error for ScenarioError {}
 pub type ScenarioOutcome<A> = Result<A, ScenarioError>;
 
 /// Results of a fault-isolated campaign run: one outcome per scenario,
-/// in submission order. A panicking or overrunning scenario becomes a
+/// in submission order. A panicking scenario becomes a
 /// [`ScenarioError`] entry; every other scenario still completes and
 /// its artifact is byte-identical to what a run without the failing
 /// scenario would produce (scenario seeds are fixed at submission).
@@ -296,8 +271,8 @@ pub fn default_jobs() -> usize {
 /// Scenarios run fault-isolated: a panic inside [`Scenario::run`] is
 /// caught in the worker and turned into a [`ScenarioError`] carrying
 /// the panic payload and the scenario's seed; the rest of the campaign
-/// completes. An optional soft per-scenario deadline discards late
-/// artifacts the same way. There is one run method,
+/// completes. A runaway simulation is caught the same way, since it
+/// panics on exhausting its event budget. There is one run method,
 /// [`Executor::run_isolated_with_progress`], which returns the
 /// per-scenario outcomes. A caller that needs every artifact chains
 /// [`CampaignRun::expect_artifacts`], which aborts with the
@@ -305,16 +280,14 @@ pub fn default_jobs() -> usize {
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
     jobs: usize,
-    deadline: Option<Duration>,
 }
 
 impl Executor {
     /// An executor with the given worker count (`0` means
-    /// [`default_jobs`]) and no deadline.
+    /// [`default_jobs`]).
     pub fn new(jobs: usize) -> Self {
         Executor {
             jobs: if jobs == 0 { default_jobs() } else { jobs },
-            deadline: None,
         }
     }
 
@@ -323,23 +296,9 @@ impl Executor {
         Executor::new(1)
     }
 
-    /// Builder: set (or clear) the soft per-scenario deadline. A
-    /// scenario that finishes after the deadline is reported as
-    /// [`FailureKind::DeadlineExceeded`] and its artifact discarded;
-    /// running scenarios are never interrupted mid-flight.
-    pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
     /// The effective worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// The soft per-scenario deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
     }
 
     /// Run the campaign fault-isolated, invoking `progress` on the
@@ -364,8 +323,7 @@ impl Executor {
                 .iter()
                 .enumerate()
                 .map(|(index, (seed, scenario))| {
-                    let (outcome, scenario_elapsed) =
-                        run_one(scenario, *seed, index, self.deadline);
+                    let (outcome, scenario_elapsed) = run_one(scenario, *seed, index);
                     progress(ProgressEvent {
                         index,
                         done: index + 1,
@@ -386,7 +344,6 @@ impl Executor {
         let (tx, rx) = mpsc::channel::<Done<S::Artifact>>();
         let mut slots: Vec<Option<ScenarioOutcome<S::Artifact>>> = Vec::with_capacity(total);
         slots.resize_with(total, || None);
-        let deadline = self.deadline;
 
         std::thread::scope(|scope| {
             for worker in 0..self.jobs.min(total) {
@@ -399,7 +356,7 @@ impl Executor {
                         break;
                     }
                     let (seed, scenario) = &entries[index];
-                    let (outcome, scenario_elapsed) = run_one(scenario, *seed, index, deadline);
+                    let (outcome, scenario_elapsed) = run_one(scenario, *seed, index);
                     // The receiver outlives all workers; a send only
                     // fails if the main thread panicked, in which case
                     // the scope is unwinding anyway.
@@ -443,17 +400,8 @@ impl Executor {
     }
 }
 
-/// Whether `elapsed` overran a soft `deadline`. The comparison is
-/// **strict**: a scenario finishing exactly at the deadline is on time
-/// (`--deadline 5` means "may use up to 5 seconds", not "must finish
-/// strictly inside 5 seconds"), and no deadline means nothing is ever
-/// late.
-fn deadline_exceeded(elapsed: Duration, deadline: Option<Duration>) -> bool {
-    matches!(deadline, Some(d) if elapsed > d)
-}
-
-/// Run one scenario under `catch_unwind`, applying the soft deadline.
-/// Returns the outcome plus the scenario's own wall-clock time.
+/// Run one scenario under `catch_unwind`. Returns the outcome plus
+/// the scenario's own wall-clock time.
 ///
 /// `AssertUnwindSafe` is sound here because a failed scenario's state
 /// is never observed again: scenarios are `Fn(&self, seed)` over shared
@@ -462,40 +410,16 @@ fn run_one<S: Scenario>(
     scenario: &S,
     seed: u64,
     index: usize,
-    deadline: Option<Duration>,
 ) -> (ScenarioOutcome<S::Artifact>, Duration) {
     let started = Instant::now();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| scenario.run(seed)));
     let elapsed = started.elapsed();
-    let outcome = match result {
-        Ok(artifact) => {
-            if deadline_exceeded(elapsed, deadline) {
-                let Some(d) = deadline else {
-                    unreachable!("deadline_exceeded is false without a deadline")
-                };
-                Err(ScenarioError {
-                    index,
-                    seed,
-                    kind: FailureKind::DeadlineExceeded,
-                    message: format!(
-                        "ran {:.2}s against a {:.2}s deadline",
-                        elapsed.as_secs_f64(),
-                        d.as_secs_f64()
-                    ),
-                    elapsed,
-                })
-            } else {
-                Ok(artifact)
-            }
-        }
-        Err(payload) => Err(ScenarioError {
-            index,
-            seed,
-            kind: FailureKind::Panicked,
-            message: panic_message(payload.as_ref()),
-            elapsed,
-        }),
-    };
+    let outcome = result.map_err(|payload| ScenarioError {
+        index,
+        seed,
+        message: panic_message(payload.as_ref()),
+        elapsed,
+    });
     (outcome, elapsed)
 }
 
@@ -662,8 +586,8 @@ mod tests {
         let e = failures[0];
         assert_eq!(e.index, 5);
         assert_eq!(e.seed, 999);
-        assert_eq!(e.kind, FailureKind::Panicked);
         assert_eq!(e.message, "deliberate failure");
+        assert!(e.to_string().contains("panicked"), "{e}");
         assert!(run.summary().contains("1/12 scenarios failed"));
         // Non-failing scenarios match a run that never had the bad one.
         assert_eq!(run.artifacts(), clean);
@@ -697,38 +621,12 @@ mod tests {
     }
 
     #[test]
-    fn soft_deadline_discards_late_artifacts() {
+    fn success_summary_counts_the_scenarios() {
         let mut c = Campaign::new(0);
-        c.push_seeded(1, Maybe::Good(1));
-        c.push_seeded(2, Maybe::Slow);
-        let run = Executor::sequential()
-            .with_deadline(Some(Duration::from_millis(5)))
-            .run_isolated_with_progress(&c, |_| {});
-        assert!(run.outcomes[0].is_ok(), "fast scenario unaffected");
-        let e = run.outcomes[1].as_ref().expect_err("slow scenario late");
-        assert_eq!(e.kind, FailureKind::DeadlineExceeded);
-        assert_eq!(e.seed, 2);
-        assert!(e.elapsed >= Duration::from_millis(50));
-    }
-
-    #[test]
-    fn no_deadline_means_no_failures() {
-        let mut c = Campaign::new(0);
-        c.push_seeded(2, Maybe::Slow);
+        c.push_seeded(2, Maybe::Good(2));
         let run = Executor::sequential().run_isolated_with_progress(&c, |_| {});
         assert!(run.is_success());
         assert_eq!(run.summary(), "all 1 scenarios succeeded");
-    }
-
-    /// Regression: a scenario finishing *exactly* at the deadline must
-    /// not be reported as timed out — the comparison is strict.
-    #[test]
-    fn finishing_exactly_at_the_deadline_is_on_time() {
-        let d = Duration::from_secs(5);
-        assert!(!deadline_exceeded(d, Some(d)), "elapsed == deadline is OK");
-        assert!(!deadline_exceeded(d - Duration::from_nanos(1), Some(d)));
-        assert!(deadline_exceeded(d + Duration::from_nanos(1), Some(d)));
-        assert!(!deadline_exceeded(Duration::from_secs(1_000_000), None));
     }
 
     #[test]

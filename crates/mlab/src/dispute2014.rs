@@ -144,8 +144,8 @@ pub fn campaign(cfg: &Dispute2014Config) -> Campaign<NdtScenario> {
     campaign
 }
 
-/// Generate the campaign on `exec` (worker count, per-scenario
-/// deadline, …): every cell of (site × ISP × month) gets
+/// Generate the campaign on `exec`'s workers: every cell of
+/// (site × ISP × month) gets
 /// `tests_per_cell` simulated tests. Results are byte-identical for
 /// every worker count.
 ///

@@ -276,9 +276,8 @@ pub fn ndt_campaign(cfg: &Tslp2017Config, episodes: &[EpisodeWindow]) -> Campaig
     campaign
 }
 
-/// Run the full campaign, spreading the NDT tests over `exec` (worker
-/// count, per-scenario deadline, …) with a progress callback over
-/// them. The continuous probing simulation is one coupled system and
+/// Run the full campaign, spreading the NDT tests over `exec`'s
+/// workers with a progress callback over them. The continuous probing simulation is one coupled system and
 /// stays sequential; only the independent NDT micro-simulations
 /// parallelize. Output is byte-identical for every worker count.
 ///

@@ -168,9 +168,8 @@ impl Sweep {
         campaign
     }
 
-    /// Run the sweep on `exec` (worker count, per-scenario deadline,
-    /// …). Results come back in campaign order and are byte-identical
-    /// for any worker count.
+    /// Run the sweep on `exec`'s workers. Results come back in campaign
+    /// order and are byte-identical for any worker count.
     ///
     /// # Panics
     /// Panics with the failure summary if any test failed.

@@ -32,13 +32,18 @@ if grep -q -e '"time\.' -e '"buckets"' "$obsdir/m1.json"; then
   echo "verify: metrics snapshot holds wall-clock timers or histograms"; exit 1
 fi
 
-echo "==> jobs invariance: fig3, fig5, exp_sack_ablation and exp_multiplexing stdout"
-for bin in fig3 fig5 exp_sack_ablation exp_multiplexing; do
+echo "==> jobs invariance: fig3, fig5, fig7, fig_impair, exp_sack_ablation, exp_multiplexing and exp_tslp2017 stdout"
+for bin in fig3 fig5 fig7 fig_impair exp_sack_ablation exp_multiplexing exp_tslp2017; do
   ./target/release/$bin 2 --seed 7 --jobs 1 >"$obsdir/$bin-j1.txt" 2>/dev/null
   ./target/release/$bin 2 --seed 7 --jobs 4 >"$obsdir/$bin-j4.txt" 2>/dev/null
   test -s "$obsdir/$bin-j1.txt" || { echo "verify: empty $bin output"; exit 1; }
   cmp -s "$obsdir/$bin-j1.txt" "$obsdir/$bin-j4.txt" || { echo "verify: $bin output differs across --jobs"; exit 1; }
 done
+
+echo "==> an undeclared flag exits 2: fig1 --deadline 1"
+status=0
+./target/release/fig1 --deadline 1 >/dev/null 2>&1 || status=$?
+test "$status" -eq 2 || { echo "verify: fig1 --deadline 1 exited $status, expected 2"; exit 1; }
 
 echo "==> cargo fmt --check"
 cargo fmt --check

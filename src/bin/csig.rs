@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 use csig_core::{train_sweep_with, SignatureClassifier};
 use csig_dtree::TreeParams;
-use csig_exec::cli::{CommonArgs, Flag, DEADLINE, JOBS, PROGRESS, SEED};
+use csig_exec::cli::{CommonArgs, Flag, JOBS, PROGRESS, SEED};
 use csig_features::FlowProbe;
 use csig_netsim::FlowId;
 use csig_testbed::{
@@ -54,7 +54,6 @@ fn main() -> ExitCode {
                 Switch("--full-grid"),
                 SEED,
                 JOBS,
-                DEADLINE,
                 PROGRESS,
             ],
         ),
@@ -65,7 +64,6 @@ fn main() -> ExitCode {
                 Value("--model"),
                 Value("--server-port"),
                 JOBS,
-                DEADLINE,
             ],
         ),
         "simulate" => (cmd_simulate, &[Switch("--external"), Value("--out"), SEED]),
@@ -120,9 +118,9 @@ impl From<&str> for Failure {
 
 const USAGE: &str = "usage:
   csig train    [--out model.json] [--reps N] [--threshold T] [--full-grid]
-                [--seed S] [--jobs N] [--deadline SECS] [--progress]
+                [--seed S] [--jobs N] [--progress]
   csig classify <capture.pcap> [--model model.json] [--server-port P]
-                [--jobs N] [--deadline SECS]
+                [--jobs N]
   csig simulate [--external] [--out capture.pcap] [--seed S]
   csig inspect  <capture.pcap> [--server-port P]";
 

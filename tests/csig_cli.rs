@@ -135,13 +135,23 @@ fn stray_positional_is_a_usage_error_naming_it() {
 
 #[test]
 fn missing_capture_or_malformed_flag_value_is_a_usage_error() {
-    for args in [
-        &["inspect"][..],
-        &["inspect", "cap.pcap", "--server-port", "abc"][..],
-        &["train", "--reps", "abc"][..],
+    for (args, named) in [
+        (&["inspect"][..], "capture"),
+        (
+            &["inspect", "cap.pcap", "--server-port", "abc"][..],
+            "--server-port",
+        ),
+        (&["train", "--reps", "abc"][..], "--reps"),
+        (&["train", "--deadline", "5"][..], "`--deadline`"),
+        (
+            &["classify", "x.pcap", "--deadline", "5"][..],
+            "`--deadline`",
+        ),
     ] {
         let out = csig(args);
         assert_eq!(out.status.code(), Some(2), "csig {args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "csig {args:?}: {stderr}");
     }
 }
 

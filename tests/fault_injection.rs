@@ -4,11 +4,13 @@
 //! * A seeded [`FaultPlan`] must produce a byte-identical impairment
 //!   trace whether the campaign runs on 1 worker or 8 — impairment
 //!   randomness comes only from the scenario seed.
-//! * A scenario that panics mid-campaign must surface as a structured
+//! * A scenario that panics mid-campaign, by hand or by exhausting its
+//!   simulator's event budget, must surface as a structured
 //!   [`ScenarioError`] while every other scenario's artifact stays
-//!   byte-identical to a run that never contained the bad scenario.
+//!   byte-identical to a run that never contained the bad scenarios —
+//!   at any worker count.
 
-use csig_exec::{Campaign, Executor, FailureKind, Scenario};
+use csig_exec::{Campaign, CampaignRun, Executor, Scenario};
 use csig_netsim::{
     FaultPlan, GilbertElliott, ImpairmentRecord, LinkConfig, SimDuration, SimTime, Simulator,
 };
@@ -18,7 +20,16 @@ use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpS
 /// link whose downstream direction carries the full fault menu (bursty
 /// loss, reordering, duplication, a mid-flow flap).
 #[derive(Clone, Copy)]
-struct ImpairedTransfer;
+struct ImpairedTransfer {
+    /// The simulator's event budget: too small a one makes the run
+    /// panic in `expect_within_budget()`.
+    event_budget: u64,
+}
+
+/// A transfer whose budget is ample for the whole download.
+const TRANSFER: ImpairedTransfer = ImpairedTransfer {
+    event_budget: 50_000_000,
+};
 
 /// The artifact: the impairment log plus a digest of what the client
 /// actually received — both must be independent of worker scheduling.
@@ -53,7 +64,7 @@ impl Scenario for ImpairedTransfer {
                 .down_between(SimTime::from_millis(150), SimTime::from_millis(180)),
         );
         sim.compute_routes();
-        sim.set_event_budget(50_000_000);
+        sim.set_event_budget(self.event_budget);
         sim.run().expect_within_budget();
         let stats = &sim.link(down).stats;
         (
@@ -68,7 +79,7 @@ impl Scenario for ImpairedTransfer {
 fn fault_plans_are_jobs_invariant() {
     let mut campaign = Campaign::new(0xFA17);
     for _ in 0..6 {
-        campaign.push(ImpairedTransfer);
+        campaign.push(TRANSFER);
     }
     let seq = Executor::new(1)
         .run_isolated_with_progress(&campaign, |_| {})
@@ -100,45 +111,73 @@ fn panicking_scenario_is_isolated_and_rest_is_byte_identical() {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
+    // One scenario panics outright; another runs out of events, the
+    // deterministic guard against a runaway simulation.
     let bad_index = 3;
+    let starved_index = 6;
     let mut full = Campaign::new(0);
     let mut clean = Campaign::new(0);
     for i in 0..8u64 {
-        // Seeds fixed at submission so removing the bad scenario does
+        // Seeds fixed at submission so removing the bad scenarios does
         // not shift anyone else's seed.
         let seed = 0x5EED_0000 + i;
         let scenario = move |s: u64| {
             if i == bad_index {
                 panic!("deliberate failure in scenario {i}");
             }
-            ImpairedTransfer.run(s)
+            let event_budget = if i == starved_index {
+                100
+            } else {
+                TRANSFER.event_budget
+            };
+            ImpairedTransfer { event_budget }.run(s)
         };
         full.push_seeded(seed, scenario);
-        if i != bad_index {
+        if i != bad_index && i != starved_index {
             clean.push_seeded(seed, scenario);
         }
     }
 
-    let run = Executor::new(4).run_isolated_with_progress(&full, |_| {});
+    let seq = Executor::new(1).run_isolated_with_progress(&full, |_| {});
+    let par = Executor::new(4).run_isolated_with_progress(&full, |_| {});
     std::panic::set_hook(hook);
 
-    let failures = run.failures();
-    assert_eq!(failures.len(), 1);
-    assert_eq!(failures[0].index, bad_index as usize);
-    assert_eq!(failures[0].seed, 0x5EED_0000 + bad_index);
-    assert_eq!(failures[0].kind, FailureKind::Panicked);
-    assert!(failures[0].message.contains("deliberate failure"));
-    assert!(run.summary().contains("1/8 scenarios failed"));
+    // Failures carry what reproduces them, and only their wall-clock
+    // `elapsed` may differ between worker counts.
+    let failed = |run: &CampaignRun<_>| -> Vec<(usize, u64, String)> {
+        run.failures()
+            .iter()
+            .map(|e| (e.index, e.seed, e.message.clone()))
+            .collect()
+    };
+    let failures = failed(&par);
+    assert_eq!(failed(&seq), failures, "failures depend on jobs");
+    assert_eq!(failures.len(), 2);
+    assert_eq!(failures[0].0, bad_index as usize);
+    assert_eq!(failures[0].1, 0x5EED_0000 + bad_index);
+    assert!(failures[0].2.contains("deliberate failure"));
+    assert_eq!(failures[1].0, starved_index as usize);
+    assert_eq!(failures[1].1, 0x5EED_0000 + starved_index);
+    assert!(
+        failures[1].2.contains("event budget exhausted"),
+        "{}",
+        failures[1].2
+    );
+    for e in par.failures() {
+        assert!(e.to_string().contains("panicked"), "{e}");
+    }
+    assert!(par.summary().contains("2/8 scenarios failed"));
 
     // Every surviving artifact is byte-identical to a campaign that
-    // never contained the panicking scenario.
-    let survivors = run.artifacts();
+    // never contained the failing scenarios, at either worker count.
     let reference = Executor::new(2)
         .run_isolated_with_progress(&clean, |_| {})
         .expect_artifacts();
-    assert_eq!(
-        format!("{survivors:?}"),
-        format!("{reference:?}"),
-        "panic isolation perturbed surviving artifacts"
-    );
+    for (jobs, run) in [(1, seq), (4, par)] {
+        assert_eq!(
+            format!("{:?}", run.artifacts()),
+            format!("{reference:?}"),
+            "panic isolation perturbed surviving artifacts at jobs={jobs}"
+        );
+    }
 }

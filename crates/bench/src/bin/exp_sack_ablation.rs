@@ -37,10 +37,7 @@ fn main() {
                     let mut cfg = TestbedConfig::scaled(AccessParams::figure1(), seed);
                     cfg.tcp.sack = sack;
                     // Vary only the measured flow's stack.
-                    cfg.cross_tcp = Some(csig_tcp::TcpConfig {
-                        record_samples: false,
-                        ..csig_tcp::TcpConfig::default()
-                    });
+                    cfg.cross_tcp = Some(csig_tcp::TcpConfig::default());
                     if external {
                         cfg = cfg.externally_congested();
                     }

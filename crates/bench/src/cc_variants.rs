@@ -47,10 +47,7 @@ pub fn run(clf: &SignatureClassifier, reps: u32, seed: u64, exec: &Executor) -> 
             // Only the measured flow's stack varies; the background
             // stays on the default (the Internet does not switch
             // algorithms with you).
-            cfg.cross_tcp = Some(csig_tcp::TcpConfig {
-                record_samples: false,
-                ..csig_tcp::TcpConfig::default()
-            });
+            cfg.cross_tcp = Some(csig_tcp::TcpConfig::default());
             cfg.queue = queue;
             variants.push((
                 format!("{} / {}", cc.name(), qname),

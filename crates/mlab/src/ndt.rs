@@ -114,13 +114,11 @@ pub fn run_ndt(path: &NdtPath) -> NdtMeasurement {
     let ms = SimDuration::from_millis;
     let mut sim = Simulator::new(path.seed);
 
+    // The default stack at both ends; it records per-ACK samples,
+    // which the server-side Web100 counters need.
     let tcp = TcpConfig::default();
-    let lean = TcpConfig {
-        record_samples: true, // server-side Web100 needs samples
-        ..tcp.clone()
-    };
     let server = sim.add_host(Box::new(TcpServerAgent::new(
-        lean,
+        tcp.clone(),
         ServerSendPolicy::Unbounded,
     )));
     let r1 = sim.add_router();

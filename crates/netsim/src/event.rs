@@ -66,7 +66,7 @@ pub enum EventKind {
     /// Replace the link's parameters (time-varying path state). Boxed
     /// so the rare reconfiguration does not widen every event entry.
     LinkReconfig(LinkId, Box<LinkConfig>),
-    /// A scheduled fault (down/up flap, rate or delay step) fires.
+    /// A scheduled fault (a down/up flap) fires.
     LinkFault(LinkId, FaultAction),
 }
 
@@ -327,9 +327,10 @@ mod tests {
 
     #[test]
     fn entries_stay_compact() {
-        // Time, sequence number and a 24-byte kind: a `LinkFault`
-        // carries a link and a 16-byte action, and nothing is wider.
-        assert_eq!(std::mem::size_of::<EventEntry>(), 40);
+        // Time, sequence number and a 16-byte kind: a `Timer` carries
+        // a node and a token, and nothing is wider.
+        assert_eq!(std::mem::size_of::<EventKind>(), 16);
+        assert_eq!(std::mem::size_of::<EventEntry>(), 32);
         // A `u128` key and a link id.
         assert_eq!(std::mem::size_of::<Slot>(), 24);
     }

@@ -12,9 +12,10 @@
 //!   arrives behind packets serialized after it (netem `reorder`).
 //! * **Duplication** — a fraction of admitted packets is enqueued twice
 //!   (netem `duplicate`).
-//! * **Scheduled events** — link down/up flaps and bandwidth or
-//!   propagation-delay step changes at fixed simulated times
-//!   ([`FaultAction`]).
+//! * **Scheduled events** — link down/up flaps at fixed simulated
+//!   times ([`FaultAction`]). Rate and delay changes are link
+//!   reconfigurations
+//!   ([`Simulator::schedule_link_reconfig`](crate::sim::Simulator::schedule_link_reconfig)).
 //!
 //! Every random draw comes from a dedicated per-link PRNG stream derived
 //! from the simulation's master seed (see [`crate::rng::stream_rng`]),
@@ -111,11 +112,6 @@ pub enum FaultAction {
     Down,
     /// Bring the link back up; a backlog resumes draining immediately.
     Up,
-    /// Step the shaped rate to this many bits per second (the physical
-    /// rate is raised to match if it would fall below the shaped rate).
-    Rate(u64),
-    /// Step the one-way propagation delay.
-    Delay(SimDuration),
 }
 
 /// One scheduled fault: apply `action` at simulated time `at`.

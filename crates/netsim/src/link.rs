@@ -354,8 +354,7 @@ impl Link {
 
     /// Apply a scheduled fault at `now`, re-timing every packet that
     /// has not departed (see `Link::retime`). Down drops all offered
-    /// traffic and parks those packets until Up; a rate step re-seeds
-    /// the token bucket like [`Link::reconfigure`].
+    /// traffic and parks those packets until Up.
     pub fn apply_fault_action(
         &mut self,
         now: SimTime,
@@ -363,16 +362,8 @@ impl Link {
         pool: &mut PacketPool,
         events: &mut EventQueue,
     ) {
-        self.retime(now, pool, events, |l| match action {
-            FaultAction::Down => l.down = true,
-            FaultAction::Up => l.down = false,
-            FaultAction::Rate(bps) => {
-                let mut cfg = l.cfg.clone();
-                cfg.rate_bps = bps.max(1);
-                cfg.phy_rate_bps = cfg.phy_rate_bps.max(cfg.rate_bps);
-                l.set_config(now, cfg);
-            }
-            FaultAction::Delay(d) => l.cfg.prop_delay = d,
+        self.retime(now, pool, events, |l| {
+            l.down = action == FaultAction::Down;
         });
     }
 
@@ -1040,18 +1031,6 @@ mod tests {
         let frac = dropped as f64 / 20_000.0;
         assert!((0.08..0.12).contains(&frac), "GE loss fraction {frac}");
         assert_eq!(r.l.stats.dropped_loss, dropped);
-    }
-
-    #[test]
-    fn fault_rate_step_changes_drain_speed() {
-        let cfg = LinkConfig::new(100_000_000, SimDuration::ZERO).burst(1500);
-        let mut r = Rig::new(cfg);
-        r.fault(SimTime::ZERO, FaultAction::Rate(1_000_000));
-        assert_eq!(r.l.config().rate_bps, 1_000_000);
-        r.enqueue(pkt(1, 1500), SimTime::ZERO);
-        let arrivals = r.drain();
-        // Bucket re-seeded empty at 1 Mbps: 1500 B needs ~12 ms of credit.
-        assert!(arrivals[0].1 >= SimTime::from_millis(11), "{:?}", arrivals);
     }
 
     #[test]

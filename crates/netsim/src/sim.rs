@@ -28,7 +28,7 @@ use crate::packet::{Packet, PacketSpec};
 use crate::pool::{PacketHandle, PacketPool};
 use crate::rng::stream_rng;
 use crate::stats::LinkStats;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use csig_obs::{MetricsRegistry, TraceBuffer, TraceEvent};
 use rand::rngs::StdRng;
 use std::any::Any;
@@ -533,31 +533,6 @@ impl Simulator {
         self.run_until(SimTime::MAX)
     }
 
-    /// Run to `horizon`, invoking `observe` every `interval` of
-    /// simulated time (first at the current time). Lets harnesses
-    /// sample link/queue state as the simulation progresses — e.g.
-    /// recording buffer occupancy while a flow's slow start fills it.
-    pub fn run_sampled<F: FnMut(&Simulator)>(
-        &mut self,
-        horizon: SimTime,
-        interval: SimDuration,
-        mut observe: F,
-    ) -> StopReason {
-        assert!(!interval.is_zero(), "sampling interval must be positive");
-        let mut next = self.now;
-        loop {
-            observe(self);
-            next += interval;
-            if next >= horizon {
-                return self.run_until(horizon);
-            }
-            match self.run_until(next) {
-                StopReason::Horizon => {}
-                other => return other,
-            }
-        }
-    }
-
     /// High-water mark of simultaneously pending scheduler entries
     /// (diagnostics and benchmark reporting). A link with packets in
     /// flight holds one entry for all of its in-order packets, so this
@@ -817,6 +792,7 @@ mod tests {
     use crate::fault::GilbertElliott;
     use crate::ids::FlowId;
     use crate::packet::{PacketKind, PacketSpec};
+    use crate::time::SimDuration;
     use csig_obs::MetricValue;
 
     /// Sends `count` background packets of `size` to `dst`, one per
@@ -1163,13 +1139,14 @@ mod tests {
     #[test]
     fn each_run_exports_only_what_it_counted() {
         let horizon = SimTime::from_millis(60);
-        let sampled = MetricsRegistry::new();
+        let stepped = MetricsRegistry::new();
         let mut sim = overrun_link(5);
-        sim.attach_obs(&sampled);
-        let mut samples = 0;
-        let stop = sim.run_sampled(horizon, SimDuration::from_millis(5), |_| samples += 1);
-        assert_eq!(stop, StopReason::Horizon);
-        assert_eq!(samples, 12, "one run_until per sample");
+        sim.attach_obs(&stepped);
+        // Twelve 5 ms runs, each exporting only its own counts.
+        for step in 1..=12 {
+            let until = SimTime::from_millis(5 * step);
+            assert_eq!(sim.run_until(until), StopReason::Horizon);
+        }
         let once = MetricsRegistry::new();
         let mut twin = overrun_link(5);
         twin.attach_obs(&once);
@@ -1177,7 +1154,7 @@ mod tests {
         let snap = once.snapshot();
         assert!(snap.counter("sim.packets_dropped").unwrap() > 0);
         assert!(twin.packets_in_flight() > 0, "the horizon cuts traffic");
-        assert_eq!(sampled.snapshot(), snap);
+        assert_eq!(stepped.snapshot(), snap);
         assert_eq!(snap.counter("sim.events"), Some(twin.events_processed()));
     }
 
@@ -1315,20 +1292,6 @@ mod tests {
         let sink: &SinkAgent = sim.agent(b).unwrap();
         assert_eq!(sink.packets + stats.dropped_full, 100);
         assert!(stats.mean_queue_delay() > SimDuration::from_millis(5));
-    }
-
-    #[test]
-    fn run_sampled_observes_at_interval() {
-        let (mut sim, _, _) = two_hosts_one_router(1);
-        let mut seen = Vec::new();
-        let stop = sim.run_sampled(SimTime::from_millis(10), SimDuration::from_millis(2), |s| {
-            seen.push(s.now())
-        });
-        assert_eq!(stop, StopReason::Horizon);
-        // Observations at 0, 2, 4, 6, 8 ms.
-        assert_eq!(seen.len(), 5);
-        assert_eq!(seen[1], SimTime::from_millis(2));
-        assert_eq!(sim.now(), SimTime::from_millis(10));
     }
 
     #[test]

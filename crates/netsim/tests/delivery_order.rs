@@ -1,17 +1,17 @@
 //! Property test of packet delivery through the links' in-order arrival
 //! queues. Random small topologies mix jitter, fault-plan loss,
-//! reordering, duplication, flaps and rate/delay steps, and link
-//! reconfigurations. Every admitted packet
-//! must be delivered exactly once, each link must deliver its in-order
-//! packets in admission order, no tap may see the clock run
-//! backwards, and the simulator's packet ledger must close with the
-//! admitted duplicates counted as injected. Debug builds also check, on
-//! every pop, that the scheduler's `(time, seq)` keys strictly increase.
+//! reordering, duplication, flaps and link reconfigurations. Every
+//! admitted packet must be delivered exactly once, each link must
+//! deliver its in-order packets in admission order, no tap may see the
+//! clock run backwards, and the simulator's packet ledger must close
+//! with the admitted duplicates counted as injected. Debug builds also
+//! check, on every pop, that the scheduler's `(time, seq)` keys
+//! strictly increase.
 
 use csig_netsim::{
-    Agent, CaptureHandle, Ctx, Direction, FaultAction, FaultPlan, FlowId, GilbertElliott,
-    Impairment, LinkConfig, LinkId, NodeId, Packet, PacketSpec, SimDuration, SimTime, Simulator,
-    SinkAgent, StopReason, TimerToken,
+    Agent, CaptureHandle, Ctx, Direction, FaultPlan, FlowId, GilbertElliott, Impairment,
+    LinkConfig, LinkId, NodeId, Packet, PacketSpec, SimDuration, SimTime, Simulator, SinkAgent,
+    StopReason, TimerToken,
 };
 use csig_obs::MetricsRegistry;
 use proptest::prelude::*;
@@ -85,13 +85,6 @@ fn random_plan(rng: &mut StdRng) -> FaultPlan {
             down,
             down + micros(rng, 20_000) + SimDuration::from_nanos(1),
         );
-    }
-    if rng.gen_bool(0.5) {
-        let rate = rng.gen_range(1..=50u64) * 1_000_000;
-        plan = plan.event(at(rng), FaultAction::Rate(rate));
-    }
-    if rng.gen_bool(0.5) {
-        plan = plan.event(at(rng), FaultAction::Delay(micros(rng, 5_000)));
     }
     plan
 }

@@ -25,9 +25,10 @@
 //! accrued. After the burst, the bytes sent between any two departures
 //! differ from `R·Δt/8` by less than one packet.
 //!
-//! **Slow start through a real link.** Without delayed ACKs a NewReno
-//! sender grows its window by one MSS per new ACK. When the ACK for a
-//! segment sent at `t − r` returns at `t`, every segment that was in
+//! **Slow start through a real link.** The receiver ACKs every
+//! segment, so a NewReno sender grows its window by one MSS per new
+//! ACK. When the ACK for a segment sent at `t − r` returns at `t`,
+//! every segment that was in
 //! flight at `t − r` (the whole window `W`) has been acknowledged, so
 //! `cwnd(t) = 2·W` up to the ACK that is being processed at each end:
 //! two segments. That holds while the bottleneck queue grows, because
@@ -36,7 +37,7 @@
 
 use csig_netsim::{
     transmission_time, Agent, Ctx, FlowId, LinkConfig, NodeId, Packet, PacketSpec, SimDuration,
-    SimTime, Simulator, TimerToken,
+    SimTime, Simulator, TimerToken, DEFAULT_MSS,
 };
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 use proptest::prelude::*;
@@ -163,11 +164,10 @@ proptest! {
 #[test]
 fn slow_start_doubles_cwnd_per_rtt_until_the_first_loss() {
     let cfg = TcpConfig {
-        delayed_ack: false,
         record_samples: true,
         ..TcpConfig::default()
     };
-    let mss = cfg.mss as u64;
+    let mss = DEFAULT_MSS as u64;
     let mut sim = Simulator::new(3);
     let server = sim.add_host(Box::new(TcpServerAgent::new(
         cfg.clone(),

@@ -1,4 +1,7 @@
 //! Liveness soak: random path parameters, assert every transfer drains.
+//! Exits 1 if any transfer stalls.
+//!
+//! `cargo run --release -p csig-tcp --example soak [runs]` (default 400)
 use csig_netsim::*;
 use csig_tcp::*;
 use rand::{Rng, SeedableRng};
@@ -23,12 +26,11 @@ fn main() {
             _ => CcKind::BbrLite,
         };
         let sack = i % 2 == 0;
-        let mut cfg = TcpConfig {
+        let cfg = TcpConfig {
             cc,
             sack,
             ..TcpConfig::default()
         };
-        cfg.delayed_ack = i % 5 == 0;
         let mut sim = Simulator::new(i);
         let server = sim.add_host(Box::new(TcpServerAgent::new(
             cfg.clone(),
@@ -73,4 +75,7 @@ fn main() {
         }
     }
     println!("{n} runs, {stalls} stalls");
+    if stalls > 0 {
+        std::process::exit(1);
+    }
 }

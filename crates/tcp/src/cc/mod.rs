@@ -72,6 +72,9 @@ pub trait CongestionControl: std::fmt::Debug + Send {
     fn name(&self) -> &'static str;
 }
 
+/// Initial congestion window in segments (the Linux default).
+pub const INIT_CWND_SEGMENTS: u32 = 10;
+
 /// Algorithm selector carried in `TcpConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcKind {
@@ -84,13 +87,15 @@ pub enum CcKind {
 }
 
 impl CcKind {
-    /// Instantiate the algorithm with the given MSS and initial window
-    /// (in segments).
-    pub fn build(self, mss: u32, init_cwnd_segments: u32) -> Box<dyn CongestionControl> {
+    /// Instantiate the algorithm with a
+    /// [`DEFAULT_MSS`](csig_netsim::DEFAULT_MSS) segment size and a
+    /// [`INIT_CWND_SEGMENTS`]-segment initial window.
+    pub fn build(self) -> Box<dyn CongestionControl> {
+        let (mss, iw) = (csig_netsim::DEFAULT_MSS, INIT_CWND_SEGMENTS);
         match self {
-            CcKind::NewReno => Box::new(reno::NewReno::new(mss, init_cwnd_segments)),
-            CcKind::Cubic => Box::new(cubic::Cubic::new(mss, init_cwnd_segments)),
-            CcKind::BbrLite => Box::new(bbr::BbrLite::new(mss, init_cwnd_segments)),
+            CcKind::NewReno => Box::new(reno::NewReno::new(mss, iw)),
+            CcKind::Cubic => Box::new(cubic::Cubic::new(mss, iw)),
+            CcKind::BbrLite => Box::new(bbr::BbrLite::new(mss, iw)),
         }
     }
 
@@ -115,7 +120,7 @@ mod tests {
             (CcKind::Cubic, "cubic"),
             (CcKind::BbrLite, "bbr-lite"),
         ] {
-            let cc = kind.build(1448, 10);
+            let cc = kind.build();
             assert_eq!(cc.name(), name);
             assert_eq!(kind.name(), name);
             assert_eq!(cc.cwnd(), 10 * 1448);

@@ -12,8 +12,9 @@
 //! retransmit, partial ACKs, window inflation/deflation), RFC 6298 RTO
 //! with Karn's rule, SACK-based loss recovery (RFC 2018 blocks with a
 //! scoreboard), go-back-N slow-start restart after a timeout,
-//! receive-window flow control, FIN close, and optional delayed ACKs.
-//! It does not implement timestamps, ECN, or urgent data.
+//! receive-window flow control and FIN close. Every arriving segment is
+//! ACKed at once (quickack). It does not implement delayed ACKs,
+//! timestamps, ECN, or urgent data.
 
 use crate::cc::{AckInfo, CcKind, CongestionControl};
 use crate::rtt::RttEstimator;
@@ -23,24 +24,20 @@ use csig_netsim::{
 };
 use std::collections::{BTreeMap, VecDeque};
 
-/// Endpoint configuration.
+/// Endpoint configuration: the stack properties experiments vary.
+/// Everything else is fixed at Linux-like values: segments of
+/// [`DEFAULT_MSS`](csig_netsim::DEFAULT_MSS) bytes, an initial window
+/// of [`INIT_CWND_SEGMENTS`](crate::cc::INIT_CWND_SEGMENTS), an RTO
+/// between [`MIN_RTO`](crate::rtt::MIN_RTO) and
+/// [`MAX_RTO`](crate::rtt::MAX_RTO), an immediate ACK for every
+/// segment, and an abort after [`MAX_CONSECUTIVE_TIMEOUTS`]
+/// back-to-back RTOs.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Maximum segment size (payload bytes).
-    pub mss: u32,
-    /// Initial congestion window in segments (Linux default 10).
-    pub init_cwnd_segments: u32,
     /// Receive window advertised to the peer, in bytes.
     pub recv_window: u32,
-    /// RTO floor (Linux: 200 ms).
-    pub min_rto: SimDuration,
-    /// RTO ceiling.
-    pub max_rto: SimDuration,
     /// Congestion-control algorithm.
     pub cc: CcKind,
-    /// If true, ACK every second in-order segment (with a 40 ms flush
-    /// timer); if false, ACK every segment (quickack).
-    pub delayed_ack: bool,
     /// Record per-ACK RTT/cwnd sample series in [`ConnStats`]. Disable
     /// for bulk cross-traffic flows to save memory.
     pub record_samples: bool,
@@ -48,27 +45,22 @@ pub struct TcpConfig {
     /// paper-era Linux stacks all negotiated SACK; disabling it is an
     /// ablation knob.
     pub sack: bool,
-    /// Abort the connection after this many consecutive RTOs (Linux
-    /// `tcp_retries2`-style cap), to bound pathological retry loops.
-    pub max_consecutive_timeouts: u32,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: csig_netsim::DEFAULT_MSS,
-            init_cwnd_segments: 10,
             recv_window: 16 * 1024 * 1024,
-            min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(60),
             cc: CcKind::NewReno,
-            delayed_ack: false,
             record_samples: true,
             sack: true,
-            max_consecutive_timeouts: 15,
         }
     }
 }
+
+/// A connection aborts after this many consecutive RTOs (Linux
+/// `tcp_retries2`-style cap), to bound pathological retry loops.
+pub const MAX_CONSECUTIVE_TIMEOUTS: u32 = 15;
 
 /// Connection lifecycle state (simplified: no TIME_WAIT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,9 +184,6 @@ impl SegMeta {
     }
 }
 
-/// Local (low-32-bit) token value reserved for the delayed-ACK flush.
-const DELACK_TOKEN: u64 = 1 << 31;
-const DELACK_FLUSH: SimDuration = SimDuration::from_millis(40);
 /// Local token value for retransmission-timer events. Staleness is
 /// decided by comparing the fire time against `rto_deadline`, so a
 /// single token value suffices.
@@ -273,8 +262,6 @@ pub struct TcpConnection {
     rcv_nxt: u64,
     ooo: BTreeMap<u64, u64>,
     peer_fin_offset: Option<u64>,
-    delack_count: u32,
-    delack_timer_armed: bool,
 
     // ---- accounting ----
     last_limit: Option<(SendLimit, SimTime)>,
@@ -294,8 +281,8 @@ impl TcpConnection {
     }
 
     fn new(flow: FlowId, peer: NodeId, cfg: TcpConfig, state: ConnState) -> Self {
-        let cc = cfg.cc.build(cfg.mss, cfg.init_cwnd_segments);
-        let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
+        let cc = cfg.cc.build();
+        let rtt = RttEstimator::new();
         // Deterministic ISS derived from flow id; uniqueness per flow is
         // all that matters in the simulator.
         let iss = 0x1000_0000u32.wrapping_add(flow.0.wrapping_mul(2_654_435_761));
@@ -331,8 +318,6 @@ impl TcpConnection {
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             peer_fin_offset: None,
-            delack_count: 0,
-            delack_timer_armed: false,
             last_limit: None,
             stats: ConnStats::default(),
         }
@@ -752,24 +737,7 @@ impl TcpConnection {
                 self.drain_in_order();
             }
         }
-        // FIN consumes its own sequence position once payload is complete.
-        let fin_consumed = match self.peer_fin_offset {
-            Some(f) => self.rcv_nxt >= f,
-            None => false,
-        };
-        // ACK policy: immediate on out-of-order or FIN; delayed-ack
-        // coalescing otherwise when enabled.
-        if !in_order || hdr.flags.fin() || fin_consumed || !self.cfg.delayed_ack {
-            self.send_ack_now(ctx);
-        } else {
-            self.delack_count += 1;
-            if self.delack_count >= 2 {
-                self.send_ack_now(ctx);
-            } else if !self.delack_timer_armed {
-                self.delack_timer_armed = true;
-                ctx.set_timer(DELACK_FLUSH, self.token(DELACK_TOKEN));
-            }
-        }
+        self.send_ack_now(ctx);
     }
 
     fn insert_ooo(&mut self, start: u64, end: u64) {
@@ -808,7 +776,6 @@ impl TcpConnection {
     }
 
     fn send_ack_now(&mut self, ctx: &mut Ctx) {
-        self.delack_count = 0;
         let fin_bump = match self.peer_fin_offset {
             Some(f) if self.rcv_nxt >= f => 1u32,
             _ => 0,
@@ -948,7 +915,7 @@ impl TcpConnection {
                 break;
             }
             // Nagle-free: send a full or partial segment immediately.
-            let len = want.min(self.cfg.mss as u64).min(room.max(1)) as u32;
+            let len = want.min(csig_netsim::DEFAULT_MSS as u64).min(room.max(1)) as u32;
             if (len as u64) < want && (room as u32) < len {
                 // Avoid silly small segments when cwnd has sub-MSS room.
                 self.note_limit(SendLimit::Cwnd, ctx.now());
@@ -1037,7 +1004,7 @@ impl TcpConnection {
     /// Repair presumed-lost holes while the pipe has room (SACK mode).
     fn repair_holes(&mut self, ctx: &mut Ctx) {
         let cwnd = self.cc.cwnd();
-        let mss = self.cfg.mss as u64;
+        let mss = csig_netsim::DEFAULT_MSS as u64;
         while self.pipe() + mss <= cwnd {
             if !self.retransmit_front(ctx, false) {
                 break;
@@ -1142,17 +1109,10 @@ impl TcpConnection {
         self.rto_armed = false;
     }
 
-    /// Handle a timer token previously passed to `ctx.set_timer` by this
-    /// connection.
-    pub fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
-        let local = token & 0xFFFF_FFFF;
-        if local == DELACK_TOKEN {
-            self.delack_timer_armed = false;
-            if self.delack_count > 0 && self.state == ConnState::Established {
-                self.send_ack_now(ctx);
-            }
-            return;
-        }
+    /// Handle the firing of a timer this connection set. Its only timer
+    /// is the retransmission timer, so the agent that routed the token
+    /// here (by [`token_flow`]) need not pass it on.
+    pub fn on_timer(&mut self, ctx: &mut Ctx) {
         if self.rto_timer_at == Some(ctx.now()) {
             self.rto_timer_at = None; // the tracked covering event fired
         }
@@ -1168,7 +1128,7 @@ impl TcpConnection {
         match self.state {
             ConnState::SynSent => {
                 self.consec_timeouts += 1;
-                if self.consec_timeouts > self.cfg.max_consecutive_timeouts {
+                if self.consec_timeouts > MAX_CONSECUTIVE_TIMEOUTS {
                     self.state = ConnState::Done;
                     self.stats.closed_at.get_or_insert(ctx.now());
                     return;
@@ -1179,7 +1139,7 @@ impl TcpConnection {
             }
             ConnState::SynRcvd => {
                 self.consec_timeouts += 1;
-                if self.consec_timeouts > self.cfg.max_consecutive_timeouts {
+                if self.consec_timeouts > MAX_CONSECUTIVE_TIMEOUTS {
                     self.state = ConnState::Done;
                     self.stats.closed_at.get_or_insert(ctx.now());
                     return;
@@ -1195,7 +1155,7 @@ impl TcpConnection {
                 }
                 self.stats.timeouts += 1;
                 self.consec_timeouts += 1;
-                if self.consec_timeouts > self.cfg.max_consecutive_timeouts {
+                if self.consec_timeouts > MAX_CONSECUTIVE_TIMEOUTS {
                     // Give up, like a real stack exhausting tcp_retries2.
                     self.state = ConnState::Done;
                     self.stats.closed_at.get_or_insert(ctx.now());
@@ -1318,8 +1278,8 @@ mod reassembly_tests {
                 }
             }
         }
-        fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
-            self.conn.on_timer(ctx, token);
+        fn on_timer(&mut self, ctx: &mut Ctx, _: TimerToken) {
+            self.conn.on_timer(ctx);
         }
     }
 

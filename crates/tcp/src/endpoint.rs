@@ -159,7 +159,7 @@ impl Agent for TcpServerAgent {
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
         let flow = token_flow(token);
         if let Some(slot) = self.conns.get_mut(&flow) {
-            slot.conn.on_timer(ctx, token);
+            slot.conn.on_timer(ctx);
             if slot.conn.is_done() {
                 self.reap(flow);
             }
@@ -375,7 +375,7 @@ impl Agent for TcpClientAgent {
                 if token == Self::timeout_token(conn.flow) {
                     conn.abort(ctx);
                 } else {
-                    conn.on_timer(ctx, token);
+                    conn.on_timer(ctx);
                 }
             }
         }

@@ -12,7 +12,7 @@
 //! * [`cc`] — congestion control: NewReno, CUBIC, and a BBR
 //!   approximation.
 //! * [`connection`] — the endpoint state machine (handshake, NewReno
-//!   recovery, RTO, reassembly, delayed ACKs, FIN close) with
+//!   recovery, RTO, reassembly, FIN close) with
 //!   Web100-style counters.
 //! * [`endpoint`] — ready-made server/client host agents (netperf-style
 //!   streaming, object catalogs, repeated fetchers).
@@ -38,7 +38,7 @@ mod integration_tests {
 
     use super::*;
     use csig_netsim::{
-        Direction, FlowId, LinkConfig, PacketKind, SimDuration, SimTime, Simulator, StopReason,
+        FlowId, LinkConfig, PacketKind, SimDuration, SimTime, Simulator, StopReason,
     };
 
     fn ms(v: u64) -> SimDuration {
@@ -296,35 +296,6 @@ mod integration_tests {
         // far below the 100 Mbps link.
         let mbps = stats.bytes_acked as f64 * 8.0 / 3.0 / 1e6;
         assert!(mbps < 5.0, "{mbps} Mbps is not receiver-limited");
-    }
-
-    #[test]
-    fn delayed_ack_halves_ack_count() {
-        let mk = |delayed: bool, seed: u64| {
-            let cfg = TcpConfig {
-                delayed_ack: delayed,
-                ..TcpConfig::default()
-            };
-            let link = LinkConfig::new(20_000_000, ms(10));
-            let (mut sim, client, _) = transfer_setup(500_000, cfg, link, seed);
-            let cap = sim.attach_capture(client);
-            sim.set_event_budget(20_000_000);
-            sim.run().expect_within_budget();
-            sim.capture(cap)
-                .records
-                .iter()
-                .filter(|r| {
-                    r.dir == Direction::Out
-                        && matches!(&r.pkt.kind, PacketKind::Tcp(h) if h.payload_len == 0)
-                })
-                .count()
-        };
-        let eager = mk(false, 21);
-        let delayed = mk(true, 21);
-        assert!(
-            (delayed as f64) < 0.7 * eager as f64,
-            "delayed {delayed} vs eager {eager}"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Mirrors the Linux-style estimator the paper's testbed ran: SRTT and
 //! RTTVAR exponentially-weighted means with `RTO = SRTT + 4·RTTVAR`,
-//! a configurable floor (Linux uses 200 ms), a 60 s ceiling, and
+//! Linux's 200 ms floor ([`MIN_RTO`]), a 60 s ceiling ([`MAX_RTO`]), and
 //! exponential backoff on timeout. Karn's rule (never sample a
 //! retransmitted segment) is enforced by the caller.
 //!
@@ -22,9 +22,6 @@ pub struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     rto: SimDuration,
-    backoff: u32,
-    min_rto: SimDuration,
-    max_rto: SimDuration,
     /// Smallest raw sample ever observed (the flow's propagation floor).
     min_rtt: Option<SimDuration>,
     /// Latest raw sample.
@@ -32,23 +29,25 @@ pub struct RttEstimator {
     samples: u64,
 }
 
+/// RTO floor (Linux: 200 ms).
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// RTO ceiling.
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+
 impl Default for RttEstimator {
     fn default() -> Self {
-        RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(60))
+        RttEstimator::new()
     }
 }
 
 impl RttEstimator {
-    /// Estimator with the given RTO floor and ceiling; initial RTO is
-    /// 1 s per RFC 6298.
-    pub fn new(min_rto: SimDuration, max_rto: SimDuration) -> Self {
+    /// Estimator before its first sample; initial RTO is 1 s per RFC
+    /// 6298.
+    pub fn new() -> Self {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
             rto: SimDuration::from_secs(1),
-            backoff: 0,
-            min_rto,
-            max_rto,
             min_rtt: None,
             last_rtt: None,
             samples: 0,
@@ -75,18 +74,16 @@ impl RttEstimator {
                 self.srtt = Some(SimDuration::from_nanos((7 * s + r + 4) >> 3));
             }
         }
-        self.backoff = 0;
         let Some(srtt) = self.srtt else {
             unreachable!("srtt set above on first sample")
         };
         let granularity = SimDuration::from_millis(1);
-        self.rto = (srtt + (self.rttvar * 4).max(granularity)).clamp(self.min_rto, self.max_rto);
+        self.rto = (srtt + (self.rttvar * 4).max(granularity)).clamp(MIN_RTO, MAX_RTO);
     }
 
     /// Double the RTO after a retransmission timeout (Karn backoff).
     pub fn on_timeout(&mut self) {
-        self.backoff = (self.backoff + 1).min(16);
-        self.rto = self.rto.saturating_mul(2).min(self.max_rto);
+        self.rto = self.rto.saturating_mul(2).min(MAX_RTO);
     }
 
     /// Current retransmission timeout.
@@ -156,13 +153,14 @@ mod tests {
 
     #[test]
     fn rto_floor_and_ceiling() {
-        let mut e = RttEstimator::new(ms(200), SimDuration::from_secs(2));
+        let mut e = RttEstimator::new();
         e.on_sample(ms(1)); // tiny RTT → raw RTO ~3 ms, floored at 200.
-        assert_eq!(e.rto(), ms(200));
-        for _ in 0..10 {
+        assert_eq!(e.rto(), MIN_RTO);
+        // 200 ms doubles past 60 s on the ninth timeout and stays there.
+        for _ in 0..12 {
             e.on_timeout();
         }
-        assert_eq!(e.rto(), SimDuration::from_secs(2));
+        assert_eq!(e.rto(), MAX_RTO);
     }
 
     #[test]

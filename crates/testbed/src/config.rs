@@ -69,14 +69,11 @@ pub struct TestbedConfig {
     pub access_cross_flows: u32,
     /// netperf test duration (paper: 10 s).
     pub test_duration: SimDuration,
-    /// Cross-traffic warm-up before the test starts.
-    pub warmup: SimDuration,
     /// Interconnect shaped rate in Mbit/s (paper: 950).
     pub interconnect_mbps: u64,
-    /// Interconnect buffer in ms (paper: 50).
-    pub interconnect_buffer_ms: u64,
     /// Endpoint TCP configuration for the measured test flow
-    /// (congestion control, SACK, …).
+    /// (congestion control, SACK, …). Its `record_samples` is ignored:
+    /// [`build`](crate::topology::build) decides which endpoints record.
     pub tcp: TcpConfig,
     /// TCP configuration for cross traffic (`TGtrans`, `TGcong`,
     /// access cross flows). `None` = same as `tcp`. Ablations vary the
@@ -101,13 +98,8 @@ impl TestbedConfig {
             congestion: CongestionMode::None,
             access_cross_flows: 0,
             test_duration: SimDuration::from_secs(10),
-            warmup: SimDuration::from_secs(2),
             interconnect_mbps: 950,
-            interconnect_buffer_ms: 50,
-            tcp: TcpConfig {
-                record_samples: false,
-                ..TcpConfig::default()
-            },
+            tcp: TcpConfig::default(),
             cross_tcp: None,
             queue: QueueKind::DropTail,
             access_fault: None,
@@ -179,7 +171,6 @@ mod tests {
         assert_eq!(p.interconnect_mbps, 950);
         assert_eq!(s.interconnect_mbps, 190);
         assert_eq!(p.access, s.access);
-        assert_eq!(p.interconnect_buffer_ms, s.interconnect_buffer_ms);
     }
 
     #[test]

@@ -31,6 +31,12 @@ pub const TGTRANS_BLOCK: u32 = 1 << 20;
 /// Flow-id block base of the `TGcong` clients.
 pub const TGCONG_BLOCK: u32 = 1 << 24;
 
+/// Cross-traffic warm-up before the test starts (the paper's 2 s, in
+/// both profiles).
+const WARMUP: SimDuration = SimDuration::from_secs(2);
+/// `InterConnectLink` buffer in ms (paper: 50).
+const INTERCONNECT_BUFFER_MS: u64 = 50;
+
 /// The constructed testbed: the simulator plus the handles experiments
 /// need.
 pub struct Testbed {
@@ -65,28 +71,26 @@ impl Testbed {
 pub fn build(cfg: &TestbedConfig) -> Testbed {
     let mut sim = Simulator::new(cfg.seed);
     let ms = SimDuration::from_millis;
-    let test_start = SimTime::ZERO + cfg.warmup;
+    let test_start = SimTime::ZERO + WARMUP;
     let test_end = test_start + cfg.test_duration;
 
-    // Cross-traffic endpoint TCP config: lean (no sample recording),
-    // optionally decoupled from the test flow's stack.
-    let lean_tcp = TcpConfig {
-        record_samples: false,
-        ..cfg.cross_tcp.clone().unwrap_or_else(|| cfg.tcp.clone())
+    // Sample recording is decided here, whatever `cfg` says. Server 1
+    // is the measurement server: like an M-Lab NDT host it keeps
+    // Web100-style kernel statistics (per-ACK RTT samples) for the
+    // flows it serves, so experiments can compare capture-based and
+    // kernel-based classification. No other endpoint records: not the
+    // test client, and not the cross traffic, whose stack is
+    // optionally decoupled from the test flow's.
+    let with_samples = |tcp: &TcpConfig, record_samples| TcpConfig {
+        record_samples,
+        ..tcp.clone()
     };
+    let test_tcp = with_samples(&cfg.tcp, false);
+    let lean_tcp = with_samples(cfg.cross_tcp.as_ref().unwrap_or(&cfg.tcp), false);
 
     // --- hosts & routers --------------------------------------------------
-    // Server 1 is the measurement server: like an M-Lab NDT host it
-    // keeps Web100-style kernel statistics (per-ACK RTT samples) for
-    // the flows it serves, so experiments can compare capture-based and
-    // kernel-based classification.
-    let mut server1_agent = TcpServerAgent::new(
-        TcpConfig {
-            record_samples: true,
-            ..cfg.tcp.clone()
-        },
-        ServerSendPolicy::Unbounded,
-    );
+    let mut server1_agent =
+        TcpServerAgent::new(with_samples(&cfg.tcp, true), ServerSendPolicy::Unbounded);
     server1_agent.keep_completed = false;
     let server1 = sim.add_host(Box::new(server1_agent));
 
@@ -98,11 +102,11 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
     // all behind the shaped AccessLink.
     let mut pi1_children = vec![TcpClientAgent::new(
         server1,
-        cfg.tcp.clone(),
+        test_tcp,
         ClientBehavior::Once,
         MultiClientAgent::child_flow_base(0, 0),
     )
-    .with_start_delay(cfg.warmup)];
+    .with_start_delay(WARMUP)];
     // Access-link cross traffic (§3.3 multiplexing): clients in blocks
     // 1..=5 of base 0 (at most 15 fit below the TGtrans block). They
     // start *with* the test: flows ramping together all contribute to
@@ -122,7 +126,7 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
                 },
                 MultiClientAgent::child_flow_base(0, (i + 1) as usize),
             )
-            .with_start_delay(cfg.warmup),
+            .with_start_delay(WARMUP),
         );
     }
     let pi1 = sim.add_host(Box::new(MultiClientAgent::new(0, pi1_children)));
@@ -167,7 +171,7 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
                 // the fetch loops desynchronize (simultaneous slow
                 // starts would make the whole aggregate oscillate in
                 // lock-step, which no real interconnect does).
-                let stagger = cfg.warmup.mul_f64(0.5 * i as f64 / flows.max(1) as f64);
+                let stagger = WARMUP.mul_f64(0.5 * i as f64 / flows.max(1) as f64);
                 TcpClientAgent::new(
                     server4,
                     lean_tcp.clone(),
@@ -200,7 +204,7 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
     // buffer, no added latency.
     let icl = LinkConfig::new(cfg.interconnect_mbps * 1_000_000, ms(0))
         .phy_rate((cfg.interconnect_mbps * 1_000_000).max(1_000_000_000))
-        .buffer_ms(cfg.interconnect_buffer_ms)
+        .buffer_ms(INTERCONNECT_BUFFER_MS)
         .burst(10 * 1500);
     let interconnect_down = sim.add_link(r1, r2, icl.clone());
     sim.add_link(r2, r1, icl);
@@ -280,6 +284,41 @@ mod tests {
         let clean =
             TestbedConfig::scaled(AccessParams::figure1(), 7).with_access_fault(FaultPlan::new());
         assert!(clean.access_fault.is_none());
+    }
+
+    #[test]
+    fn only_server1_records_samples() {
+        // The default config asks for samples; `build` still keeps them
+        // to Server 1, the measurement server.
+        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 3).externally_congested();
+        assert!(cfg.tcp.record_samples);
+        let mut tb = build(&cfg);
+        tb.sim.run_until(tb.test_end).expect_within_budget();
+        let sim = &tb.sim;
+        let server1: &TcpServerAgent = sim.agent(tb.server1).unwrap();
+        let test_flow = server1
+            .connection(TEST_FLOW)
+            .expect("test flow at Server 1");
+        assert!(!test_flow.stats.rtt_samples.is_empty());
+        assert!(!test_flow.stats.cwnd_samples.is_empty());
+        let pi1: &MultiClientAgent = sim.agent(tb.pi1).unwrap();
+        let client = pi1.clients()[0]
+            .connection()
+            .expect("test client connection");
+        // The TGcong host is the last node `build` adds; its first
+        // fetch is still running, and Server 4 is sending it data.
+        let cong: &MultiClientAgent = sim.agent(NodeId(9)).unwrap();
+        let fetch = cong.clients()[0].connection().expect("TGcong fetch");
+        assert!(fetch.flow.0 >= TGCONG_BLOCK);
+        let server4: &TcpServerAgent = sim.agent(fetch.peer).unwrap();
+        let served = server4
+            .connection(fetch.flow)
+            .expect("TGcong flow at Server 4");
+        assert!(served.stats.bytes_acked > 0);
+        for conn in [client, fetch, served] {
+            assert!(conn.stats.rtt_samples.is_empty(), "flow {}", conn.flow);
+            assert!(conn.stats.cwnd_samples.is_empty(), "flow {}", conn.flow);
+        }
     }
 
     #[test]

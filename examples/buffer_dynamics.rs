@@ -27,21 +27,21 @@ fn main() {
             .attach_sink(tb.server1, Box::new(FlowProbe::new(testbed::TEST_FLOW)));
 
         // Sample the access-link buffer occupancy every 100 ms from
-        // test start through the first second of the test.
+        // test start through the first 1.5 s of the test.
         let access = tb.access_down;
         let interconnect = tb.interconnect_down;
         let mut occupancy: Vec<(SimTime, u64, u64)> = Vec::new();
-        tb.sim.run_until(tb.test_start).expect_within_budget();
         let horizon = tb.test_start + SimDuration::from_millis(1500);
-        tb.sim
-            .run_sampled(horizon, SimDuration::from_millis(100), |sim| {
-                occupancy.push((
-                    sim.now(),
-                    sim.link(access).queued_bytes(),
-                    sim.link(interconnect).queued_bytes(),
-                ));
-            })
-            .expect_within_budget();
+        let mut at = tb.test_start;
+        while at < horizon {
+            tb.sim.run_until(at).expect_within_budget();
+            occupancy.push((
+                at,
+                tb.sim.link(access).queued_bytes(),
+                tb.sim.link(interconnect).queued_bytes(),
+            ));
+            at += SimDuration::from_millis(100);
+        }
         tb.sim
             .run_until(tb.test_end + testbed::DRAIN_TAIL)
             .expect_within_budget();

@@ -10,6 +10,9 @@ cargo build --release --workspace --all-targets
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> liveness: random TCP transfers over every CC kind and SACK setting drain (soak)"
+cargo run --release -q -p csig-tcp --example soak
+
 echo "==> observability: same-seed campaign snapshots are jobs-invariant and pinned"
 obsdir="$(mktemp -d)"
 trap 'rm -rf "$obsdir"' EXIT

@@ -3,8 +3,7 @@
 
 use crate::classifier::{SignatureClassifier, Verdict};
 use csig_features::{FeatureError, FlowProbe};
-use csig_netsim::{Capture, Direction, FlowId, PacketRecord};
-use csig_trace::OffsetTracker;
+use csig_netsim::{Capture, FlowId};
 use std::collections::BTreeMap;
 
 /// Data-quality flags attached to a [`FlowReport`]: the flow was still
@@ -51,21 +50,15 @@ pub struct FlowReport {
 /// reused later in an imported pcap cannot disturb the closed flow's
 /// verdict. Reports come back ordered by flow id.
 pub fn analyze_capture(clf: &SignatureClassifier, cap: &Capture) -> Vec<FlowReport> {
-    let mut flows: BTreeMap<FlowId, (FlowProbe, FinWatcher)> = BTreeMap::new();
+    let mut flows: BTreeMap<FlowId, FlowProbe> = BTreeMap::new();
     for rec in &cap.records {
         let flow = rec.pkt.flow;
-        let (probe, fin) = flows
-            .entry(flow)
-            .or_insert_with(|| (FlowProbe::new(flow), FinWatcher::default()));
-        if !fin.closed() {
+        let probe = flows.entry(flow).or_insert_with(|| FlowProbe::new(flow));
+        if !probe.closed() {
             probe.push(rec);
-            fin.push(rec);
         }
     }
-    flows
-        .values()
-        .map(|(probe, fin)| report_for(clf, probe, !fin.closed()))
-        .collect()
+    flows.values().map(|probe| report_for(clf, probe)).collect()
 }
 
 /// Classify one probe's accumulated state: its slow-start features
@@ -73,7 +66,7 @@ pub fn analyze_capture(clf: &SignatureClassifier, cap: &Capture) -> Vec<FlowRepo
 /// features cannot be computed get
 /// [`FlowQuality::insufficient_samples`] set alongside the `Err`
 /// verdict, so quality flags and verdicts never disagree.
-fn report_for(clf: &SignatureClassifier, probe: &FlowProbe, never_closed: bool) -> FlowReport {
+fn report_for(clf: &SignatureClassifier, probe: &FlowProbe) -> FlowReport {
     let verdict = probe.features().map(|features| {
         let (class, confidence) = clf.classify_with_confidence(&features);
         Verdict {
@@ -86,73 +79,11 @@ fn report_for(clf: &SignatureClassifier, probe: &FlowProbe, never_closed: bool) 
     FlowReport {
         flow: probe.flow(),
         quality: FlowQuality {
-            never_closed,
+            never_closed: !probe.closed(),
             reorder_suspect: probe.reorder_suspect(),
             insufficient_samples: verdict.is_err(),
         },
         verdict,
-    }
-}
-
-/// Watches one flow's FIN exchange from the server-side tap.
-///
-/// A download flow is complete when the tap node's FIN has been
-/// cumulatively acknowledged *and* the remote side has sent its own
-/// FIN. Records after that point cannot change the flow's verdict (all
-/// data is acked, the ack accountant is capped at the FIN, and pure
-/// ACKs/RSTs carry no payload), so the analysis stops tracking the
-/// flow.
-#[derive(Debug, Clone, Default)]
-struct FinWatcher {
-    tracker: Option<OffsetTracker>,
-    fin_end: Option<u64>,
-    in_fin: bool,
-    fin_acked: bool,
-}
-
-impl FinWatcher {
-    fn push(&mut self, rec: &PacketRecord) {
-        let Some(h) = rec.pkt.tcp() else { return };
-        match rec.dir {
-            Direction::Out => {
-                if h.flags.syn() {
-                    if self.tracker.is_none() {
-                        self.tracker = Some(OffsetTracker::new(h.seq));
-                    }
-                    return;
-                }
-                if h.payload_len == 0 && !h.flags.fin() {
-                    return;
-                }
-                let tr = self
-                    .tracker
-                    .get_or_insert_with(|| OffsetTracker::new(h.seq.wrapping_sub(1)));
-                let start = tr.offset(h.seq);
-                if h.flags.fin() {
-                    // The FIN occupies one sequence slot after the payload.
-                    self.fin_end = Some(start + h.payload_len as u64 + 1);
-                }
-            }
-            Direction::In => {
-                if h.flags.fin() {
-                    self.in_fin = true;
-                }
-                if !h.flags.ack() {
-                    return;
-                }
-                let (Some(tr), Some(fin_end)) = (self.tracker.as_ref(), self.fin_end) else {
-                    return;
-                };
-                let ack_off = csig_tcp::seq::offset_of(tr.base().wrapping_add(1), h.ack, fin_end);
-                if ack_off >= fin_end {
-                    self.fin_acked = true;
-                }
-            }
-        }
-    }
-
-    fn closed(&self) -> bool {
-        self.in_fin && self.fin_acked
     }
 }
 
@@ -162,7 +93,7 @@ mod tests {
     use crate::classifier::{ModelMeta, SignatureClassifier};
     use csig_dtree::TreeParams;
     use csig_features::CongestionClass;
-    use csig_netsim::{LinkConfig, SimDuration, SimTime, Simulator};
+    use csig_netsim::{Direction, LinkConfig, PacketRecord, SimDuration, SimTime, Simulator};
     use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 
     fn tiny_model() -> SignatureClassifier {

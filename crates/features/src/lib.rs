@@ -7,8 +7,9 @@
 //!
 //! The end-to-end path is one pass over a server-side packet stream:
 //! [`FlowProbe`], a [`PacketSink`](csig_netsim::PacketSink), feeds each
-//! record of its flow to `csig-trace`'s RTT extractor and slow-start
-//! tracker, and folds the samples inside the slow-start window into a
+//! record of its flow to `csig-trace`'s per-flow sequence reader
+//! (`FlowTracker`: RTT samples, slow-start window, goodput, FIN
+//! exchange), and folds the samples inside the slow-start window into a
 //! [`FeatureAccumulator`] (online NormDiff/CoV) — no samples or records
 //! are buffered. `csig-dtree`/`csig-core` classify the resulting
 //! [`FlowFeatures`]. [`features_from_rtts_ms`] computes the same vector

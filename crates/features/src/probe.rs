@@ -1,13 +1,14 @@
 //! Single-flow streaming analyzer: the full per-flow measurement
 //! pipeline as one [`PacketSink`].
 //!
-//! [`FlowProbe`] bundles the incremental cores from `csig-trace`
-//! ([`RttExtractor`], [`SlowStartTracker`], [`ThroughputTracker`]) with
-//! the online [`FeatureAccumulator`], consuming one packet record at a
-//! time and retaining only bounded per-flow state — no trace is
-//! buffered. Attached directly to a simulator node it measures its flow
-//! while the simulation runs; `csig-core`'s `analyze_capture` routes
-//! the records of a capture's flows to one probe each.
+//! [`FlowProbe`] feeds each record of its flow to one `csig-trace`
+//! [`FlowTracker`] — RTT samples, slow-start window, goodput and FIN
+//! exchange, read off one anchored offset space — and folds the
+//! samples inside the slow-start window into an online
+//! [`FeatureAccumulator`]. It retains only bounded per-flow state; no
+//! trace is buffered. Attached directly to a simulator node it measures
+//! its flow while the simulation runs; `csig-core`'s `analyze_capture`
+//! routes the records of a capture's flows to one probe each.
 //!
 //! ## Windowing invariant
 //!
@@ -21,8 +22,9 @@
 //! the whole sample list against the final boundary and folding it.
 
 use crate::features::{FeatureAccumulator, FeatureError, FlowFeatures};
-use csig_netsim::{FlowId, PacketRecord, PacketSink};
-use csig_trace::{RttExtractor, SlowStart, SlowStartTracker, ThroughputSummary, ThroughputTracker};
+use csig_netsim::{Direction, FlowId, PacketRecord, PacketSink};
+use csig_tcp::seq::seq_lt;
+use csig_trace::{FlowTracker, SlowStart, ThroughputSummary};
 
 /// Streaming per-flow analyzer: RTT extraction, slow-start detection,
 /// throughput accounting and feature accumulation in one pass.
@@ -32,9 +34,7 @@ use csig_trace::{RttExtractor, SlowStart, SlowStartTracker, ThroughputSummary, T
 #[derive(Debug, Clone)]
 pub struct FlowProbe {
     flow: FlowId,
-    rtt: RttExtractor,
-    ss: SlowStartTracker,
-    tput: ThroughputTracker,
+    tracker: FlowTracker,
     acc: FeatureAccumulator,
     min_rtt_ms: Option<f64>,
     samples_total: usize,
@@ -43,19 +43,12 @@ pub struct FlowProbe {
     reorder_suspect: bool,
 }
 
-/// Wrapping 32-bit sequence comparison: is `a` strictly before `b`?
-fn seq_lt(a: u32, b: u32) -> bool {
-    a != b && b.wrapping_sub(a) < 0x8000_0000
-}
-
 impl FlowProbe {
     /// A fresh probe for one flow.
     pub fn new(flow: FlowId) -> Self {
         FlowProbe {
             flow,
-            rtt: RttExtractor::new(),
-            ss: SlowStartTracker::new(),
-            tput: ThroughputTracker::new(),
+            tracker: FlowTracker::new(),
             acc: FeatureAccumulator::new(),
             min_rtt_ms: None,
             samples_total: 0,
@@ -76,17 +69,14 @@ impl FlowProbe {
             return;
         }
         self.watch_reordering(rec);
-        let sample = self.rtt.push(rec);
-        self.ss.push(rec);
-        self.tput.push(rec);
-        if let Some(s) = sample {
+        if let Some(s) = self.tracker.push(rec) {
             self.samples_total += 1;
             let ms = s.rtt.as_millis_f64();
             self.min_rtt_ms = Some(match self.min_rtt_ms {
                 Some(m) => m.min(ms),
                 None => ms,
             });
-            if s.at <= self.ss.boundary() {
+            if s.at <= self.tracker.slow_start().boundary() {
                 self.acc.push(ms);
             }
         }
@@ -99,18 +89,25 @@ impl FlowProbe {
 
     /// The slow-start window implied by the records seen so far.
     pub fn slow_start(&self) -> SlowStart {
-        self.ss.snapshot()
+        self.tracker.slow_start()
     }
 
     /// Whole-flow goodput summary so far.
     pub fn throughput(&self) -> ThroughputSummary {
-        self.tput.summary()
+        self.tracker.throughput()
     }
 
     /// Late-slow-start capacity estimate (`None` while the window is
     /// open or degenerate).
     pub fn capacity_estimate_bps(&self) -> Option<f64> {
-        self.ss.capacity_estimate_bps()
+        self.tracker.capacity_estimate_bps()
+    }
+
+    /// Whether the flow's FIN exchange has completed (see
+    /// [`FlowTracker::closed`]): no later record can change the probe's
+    /// results.
+    pub fn closed(&self) -> bool {
+        self.tracker.closed()
     }
 
     /// Minimum RTT over *all* samples (not just slow start), in
@@ -127,7 +124,7 @@ impl FlowProbe {
     /// Currently outstanding (sent, unacked, untainted) segments — the
     /// probe's only variable-size state, bounded by the flow's window.
     pub fn outstanding_len(&self) -> usize {
-        self.rtt.outstanding_len()
+        self.tracker.outstanding_len()
     }
 
     /// Whether the probe saw evidence of network reordering on the
@@ -144,7 +141,7 @@ impl FlowProbe {
     }
 
     fn watch_reordering(&mut self, rec: &PacketRecord) {
-        if rec.dir != csig_netsim::Direction::In {
+        if rec.dir != Direction::In {
             return;
         }
         let id = rec.pkt.id.0;
@@ -177,7 +174,7 @@ impl PacketSink for FlowProbe {
 mod tests {
     use super::*;
     use csig_netsim::{
-        Direction, NodeId, Packet, PacketId, PacketKind, SimTime, TcpFlags, TcpHeader, NO_SACK,
+        NodeId, Packet, PacketId, PacketKind, SimTime, TcpFlags, TcpHeader, NO_SACK,
     };
     use csig_trace::RttSample;
 
@@ -302,30 +299,38 @@ mod tests {
         acc.finish()
     }
 
-    #[test]
-    fn probe_matches_fresh_cores_fed_its_flow() {
-        let records = sample_records();
+    fn probe_fed<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> FlowProbe {
         let mut probe = FlowProbe::new(FlowId(1));
-        for r in &records {
+        for r in records {
             probe.on_record(r);
         }
+        probe
+    }
 
-        // The same cores, fed only this flow's records.
-        let mut rtt = RttExtractor::new();
-        let mut ss = SlowStartTracker::new();
-        let mut tput = ThroughputTracker::new();
-        let mut samples = Vec::new();
-        for r in records.iter().filter(|r| r.pkt.flow == FlowId(1)) {
-            samples.extend(rtt.push(r));
-            ss.push(r);
-            tput.push(r);
-        }
+    #[test]
+    fn probe_matches_a_fresh_probe_fed_its_flow() {
+        let records = sample_records();
+        let probe = probe_fed(&records);
+        let own: Vec<_> = records.iter().filter(|r| r.pkt.flow == FlowId(1)).collect();
+        let fresh = probe_fed(own.iter().copied());
 
-        assert_eq!(probe.slow_start(), ss.snapshot());
-        assert!(ss.ended(), "retransmission must close the window");
-        assert_eq!(probe.features(), windowed_features(&samples, ss.boundary()));
-        assert_eq!(probe.throughput(), tput.summary());
-        assert_eq!(probe.capacity_estimate_bps(), ss.capacity_estimate_bps());
+        assert!(
+            fresh.slow_start().end.is_some(),
+            "retransmission must close the window"
+        );
+        assert_eq!(probe.slow_start(), fresh.slow_start());
+        assert_eq!(probe.features(), fresh.features());
+        assert_eq!(probe.throughput(), fresh.throughput());
+        assert_eq!(probe.capacity_estimate_bps(), fresh.capacity_estimate_bps());
+
+        // The features and sample statistics against the flow's whole
+        // sample list.
+        let mut tracker = FlowTracker::new();
+        let samples: Vec<_> = own.iter().filter_map(|r| tracker.push(r)).collect();
+        assert_eq!(
+            probe.features(),
+            windowed_features(&samples, fresh.slow_start().boundary())
+        );
         assert_eq!(probe.samples_total(), samples.len());
         assert_eq!(
             probe.min_rtt_ms(),
@@ -405,8 +410,9 @@ mod tests {
     #[test]
     fn empty_probe_is_degenerate() {
         let probe = FlowProbe::new(FlowId(9));
-        assert_eq!(probe.slow_start(), SlowStartTracker::new().snapshot());
-        assert_eq!(probe.throughput(), ThroughputTracker::new().summary());
+        assert_eq!(probe.slow_start(), FlowTracker::new().slow_start());
+        assert_eq!(probe.throughput(), FlowTracker::new().throughput());
+        assert!(!probe.closed());
         assert_eq!(probe.min_rtt_ms(), None);
         assert_eq!(
             probe.features(),

@@ -3,28 +3,27 @@
 //! The `tcpdump`/`tshark` stage of the paper's pipeline, applied to
 //! simulated captures:
 //!
-//! * [`flow`] — translate wire sequence numbers to stream offsets.
-//! * [`rtt`] — extract per-ACK flow-RTT samples with Karn filtering.
-//! * [`slow_start`] — find the slow-start boundary (first
-//!   retransmission) and the goodput of its late half.
-//! * [`throughput`] — goodput summaries from the cumulative-ACK
-//!   stream.
+//! * [`flow`] — the per-flow sequence reader [`FlowTracker`]:
+//!   per-ACK flow-RTT samples with Karn filtering, the slow-start
+//!   boundary (first retransmission) and the goodput of its late half,
+//!   whole-flow goodput from the cumulative-ACK stream, and the FIN
+//!   exchange.
 //! * [`pcap`] — genuine libpcap export (synthesized IPv4+TCP bytes,
 //!   SACK options, valid IP checksums).
 //! * [`pcap_import`] — the one pcap reader: `tcpdump` files (µs/ns
 //!   magic, Ethernet or raw-IP framing) and this crate's own exports,
 //!   with 4-tuple flow assembly.
 //!
-//! ## Streaming cores
+//! ## Streaming core
 //!
-//! Every per-flow analysis is an incremental state machine consuming
-//! one [`PacketRecord`](csig_netsim::PacketRecord) of one flow at a
-//! time — [`RttExtractor`], [`AckAccountant`], [`SlowStartTracker`],
-//! [`ThroughputTracker`] — with state bounded by the flow's in-flight
-//! window, not by trace length. There is no buffered-trace API: a
-//! caller holding a capture replays its records (for one flow,
-//! `Capture::flow`) through the cores, as `csig-features`' `FlowProbe`
-//! does for a live tap.
+//! Every per-flow analysis is one incremental state machine,
+//! [`FlowTracker`], consuming one
+//! [`PacketRecord`](csig_netsim::PacketRecord) of one flow at a time:
+//! it reads each TCP header once, maps it to stream offsets through one
+//! anchor, and keeps state bounded by the flow's in-flight window, not
+//! by trace length. There is no buffered-trace API: a caller holding a
+//! capture replays its records (for one flow, `Capture::flow`) through
+//! a tracker, as `csig-features`' `FlowProbe` does for a live tap.
 //!
 //! The end-to-end integration test in this crate cross-validates the
 //! trace-derived RTT samples against the TCP stack's own Karn-filtered
@@ -37,18 +36,12 @@
 pub mod flow;
 pub mod pcap;
 pub mod pcap_import;
-pub mod rtt;
-pub mod slow_start;
-pub mod throughput;
 
-pub use flow::OffsetTracker;
+pub use flow::{FlowTracker, RttSample, SlowStart, ThroughputSummary};
 pub use pcap::write_pcap;
 pub use pcap_import::{
     assemble_capture, import_pcap, parse_pcap_tcp, ImportError, RawTcpPacket, ServerSelector,
 };
-pub use rtt::{AckAccountant, RttExtractor, RttSample};
-pub use slow_start::{SlowStart, SlowStartTracker};
-pub use throughput::{ThroughputSummary, ThroughputTracker};
 
 #[cfg(test)]
 mod integration_tests {
@@ -84,19 +77,19 @@ mod integration_tests {
     }
 
     fn rtt_samples<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> Vec<RttSample> {
-        let mut extractor = RttExtractor::new();
+        let mut tracker = FlowTracker::new();
         records
             .into_iter()
-            .filter_map(|r| extractor.push(r))
+            .filter_map(|r| tracker.push(r))
             .collect()
     }
 
-    fn slow_start<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> SlowStart {
-        let mut tracker = SlowStartTracker::new();
+    fn track<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> FlowTracker {
+        let mut tracker = FlowTracker::new();
         for r in records {
             tracker.push(r);
         }
-        tracker.snapshot()
+        tracker
     }
 
     #[test]
@@ -132,7 +125,7 @@ mod integration_tests {
     #[test]
     fn trace_slow_start_matches_stack_first_retransmit() {
         let (cap, stats) = run_download(12, 4_000_000);
-        let ss = slow_start(cap.flow(FlowId(500)));
+        let ss = track(cap.flow(FlowId(500))).slow_start();
         let stack = stats.first_retransmit_at.expect("loss expected");
         let trace_end = ss.end.expect("trace retransmission expected");
         // The trace sees the retransmission the instant it is sent.
@@ -142,11 +135,9 @@ mod integration_tests {
     #[test]
     fn trace_throughput_matches_transfer() {
         let (cap, stats) = run_download(13, 4_000_000);
-        let mut tracker = ThroughputTracker::new();
-        for r in cap.flow(FlowId(500)) {
-            tracker.push(r);
-        }
-        let s = tracker.summary();
+        let tracker = track(cap.flow(FlowId(500)));
+        assert!(tracker.closed(), "the whole download was captured");
+        let s = tracker.throughput();
         assert_eq!(s.bytes_acked, stats.bytes_acked);
         // 20 Mbps bottleneck: mean goodput below capacity, above half.
         assert!(s.mean_bps < 20.5e6, "{}", s.mean_bps);
@@ -179,7 +170,7 @@ mod integration_tests {
         // trace: slow-start RTT grows from the propagation baseline
         // (~40 ms) toward baseline + buffer (~140 ms).
         let (cap, _) = run_download(15, 4_000_000);
-        let boundary = slow_start(cap.flow(FlowId(500))).boundary();
+        let boundary = track(cap.flow(FlowId(500))).slow_start().boundary();
         let win: Vec<_> = rtt_samples(cap.flow(FlowId(500)))
             .into_iter()
             .filter(|s| s.at <= boundary)

@@ -6,14 +6,17 @@
 //! flow counts and transfer sizes:
 //!
 //! * each probe, fed the interleaved multi-flow stream, must match —
-//!   bit for bit — fresh cores (`RttExtractor`, `SlowStartTracker`,
-//!   `ThroughputTracker`) fed only its flow's records
+//!   bit for bit — a fresh probe fed only its flow's records
 //!   (`Capture::flow`), so demultiplexing changes nothing;
+//! * a probe fed the flow from its first data segment on (a tap that
+//!   missed the handshake) must report the same slow start, goodput,
+//!   capacity estimate and features;
 //! * two results are checked against references computed differently
-//!   from the cores: the capacity estimate against two
-//!   `AckAccountant` replays (to the window's midpoint and to its
-//!   boundary), and the features against the flow's whole sample list
-//!   filtered to the final boundary and folded afterwards;
+//!   from the probe: the capacity estimate against two fresh
+//!   `FlowTracker` replays (to the window's midpoint and to its
+//!   boundary) reading goodput, and the features against the flow's
+//!   whole sample list filtered to the final boundary and folded
+//!   afterwards;
 //! * `analyze_capture` on the buffered capture, which stops feeding a
 //!   flow once its FIN exchange completes, must report the verdict each
 //!   probe's features yield.
@@ -23,12 +26,10 @@ use tcp_congestion_signatures::core::{analyze_capture, ModelMeta};
 use tcp_congestion_signatures::dtree::TreeParams;
 use tcp_congestion_signatures::features::{FeatureAccumulator, FeatureError, FlowProbe};
 use tcp_congestion_signatures::netsim::{
-    Capture, FlowId, LinkConfig, PacketRecord, SimDuration, Simulator, SinkHandle,
+    Capture, Direction, FlowId, LinkConfig, PacketRecord, SimDuration, Simulator, SinkHandle,
 };
 use tcp_congestion_signatures::prelude::*;
-use tcp_congestion_signatures::trace::{
-    AckAccountant, RttExtractor, RttSample, SlowStart, SlowStartTracker, ThroughputTracker,
-};
+use tcp_congestion_signatures::trace::{FlowTracker, RttSample, SlowStart};
 
 /// Build a server-behind-router topology with `n_flows` clients, run it
 /// with a buffering capture *and* one probe per flow attached to the
@@ -110,16 +111,16 @@ fn tiny_model() -> SignatureClassifier {
     )
 }
 
-/// The capacity estimate computed from scratch: two replays of the
-/// flow's records through an `AckAccountant`, one up to the slow-start
-/// window's midpoint and one up to its boundary.
+/// The capacity estimate computed from scratch: two fresh replays of
+/// the flow's records, one up to the slow-start window's midpoint and
+/// one up to its boundary, reading goodput.
 fn reference_capacity_bps(records: &[&PacketRecord], ss: &SlowStart) -> Option<f64> {
     let acked_by = |until: SimTime| {
-        let mut acct = AckAccountant::new();
+        let mut tracker = FlowTracker::new();
         for r in records.iter().take_while(|r| r.time <= until) {
-            acct.push(r);
+            tracker.push(r);
         }
-        acct.bytes_acked()
+        tracker.throughput().bytes_acked
     };
     let (start, end) = (ss.first_data_at?, ss.end?);
     let span = end.saturating_since(start);
@@ -146,42 +147,57 @@ fn windowed_features(
     acc.finish()
 }
 
+fn probe_fed<'a>(flow: FlowId, records: impl IntoIterator<Item = &'a PacketRecord>) -> FlowProbe {
+    let mut probe = FlowProbe::new(flow);
+    for r in records {
+        probe.push(r);
+    }
+    probe
+}
+
+/// Every result a probe reports, for comparing two probes.
+fn assert_same_results(got: &FlowProbe, want: &FlowProbe, what: &str) {
+    let flow = want.flow();
+    assert_eq!(
+        got.slow_start(),
+        want.slow_start(),
+        "{what}: slow start ({flow:?})"
+    );
+    assert_eq!(got.throughput(), want.throughput(), "{what}: throughput");
+    assert_eq!(
+        got.capacity_estimate_bps(),
+        want.capacity_estimate_bps(),
+        "{what}: capacity estimate"
+    );
+    assert_eq!(got.features(), want.features(), "{what}: features");
+}
+
 fn check_equivalence(seed: u64, loss_pct: f64, jitter_ms: u64, n_flows: u32, size: u64) {
     let (sim, capture, probes) = run_with_both_taps(seed, loss_pct, jitter_ms, n_flows, size);
 
     for (flow, probe_h) in &probes {
         let probe: &FlowProbe = sim.sink(*probe_h).expect("probe tap");
 
-        // Fresh cores, fed only this flow's records.
+        // The probe saw the interleaved multi-flow stream; a fresh one
+        // sees only this flow's records.
         let records: Vec<&PacketRecord> = capture.flow(*flow).collect();
-        let mut rtt = RttExtractor::new();
-        let mut ss_tracker = SlowStartTracker::new();
-        let mut tput = ThroughputTracker::new();
-        let mut samples = Vec::new();
-        for r in &records {
-            samples.extend(rtt.push(r));
-            ss_tracker.push(r);
-            tput.push(r);
-        }
-        let ss = ss_tracker.snapshot();
+        let fresh = probe_fed(*flow, records.iter().copied());
+        assert_same_results(probe, &fresh, "demultiplexed probe");
+        assert_eq!(probe.closed(), fresh.closed(), "FIN exchange");
 
-        // The probe saw the interleaved multi-flow stream, not one
-        // flow's records — its results must still be bit-identical.
-        assert_eq!(
-            probe.slow_start(),
-            ss,
-            "probe slow start diverged ({flow:?})"
-        );
-        assert_eq!(
-            probe.throughput(),
-            tput.summary(),
-            "probe throughput diverged"
-        );
-        assert_eq!(
-            probe.capacity_estimate_bps(),
-            ss_tracker.capacity_estimate_bps(),
-            "probe capacity estimate diverged"
-        );
+        // A tap that missed the handshake anchors at the first data
+        // segment, which lands on the same offsets.
+        let first_data = records
+            .iter()
+            .position(|r| r.dir == Direction::Out && r.pkt.tcp().is_some_and(|h| h.payload_len > 0))
+            .expect("the flow carried data");
+        let headless = probe_fed(*flow, records[first_data..].iter().copied());
+        assert_same_results(&headless, &fresh, "probe without the handshake");
+
+        // The references computed differently from the probe.
+        let mut tracker = FlowTracker::new();
+        let samples: Vec<RttSample> = records.iter().filter_map(|r| tracker.push(r)).collect();
+        let ss = tracker.slow_start();
         assert_eq!(probe.samples_total(), samples.len(), "probe sample count");
         assert_eq!(
             probe.min_rtt_ms(),
@@ -191,10 +207,8 @@ fn check_equivalence(seed: u64, loss_pct: f64, jitter_ms: u64, n_flows: u32, siz
                 .reduce(f64::min),
             "probe min RTT diverged"
         );
-
-        // The references computed differently from the cores.
         assert_eq!(
-            ss_tracker.capacity_estimate_bps(),
+            probe.capacity_estimate_bps(),
             reference_capacity_bps(&records, &ss),
             "capacity estimate diverged from the two-replay reference"
         );
@@ -253,6 +267,10 @@ fn streaming_equals_batch_on_lossy_multiflow_run() {
         let f = probe.features().expect("features computable");
         assert!(f.norm_diff > 0.0);
         assert!(probe.throughput().bytes_acked >= 2_000_000);
+        assert!(
+            probe.capacity_estimate_bps().is_some(),
+            "flow {flow:?}: the slow-start window never closed"
+        );
     }
 }
 
@@ -266,7 +284,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Randomized loss, reordering jitter, flow count and size: the
-    /// probes reproduce the per-flow cores and both references exactly.
+    /// probes reproduce fresh per-flow probes and both references
+    /// exactly.
     #[test]
     fn prop_streaming_equals_batch(
         seed in 0u64..10_000,

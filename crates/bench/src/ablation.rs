@@ -36,7 +36,7 @@ impl FeatureSet {
     }
 
     /// Project a 2-d `[NormDiff, CoV]` dataset onto this subset.
-    pub fn project(self, data: &Dataset) -> Dataset {
+    fn project(self, data: &Dataset) -> Dataset {
         let mut out = Dataset::new();
         for (row, &label) in data.features.iter().zip(&data.labels) {
             let projected = match self {

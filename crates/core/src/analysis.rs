@@ -27,7 +27,8 @@ pub struct FlowQuality {
 
 impl FlowQuality {
     /// `true` when no degradation flag is set.
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    fn is_clean(&self) -> bool {
         !(self.never_closed || self.reorder_suspect || self.insufficient_samples)
     }
 }

@@ -106,9 +106,7 @@ pub(crate) mod tests {
     /// A synthetic dataset with the paper's geometry: self-induced
     /// flows have high NormDiff/CoV, external flows low.
     pub(crate) fn synthetic_dataset(n: usize, seed: u64) -> Dataset {
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = csig_rng::StdRng::seed_from_u64(seed);
         let mut d = Dataset::new();
         for _ in 0..n {
             let nd: f64 = 0.6 + rng.gen::<f64>() * 0.35;

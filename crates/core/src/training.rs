@@ -163,9 +163,7 @@ mod tests {
     }
 
     fn synthetic_results(n: usize) -> Vec<TestResult> {
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng = csig_rng::StdRng::seed_from_u64(3);
         let mut v = Vec::new();
         for _ in 0..n {
             v.push(result(

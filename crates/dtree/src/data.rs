@@ -1,8 +1,5 @@
 //! Dataset containers for the classifier.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
 /// A labeled dataset: row-major feature matrix plus class indices.
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
@@ -71,8 +68,8 @@ impl Dataset {
     pub fn train_test_split(&self, train_frac: f64, seed: u64) -> (Dataset, Dataset) {
         assert!((0.0..=1.0).contains(&train_frac), "bad fraction");
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        idx.shuffle(&mut rng);
+        let mut rng = csig_rng::StdRng::seed_from_u64(seed);
+        rng.shuffle(&mut idx);
         let cut = (self.len() as f64 * train_frac).round() as usize;
         let mut train = Dataset::new();
         let mut test = Dataset::new();
@@ -88,8 +85,8 @@ impl Dataset {
     pub fn k_folds(&self, k: usize, seed: u64) -> Vec<(Dataset, Dataset)> {
         assert!(k >= 2, "need at least 2 folds");
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        idx.shuffle(&mut rng);
+        let mut rng = csig_rng::StdRng::seed_from_u64(seed);
+        rng.shuffle(&mut idx);
         (0..k)
             .map(|fold| {
                 let mut train = Dataset::new();

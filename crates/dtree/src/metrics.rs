@@ -24,7 +24,7 @@ impl ConfusionMatrix {
     /// Panics if the slices differ in length or are empty (an empty
     /// test set has no accuracy to evaluate; start an empty tally with
     /// [`ConfusionMatrix::default`] instead).
-    pub fn from_labels(actual: &[usize], predicted: &[usize]) -> Self {
+    fn from_labels(actual: &[usize], predicted: &[usize]) -> Self {
         assert_eq!(actual.len(), predicted.len(), "length mismatch");
         assert!(!actual.is_empty(), "no samples");
         let mut cm = ConfusionMatrix::default();

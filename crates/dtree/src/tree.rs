@@ -357,7 +357,8 @@ impl DecisionTree {
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -481,14 +482,12 @@ impl DecisionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::Rng;
-    use rand::SeedableRng;
+    use csig_rng::{cases, StdRng};
 
     fn separable() -> Dataset {
         // Class 0 clusters near (0.1, 0.1), class 1 near (0.9, 0.9).
         let mut d = Dataset::new();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             let n0: f64 = rng.gen::<f64>() * 0.2;
             let n1: f64 = rng.gen::<f64>() * 0.2;
@@ -581,7 +580,7 @@ mod tests {
     fn feature_importances_identify_the_informative_axis() {
         // Labels depend only on feature 0; feature 1 is pure noise.
         let mut d = Dataset::new();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..200 {
             let x: f64 = rng.gen();
             let noise: f64 = rng.gen();
@@ -612,16 +611,14 @@ mod tests {
         assert!((gini(&[1, 1, 1, 1]) - 0.75).abs() < 1e-12);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn prop_training_accuracy_beats_majority(
-            seed in 0u64..1000,
-            n in 20usize..100
-        ) {
+    #[test]
+    fn prop_training_accuracy_beats_majority() {
+        cases(32, "prop_training_accuracy_beats_majority", |rng| {
+            let seed = rng.gen_range(0u64..1000);
+            let n = rng.gen_range(20usize..100);
             // Random labels over informative features: the tree must do
             // at least as well as the majority class on training data.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
             let mut d = Dataset::new();
             for _ in 0..n {
                 let x: f64 = rng.gen();
@@ -633,30 +630,36 @@ mod tests {
             let preds = tree.predict_all(&d);
             let correct = preds.iter().zip(&d.labels).filter(|(a, b)| a == b).count();
             let majority = d.class_counts().into_iter().max().unwrap();
-            prop_assert!(correct >= majority);
-        }
+            assert!(correct >= majority);
+        });
+    }
 
-        #[test]
-        fn prop_depth_bound_holds(seed in 0u64..200, depth in 1usize..6) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    #[test]
+    fn prop_depth_bound_holds() {
+        cases(32, "prop_depth_bound_holds", |rng| {
+            let seed = rng.gen_range(0u64..200);
+            let depth = rng.gen_range(1usize..6);
+            let mut rng = StdRng::seed_from_u64(seed);
             let mut d = Dataset::new();
             for _ in 0..60 {
                 d.push(vec![rng.gen(), rng.gen()], rng.gen_range(0..3usize));
             }
             let tree = DecisionTree::fit(&d, TreeParams::with_depth(depth));
-            prop_assert!(tree.depth() <= depth);
-        }
+            assert!(tree.depth() <= depth);
+        });
+    }
 
-        #[test]
-        fn prop_prediction_is_deterministic(seed in 0u64..100) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    #[test]
+    fn prop_prediction_is_deterministic() {
+        cases(32, "prop_prediction_is_deterministic", |rng| {
+            let mut rng = StdRng::seed_from_u64(rng.gen_range(0u64..100));
             let mut d = Dataset::new();
             for _ in 0..50 {
                 d.push(vec![rng.gen(), rng.gen()], rng.gen_range(0..2usize));
             }
             let t1 = DecisionTree::fit(&d, TreeParams::default());
             let t2 = DecisionTree::fit(&d, TreeParams::default());
-            prop_assert_eq!(t1.predict_all(&d), t2.predict_all(&d));
-        }
+            assert_eq!(t1.predict_all(&d), t2.predict_all(&d));
+        });
     }
 }

@@ -80,11 +80,6 @@ impl<S> Campaign<S> {
         }
     }
 
-    /// The master seed scenarios' seeds are derived from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Append a scenario, deriving its seed as
     /// `derive_seed(master_seed, n)` where `n` is its 1-based position
     /// — the tag scheme the experiments in this workspace already use,
@@ -191,7 +186,7 @@ impl<A> CampaignRun<A> {
     }
 
     /// Whether every scenario produced an artifact.
-    pub fn is_success(&self) -> bool {
+    fn is_success(&self) -> bool {
         self.outcomes.iter().all(Result::is_ok)
     }
 
@@ -260,7 +255,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Worker count for `--jobs 0` / unspecified: one per available core.
-pub fn default_jobs() -> usize {
+fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -283,8 +278,8 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor with the given worker count (`0` means
-    /// [`default_jobs`]).
+    /// An executor with the given worker count (`0` means one per
+    /// available core).
     pub fn new(jobs: usize) -> Self {
         Executor {
             jobs: if jobs == 0 { default_jobs() } else { jobs },

@@ -187,7 +187,7 @@ pub fn features_from_rtts_ms(rtts_ms: &[f64]) -> Result<FlowFeatures, FeatureErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use csig_rng::{cases, StdRng};
 
     #[test]
     fn self_induced_shape_has_high_features() {
@@ -260,43 +260,49 @@ mod tests {
             .contains("degenerate"));
     }
 
-    proptest! {
-        #[test]
-        fn prop_norm_diff_in_unit_interval(
-            rtts in proptest::collection::vec(0.1f64..1e4, MIN_SAMPLES..100)
-        ) {
-            let f = features_from_rtts_ms(&rtts).unwrap();
-            prop_assert!((0.0..=1.0).contains(&f.norm_diff));
-            prop_assert!(f.cov >= 0.0);
-            prop_assert!(f.min_rtt_ms <= f.max_rtt_ms);
-        }
+    /// `MIN_SAMPLES..max_len` RTTs in `[low, high)` ms.
+    fn random_rtts(rng: &mut StdRng, max_len: usize, low: f64, high: f64) -> Vec<f64> {
+        let len = rng.gen_range(MIN_SAMPLES..max_len);
+        (0..len).map(|_| rng.gen_range(low..high)).collect()
+    }
 
-        #[test]
-        fn prop_scale_invariance(
-            rtts in proptest::collection::vec(1f64..1e3, MIN_SAMPLES..50),
-            scale in 0.1f64..100.0
-        ) {
+    #[test]
+    fn prop_norm_diff_in_unit_interval() {
+        cases(256, "prop_norm_diff_in_unit_interval", |rng| {
+            let f = features_from_rtts_ms(&random_rtts(rng, 100, 0.1, 1e4)).unwrap();
+            assert!((0.0..=1.0).contains(&f.norm_diff));
+            assert!(f.cov >= 0.0);
+            assert!(f.min_rtt_ms <= f.max_rtt_ms);
+        });
+    }
+
+    #[test]
+    fn prop_scale_invariance() {
+        cases(256, "prop_scale_invariance", |rng| {
+            let rtts = random_rtts(rng, 50, 1.0, 1e3);
+            let scale = rng.gen_range(0.1..100.0);
             // Both features are dimensionless: scaling all RTTs by a
             // constant must not change them.
             let f1 = features_from_rtts_ms(&rtts).unwrap();
             let scaled: Vec<f64> = rtts.iter().map(|r| r * scale).collect();
             let f2 = features_from_rtts_ms(&scaled).unwrap();
-            prop_assert!((f1.norm_diff - f2.norm_diff).abs() < 1e-9);
-            prop_assert!((f1.cov - f2.cov).abs() < 1e-9);
-        }
+            assert!((f1.norm_diff - f2.norm_diff).abs() < 1e-9);
+            assert!((f1.cov - f2.cov).abs() < 1e-9);
+        });
+    }
 
-        #[test]
-        fn prop_shift_reduces_both_features(
-            rtts in proptest::collection::vec(1f64..1e3, MIN_SAMPLES..50),
-            shift in 10f64..1e4
-        ) {
+    #[test]
+    fn prop_shift_reduces_both_features() {
+        cases(256, "prop_shift_reduces_both_features", |rng| {
+            let rtts = random_rtts(rng, 50, 1.0, 1e3);
+            let shift = rng.gen_range(10.0..1e4);
             // Adding baseline latency (an already-full buffer) lowers
             // both NormDiff and CoV — the core of the paper's intuition.
             let f1 = features_from_rtts_ms(&rtts).unwrap();
             let shifted: Vec<f64> = rtts.iter().map(|r| r + shift).collect();
             let f2 = features_from_rtts_ms(&shifted).unwrap();
-            prop_assert!(f2.norm_diff <= f1.norm_diff + 1e-9);
-            prop_assert!(f2.cov <= f1.cov + 1e-9);
-        }
+            assert!(f2.norm_diff <= f1.norm_diff + 1e-9);
+            assert!(f2.cov <= f1.cov + 1e-9);
+        });
     }
 }

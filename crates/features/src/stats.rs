@@ -122,7 +122,7 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use csig_rng::{cases, StdRng};
 
     #[test]
     fn summary_basics() {
@@ -184,22 +184,31 @@ mod tests {
         assert_eq!(percentile(&[f64::INFINITY, 1.0], 0.0), Some(1.0));
     }
 
-    proptest! {
-        #[test]
-        fn prop_welford_matches_naive(values in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
+    /// `len` values in `[-1e6, 1e6)`, `len` drawn from `lens`.
+    fn random_values(rng: &mut StdRng, lens: std::ops::Range<usize>) -> Vec<f64> {
+        let len = rng.gen_range(lens);
+        (0..len).map(|_| rng.gen_range(-1e6..1e6)).collect()
+    }
+
+    #[test]
+    fn prop_welford_matches_naive() {
+        cases(256, "prop_welford_matches_naive", |rng| {
+            let values = random_values(rng, 1..200);
             let s = Summary::of(&values);
             let n = values.len() as f64;
             let mean: f64 = values.iter().sum::<f64>() / n;
             let var: f64 = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-            prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-            prop_assert!((s.stddev() - var.sqrt()).abs() < 1e-5 * (1.0 + var.sqrt()));
-        }
+            assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
+            assert!((s.stddev() - var.sqrt()).abs() < 1e-5 * (1.0 + var.sqrt()));
+        });
+    }
 
-        #[test]
-        fn prop_min_max_bound_mean(values in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-            let s = Summary::of(&values);
-            prop_assert!(s.min().unwrap() <= s.mean() + 1e-9);
-            prop_assert!(s.max().unwrap() >= s.mean() - 1e-9);
-        }
+    #[test]
+    fn prop_min_max_bound_mean() {
+        cases(256, "prop_min_max_bound_mean", |rng| {
+            let s = Summary::of(&random_values(rng, 1..100));
+            assert!(s.min().unwrap() <= s.mean() + 1e-9);
+            assert!(s.max().unwrap() >= s.mean() - 1e-9);
+        });
     }
 }

@@ -23,7 +23,7 @@ use csig_exec::{Campaign, Executor, ProgressEvent, Scenario};
 use csig_features::CongestionClass;
 use csig_netsim::rng::stream_rng;
 use csig_netsim::SimDuration;
-use rand::Rng;
+use csig_rng::StdRng;
 
 /// Campaign generator configuration.
 #[derive(Debug, Clone)]
@@ -84,7 +84,7 @@ fn congestion_probability(hour: u8) -> f64 {
 }
 
 /// Sample an hour of day weighted by the diurnal usage curve.
-fn sample_hour<R: Rng>(rng: &mut R) -> u8 {
+fn sample_hour(rng: &mut StdRng) -> u8 {
     let weights: Vec<f64> = (0..24).map(diurnal_load).collect();
     let total: f64 = weights.iter().sum();
     let mut x = rng.gen::<f64>() * total;
@@ -160,7 +160,7 @@ pub fn generate_with<F: FnMut(ProgressEvent)>(
         .expect_artifacts()
 }
 
-fn run_one<R: Rng>(scenario: &NdtScenario, seed: u64, rng: &mut R) -> NdtTest {
+fn run_one(scenario: &NdtScenario, seed: u64, rng: &mut StdRng) -> NdtTest {
     let NdtScenario {
         site,
         isp,

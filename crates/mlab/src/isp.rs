@@ -1,7 +1,7 @@
 //! The ISPs, transit sites and service-plan models of the Dispute2014
 //! study.
 
-use rand::Rng;
+use csig_rng::StdRng;
 
 /// The four access ISPs the paper studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,7 +38,7 @@ impl AccessIsp {
     /// Circa-2014 downstream service-plan catalog: `(Mbps, weight)`.
     /// Plans skew toward the 10–50 Mbps tiers the FCC MBA reports of
     /// the era show.
-    pub fn plan_catalog(self) -> &'static [(u64, f64)] {
+    fn plan_catalog(self) -> &'static [(u64, f64)] {
         match self {
             AccessIsp::Comcast => &[(10, 0.15), (20, 0.30), (25, 0.25), (50, 0.20), (105, 0.10)],
             AccessIsp::TimeWarner => &[(10, 0.25), (15, 0.30), (20, 0.20), (30, 0.15), (50, 0.10)],
@@ -48,7 +48,7 @@ impl AccessIsp {
     }
 
     /// Sample a subscriber plan in Mbps.
-    pub fn sample_plan<R: Rng>(self, rng: &mut R) -> u64 {
+    pub fn sample_plan(self, rng: &mut StdRng) -> u64 {
         let catalog = self.plan_catalog();
         let total: f64 = catalog.iter().map(|(_, w)| w).sum();
         let mut x = rng.gen::<f64>() * total;
@@ -150,11 +150,10 @@ impl Month {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn plan_sampling_matches_catalog() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = StdRng::seed_from_u64(1);
         for isp in AccessIsp::ALL {
             let catalog: Vec<u64> = isp.plan_catalog().iter().map(|&(m, _)| m).collect();
             for _ in 0..100 {
@@ -166,7 +165,7 @@ mod tests {
 
     #[test]
     fn plan_distribution_roughly_matches_weights() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let mut rng = StdRng::seed_from_u64(2);
         let n = 10_000;
         let tens = (0..n)
             .filter(|_| AccessIsp::Comcast.sample_plan(&mut rng) == 10)

@@ -21,7 +21,6 @@ use csig_features::CongestionClass;
 use csig_netsim::rng::{derive_seed, stream_rng};
 use csig_netsim::{FlowId, LinkConfig, NodeId, SimDuration, SimTime, Simulator};
 use csig_tslp::{LatencySeries, TslpProber};
-use rand::Rng;
 
 /// Campaign configuration.
 #[derive(Debug, Clone)]
@@ -259,7 +258,7 @@ impl Scenario for TslpNdtScenario {
 /// The NDT half of the campaign over a prebuilt episode schedule. The
 /// i-th test keeps its bespoke seed `derive_seed(cfg.seed, 0x7E57 + i)`
 /// from the original loop, so measurements are unchanged.
-pub fn ndt_campaign(cfg: &Tslp2017Config, episodes: &[EpisodeWindow]) -> Campaign<TslpNdtScenario> {
+fn ndt_campaign(cfg: &Tslp2017Config, episodes: &[EpisodeWindow]) -> Campaign<TslpNdtScenario> {
     let mut campaign = Campaign::new(cfg.seed);
     for (i, at) in test_schedule(cfg).into_iter().enumerate() {
         let episode = episodes.iter().find(|e| e.contains(at));

@@ -11,7 +11,7 @@ use crate::event::TimerToken;
 use crate::ids::NodeId;
 use crate::packet::{Packet, PacketSpec};
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
+use csig_rng::StdRng;
 use std::any::Any;
 
 /// Deferred effects an agent requests during a callback.

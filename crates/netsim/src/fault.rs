@@ -26,8 +26,7 @@
 
 use crate::ids::PacketId;
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::Rng;
+use csig_rng::StdRng;
 
 /// Gilbert–Elliott two-state (good/bad) Markov loss model.
 ///

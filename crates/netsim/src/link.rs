@@ -32,8 +32,7 @@ use crate::pool::{PacketHandle, PacketPool};
 use crate::queue::{EnqueueResult, LinkQueue, QueueKind};
 use crate::stats::LinkStats;
 use crate::time::{transmission_time, SimDuration, SimTime, BIT_NS_PER_BYTE};
-use rand::rngs::StdRng;
-use rand::Rng;
+use csig_rng::StdRng;
 use std::collections::VecDeque;
 
 /// How the buffer depth is specified.
@@ -49,7 +48,7 @@ pub enum BufferSize {
 
 impl BufferSize {
     /// Resolve to bytes for a link of the given shaped rate.
-    pub fn resolve(self, rate_bps: u64) -> u64 {
+    fn resolve(self, rate_bps: u64) -> u64 {
         match self {
             BufferSize::Bytes(b) => b.max(2 * 1500),
             BufferSize::Time(d) => {
@@ -348,7 +347,8 @@ impl Link {
     }
 
     /// Whether the link is currently down due to a scheduled fault.
-    pub fn is_down(&self) -> bool {
+    #[cfg(test)]
+    fn is_down(&self) -> bool {
         self.down
     }
 
@@ -674,8 +674,6 @@ mod tests {
     use crate::event::Next;
     use crate::ids::{FlowId, PacketId};
     use crate::packet::PacketKind;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn pkt(id: u64, size: u32) -> Packet {
         Packet {

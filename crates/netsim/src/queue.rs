@@ -13,7 +13,7 @@
 //! counting ([`LinkQueue::try_admit`] then [`LinkQueue::admit`]) so a
 //! dropped packet is rejected before a pool slot is ever allocated.
 
-use rand::Rng;
+use csig_rng::StdRng;
 
 /// Admission policy selector for a link buffer.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -140,7 +140,7 @@ impl LinkQueue {
     /// [`EnqueueResult::Queued`] the caller must follow up with
     /// [`LinkQueue::admit`]; on a drop the packet never enters the
     /// buffer (and need never enter the pool).
-    pub fn try_admit<R: Rng>(&mut self, size: u32, rng: &mut R) -> EnqueueResult {
+    pub fn try_admit(&mut self, size: u32, rng: &mut StdRng) -> EnqueueResult {
         if let QueueKind::Red(params) = self.kind {
             // Update EWMA of the instantaneous occupancy.
             self.red_avg += params.weight * (self.queued_bytes as f64 - self.red_avg);
@@ -195,11 +195,9 @@ impl LinkQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// Decide, then count, as the link does.
-    fn offer<R: Rng>(q: &mut LinkQueue, size: u32, rng: &mut R) -> EnqueueResult {
+    fn offer(q: &mut LinkQueue, size: u32, rng: &mut StdRng) -> EnqueueResult {
         let r = q.try_admit(size, rng);
         if r == EnqueueResult::Queued {
             q.admit(size);

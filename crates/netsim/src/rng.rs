@@ -1,12 +1,13 @@
 //! Deterministic random-number plumbing.
 //!
 //! Every simulation is seeded by a single `u64`. Each component (link,
-//! host agent, …) receives its own independent PRNG stream derived from
+//! host agent, …) receives its own [`csig_rng::StdRng`], seeded from
 //! the master seed and a stream id, so adding a host or reordering link
 //! creation does not perturb unrelated components' randomness.
+//! `csig-rng` pins the words of `stream_rng(0, 0)`; the test below ties
+//! that pin to [`derive_seed`].
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use csig_rng::StdRng;
 
 /// SplitMix64 finalizer — a strong 64-bit mixing function used to derive
 /// independent stream seeds from `(master, stream)` pairs.
@@ -32,7 +33,11 @@ pub fn stream_rng(master: u64, stream: u64) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+
+    #[test]
+    fn stream_0_0_has_the_seed_csig_rng_pins() {
+        assert_eq!(derive_seed(0, 0), 0xb1a6_d212_199b_7394);
+    }
 
     #[test]
     fn streams_are_deterministic() {

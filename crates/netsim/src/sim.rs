@@ -30,7 +30,7 @@ use crate::rng::stream_rng;
 use crate::stats::LinkStats;
 use crate::time::SimTime;
 use csig_obs::{MetricsRegistry, TraceBuffer, TraceEvent};
-use rand::rngs::StdRng;
+use csig_rng::StdRng;
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -290,7 +290,8 @@ impl Simulator {
     }
 
     /// Explicitly route traffic for `dst` leaving `node` over `link`.
-    pub fn set_route(&mut self, node: NodeId, dst: NodeId, link: LinkId) {
+    #[cfg(test)]
+    fn set_route(&mut self, node: NodeId, dst: NodeId, link: LinkId) {
         self.ensure_route_table();
         assert_eq!(
             self.links[link.index()].from,
@@ -377,7 +378,7 @@ impl Simulator {
     }
 
     /// Mutable access to an attached sink as its concrete type.
-    pub fn sink_mut<T: PacketSink>(&mut self, h: SinkHandle) -> Option<&mut T> {
+    fn sink_mut<T: PacketSink>(&mut self, h: SinkHandle) -> Option<&mut T> {
         (self.taps[h.0].sink.as_mut() as &mut dyn Any).downcast_mut::<T>()
     }
 

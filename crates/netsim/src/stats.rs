@@ -55,7 +55,8 @@ impl LinkStats {
     }
 
     /// Fraction of offered packets that were dropped.
-    pub fn drop_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn drop_rate(&self) -> f64 {
         if self.offered_pkts == 0 {
             0.0
         } else {

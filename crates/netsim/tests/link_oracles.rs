@@ -39,8 +39,8 @@ use csig_netsim::{
     transmission_time, Agent, Ctx, FlowId, LinkConfig, NodeId, Packet, PacketSpec, SimDuration,
     SimTime, Simulator, TimerToken, DEFAULT_MSS,
 };
+use csig_rng::cases;
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
-use proptest::prelude::*;
 
 const SIZE: u32 = 1500;
 
@@ -101,64 +101,73 @@ fn send_through(cfg: LinkConfig, count: u32, gap: SimDuration) -> Vec<(SimTime, 
     rec.seen.clone()
 }
 
-proptest! {
-    #[test]
-    fn saturated_droptail_sojourn_is_the_buffer_depth(
-        rate_mbps in 1u64..100,
-        n in 4u64..120,
-    ) {
-        let rate = rate_mbps * 1_000_000;
-        let prop = SimDuration::from_millis(3);
-        let tx = transmission_time(SIZE as u64, rate);
-        let depth = transmission_time(n * SIZE as u64, rate);
-        let cfg = LinkConfig::new(rate, prop).buffer_bytes(n * SIZE as u64);
-        let offered = (4 * n + 40) as u32;
-        let seen = send_through(cfg, offered, tx / 2);
-        prop_assert!((seen.len() as u64) < offered as u64, "the buffer never overflowed");
-        // Skip the fill-up: the first 2n + 4 arrivals found a partly
-        // empty buffer.
-        for &(sent, arrived) in &seen[(2 * n + 4) as usize..] {
-            let sojourn = arrived.saturating_since(sent) - prop;
-            prop_assert!(
-                sojourn + tx >= depth && sojourn <= depth + tx,
-                "sojourn {} vs buffer depth {} (tx {})",
-                sojourn, depth, tx
+#[test]
+fn saturated_droptail_sojourn_is_the_buffer_depth() {
+    cases(
+        256,
+        "saturated_droptail_sojourn_is_the_buffer_depth",
+        |rng| {
+            let rate_mbps = rng.gen_range(1u64..100);
+            let n = rng.gen_range(4u64..120);
+            let rate = rate_mbps * 1_000_000;
+            let prop = SimDuration::from_millis(3);
+            let tx = transmission_time(SIZE as u64, rate);
+            let depth = transmission_time(n * SIZE as u64, rate);
+            let cfg = LinkConfig::new(rate, prop).buffer_bytes(n * SIZE as u64);
+            let offered = (4 * n + 40) as u32;
+            let seen = send_through(cfg, offered, tx / 2);
+            assert!(
+                (seen.len() as u64) < offered as u64,
+                "the buffer never overflowed"
             );
-        }
-    }
-
-    #[test]
-    fn shaped_link_departs_at_its_rate_within_one_packet(
-        rate_mbps in 1u64..200,
-        phy_mult in 1u64..10,
-        burst in 1500u64..20_000,
-        count in 100u32..300,
-    ) {
-        let rate = rate_mbps * 1_000_000;
-        let phy = rate * phy_mult;
-        let cfg = LinkConfig::new(rate, SimDuration::ZERO)
-            .phy_rate(phy)
-            .burst(burst)
-            .buffer_bytes(count as u64 * SIZE as u64);
-        let seen = send_through(cfg, count, SimDuration::ZERO);
-        prop_assert_eq!(seen.len(), count as usize);
-        // Every packet has the same size, so arrival differences are
-        // departure differences. The burst (at most 2b/S packets at
-        // P ≥ 2R) is spent within the first half.
-        let tx = transmission_time(SIZE as u64, rate).as_nanos() as f64;
-        let half = count as usize / 2;
-        for i in half..seen.len() {
-            for j in i + 1..seen.len() {
-                let elapsed = seen[j].1.saturating_since(seen[i].1).as_nanos() as f64;
-                let fluid = (j - i) as f64 * tx;
-                prop_assert!(
-                    (elapsed - fluid).abs() <= tx,
-                    "packets {}..{}: {} ns elapsed, {} ns at the shaped rate",
-                    i, j, elapsed, fluid
+            // Skip the fill-up: the first 2n + 4 arrivals found a partly
+            // empty buffer.
+            for &(sent, arrived) in &seen[(2 * n + 4) as usize..] {
+                let sojourn = arrived.saturating_since(sent) - prop;
+                assert!(
+                    sojourn + tx >= depth && sojourn <= depth + tx,
+                    "sojourn {sojourn} vs buffer depth {depth} (tx {tx})"
                 );
             }
-        }
-    }
+        },
+    );
+}
+
+#[test]
+fn shaped_link_departs_at_its_rate_within_one_packet() {
+    cases(
+        256,
+        "shaped_link_departs_at_its_rate_within_one_packet",
+        |rng| {
+            let rate_mbps = rng.gen_range(1u64..200);
+            let phy_mult = rng.gen_range(1u64..10);
+            let burst = rng.gen_range(1500u64..20_000);
+            let count = rng.gen_range(100u32..300);
+            let rate = rate_mbps * 1_000_000;
+            let phy = rate * phy_mult;
+            let cfg = LinkConfig::new(rate, SimDuration::ZERO)
+                .phy_rate(phy)
+                .burst(burst)
+                .buffer_bytes(count as u64 * SIZE as u64);
+            let seen = send_through(cfg, count, SimDuration::ZERO);
+            assert_eq!(seen.len(), count as usize);
+            // Every packet has the same size, so arrival differences are
+            // departure differences. The burst (at most 2b/S packets at
+            // P ≥ 2R) is spent within the first half.
+            let tx = transmission_time(SIZE as u64, rate).as_nanos() as f64;
+            let half = count as usize / 2;
+            for i in half..seen.len() {
+                for j in i + 1..seen.len() {
+                    let elapsed = seen[j].1.saturating_since(seen[i].1).as_nanos() as f64;
+                    let fluid = (j - i) as f64 * tx;
+                    assert!(
+                        (elapsed - fluid).abs() <= tx,
+                        "packets {i}..{j}: {elapsed} ns elapsed, {fluid} ns at the shaped rate"
+                    );
+                }
+            }
+        },
+    );
 }
 
 #[test]

@@ -4,14 +4,13 @@
 //! `cargo run --release -p csig-tcp --example soak [runs]` (default 400)
 use csig_netsim::*;
 use csig_tcp::*;
-use rand::{Rng, SeedableRng};
 
 fn main() {
     let n: u64 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(400);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x50A6);
+    let mut rng = csig_rng::StdRng::seed_from_u64(0x50A6);
     let mut stalls = 0;
     for i in 0..n {
         let size = rng.gen_range(5_000u64..800_000);

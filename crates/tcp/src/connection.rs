@@ -339,12 +339,12 @@ impl TcpConnection {
     }
 
     /// The peer has finished sending (its FIN was consumed in order).
-    pub fn peer_closed(&self) -> bool {
+    fn peer_closed(&self) -> bool {
         matches!(self.peer_fin_offset, Some(f) if self.rcv_nxt >= f)
     }
 
     /// All queued application data (and FIN, if queued) acknowledged.
-    pub fn send_complete(&self) -> bool {
+    fn send_complete(&self) -> bool {
         match self.app_limit {
             Some(limit) => self.snd_una >= limit && (!self.fin_queued || self.fin_acked),
             None => false,

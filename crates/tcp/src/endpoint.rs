@@ -18,7 +18,7 @@ use csig_netsim::{
     Agent, Ctx, FlowId, NodeId, Packet, PacketKind, PacketSpec, SimDuration, SimTime, TcpFlags,
     TcpHeader, TimerToken, NO_SACK,
 };
-use rand::Rng;
+use csig_rng::StdRng;
 use std::collections::HashMap;
 
 /// What a server sends on each accepted connection.
@@ -42,7 +42,7 @@ impl ServerSendPolicy {
         ServerSendPolicy::Catalog(sizes.iter().map(|&s| (s, 1.0 / s as f64)).collect())
     }
 
-    fn sample<R: Rng>(&self, rng: &mut R) -> Option<u64> {
+    fn sample(&self, rng: &mut StdRng) -> Option<u64> {
         match self {
             ServerSendPolicy::Unbounded => None,
             ServerSendPolicy::Fixed(n) => Some(*n),

@@ -3,7 +3,7 @@
 //!
 //! Internally the endpoint state machines work with `u64` stream
 //! offsets (which never wrap in practice); the wire carries `u32`
-//! sequence numbers. [`unwrap_near`] reconstructs the offset closest to
+//! sequence numbers. [`offset_of`] reconstructs the offset closest to
 //! a reference, which is exact as long as reordering stays within half
 //! the sequence space (2 GiB) — vastly more than any real window.
 
@@ -14,21 +14,21 @@ pub fn seq_lt(a: u32, b: u32) -> bool {
 }
 
 /// `a > b` in modular sequence space.
-#[inline]
-pub fn seq_gt(a: u32, b: u32) -> bool {
+#[cfg(test)]
+fn seq_gt(a: u32, b: u32) -> bool {
     seq_lt(b, a)
 }
 
 /// Signed distance `a − b` interpreted in modular space.
-#[inline]
-pub fn seq_diff(a: u32, b: u32) -> i32 {
+#[cfg(test)]
+fn seq_diff(a: u32, b: u32) -> i32 {
     a.wrapping_sub(b) as i32
 }
 
 /// Reconstruct the 64-bit stream offset whose low 32 bits equal `wire`
 /// and which is closest to the reference offset `near`.
 #[inline]
-pub fn unwrap_near(wire: u32, near: u64) -> u64 {
+fn unwrap_near(wire: u32, near: u64) -> u64 {
     let low = near as u32;
     let delta = wire.wrapping_sub(low) as i32 as i64;
     let candidate = near as i64 + delta;
@@ -57,7 +57,7 @@ pub fn offset_of(iss: u32, wire: u32, near: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use csig_rng::cases;
 
     #[test]
     fn basic_comparisons() {
@@ -101,33 +101,41 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn prop_unwrap_roundtrip(off in 0u64..(1 << 40), jitter in -100_000i64..100_000) {
+    #[test]
+    fn prop_unwrap_roundtrip() {
+        cases(256, "prop_unwrap_roundtrip", |rng| {
+            let off = rng.gen_range(0u64..(1 << 40));
+            let jitter = rng.gen_range(-100_000i64..100_000);
             let iss = 12345u32;
             let near = (off as i64 + jitter).max(0) as u64;
             let w = wire_seq(iss, off);
-            prop_assert_eq!(offset_of(iss, w, near), off);
-        }
+            assert_eq!(offset_of(iss, w, near), off);
+        });
+    }
 
-        #[test]
-        fn prop_lt_antisymmetric(a: u32, b: u32) {
+    #[test]
+    fn prop_lt_antisymmetric() {
+        cases(256, "prop_lt_antisymmetric", |rng| {
+            let (a, b) = (rng.gen::<u32>(), rng.gen::<u32>());
             if a != b {
-                prop_assert!(seq_lt(a, b) != seq_lt(b, a) || seq_diff(a, b) == i32::MIN);
+                assert!(seq_lt(a, b) != seq_lt(b, a) || seq_diff(a, b) == i32::MIN);
             } else {
-                prop_assert!(!seq_lt(a, b) && !seq_lt(b, a));
+                assert!(!seq_lt(a, b) && !seq_lt(b, a));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn prop_diff_consistent_with_lt(a: u32, b: u32) {
+    #[test]
+    fn prop_diff_consistent_with_lt() {
+        cases(256, "prop_diff_consistent_with_lt", |rng| {
+            let (a, b) = (rng.gen::<u32>(), rng.gen::<u32>());
             if seq_diff(a, b) > 0 {
-                prop_assert!(seq_gt(a, b));
+                assert!(seq_gt(a, b));
             } else if seq_diff(a, b) < 0 {
-                prop_assert!(seq_lt(a, b));
+                assert!(seq_lt(a, b));
             } else {
-                prop_assert_eq!(a, b);
+                assert_eq!(a, b);
             }
-        }
+        });
     }
 }

@@ -2,10 +2,10 @@
 //! liveness under randomized path adversity.
 
 use csig_netsim::{LinkConfig, SimDuration, SimTime, Simulator, StopReason};
+use csig_rng::cases;
 use csig_tcp::{
     CcKind, ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent,
 };
-use proptest::prelude::*;
 
 /// Build and run a single transfer over one configurable duplex link.
 #[allow(clippy::too_many_arguments)]
@@ -59,21 +59,18 @@ fn transfer(
     (received, stats, stop)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every transfer over a lossy, jittery, buffer-constrained path
-    /// completes with exactly the right byte count — TCP's contract.
-    #[test]
-    fn prop_transfers_are_reliable(
-        size in 10_000u64..600_000,
-        rate_mbps in 2u64..60,
-        delay_ms in 1u64..60,
-        buffer_ms in 10u64..150,
-        loss_pm in 0u32..30,            // 0–3 % loss
-        jitter_ms in 0u64..3,
-        seed in 0u64..10_000,
-    ) {
+/// Every transfer over a lossy, jittery, buffer-constrained path
+/// completes with exactly the right byte count — TCP's contract.
+#[test]
+fn prop_transfers_are_reliable() {
+    cases(24, "prop_transfers_are_reliable", |rng| {
+        let size = rng.gen_range(10_000u64..600_000);
+        let rate_mbps = rng.gen_range(2u64..60);
+        let delay_ms = rng.gen_range(1u64..60);
+        let buffer_ms = rng.gen_range(10u64..150);
+        let loss_pm = rng.gen_range(0u32..30); // 0–3 % loss
+        let jitter_ms = rng.gen_range(0u64..3);
+        let seed = rng.gen_range(0u64..10_000);
         let (received, stats, stop) = transfer(
             size,
             rate_mbps,
@@ -84,53 +81,60 @@ proptest! {
             CcKind::NewReno,
             seed,
         );
-        prop_assert_eq!(stop, StopReason::Drained, "did not finish");
-        prop_assert_eq!(received, size, "byte count mismatch");
-        prop_assert_eq!(stats.bytes_acked, size);
+        assert_eq!(stop, StopReason::Drained, "did not finish");
+        assert_eq!(received, size, "byte count mismatch");
+        assert_eq!(stats.bytes_acked, size);
         // Liveness bound: finished within the 120 s horizon already
         // implied by Drained; also sanity-check the counters.
-        prop_assert!(stats.segments_sent >= size / 1448);
-    }
+        assert!(stats.segments_sent >= size / 1448);
+    });
+}
 
-    /// CUBIC obeys the same contract.
-    #[test]
-    fn prop_cubic_transfers_are_reliable(
-        size in 10_000u64..300_000,
-        loss_pm in 0u32..20,
-        seed in 0u64..1000,
-    ) {
+/// CUBIC obeys the same contract.
+#[test]
+fn prop_cubic_transfers_are_reliable() {
+    cases(24, "prop_cubic_transfers_are_reliable", |rng| {
+        let size = rng.gen_range(10_000u64..300_000);
+        let loss_pm = rng.gen_range(0u32..20);
+        let seed = rng.gen_range(0u64..1000);
         let (received, _, stop) = transfer(
-            size, 20, 15, 60, loss_pm as f64 / 1000.0, 1, CcKind::Cubic, seed,
+            size,
+            20,
+            15,
+            60,
+            loss_pm as f64 / 1000.0,
+            1,
+            CcKind::Cubic,
+            seed,
         );
-        prop_assert_eq!(stop, StopReason::Drained);
-        prop_assert_eq!(received, size);
-    }
+        assert_eq!(stop, StopReason::Drained);
+        assert_eq!(received, size);
+    });
+}
 
-    /// The connection's own Karn-filtered samples never under-run the
-    /// path's physical floor (2 × one-way delay).
-    #[test]
-    fn prop_rtt_samples_respect_physics(
-        delay_ms in 2u64..50,
-        seed in 0u64..500,
-    ) {
-        let (_, stats, stop) = transfer(
-            200_000, 20, delay_ms, 80, 0.0, 0, CcKind::NewReno, seed,
-        );
-        prop_assert_eq!(stop, StopReason::Drained);
+/// The connection's own Karn-filtered samples never under-run the
+/// path's physical floor (2 × one-way delay).
+#[test]
+fn prop_rtt_samples_respect_physics() {
+    cases(24, "prop_rtt_samples_respect_physics", |rng| {
+        let delay_ms = rng.gen_range(2u64..50);
+        let seed = rng.gen_range(0u64..500);
+        let (_, stats, stop) = transfer(200_000, 20, delay_ms, 80, 0.0, 0, CcKind::NewReno, seed);
+        assert_eq!(stop, StopReason::Drained);
         let floor = 2.0 * delay_ms as f64;
         for (_, rtt) in &stats.rtt_samples {
-            prop_assert!(
+            assert!(
                 rtt.as_millis_f64() >= floor - 0.001,
                 "sample {} below physical floor {}",
                 rtt.as_millis_f64(),
                 floor
             );
         }
-    }
+    });
 }
 
 /// Deterministic heavy-adversity regression: 5 % loss both ways plus
-/// jitter. Not a proptest because it is slow; three fixed seeds.
+/// jitter. Not a property test because it is slow; three fixed seeds.
 #[test]
 fn survives_heavy_loss() {
     for seed in [1u64, 2, 3] {

@@ -52,7 +52,7 @@ pub enum CongestionMode {
 
 impl CongestionMode {
     /// Does this mode congest the interconnect at all?
-    pub fn is_congested(&self) -> bool {
+    fn is_congested(&self) -> bool {
         !matches!(self, CongestionMode::None)
     }
 }

@@ -356,6 +356,7 @@ impl FlowTracker {
 mod tests {
     use super::*;
     use csig_netsim::{FlowId, NodeId, Packet, PacketId, PacketKind, TcpFlags, TcpHeader, NO_SACK};
+    use csig_rng::{cases, StdRng};
 
     const ISS: u32 = 5000;
     const RISS: u32 = 9000;
@@ -828,15 +829,19 @@ mod tests {
         }
     }
 
-    /// Build a random trace from `(op, a, b)` triples: fresh segments
-    /// (sometimes past a gap), retransmissions of any earlier range,
-    /// and ACKs that advance, repeat or fall behind the last one.
-    fn random_trace(with_syn: bool, ops: &[(u8, u16, u16)]) -> Vec<PacketRecord> {
+    /// Build a random trace, with or without a handshake, of up to 299
+    /// `(op, a, b)` steps: fresh segments (sometimes past a gap),
+    /// retransmissions of any earlier range, and ACKs that advance,
+    /// repeat or fall behind the last one.
+    fn random_trace(rng: &mut StdRng) -> Vec<PacketRecord> {
+        // A fair coin from the word's top bit.
+        let with_syn = rng.gen::<u32>() >> 31 == 1;
         let mut recs = if with_syn { handshake() } else { Vec::new() };
         let mut t = 100u64;
         let mut sent_end = 0u32;
         let mut last_ack = 0u32;
-        for &(op, a, b) in ops {
+        for _ in 0..rng.gen_range(0..300usize) {
+            let (op, a, b) = (rng.gen_range(0u8..6), rng.gen::<u16>(), rng.gen::<u16>());
             t += 1 + (a % 500) as u64;
             let len = 1 + (b % 1460) as u32;
             match op % 6 {
@@ -867,21 +872,19 @@ mod tests {
         recs
     }
 
-    proptest::proptest! {
-        #[test]
-        fn prop_deque_extractor_matches_retain_reference(
-            with_syn in proptest::prelude::any::<bool>(),
-            ops in proptest::collection::vec(
-                (0u8..6, proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()),
-                0..300,
-            ),
-        ) {
-            let mut fast = FlowTracker::new();
-            let mut reference = RetainExtractor::default();
-            for rec in random_trace(with_syn, &ops) {
-                proptest::prop_assert_eq!(fast.push(&rec), reference.push(&rec));
-                proptest::prop_assert_eq!(fast.outstanding_len(), reference.outstanding.len());
-            }
-        }
+    #[test]
+    fn prop_deque_extractor_matches_retain_reference() {
+        cases(
+            256,
+            "prop_deque_extractor_matches_retain_reference",
+            |rng| {
+                let mut fast = FlowTracker::new();
+                let mut reference = RetainExtractor::default();
+                for rec in random_trace(rng) {
+                    assert_eq!(fast.push(&rec), reference.push(&rec));
+                    assert_eq!(fast.outstanding_len(), reference.outstanding.len());
+                }
+            },
+        );
     }
 }

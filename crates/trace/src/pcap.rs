@@ -23,7 +23,7 @@ const LINKTYPE_RAW: u32 = 101;
 const SNAPLEN: u32 = 96;
 
 /// Synthesized IPv4 address for a node.
-pub fn node_ip(node: NodeId) -> [u8; 4] {
+fn node_ip(node: NodeId) -> [u8; 4] {
     let n = node.0;
     [10, (n >> 16) as u8, (n >> 8) as u8, n as u8]
 }

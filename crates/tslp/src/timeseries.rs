@@ -41,7 +41,7 @@ impl LatencySeries {
     }
 
     /// Interpolated percentile of RTT in milliseconds.
-    pub fn percentile_ms(&self, p: f64) -> Option<f64> {
+    fn percentile_ms(&self, p: f64) -> Option<f64> {
         csig_features::percentile(&self.rtts_ms(), p)
     }
 
@@ -64,7 +64,8 @@ impl LatencySeries {
     }
 
     /// Minimum RTT within `[from, to)`, in milliseconds.
-    pub fn min_in_window_ms(&self, from: SimTime, to: SimTime) -> Option<f64> {
+    #[cfg(test)]
+    fn min_in_window_ms(&self, from: SimTime, to: SimTime) -> Option<f64> {
         self.points
             .iter()
             .filter(|(t, _)| *t >= from && *t < to)

@@ -54,12 +54,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy -p csig-netsim -p csig-tcp -p csig-trace -p csig-features -p csig-testbed -p csig-mlab --all-targets -- -D clippy::perf (hot-path perf gate)"
-cargo clippy -p csig-netsim -p csig-tcp -p csig-trace -p csig-features -p csig-testbed -p csig-mlab --all-targets -- -D clippy::perf
+echo "==> cargo clippy -p csig-rng -p csig-netsim -p csig-tcp -p csig-trace -p csig-features -p csig-testbed -p csig-mlab --all-targets -- -D clippy::perf (hot-path perf gate)"
+cargo clippy -p csig-rng -p csig-netsim -p csig-tcp -p csig-trace -p csig-features -p csig-testbed -p csig-mlab --all-targets -- -D clippy::perf
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \
-  --exclude rand --exclude proptest
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> bit identity: perfbench outputs_digest matches scripts/outputs_digests.txt"
 # Building perfbench may rewrite its lock file; the EXIT trap puts the

@@ -1,7 +1,7 @@
 //! Property-style invariants of the signature itself, measured on real
 //! simulations (not synthetic feature vectors).
 
-use proptest::prelude::*;
+use csig_rng::cases;
 use tcp_congestion_signatures::prelude::*;
 
 /// Self-induced NormDiff tracks the buffer's share of the total RTT:
@@ -79,20 +79,23 @@ fn latency_invariance_of_the_verdict() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// For any seed, a self-induced scaled run at the Figure-1 setting
-    /// produces a valid feature vector with NormDiff in (0, 1] and
-    /// CoV > 0, and classifiable slow-start throughput.
-    #[test]
-    fn prop_self_induced_runs_always_yield_valid_features(seed in 0u64..1000) {
-        let r = run_test(&TestbedConfig::scaled(AccessParams::figure1(), seed));
-        let f = r.features.expect("self-induced runs are never starved");
-        prop_assert!(f.norm_diff > 0.0 && f.norm_diff <= 1.0);
-        prop_assert!(f.cov > 0.0);
-        prop_assert!(f.samples >= 10);
-        prop_assert!(r.ss_throughput_bps > 0.0);
-        prop_assert!(r.slow_start.end.is_some(), "slow start never ended");
-    }
+/// For any seed, a self-induced scaled run at the Figure-1 setting
+/// produces a valid feature vector with NormDiff in (0, 1] and
+/// CoV > 0, and classifiable slow-start throughput.
+#[test]
+fn prop_self_induced_runs_always_yield_valid_features() {
+    cases(
+        8,
+        "prop_self_induced_runs_always_yield_valid_features",
+        |rng| {
+            let seed = rng.gen_range(0u64..1000);
+            let r = run_test(&TestbedConfig::scaled(AccessParams::figure1(), seed));
+            let f = r.features.expect("self-induced runs are never starved");
+            assert!(f.norm_diff > 0.0 && f.norm_diff <= 1.0);
+            assert!(f.cov > 0.0);
+            assert!(f.samples >= 10);
+            assert!(r.ss_throughput_bps > 0.0);
+            assert!(r.slow_start.end.is_some(), "slow start never ended");
+        },
+    );
 }

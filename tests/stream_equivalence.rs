@@ -21,7 +21,7 @@
 //!   flow once its FIN exchange completes, must report the verdict each
 //!   probe's features yield.
 
-use proptest::prelude::*;
+use csig_rng::cases;
 use tcp_congestion_signatures::core::{analyze_capture, ModelMeta};
 use tcp_congestion_signatures::dtree::TreeParams;
 use tcp_congestion_signatures::features::{FeatureAccumulator, FeatureError, FlowProbe};
@@ -280,22 +280,19 @@ fn streaming_equals_batch_without_retransmissions() {
     check_equivalence(7, 0.0, 0, 1, 300_000);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Randomized loss, reordering jitter, flow count and size: the
-    /// probes reproduce fresh per-flow probes and both references
-    /// exactly.
-    #[test]
-    fn prop_streaming_equals_batch(
-        seed in 0u64..10_000,
-        loss_pct in 0.0f64..3.0,
-        jitter_ms in 0u64..4,
-        n_flows in 1u32..4,
-        size_kb in 100u64..1500,
-    ) {
+/// Randomized loss, reordering jitter, flow count and size: the
+/// probes reproduce fresh per-flow probes and both references
+/// exactly.
+#[test]
+fn prop_streaming_equals_batch() {
+    cases(8, "prop_streaming_equals_batch", |rng| {
+        let seed = rng.gen_range(0u64..10_000);
+        let loss_pct = rng.gen_range(0.0f64..3.0);
+        let jitter_ms = rng.gen_range(0u64..4);
+        let n_flows = rng.gen_range(1u32..4);
+        let size_kb = rng.gen_range(100u64..1500);
         check_equivalence(seed, loss_pct, jitter_ms, n_flows, size_kb * 1000);
-    }
+    });
 }
 
 /// Peak `FlowProbe::outstanding_len()` over the server-side capture of

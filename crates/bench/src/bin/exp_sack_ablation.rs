@@ -11,7 +11,7 @@ use csig_core::ground_truth_confusion;
 use csig_exec::cli::{CommonArgs, Flag, JOBS, SEED};
 use csig_exec::Campaign;
 use csig_netsim::rng::derive_seed;
-use csig_testbed::{run_test, AccessParams, Profile, TestbedConfig};
+use csig_testbed::{run_test, AccessParams, Profile};
 
 fn main() {
     let args = CommonArgs::parse(&[Flag::Count("reps"), JOBS, SEED]);
@@ -34,10 +34,9 @@ fn main() {
                     ((sack as u64) << 32) | ((external as u64) << 16) | rep as u64,
                 ),
                 move |seed| {
-                    let mut cfg = TestbedConfig::scaled(AccessParams::figure1(), seed);
-                    cfg.tcp.sack = sack;
-                    // Vary only the measured flow's stack.
-                    cfg.cross_tcp = Some(csig_tcp::TcpConfig::default());
+                    let mut cfg = Profile::Scaled.config(AccessParams::figure1(), seed);
+                    // Only the measured flow's stack varies.
+                    cfg.sack = sack;
                     if external {
                         cfg = cfg.externally_congested();
                     }

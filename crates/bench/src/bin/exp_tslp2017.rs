@@ -30,7 +30,7 @@ fn main() {
     let testbed_clf = dispute::testbed_model_with(5, Profile::Scaled, 0x7517, &args.executor());
     tslp_exp::print_accuracy(
         "testbed-trained model",
-        &tslp_exp::evaluate(&testbed_clf, &out, 25),
+        &tslp_exp::evaluate(&testbed_clf, &out),
     );
 
     eprintln!("training Dispute2014 model…");
@@ -44,10 +44,9 @@ fn main() {
         args.progress_printer(0),
     );
     match dispute::dispute_model(&d2014, "Dispute2014 labels") {
-        Some(clf) => tslp_exp::print_accuracy(
-            "Dispute2014-trained model",
-            &tslp_exp::evaluate(&clf, &out, 25),
-        ),
+        Some(clf) => {
+            tslp_exp::print_accuracy("Dispute2014-trained model", &tslp_exp::evaluate(&clf, &out))
+        }
         None => eprintln!("Dispute2014 labels produced a single class; skipping"),
     }
 }

@@ -9,7 +9,7 @@
 
 use csig_exec::cli::CommonArgs;
 use csig_exec::{Campaign, Executor};
-use csig_testbed::{run_test, AccessParams, TestbedConfig};
+use csig_testbed::{run_test, AccessParams, Profile};
 use std::time::Instant;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
     let mut campaign = Campaign::new(0xFACE);
     for external in [false, true] {
         campaign.push_seeded(0xFACE + external as u64, move |seed| {
-            let mut cfg = TestbedConfig::paper(AccessParams::figure1(), seed);
+            let mut cfg = Profile::Paper.config(AccessParams::figure1(), seed);
             if external {
                 cfg = cfg.externally_congested();
             }

@@ -12,7 +12,7 @@ use csig_features::CongestionClass;
 use csig_netsim::rng::derive_seed;
 use csig_netsim::QueueKind;
 use csig_tcp::CcKind;
-use csig_testbed::{run_test, AccessParams, TestbedConfig};
+use csig_testbed::{run_test, AccessParams, Profile, TestbedConfig};
 
 /// One robustness row.
 #[derive(Debug, Clone)]
@@ -42,13 +42,14 @@ pub fn run(clf: &SignatureClassifier, reps: u32, seed: u64, exec: &Executor) -> 
             ("drop-tail", QueueKind::DropTail, 0),
             ("RED", QueueKind::Red(Default::default()), 1),
         ] {
-            let mut cfg = TestbedConfig::scaled(base, 0);
-            cfg.tcp.cc = cc;
             // Only the measured flow's stack varies; the background
             // stays on the default (the Internet does not switch
             // algorithms with you).
-            cfg.cross_tcp = Some(csig_tcp::TcpConfig::default());
-            cfg.queue = queue;
+            let cfg = TestbedConfig {
+                cc,
+                queue,
+                ..Profile::Scaled.config(base, 0)
+            };
             variants.push((
                 format!("{} / {}", cc.name(), qname),
                 derive_seed(seed, cc as u64 * 31 + tag),
@@ -63,7 +64,7 @@ pub fn run(clf: &SignatureClassifier, reps: u32, seed: u64, exec: &Executor) -> 
         variants.push((
             format!("buffer {buffer_ms} ms"),
             derive_seed(seed, 0xB0F + buffer_ms),
-            TestbedConfig::scaled(AccessParams { buffer_ms, ..base }, 0),
+            Profile::Scaled.config(AccessParams { buffer_ms, ..base }, 0),
         ));
     }
 
@@ -133,7 +134,6 @@ mod tests {
     use super::*;
     use crate::dispute::testbed_model_with;
     use csig_exec::Executor;
-    use csig_testbed::Profile;
 
     #[test]
     fn loss_based_stacks_stay_accurate_bbr_may_not() {

@@ -14,7 +14,7 @@ use csig_core::{ground_truth_confusion, SignatureClassifier};
 use csig_exec::{Campaign, Executor, Scenario};
 use csig_features::CongestionClass;
 use csig_netsim::{FaultPlan, GilbertElliott, SimDuration};
-use csig_testbed::{run_test, AccessParams, TestResult, TestbedConfig};
+use csig_testbed::{run_test, AccessParams, Profile, TestResult};
 
 /// Mean burst length of the Gilbert–Elliott loss chain, packets.
 pub const BURST_LEN: f64 = 8.0;
@@ -93,7 +93,8 @@ impl Scenario for ImpairScenario {
     type Artifact = (ImpairKind, bool, TestResult);
 
     fn run(&self, seed: u64) -> Self::Artifact {
-        let mut cfg = TestbedConfig::scaled(AccessParams::figure1(), seed)
+        let mut cfg = Profile::Scaled
+            .config(AccessParams::figure1(), seed)
             .with_access_fault(self.kind.plan());
         if self.external {
             cfg = cfg.externally_congested();
@@ -185,7 +186,6 @@ pub fn print(rows: &[ImpairRow]) {
 mod tests {
     use super::*;
     use crate::dispute::testbed_model_with;
-    use csig_testbed::Profile;
 
     #[test]
     fn clean_baseline_beats_heavy_impairment_structurally() {

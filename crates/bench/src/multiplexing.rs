@@ -10,7 +10,7 @@
 use csig_core::{ground_truth_confusion, SignatureClassifier};
 use csig_exec::{Campaign, Executor};
 use csig_netsim::rng::derive_seed;
-use csig_testbed::{run_test, AccessParams, CongestionMode, Profile};
+use csig_testbed::{run_test, AccessParams, Profile};
 
 /// One row of the multiplexing result.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +73,7 @@ pub fn run(
             campaign.push_seeded(derive_seed(seed, tag | rep as u64), move |s| {
                 let mut cfg = profile.config(access50(), s);
                 if external {
-                    cfg = cfg.with_congestion(CongestionMode::TgCong { flows });
+                    cfg.tgcong_flows = flows;
                 } else {
                     cfg.access_cross_flows = flows;
                 }

@@ -59,14 +59,10 @@ fn bar(v: f64, scale: f64) -> String {
 
 /// Classify every labeled test of the campaign with `clf`, tallied
 /// against its TSLP label.
-pub fn evaluate(
-    clf: &SignatureClassifier,
-    out: &Tslp2017Output,
-    plan_mbps: u64,
-) -> ConfusionMatrix {
+pub fn evaluate(clf: &SignatureClassifier, out: &Tslp2017Output) -> ConfusionMatrix {
     let mut cm = ConfusionMatrix::default();
     for t in &out.tests {
-        if let (Some(label), Ok(f)) = (label_tslp2017(t, plan_mbps), &t.measurement.features) {
+        if let (Some(label), Ok(f)) = (label_tslp2017(t), &t.measurement.features) {
             cm.record(label.index(), clf.classify(f).index());
         }
     }
@@ -109,7 +105,7 @@ mod tests {
         let exec = Executor::sequential();
         let out = run_campaign_with(&cfg, &exec, |_| {});
         let clf = testbed_model_with(5, Profile::Scaled, 77, &exec);
-        let cm = evaluate(&clf, &out, 25);
+        let cm = evaluate(&clf, &out);
         let (s, e) = (
             CongestionClass::SelfInduced.index(),
             CongestionClass::External.index(),

@@ -44,22 +44,33 @@ pub struct FlowReport {
     pub quality: FlowQuality,
 }
 
-/// Classify every TCP flow in a server-side capture.
-///
-/// One pass routes each record to its flow's [`FlowProbe`]. A flow
-/// takes no records after its FIN exchange completes, so a 4-tuple
-/// reused later in an imported pcap cannot disturb the closed flow's
-/// verdict. Reports come back ordered by flow id.
-pub fn analyze_capture(clf: &SignatureClassifier, cap: &Capture) -> Vec<FlowReport> {
-    let mut flows: BTreeMap<FlowId, FlowProbe> = BTreeMap::new();
+/// Route each record of a server-side capture to its flow's
+/// [`FlowProbe`] in one pass. A flow takes no records after its FIN
+/// exchange completes, so a 4-tuple reused later in an imported pcap
+/// cannot disturb the closed flow. Probes come back ordered by flow id,
+/// each with the number of records it took.
+pub fn probe_flows(cap: &Capture) -> Vec<(FlowProbe, usize)> {
+    let mut flows: BTreeMap<FlowId, (FlowProbe, usize)> = BTreeMap::new();
     for rec in &cap.records {
         let flow = rec.pkt.flow;
-        let probe = flows.entry(flow).or_insert_with(|| FlowProbe::new(flow));
+        let (probe, packets) = flows
+            .entry(flow)
+            .or_insert_with(|| (FlowProbe::new(flow), 0));
         if !probe.closed() {
             probe.push(rec);
+            *packets += 1;
         }
     }
-    flows.values().map(|probe| report_for(clf, probe)).collect()
+    flows.into_values().collect()
+}
+
+/// Classify every TCP flow in a server-side capture, as routed by
+/// [`probe_flows`]. Reports come back ordered by flow id.
+pub fn analyze_capture(clf: &SignatureClassifier, cap: &Capture) -> Vec<FlowReport> {
+    probe_flows(cap)
+        .iter()
+        .map(|(probe, _)| report_for(clf, probe))
+        .collect()
 }
 
 /// Classify one probe's accumulated state: its slow-start features

@@ -70,7 +70,7 @@ pub mod classifier;
 pub mod training;
 pub mod web100_mode;
 
-pub use analysis::{analyze_capture, FlowQuality, FlowReport};
+pub use analysis::{analyze_capture, probe_flows, FlowQuality, FlowReport};
 pub use classifier::{ModelError, ModelMeta, SignatureClassifier, Verdict};
 pub use training::{
     ground_truth_confusion, threshold_point, threshold_sweep, train_from_results, train_sweep_with,

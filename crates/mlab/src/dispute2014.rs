@@ -36,16 +36,6 @@ pub struct Dispute2014Config {
     pub seed: u64,
 }
 
-impl Default for Dispute2014Config {
-    fn default() -> Self {
-        Dispute2014Config {
-            tests_per_cell: 25,
-            test_duration: SimDuration::from_secs(4),
-            seed: 2014,
-        }
-    }
-}
-
 /// One synthetic NDT test with its metadata.
 #[derive(Debug, Clone)]
 pub struct NdtTest {
@@ -193,7 +183,6 @@ fn run_one(scenario: &NdtScenario, seed: u64, rng: &mut StdRng) -> NdtTest {
         access_buffer_ms,
         access_latency_ms,
         server_one_way_ms: site.base_one_way_ms(),
-        interconnect_mbps: 200,
         interconnect_buffer_ms: 25,
         congestion,
         duration,

@@ -53,9 +53,6 @@ pub struct NdtPath {
     pub access_latency_ms: u64,
     /// Server-side one-way latency to the interconnect, ms.
     pub server_one_way_ms: u64,
-    /// Interconnect capacity when idle, Mbit/s (scaled stand-in for a
-    /// multi-10G port; only its *relative* headroom matters).
-    pub interconnect_mbps: u64,
     /// Interconnect buffer, ms.
     pub interconnect_buffer_ms: u64,
     /// Congestion state (`None` = idle interconnect).
@@ -64,23 +61,6 @@ pub struct NdtPath {
     pub duration: SimDuration,
     /// Simulation seed.
     pub seed: u64,
-}
-
-impl NdtPath {
-    /// A typical idle path for the given plan.
-    pub fn idle(plan_mbps: u64, seed: u64) -> Self {
-        NdtPath {
-            plan_mbps,
-            access_buffer_ms: 60,
-            access_latency_ms: 8,
-            server_one_way_ms: 10,
-            interconnect_mbps: 200,
-            interconnect_buffer_ms: 25,
-            congestion: None,
-            duration: SimDuration::from_secs(10),
-            seed,
-        }
-    }
 }
 
 /// One NDT measurement's outcome.
@@ -102,6 +82,10 @@ pub struct NdtMeasurement {
 
 /// Flow id used by every NDT micro-simulation.
 pub const NDT_FLOW: FlowId = FlowId(4000);
+
+/// Interconnect capacity when idle, bit/s: a scaled stand-in for a
+/// multi-10G port (only its *relative* headroom over the plan matters).
+const INTERCONNECT_BPS: u64 = 200_000_000;
 
 /// Run one NDT test over the given path: build its topology, then
 /// measure the download with the testbed's [`observe_download`] step
@@ -135,10 +119,11 @@ pub fn run_ndt(path: &NdtPath) -> NdtMeasurement {
     );
 
     // Interconnect, possibly modulated by congestion.
+    let idle_icl = LinkConfig::new(INTERCONNECT_BPS, ms(0))
+        .phy_rate(1_000_000_000)
+        .buffer_ms(path.interconnect_buffer_ms);
     let icl = match path.congestion {
-        None => LinkConfig::new(path.interconnect_mbps * 1_000_000, ms(0))
-            .phy_rate((path.interconnect_mbps * 1_000_000).max(1_000_000_000))
-            .buffer_ms(path.interconnect_buffer_ms),
+        None => idle_icl.clone(),
         Some(c) => {
             let rate = (c.available_mbps * 1e6).max(1e5) as u64;
             LinkConfig::new(rate, SimDuration::from_secs_f64(c.standing_delay_ms / 1e3))
@@ -147,13 +132,7 @@ pub fn run_ndt(path: &NdtPath) -> NdtMeasurement {
         }
     };
     sim.add_link(r1, r2, icl);
-    sim.add_link(
-        r2,
-        r1,
-        LinkConfig::new(path.interconnect_mbps * 1_000_000, ms(0))
-            .phy_rate((path.interconnect_mbps * 1_000_000).max(1_000_000_000))
-            .buffer_ms(path.interconnect_buffer_ms),
-    );
+    sim.add_link(r2, r1, idle_icl);
 
     // Access link (downstream shaped; upstream plain).
     sim.add_link(
@@ -196,11 +175,18 @@ mod tests {
     use super::*;
     use csig_features::CongestionClass;
 
-    fn quick(plan: u64, congestion: Option<CongestedState>, seed: u64) -> NdtMeasurement {
-        let mut path = NdtPath::idle(plan, seed);
-        path.duration = SimDuration::from_secs(4);
-        path.congestion = congestion;
-        run_ndt(&path)
+    /// A 4 s test over a typical home path for the given plan.
+    fn quick(plan_mbps: u64, congestion: Option<CongestedState>, seed: u64) -> NdtMeasurement {
+        run_ndt(&NdtPath {
+            plan_mbps,
+            access_buffer_ms: 60,
+            access_latency_ms: 8,
+            server_one_way_ms: 10,
+            interconnect_buffer_ms: 25,
+            congestion,
+            duration: SimDuration::from_secs(4),
+            seed,
+        })
     }
 
     #[test]

@@ -27,8 +27,6 @@ use csig_tslp::{LatencySeries, TslpProber};
 pub struct Tslp2017Config {
     /// Campaign length in days (paper: ~75; scaled default: 14).
     pub days: u32,
-    /// Subscriber plan (the Ark host's: 25 Mbps).
-    pub plan_mbps: u64,
     /// TSLP probe interval (paper probes continuously; default 5 min).
     pub probe_interval: SimDuration,
     /// Minutes between NDT tests during peak hours (paper: 15).
@@ -47,7 +45,6 @@ impl Default for Tslp2017Config {
     fn default() -> Self {
         Tslp2017Config {
             days: 14,
-            plan_mbps: 25,
             probe_interval: SimDuration::from_secs(300),
             peak_test_minutes: 30,
             offpeak_test_minutes: 120,
@@ -108,13 +105,16 @@ pub struct Tslp2017Output {
 const CLIENT_NEAR_MS: u64 = 8;
 const NEAR_FAR_MS: u64 = 1;
 
+/// Subscriber plan of the Ark host, Mbit/s.
+const PLAN_MBPS: u64 = 25;
+
 /// Labeling thresholds from §4.2/§5.4 of the paper (plan 25 Mbps,
 /// baseline 18 ms): external ⇔ throughput < 15 Mbps ∧ min RTT > 30 ms;
 /// self ⇔ throughput > 20 Mbps ∧ min RTT < 20 ms; else unlabeled.
-pub fn label_tslp2017(test: &TslpNdtTest, plan_mbps: u64) -> Option<CongestionClass> {
+pub fn label_tslp2017(test: &TslpNdtTest) -> Option<CongestionClass> {
     let tput = test.measurement.throughput_mbps;
     let min_rtt = test.measurement.min_rtt_ms?;
-    let plan = plan_mbps as f64;
+    let plan = PLAN_MBPS as f64;
     if tput < 0.6 * plan && min_rtt > 30.0 {
         Some(CongestionClass::External)
     } else if tput > 0.8 * plan && min_rtt < 20.0 {
@@ -226,8 +226,6 @@ pub struct TslpNdtScenario {
     pub at: SimTime,
     /// The episode state covering `at`, if any.
     pub episode: Option<CongestedState>,
-    /// Subscriber plan, Mbit/s.
-    pub plan_mbps: u64,
     /// NDT test duration.
     pub duration: SimDuration,
 }
@@ -237,11 +235,10 @@ impl Scenario for TslpNdtScenario {
 
     fn run(&self, seed: u64) -> TslpNdtTest {
         let path = NdtPath {
-            plan_mbps: self.plan_mbps,
+            plan_mbps: PLAN_MBPS,
             access_buffer_ms: 20, // the paper's small-buffer worst case
             access_latency_ms: CLIENT_NEAR_MS,
             server_one_way_ms: NEAR_FAR_MS,
-            interconnect_mbps: 200,
             interconnect_buffer_ms: 15,
             congestion: self.episode,
             duration: self.duration,
@@ -267,7 +264,6 @@ fn ndt_campaign(cfg: &Tslp2017Config, episodes: &[EpisodeWindow]) -> Campaign<Ts
             TslpNdtScenario {
                 at,
                 episode: episode.map(|e| e.state),
-                plan_mbps: cfg.plan_mbps,
                 duration: cfg.test_duration,
             },
         );
@@ -372,12 +368,12 @@ mod tests {
         // Labeling recovers the structure.
         let ext = episode_tests
             .iter()
-            .filter(|t| label_tslp2017(t, 25) == Some(CongestionClass::External))
+            .filter(|t| label_tslp2017(t) == Some(CongestionClass::External))
             .count();
         assert!(ext > 0, "no episode test labeled external");
         let selfs = clean_tests
             .iter()
-            .filter(|t| label_tslp2017(t, 25) == Some(CongestionClass::SelfInduced))
+            .filter(|t| label_tslp2017(t) == Some(CongestionClass::SelfInduced))
             .count();
         assert!(
             selfs as f64 > 0.8 * clean_tests.len() as f64,

@@ -2,7 +2,7 @@
 //! plus a fidelity profile for affordable sweeps.
 
 use csig_netsim::{FaultPlan, QueueKind, SimDuration};
-use csig_tcp::TcpConfig;
+use csig_tcp::CcKind;
 
 /// Emulated access-link parameters (the paper's `AccessLink` grid).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,50 +35,82 @@ impl AccessParams {
     }
 }
 
-/// How (and whether) the interconnect link is congested.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CongestionMode {
-    /// No interconnect congestion: the test flow saturates the access
-    /// link (the self-induced scenario).
-    None,
-    /// `TGcong`: this many concurrent bulk TCP fetches saturate the
-    /// interconnect (paper: 100; the multiplexing experiment uses 50,
-    /// 20, 10).
-    TgCong {
-        /// Number of concurrent fetch loops.
-        flows: u32,
-    },
+/// Fidelity of a testbed scenario: the interconnect rate, the test
+/// duration and the default `TGcong` load. Every other setting (the 2 s
+/// warm-up, buffers, server distances) is the same in both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Profile {
+    /// The paper's exact settings: 950 Mbps interconnect, 100 `TGcong`
+    /// flows for external congestion, 10 s tests (expensive).
+    Paper,
+    /// One-fifth interconnect rate, 40-flow `TGcong`, 4 s tests; the
+    /// default in sweeps (documented in EXPERIMENTS.md). The warm-up
+    /// stays at the paper's 2 s: `TGcong` starts staggered across the
+    /// first half of it, and every fetch loop needs ≥1 s of settling
+    /// before the test or the late starters' own slow starts
+    /// contaminate the interconnect queue. Preserves the
+    /// access:interconnect rate ordering and all buffer-delay ratios at
+    /// a fraction of the event cost.
+    Scaled,
 }
 
-impl CongestionMode {
-    /// Does this mode congest the interconnect at all?
-    fn is_congested(&self) -> bool {
-        !matches!(self, CongestionMode::None)
+impl Profile {
+    /// The testbed configuration for one access-link setting at this
+    /// fidelity: an idle interconnect, no access cross traffic, the
+    /// default TCP stack (NewReno with SACK) and a clean drop-tail
+    /// access buffer.
+    pub fn config(self, access: AccessParams, seed: u64) -> TestbedConfig {
+        TestbedConfig {
+            access,
+            profile: self,
+            tgcong_flows: 0,
+            access_cross_flows: 0,
+            cc: CcKind::NewReno,
+            sack: true,
+            queue: QueueKind::DropTail,
+            access_fault: None,
+            seed,
+        }
+    }
+
+    /// netperf test duration (paper: 10 s).
+    pub fn test_duration(self) -> SimDuration {
+        match self {
+            Profile::Paper => SimDuration::from_secs(10),
+            Profile::Scaled => SimDuration::from_secs(4),
+        }
+    }
+
+    /// Interconnect shaped rate in Mbit/s (paper: 950).
+    pub fn interconnect_mbps(self) -> u64 {
+        match self {
+            Profile::Paper => 950,
+            Profile::Scaled => 190,
+        }
     }
 }
 
-/// Full configuration of one testbed throughput test.
+/// Full configuration of one testbed throughput test: what the
+/// experiments vary. Cross traffic (`TGtrans`, `TGcong`, access cross
+/// flows) always runs the default TCP stack.
 #[derive(Debug, Clone)]
 pub struct TestbedConfig {
     /// Access-link emulation parameters.
     pub access: AccessParams,
-    /// Interconnect congestion scenario.
-    pub congestion: CongestionMode,
+    /// Fidelity profile: interconnect rate and test duration.
+    pub profile: Profile,
+    /// `TGcong`: concurrent bulk fetch loops saturating the
+    /// interconnect (paper: 100; the multiplexing experiment uses 50,
+    /// 20, 10). 0 leaves the interconnect idle: the self-induced
+    /// scenario.
+    pub tgcong_flows: u32,
     /// Extra bulk flows sharing the access link with the test flow
     /// (the §3.3 multiplexing experiment; paper: 0, 1, 2, 5).
     pub access_cross_flows: u32,
-    /// netperf test duration (paper: 10 s).
-    pub test_duration: SimDuration,
-    /// Interconnect shaped rate in Mbit/s (paper: 950).
-    pub interconnect_mbps: u64,
-    /// Endpoint TCP configuration for the measured test flow
-    /// (congestion control, SACK, …). Its `record_samples` is ignored:
-    /// [`build`](crate::topology::build) decides which endpoints record.
-    pub tcp: TcpConfig,
-    /// TCP configuration for cross traffic (`TGtrans`, `TGcong`,
-    /// access cross flows). `None` = same as `tcp`. Ablations vary the
-    /// test flow's stack while keeping the background realistic.
-    pub cross_tcp: Option<TcpConfig>,
+    /// Congestion control of the measured test flow.
+    pub cc: CcKind,
+    /// Does the measured test flow negotiate SACK?
+    pub sack: bool,
     /// Queue discipline of the access-link buffer.
     pub queue: QueueKind,
     /// Deterministic impairments on the downstream access link: bursty
@@ -90,45 +122,6 @@ pub struct TestbedConfig {
 }
 
 impl TestbedConfig {
-    /// Full-fidelity paper profile: 950 Mbps interconnect, `TGcong`
-    /// with 100 flows for external congestion, 10 s tests, 2 s warm-up.
-    pub fn paper(access: AccessParams, seed: u64) -> Self {
-        TestbedConfig {
-            access,
-            congestion: CongestionMode::None,
-            access_cross_flows: 0,
-            test_duration: SimDuration::from_secs(10),
-            interconnect_mbps: 950,
-            tcp: TcpConfig::default(),
-            cross_tcp: None,
-            queue: QueueKind::DropTail,
-            access_fault: None,
-            seed,
-        }
-    }
-
-    /// Scaled profile: one-fifth interconnect rate, 40-flow `TGcong`,
-    /// 4 s tests. The warm-up stays at the paper's 2 s: `TGcong` starts
-    /// staggered across the first half of it, and every fetch loop
-    /// needs ≥1 s of settling before the test or the late starters'
-    /// own slow starts contaminate the interconnect queue. Preserves
-    /// the access:interconnect rate ordering and all buffer-delay
-    /// ratios at a fraction of the event cost; used by default in
-    /// sweeps (documented in EXPERIMENTS.md).
-    pub fn scaled(access: AccessParams, seed: u64) -> Self {
-        TestbedConfig {
-            test_duration: SimDuration::from_secs(4),
-            interconnect_mbps: 190,
-            ..TestbedConfig::paper(access, seed)
-        }
-    }
-
-    /// Builder: set the congestion scenario.
-    pub fn with_congestion(mut self, mode: CongestionMode) -> Self {
-        self.congestion = mode;
-        self
-    }
-
     /// Builder: impair the downstream access link with a fault plan
     /// (no-op plans are dropped so clean runs stay byte-identical).
     pub fn with_access_fault(mut self, plan: FaultPlan) -> Self {
@@ -138,20 +131,19 @@ impl TestbedConfig {
 
     /// Builder: use the profile's default external congestion — 100
     /// `TGcong` flows under the paper profile, 40 under the scaled one.
-    pub fn externally_congested(self) -> Self {
-        let flows = if self.interconnect_mbps >= 900 {
-            100
-        } else {
-            40
+    pub fn externally_congested(mut self) -> Self {
+        self.tgcong_flows = match self.profile {
+            Profile::Paper => 100,
+            Profile::Scaled => 40,
         };
-        self.with_congestion(CongestionMode::TgCong { flows })
+        self
     }
 
     /// The scenario's ground-truth class (what the experiment *tried*
     /// to create; labeling additionally applies the paper's
     /// throughput-threshold filter).
     pub fn intended_class(&self) -> csig_features::CongestionClass {
-        if self.congestion.is_congested() {
+        if self.tgcong_flows > 0 {
             csig_features::CongestionClass::External
         } else {
             csig_features::CongestionClass::SelfInduced
@@ -164,38 +156,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn profiles_differ_in_scale_only() {
-        let a = AccessParams::figure1();
-        let p = TestbedConfig::paper(a, 1);
-        let s = TestbedConfig::scaled(a, 1);
-        assert_eq!(p.interconnect_mbps, 950);
-        assert_eq!(s.interconnect_mbps, 190);
-        assert_eq!(p.access, s.access);
-    }
-
-    #[test]
     fn external_flow_counts_by_profile() {
         let a = AccessParams::figure1();
-        let p = TestbedConfig::paper(a, 1).externally_congested();
-        assert_eq!(p.congestion, CongestionMode::TgCong { flows: 100 });
-        let s = TestbedConfig::scaled(a, 1).externally_congested();
-        assert_eq!(s.congestion, CongestionMode::TgCong { flows: 40 });
+        let p = Profile::Paper.config(a, 1).externally_congested();
+        assert_eq!(p.tgcong_flows, 100);
+        let s = Profile::Scaled.config(a, 1).externally_congested();
+        assert_eq!(s.tgcong_flows, 40);
     }
 
     #[test]
-    fn intended_class_follows_mode() {
+    fn intended_class_follows_tgcong_flows() {
         use csig_features::CongestionClass;
-        let a = AccessParams::figure1();
-        assert_eq!(
-            TestbedConfig::scaled(a, 1).intended_class(),
-            CongestionClass::SelfInduced
-        );
-        assert_eq!(
-            TestbedConfig::scaled(a, 1)
-                .with_congestion(CongestionMode::TgCong { flows: 10 })
-                .intended_class(),
-            CongestionClass::External
-        );
+        let idle = Profile::Scaled.config(AccessParams::figure1(), 1);
+        assert_eq!(idle.intended_class(), CongestionClass::SelfInduced);
+        let congested = TestbedConfig {
+            tgcong_flows: 10,
+            ..idle
+        };
+        assert_eq!(congested.intended_class(), CongestionClass::External);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The paper's parameter grid (§3.1) and sweep runner.
 
-use crate::config::{AccessParams, TestbedConfig};
+use crate::config::{AccessParams, Profile, TestbedConfig};
 use crate::runner::{run_test, run_test_observed, TestResult};
 use csig_exec::{Campaign, Executor, ProgressEvent, Scenario};
 use csig_obs::{MetricsRegistry, Snapshot, TraceBuffer, TraceEvent};
@@ -54,25 +54,6 @@ pub fn small_grid() -> Vec<AccessParams> {
         }
     }
     grid
-}
-
-/// Fidelity of a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// Full paper settings (expensive).
-    Paper,
-    /// Scaled settings (default; see `TestbedConfig::scaled`).
-    Scaled,
-}
-
-impl Profile {
-    /// The testbed configuration for one grid point at this fidelity.
-    pub fn config(&self, access: AccessParams, seed: u64) -> TestbedConfig {
-        match self {
-            Profile::Paper => TestbedConfig::paper(access, seed),
-            Profile::Scaled => TestbedConfig::scaled(access, seed),
-        }
-    }
 }
 
 /// One sweep cell — a grid point in one congestion scenario — as a

@@ -185,11 +185,11 @@ pub fn run_test_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AccessParams;
+    use crate::config::{AccessParams, Profile};
 
     #[test]
     fn self_induced_test_saturates_access_and_shows_signature() {
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 101);
+        let cfg = Profile::Scaled.config(AccessParams::figure1(), 101);
         let r = run_test(&cfg);
         assert_eq!(r.intended, CongestionClass::SelfInduced);
         // The test flow should reach most of the 20 Mbps access rate.
@@ -208,7 +208,9 @@ mod tests {
 
     #[test]
     fn externally_congested_test_is_limited_below_access() {
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 102).externally_congested();
+        let cfg = Profile::Scaled
+            .config(AccessParams::figure1(), 102)
+            .externally_congested();
         let r = run_test(&cfg);
         assert_eq!(r.intended, CongestionClass::External);
         // Interconnect buffer was driven to (near) capacity.
@@ -232,7 +234,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "event budget exhausted")]
     fn exhausted_event_budget_fails_the_test() {
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 105);
+        let cfg = Profile::Scaled.config(AccessParams::figure1(), 105);
         let mut tb = build(&cfg);
         tb.sim.set_event_budget(10_000);
         let reg = csig_obs::MetricsRegistry::new();
@@ -241,7 +243,7 @@ mod tests {
 
     #[test]
     fn observed_run_matches_plain_run_and_fills_metrics() {
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 104);
+        let cfg = Profile::Scaled.config(AccessParams::figure1(), 104);
         let plain = run_test(&cfg);
         let reg = csig_obs::MetricsRegistry::new();
         let trace = csig_obs::TraceBuffer::new();
@@ -260,7 +262,7 @@ mod tests {
 
     #[test]
     fn trace_ring_evictions_are_counted() {
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 104);
+        let cfg = Profile::Scaled.config(AccessParams::figure1(), 104);
         let reg = csig_obs::MetricsRegistry::new();
         let trace = csig_obs::TraceBuffer::with_capacity(16);
         run_test_observed(&cfg, &reg, Some(trace.clone()));

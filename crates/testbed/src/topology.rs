@@ -18,10 +18,8 @@
 //!   2 ms away", attached at r1 so its fetches cross the interconnect).
 
 use crate::agents::MultiClientAgent;
-use crate::config::{CongestionMode, TestbedConfig};
-use csig_netsim::{
-    CaptureHandle, FlowId, LinkConfig, LinkId, NodeId, SimDuration, SimTime, Simulator,
-};
+use crate::config::TestbedConfig;
+use csig_netsim::{FlowId, LinkConfig, LinkId, NodeId, SimDuration, SimTime, Simulator};
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 
 /// Flow id of the netperf test connection.
@@ -56,41 +54,32 @@ pub struct Testbed {
     pub test_end: SimTime,
 }
 
-impl Testbed {
-    /// Attach a buffer-everything capture at Server 1 (the paper's
-    /// `tcpdump` vantage). Opt-in: the standard runner analyzes the
-    /// packet stream with a streaming tap instead and never retains a
-    /// capture; pcap export and trace-visualization tools attach one
-    /// explicitly.
-    pub fn attach_capture(&mut self) -> CaptureHandle {
-        self.sim.attach_capture(self.server1)
-    }
-}
-
 /// Build the testbed for one configuration.
 pub fn build(cfg: &TestbedConfig) -> Testbed {
     let mut sim = Simulator::new(cfg.seed);
     let ms = SimDuration::from_millis;
     let test_start = SimTime::ZERO + WARMUP;
-    let test_end = test_start + cfg.test_duration;
+    let test_end = test_start + cfg.profile.test_duration();
 
-    // Sample recording is decided here, whatever `cfg` says. Server 1
-    // is the measurement server: like an M-Lab NDT host it keeps
-    // Web100-style kernel statistics (per-ACK RTT samples) for the
-    // flows it serves, so experiments can compare capture-based and
+    // Server 1 is the measurement server: like an M-Lab NDT host it
+    // keeps Web100-style kernel statistics (per-ACK RTT samples) for
+    // the flows it serves, so experiments can compare capture-based and
     // kernel-based classification. No other endpoint records: not the
-    // test client, and not the cross traffic, whose stack is
-    // optionally decoupled from the test flow's.
-    let with_samples = |tcp: &TcpConfig, record_samples| TcpConfig {
+    // test client, and not the cross traffic, which runs the default
+    // stack whatever the test flow's.
+    let test_tcp = |record_samples| TcpConfig {
+        cc: cfg.cc,
+        sack: cfg.sack,
         record_samples,
-        ..tcp.clone()
+        ..TcpConfig::default()
     };
-    let test_tcp = with_samples(&cfg.tcp, false);
-    let lean_tcp = with_samples(cfg.cross_tcp.as_ref().unwrap_or(&cfg.tcp), false);
+    let lean_tcp = TcpConfig {
+        record_samples: false,
+        ..TcpConfig::default()
+    };
 
     // --- hosts & routers --------------------------------------------------
-    let mut server1_agent =
-        TcpServerAgent::new(with_samples(&cfg.tcp, true), ServerSendPolicy::Unbounded);
+    let mut server1_agent = TcpServerAgent::new(test_tcp(true), ServerSendPolicy::Unbounded);
     server1_agent.keep_completed = false;
     let server1 = sim.add_host(Box::new(server1_agent));
 
@@ -102,7 +91,7 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
     // all behind the shaped AccessLink.
     let mut pi1_children = vec![TcpClientAgent::new(
         server1,
-        test_tcp,
+        test_tcp(false),
         ClientBehavior::Once,
         MultiClientAgent::child_flow_base(0, 0),
     )
@@ -164,28 +153,26 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
         TcpServerAgent::new(lean_tcp.clone(), ServerSendPolicy::Fixed(100_000_000));
     server4_agent.keep_completed = false;
     let server4 = sim.add_host(Box::new(server4_agent));
-    let cong_children = match cfg.congestion {
-        CongestionMode::TgCong { flows } => (0..flows)
-            .map(|i| {
-                // Stagger starts across the first half of the warm-up so
-                // the fetch loops desynchronize (simultaneous slow
-                // starts would make the whole aggregate oscillate in
-                // lock-step, which no real interconnect does).
-                let stagger = WARMUP.mul_f64(0.5 * i as f64 / flows.max(1) as f64);
-                TcpClientAgent::new(
-                    server4,
-                    lean_tcp.clone(),
-                    ClientBehavior::Repeat {
-                        mean_think: ms(1),
-                        until: test_end,
-                    },
-                    MultiClientAgent::child_flow_base(TGCONG_BLOCK, i as usize),
-                )
-                .with_start_delay(stagger)
-            })
-            .collect(),
-        CongestionMode::None => Vec::new(),
-    };
+    let flows = cfg.tgcong_flows;
+    let cong_children = (0..flows)
+        .map(|i| {
+            // Stagger starts across the first half of the warm-up so
+            // the fetch loops desynchronize (simultaneous slow starts
+            // would make the whole aggregate oscillate in lock-step,
+            // which no real interconnect does).
+            let stagger = WARMUP.mul_f64(0.5 * i as f64 / flows as f64);
+            TcpClientAgent::new(
+                server4,
+                lean_tcp.clone(),
+                ClientBehavior::Repeat {
+                    mean_think: ms(1),
+                    until: test_end,
+                },
+                MultiClientAgent::child_flow_base(TGCONG_BLOCK, i as usize),
+            )
+            .with_start_delay(stagger)
+        })
+        .collect();
     let cong = sim.add_host(Box::new(MultiClientAgent::new(TGCONG_BLOCK, cong_children)));
 
     // --- links -------------------------------------------------------------
@@ -200,10 +187,11 @@ pub fn build(cfg: &TestbedConfig) -> Testbed {
     sim.add_duplex_link(server4, r1, gig(1));
     sim.add_duplex_link(r_net, r1, gig(0)); // Link3
 
-    // InterConnectLink: shaped 950 Mbps over 1 Gbps physical, 50 ms
-    // buffer, no added latency.
-    let icl = LinkConfig::new(cfg.interconnect_mbps * 1_000_000, ms(0))
-        .phy_rate((cfg.interconnect_mbps * 1_000_000).max(1_000_000_000))
+    // InterConnectLink: shaped to the profile's rate (paper: 950 Mbps)
+    // over 1 Gbps physical, 50 ms buffer, no added latency.
+    let icl_bps = cfg.profile.interconnect_mbps() * 1_000_000;
+    let icl = LinkConfig::new(icl_bps, ms(0))
+        .phy_rate(icl_bps.max(1_000_000_000))
         .buffer_ms(INTERCONNECT_BUFFER_MS)
         .burst(10 * 1500);
     let interconnect_down = sim.add_link(r1, r2, icl.clone());
@@ -255,15 +243,48 @@ fn catalog_server(cfg: TcpConfig) -> TcpServerAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AccessParams;
+    use crate::config::{AccessParams, Profile};
+    use csig_features::CongestionClass;
 
     #[test]
     fn builds_and_routes() {
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 1);
+        let cfg = Profile::Scaled.config(AccessParams::figure1(), 1);
         let tb = build(&cfg);
         // Route from server1 to pi1 exists and goes via r_net.
         assert!(tb.sim.route(tb.server1, tb.pi1).is_some());
         assert!(tb.sim.route(tb.pi1, tb.server1).is_some());
+    }
+
+    #[test]
+    fn profile_sets_test_duration_and_interconnect_rate() {
+        for (p, secs, mbps) in [(Profile::Paper, 10, 950), (Profile::Scaled, 4, 190)] {
+            assert_eq!(
+                (p.test_duration(), p.interconnect_mbps()),
+                (SimDuration::from_secs(secs), mbps)
+            );
+            let tb = build(&p.config(AccessParams::figure1(), 1));
+            assert_eq!(tb.test_end - tb.test_start, p.test_duration(), "{p:?}");
+            assert_eq!(
+                tb.sim.link(tb.interconnect_down).config().rate_bps,
+                p.interconnect_mbps() * 1_000_000,
+                "{p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_tgcong_flows_builds_no_tgcong_client() {
+        let cfg = Profile::Scaled.config(AccessParams::figure1(), 1);
+        assert_eq!(cfg.tgcong_flows, 0);
+        assert_eq!(cfg.intended_class(), CongestionClass::SelfInduced);
+        // The TGcong host is the last node `build` adds.
+        let tgcong_clients = |cfg: &TestbedConfig| {
+            let tb = build(cfg);
+            let cong: &MultiClientAgent = tb.sim.agent(NodeId(9)).unwrap();
+            cong.clients().len()
+        };
+        assert_eq!(tgcong_clients(&cfg), 0);
+        assert_eq!(tgcong_clients(&cfg.externally_congested()), 40);
     }
 
     #[test]
@@ -273,7 +294,9 @@ mod tests {
         // window (test runs from 2 s warm-up to 6 s).
         let plan =
             FaultPlan::new().down_between(SimTime::from_millis(3_000), SimTime::from_millis(3_500));
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 7).with_access_fault(plan);
+        let cfg = Profile::Scaled
+            .config(AccessParams::figure1(), 7)
+            .with_access_fault(plan);
         let mut tb = build(&cfg);
         tb.sim.run_until(tb.test_end).expect_within_budget();
         let stats = &tb.sim.link(tb.access_down).stats;
@@ -281,17 +304,19 @@ mod tests {
         assert!(!tb.sim.fault_log(tb.access_down).is_empty());
         // An empty plan is dropped by the builder: the config stays
         // byte-identical to a clean one.
-        let clean =
-            TestbedConfig::scaled(AccessParams::figure1(), 7).with_access_fault(FaultPlan::new());
+        let clean = Profile::Scaled
+            .config(AccessParams::figure1(), 7)
+            .with_access_fault(FaultPlan::new());
         assert!(clean.access_fault.is_none());
     }
 
     #[test]
     fn only_server1_records_samples() {
-        // The default config asks for samples; `build` still keeps them
-        // to Server 1, the measurement server.
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 3).externally_congested();
-        assert!(cfg.tcp.record_samples);
+        // `build` keeps per-ACK samples to Server 1, the measurement
+        // server.
+        let cfg = Profile::Scaled
+            .config(AccessParams::figure1(), 3)
+            .externally_congested();
         let mut tb = build(&cfg);
         tb.sim.run_until(tb.test_end).expect_within_budget();
         let sim = &tb.sim;
@@ -323,7 +348,7 @@ mod tests {
 
     #[test]
     fn access_link_resolves_buffer() {
-        let cfg = TestbedConfig::scaled(AccessParams::figure1(), 1);
+        let cfg = Profile::Scaled.config(AccessParams::figure1(), 1);
         let tb = build(&cfg);
         let link = tb.sim.link(tb.access_down);
         // 20 Mbps × 100 ms = 250 kB.

@@ -17,7 +17,7 @@ fn bar(v: f64, max: f64, width: usize) -> String {
 
 fn main() {
     for (world, external) in [("self-induced", false), ("external", true)] {
-        let mut cfg = TestbedConfig::scaled(AccessParams::figure1(), 321);
+        let mut cfg = Profile::Scaled.config(AccessParams::figure1(), 321);
         if external {
             cfg = cfg.externally_congested();
         }

@@ -57,9 +57,9 @@ fn main() {
 
     // 3. Diagnose two fresh speed tests the model has never seen.
     println!("diagnosing fresh tests…");
-    let self_test = run_test(&TestbedConfig::scaled(AccessParams::figure1(), 777));
-    let ext_test =
-        run_test(&TestbedConfig::scaled(AccessParams::figure1(), 778).externally_congested());
+    let fig1 = |seed| Profile::Scaled.config(AccessParams::figure1(), seed);
+    let self_test = run_test(&fig1(777));
+    let ext_test = run_test(&fig1(778).externally_congested());
     for (name, t) in [
         ("idle path", &self_test),
         ("congested interconnect", &ext_test),

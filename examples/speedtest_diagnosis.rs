@@ -38,13 +38,13 @@ fn main() {
         // filters those as well); retry with a fresh seed if so.
         let mut capture = None;
         for attempt in 0..5u64 {
-            let mut cfg = TestbedConfig::scaled(plan, 0xBEEF + 16 * attempt + external as u64);
+            let mut cfg = Profile::Scaled.config(plan, 0xBEEF + 16 * attempt + external as u64);
             if external {
                 cfg = cfg.externally_congested();
             }
             // Run the test and capture at the server, like the paper.
             let mut tb = testbed::build(&cfg);
-            let cap_h = tb.attach_capture();
+            let cap_h = tb.sim.attach_capture(tb.server1);
             let horizon = tb.test_end + testbed::DRAIN_TAIL;
             tb.sim.run_until(horizon).expect_within_budget();
             let cap = tb.sim.take_capture(cap_h);

@@ -75,7 +75,7 @@ fn main() {
 
     let mut cm = ConfusionMatrix::default();
     for t in &out.tests {
-        if let (Some(label), Ok(f)) = (label_tslp2017(t, cfg.plan_mbps), &t.measurement.features) {
+        if let (Some(label), Ok(f)) = (label_tslp2017(t), &t.measurement.features) {
             cm.record(label.index(), clf.classify(f).index());
         }
     }

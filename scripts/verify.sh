@@ -35,8 +35,8 @@ if grep -q -e '"time\.' -e '"buckets"' "$obsdir/m1.json"; then
   echo "verify: metrics snapshot holds wall-clock timers or histograms"; exit 1
 fi
 
-echo "==> jobs invariance: fig3, fig5, fig6, fig7, fig9, fig_impair, exp_sack_ablation, exp_multiplexing, exp_tslp2017 and exp_web100_mode stdout"
-for bin in fig3 fig5 fig6 fig7 fig9 fig_impair exp_sack_ablation exp_multiplexing exp_tslp2017 exp_web100_mode; do
+echo "==> jobs invariance: fig3, fig5, fig6, fig7, fig9, fig_impair, exp_cc_variants, exp_feature_ablation, exp_sack_ablation, exp_multiplexing, exp_tslp2017 and exp_web100_mode stdout"
+for bin in fig3 fig5 fig6 fig7 fig9 fig_impair exp_cc_variants exp_feature_ablation exp_sack_ablation exp_multiplexing exp_tslp2017 exp_web100_mode; do
   ./target/release/$bin 2 --seed 7 --jobs 1 >"$obsdir/$bin-j1.txt" 2>/dev/null
   ./target/release/$bin 2 --seed 7 --jobs 4 >"$obsdir/$bin-j4.txt" 2>/dev/null
   test -s "$obsdir/$bin-j1.txt" || { echo "verify: empty $bin output"; exit 1; }

@@ -22,18 +22,13 @@
 //! (`csig_exec::cli::CommonArgs`), as on a missing or unknown
 //! subcommand, a missing capture path or a malformed flag value.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::process::ExitCode;
 
 use csig_core::{train_sweep_with, SignatureClassifier};
 use csig_dtree::TreeParams;
 use csig_exec::cli::{CommonArgs, Flag, JOBS, PROGRESS, SEED};
-use csig_features::FlowProbe;
-use csig_netsim::FlowId;
-use csig_testbed::{
-    paper_grid, small_grid, AccessParams, Profile, Sweep, TestbedConfig, DRAIN_TAIL,
-};
+use csig_testbed::{paper_grid, small_grid, AccessParams, Profile, Sweep, DRAIN_TAIL};
 use csig_trace::{import_pcap, write_pcap, ServerSelector};
 use Flag::{Path, Switch, Value};
 
@@ -241,7 +236,7 @@ fn cmd_simulate(args: &CommonArgs) -> Result<(), Failure> {
         .flag_value("--out")
         .cloned()
         .unwrap_or_else(|| "capture.pcap".into());
-    let mut cfg = TestbedConfig::scaled(AccessParams::figure1(), args.seed_or(7));
+    let mut cfg = Profile::Scaled.config(AccessParams::figure1(), args.seed_or(7));
     if args.has_flag("--external") {
         cfg = cfg.externally_congested();
     }
@@ -254,7 +249,7 @@ fn cmd_simulate(args: &CommonArgs) -> Result<(), Failure> {
         }
     );
     let mut tb = csig_testbed::build(&cfg);
-    let cap = tb.attach_capture();
+    let cap = tb.sim.attach_capture(tb.server1);
     tb.sim
         .run_until(tb.test_end + DRAIN_TAIL)
         .expect_within_budget();
@@ -267,15 +262,7 @@ fn cmd_simulate(args: &CommonArgs) -> Result<(), Failure> {
 
 fn cmd_inspect(args: &CommonArgs) -> Result<(), Failure> {
     let capture = load_capture(args)?;
-    // One probe and a packet count per flow, in flow-id order.
-    let mut flows: BTreeMap<FlowId, (FlowProbe, usize)> = BTreeMap::new();
-    for rec in &capture.records {
-        let (probe, packets) = flows
-            .entry(rec.pkt.flow)
-            .or_insert_with(|| (FlowProbe::new(rec.pkt.flow), 0));
-        probe.push(rec);
-        *packets += 1;
-    }
+    let flows = csig_core::probe_flows(&capture);
     if flows.is_empty() {
         return Err("no TCP flows found".into());
     }
@@ -283,7 +270,7 @@ fn cmd_inspect(args: &CommonArgs) -> Result<(), Failure> {
         "{:>6} {:>8} {:>10} {:>10} {:>10} {:>9} {:>12}",
         "flow", "packets", "acked(kB)", "mean Mbps", "ss end(s)", "samples", "capacity est"
     );
-    for (flow, (probe, packets)) in &flows {
+    for (probe, packets) in &flows {
         let tput = probe.throughput();
         let ss = probe.slow_start();
         let feat = probe.features();
@@ -293,7 +280,7 @@ fn cmd_inspect(args: &CommonArgs) -> Result<(), Failure> {
             .unwrap_or_else(|| "-".into());
         println!(
             "{:>6} {:>8} {:>10.0} {:>10.2} {:>10} {:>9} {:>12}",
-            flow.0,
+            probe.flow().0,
             packets,
             tput.bytes_acked as f64 / 1e3,
             tput.mean_bps / 1e6,

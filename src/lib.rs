@@ -36,7 +36,7 @@
 //! let clf = train_from_results(&results, 0.8, TreeParams::default()).unwrap();
 //!
 //! // 3. Diagnose a new throughput test.
-//! let test = run_test(&TestbedConfig::scaled(AccessParams::figure1(), 7));
+//! let test = run_test(&Profile::Scaled.config(AccessParams::figure1(), 7));
 //! let class = clf.classify(&test.features.unwrap());
 //! println!("congestion was: {class}");
 //! ```
@@ -65,7 +65,5 @@ pub mod prelude {
     pub use csig_tcp::{
         CcKind, ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent,
     };
-    pub use csig_testbed::{
-        run_test, AccessParams, CongestionMode, Profile, Sweep, TestResult, TestbedConfig,
-    };
+    pub use csig_testbed::{run_test, AccessParams, Profile, Sweep, TestResult, TestbedConfig};
 }

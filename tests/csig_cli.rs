@@ -5,8 +5,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use tcp_congestion_signatures::core::{ModelMeta, SignatureClassifier};
-use tcp_congestion_signatures::dtree::{Dataset, TreeParams};
+use tcp_congestion_signatures::prelude::*;
 
 const HEADER: &str = "  flow  packets  acked(kB)  mean Mbps  ss end(s)   samples capacity est\n";
 const CLASSIFY_HEADER: &str = "  flow      class      conf  NormDiff      CoV    samples\n";
@@ -96,6 +95,55 @@ fn inspect_reads_back_a_congested_interconnect_capture() {
         format!(
             "{HEADER}     0     1381        847       1.62       0.37       102     5.7 Mbps\n"
         )
+    );
+}
+
+/// A second connection on the same 4-tuple appended to a capture (as in
+/// a long `tcpdump` of one client) leaves the first flow's inspect row
+/// as it was: like `classify`, `inspect` feeds a flow no records after
+/// its FIN exchange.
+#[test]
+fn inspect_ignores_a_reused_four_tuple_after_close() {
+    // One complete 4 MB download, captured at the server.
+    let mut sim = Simulator::new(21);
+    let server = sim.add_host(Box::new(TcpServerAgent::new(
+        TcpConfig::default(),
+        ServerSendPolicy::Fixed(4_000_000),
+    )));
+    let client = sim.add_host(Box::new(TcpClientAgent::new(
+        server,
+        TcpConfig::default(),
+        ClientBehavior::Once,
+        77,
+    )));
+    sim.add_duplex_link(
+        server,
+        client,
+        LinkConfig::new(20_000_000, SimDuration::from_millis(20)).buffer_ms(100),
+    );
+    sim.compute_routes();
+    let cap = sim.attach_capture(server);
+    sim.run().expect_within_budget();
+    let once = sim.take_capture(cap);
+    // The same connection again, 20 s later.
+    let mut twice = once.clone();
+    twice.records.extend(once.records.iter().map(|rec| {
+        let mut rec = rec.clone();
+        rec.time += SimDuration::from_secs(20);
+        rec
+    }));
+
+    let inspect = |name: &str, capture| {
+        let path = tmp_path(name);
+        let file = std::fs::File::create(&path).expect("capture file");
+        tcp_congestion_signatures::trace::write_pcap(capture, file).expect("pcap written");
+        let out = csig(&["inspect", &path]);
+        assert!(out.status.success(), "inspect: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 table")
+    };
+    assert_eq!(
+        inspect("csig_cli_reuse_twice.pcap", &twice),
+        inspect("csig_cli_reuse_once.pcap", &once)
     );
 }
 

@@ -5,7 +5,7 @@ use tcp_congestion_signatures::prelude::*;
 
 #[test]
 fn testbed_results_are_bit_identical_across_runs() {
-    let mk = || run_test(&TestbedConfig::scaled(AccessParams::figure1(), 31337));
+    let mk = || run_test(&Profile::Scaled.config(AccessParams::figure1(), 31337));
     let a = mk();
     let b = mk();
     assert_eq!(a.throughput.bytes_acked, b.throughput.bytes_acked);
@@ -18,8 +18,8 @@ fn testbed_results_are_bit_identical_across_runs() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = run_test(&TestbedConfig::scaled(AccessParams::figure1(), 1));
-    let b = run_test(&TestbedConfig::scaled(AccessParams::figure1(), 2));
+    let a = run_test(&Profile::Scaled.config(AccessParams::figure1(), 1));
+    let b = run_test(&Profile::Scaled.config(AccessParams::figure1(), 2));
     // Jitter and cross-traffic randomness must actually vary.
     assert_ne!(
         a.features.unwrap().cov,

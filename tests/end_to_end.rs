@@ -42,12 +42,13 @@ fn train_serialize_reload_classify() {
     let reloaded = SignatureClassifier::from_json(&json).expect("parse");
 
     // Fresh, unseen test → both models agree and are correct.
-    let t = run_test(&TestbedConfig::scaled(AccessParams::figure1(), 4242));
+    let t = run_test(&Profile::Scaled.config(AccessParams::figure1(), 4242));
     let f = t.features.expect("features");
     assert_eq!(clf.classify(&f), reloaded.classify(&f));
     assert_eq!(clf.classify(&f), CongestionClass::SelfInduced);
 
-    let t = run_test(&TestbedConfig::scaled(AccessParams::figure1(), 4243).externally_congested());
+    let cfg = Profile::Scaled.config(AccessParams::figure1(), 4243);
+    let t = run_test(&cfg.externally_congested());
     let f = t.features.expect("features");
     assert_eq!(clf.classify(&f), CongestionClass::External);
 }
@@ -73,7 +74,7 @@ fn classifier_needs_no_path_knowledge() {
         latency_ms: 40,
         buffer_ms: 150,
     };
-    let t = run_test(&TestbedConfig::scaled(unseen, 777));
+    let t = run_test(&Profile::Scaled.config(unseen, 777));
     let f = t.features.expect("features");
     assert_eq!(clf.classify(&f), CongestionClass::SelfInduced);
 }
@@ -88,7 +89,7 @@ fn verdict_confidence_reflects_leaf_purity() {
     }
     .run_with(&Executor::sequential(), |_| {});
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
-    let t = run_test(&TestbedConfig::scaled(AccessParams::figure1(), 555));
+    let t = run_test(&Profile::Scaled.config(AccessParams::figure1(), 555));
     let f = t.features.expect("features");
     let (class, conf) = clf.classify_with_confidence(&f);
     assert_eq!(class, CongestionClass::SelfInduced);

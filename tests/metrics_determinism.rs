@@ -16,9 +16,7 @@
 
 use csig_exec::{Campaign, Executor, Scenario};
 use csig_obs::{MetricsRegistry, Snapshot, TraceEvent};
-use csig_testbed::{
-    build, AccessParams, Profile, SweepScenario, TestResult, TestbedConfig, DRAIN_TAIL,
-};
+use csig_testbed::{build, AccessParams, Profile, SweepScenario, TestResult, DRAIN_TAIL};
 
 /// A small interleaved self/external campaign on the figure-1 point,
 /// each cell observed through its own registry and trace buffer.
@@ -95,7 +93,7 @@ fn per_scenario_metrics_are_jobs_invariant() {
 #[test]
 fn figure1_cells_balance_the_packet_ledger() {
     for external in [false, true] {
-        let mut cfg = TestbedConfig::scaled(AccessParams::figure1(), 2);
+        let mut cfg = Profile::Scaled.config(AccessParams::figure1(), 2);
         if external {
             cfg = cfg.externally_congested();
         }

@@ -23,9 +23,9 @@ fn verdict_survives_pcap_roundtrip() {
     let clf = train_from_results(&results, 0.7, TreeParams::default()).expect("model");
 
     // Run a fresh test, capture at the server.
-    let cfg = TestbedConfig::scaled(AccessParams::figure1(), 987);
+    let cfg = Profile::Scaled.config(AccessParams::figure1(), 987);
     let mut tb = testbed::build(&cfg);
-    let cap = tb.attach_capture();
+    let cap = tb.sim.attach_capture(tb.server1);
     tb.sim
         .run_until(tb.test_end + testbed::DRAIN_TAIL)
         .expect_within_budget();
@@ -60,9 +60,9 @@ fn verdict_survives_pcap_roundtrip() {
 
 #[test]
 fn pcap_file_has_standard_layout() {
-    let cfg = TestbedConfig::scaled(AccessParams::figure1(), 988);
+    let cfg = Profile::Scaled.config(AccessParams::figure1(), 988);
     let mut tb = testbed::build(&cfg);
-    let cap = tb.attach_capture();
+    let cap = tb.sim.attach_capture(tb.server1);
     tb.sim
         .run_until(tb.test_start + SimDuration::from_millis(500))
         .expect_within_budget();

@@ -15,7 +15,7 @@ fn norm_diff_grows_with_buffer_depth() {
             latency_ms: 20,
             buffer_ms,
         };
-        run_test(&TestbedConfig::scaled(access, 2024))
+        run_test(&Profile::Scaled.config(access, 2024))
             .features
             .expect("features")
             .norm_diff
@@ -36,7 +36,7 @@ fn norm_diff_close_to_buffer_fraction() {
         latency_ms: 20,
         buffer_ms: 100,
     };
-    let f = run_test(&TestbedConfig::scaled(access, 31))
+    let f = run_test(&Profile::Scaled.config(access, 31))
         .features
         .expect("features");
     // Base RTT ≈ 2×latency + core ≈ 46 ms ⇒ ceiling ≈ 100/146 ≈ 0.68.
@@ -68,7 +68,7 @@ fn latency_invariance_of_the_verdict() {
             latency_ms,
             buffer_ms: 100,
         };
-        let f = run_test(&TestbedConfig::scaled(access, 72))
+        let f = run_test(&Profile::Scaled.config(access, 72))
             .features
             .expect("features");
         assert_eq!(
@@ -89,7 +89,7 @@ fn prop_self_induced_runs_always_yield_valid_features() {
         "prop_self_induced_runs_always_yield_valid_features",
         |rng| {
             let seed = rng.gen_range(0u64..1000);
-            let r = run_test(&TestbedConfig::scaled(AccessParams::figure1(), seed));
+            let r = run_test(&Profile::Scaled.config(AccessParams::figure1(), seed));
             let f = r.features.expect("self-induced runs are never starved");
             assert!(f.norm_diff > 0.0 && f.norm_diff <= 1.0);
             assert!(f.cov > 0.0);

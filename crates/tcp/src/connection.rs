@@ -20,9 +20,10 @@ use crate::cc::{AckInfo, CcKind, CongestionControl};
 use crate::rtt::RttEstimator;
 use crate::seq::{offset_of, wire_seq};
 use csig_netsim::{
-    Ctx, FlowId, NodeId, PacketSpec, SimDuration, SimTime, TcpFlags, TcpHeader, TimerToken, NO_SACK,
+    Ctx, FlowId, NodeId, PacketSpec, SackBlocks, SimDuration, SimTime, TcpFlags, TcpHeader,
+    TimerToken, NO_SACK,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Endpoint configuration: the stack properties experiments vary.
 /// Everything else is fixed at Linux-like values: segments of
@@ -246,6 +247,13 @@ pub struct TcpConnection {
     /// Highest stream offset covered by any SACK block (RFC 6675
     /// loss-inference boundary).
     highest_sacked: u64,
+    /// The SACK blocks of the last ACK, as stream offsets, and
+    /// `snd_nxt` when they were applied: every segment then on the
+    /// board and wholly inside one of them is marked, so a repeat of
+    /// the block need not walk those segments again. Cleared to
+    /// `(0, 0)` slots, which skip nothing, with the board.
+    sack_seen: [(u64, u64); 3],
+    sack_seen_nxt: u64,
     consec_timeouts: u32,
     peer_rwnd: u64,
     rto_armed: bool,
@@ -260,7 +268,9 @@ pub struct TcpConnection {
     // ---- receive half ----
     irs: u32,
     rcv_nxt: u64,
-    ooo: BTreeMap<u64, u64>,
+    /// Data held beyond `rcv_nxt`: disjoint, non-touching `[start, end)`
+    /// intervals in ascending order, every start above `rcv_nxt`.
+    ooo: Vec<(u64, u64)>,
     peer_fin_offset: Option<u64>,
 
     // ---- accounting ----
@@ -309,6 +319,8 @@ impl TcpConnection {
             dupacks: 0,
             recovery: None,
             highest_sacked: 0,
+            sack_seen: [(0, 0); 3],
+            sack_seen_nxt: 0,
             consec_timeouts: 0,
             peer_rwnd: 64 * 1024,
             rto_armed: false,
@@ -316,7 +328,7 @@ impl TcpConnection {
             rto_timer_at: None,
             irs: 0,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            ooo: Vec::new(),
             peer_fin_offset: None,
             last_limit: None,
             stats: ConnStats::default(),
@@ -544,27 +556,24 @@ impl TcpConnection {
         // Mark selectively acknowledged segments on the scoreboard.
         let mut sack_advanced = false;
         if self.cfg.sack {
-            for block in hdr.sack.iter().flatten() {
+            let mut seen = [(0, 0); 3];
+            for (slot, block) in seen.iter_mut().zip(hdr.sack.iter().flatten()) {
                 let start = offset_of(self.iss.wrapping_add(1), block.0, self.snd_una);
                 let end = offset_of(self.iss.wrapping_add(1), block.1, start);
+                *slot = (start, end);
                 if start < end {
-                    // Mark the segments lying wholly inside the block.
-                    let first = self.segs.partition_point(|m| m.off < start);
-                    for meta in self.segs.range_mut(first..) {
-                        if meta.end() > end {
-                            break;
-                        }
-                        if !meta.sacked {
-                            if meta.in_pipe(self.highest_sacked) {
-                                self.pipe_bytes -= meta.seq_len as u64;
-                            }
-                            meta.sacked = true;
-                            sack_advanced = true;
-                        }
-                    }
+                    sack_advanced |= self.mark_sacked(start, end);
                     self.raise_highest_sacked(end);
                 }
             }
+            debug_assert!(
+                self.segs
+                    .iter()
+                    .all(|m| m.sacked || !seen.iter().any(|&(s, e)| s <= m.off && m.end() <= e)),
+                "memoised SACK marking skipped a segment the full walk marks"
+            );
+            self.sack_seen = seen;
+            self.sack_seen_nxt = self.snd_nxt;
         }
         // The peer's ack field acknowledges our sequence space: our wire
         // seq for offset k is iss + 1 + k (the +1 is our SYN).
@@ -701,6 +710,43 @@ impl TcpConnection {
         }
     }
 
+    /// Mark the segments lying wholly inside the SACK block `[start,
+    /// end)`; returns whether any was newly marked. When the last ACK
+    /// carried a block with the same start, the segments it covered
+    /// that were on the board then are marked already: the walk skips
+    /// them, so a repeated block costs nothing and one grown at the top
+    /// is walked from its old end. Segments appended since lie at or
+    /// above that ACK's `snd_nxt` (after a go-back-N clear they can
+    /// fall inside the old block) and are walked too.
+    fn mark_sacked(&mut self, start: u64, end: u64) -> bool {
+        let (old_end, old_nxt) = match self.sack_seen.iter().find(|b| b.0 == start) {
+            Some(&(_, e)) => (e, self.sack_seen_nxt),
+            None => (start, 0),
+        };
+        if end <= old_end && end <= old_nxt {
+            return false;
+        }
+        // Offsets and end offsets both increase along the board, so
+        // "below the block, or marked by its last copy" is a prefix.
+        let first = self
+            .segs
+            .partition_point(|m| m.off < start || (m.end() <= old_end && m.off < old_nxt));
+        let mut advanced = false;
+        for meta in self.segs.range_mut(first..) {
+            if meta.end() > end {
+                break;
+            }
+            if !meta.sacked {
+                if meta.in_pipe(self.highest_sacked) {
+                    self.pipe_bytes -= meta.seq_len as u64;
+                }
+                meta.sacked = true;
+                advanced = true;
+            }
+        }
+        advanced
+    }
+
     fn enter_fast_recovery(&mut self, ctx: &mut Ctx) {
         self.stats.fast_retransmits += 1;
         self.recovery = Some(self.snd_nxt + if self.fin_sent { 1 } else { 0 });
@@ -725,54 +771,88 @@ impl TcpConnection {
         if hdr.flags.fin() {
             self.peer_fin_offset = Some(payload_end);
         }
-        let in_order = start <= self.rcv_nxt;
-        if payload_end > self.rcv_nxt && hdr.payload_len > 0 {
-            if in_order && self.ooo.is_empty() {
-                // Nothing is buffered beyond rcv_nxt: the segment just
-                // extends it, as inserting and draining would.
-                self.stats.bytes_received += payload_end - self.rcv_nxt;
-                self.rcv_nxt = payload_end;
-            } else {
-                self.insert_ooo(start.max(self.rcv_nxt), payload_end);
-                self.drain_in_order();
-            }
+        if hdr.payload_len > 0 {
+            self.receive(start, payload_end);
         }
         self.send_ack_now(ctx);
     }
 
-    fn insert_ooo(&mut self, start: u64, end: u64) {
-        if start >= end {
+    /// Take in the payload bytes `[start, end)`: advance `rcv_nxt` over
+    /// what is now in order and hold the rest out of order.
+    fn receive(&mut self, start: u64, end: u64) {
+        if end <= self.rcv_nxt {
             return;
         }
-        // Merge [start, end) into the out-of-order interval set. The
-        // intervals are disjoint and non-touching, so the ones to absorb
-        // are the highest-starting ones at or below `end`, taken downwards
-        // until one ends before `start`.
-        let mut new_start = start;
-        let mut new_end = end;
-        while let Some((&s, &e)) = self.ooo.range(..=end).next_back() {
-            if e < start {
-                break;
-            }
-            self.ooo.remove(&s);
-            new_start = new_start.min(s);
-            new_end = new_end.max(e);
+        if start <= self.rcv_nxt && self.ooo.is_empty() {
+            // Nothing is buffered beyond rcv_nxt: the segment just
+            // extends it, as inserting and draining would.
+            self.stats.bytes_received += end - self.rcv_nxt;
+            self.rcv_nxt = end;
+        } else {
+            self.insert_ooo(start.max(self.rcv_nxt), end);
+            debug_assert!(self.ooo_is_valid(self.rcv_nxt), "ooo set broken by insert");
+            self.drain_in_order();
+            debug_assert!(
+                self.ooo_is_valid(self.rcv_nxt + 1),
+                "ooo set broken by drain"
+            );
         }
-        self.ooo.insert(new_start, new_end);
     }
 
+    /// Merge `[start, end)` (non-empty) into the out-of-order set. The
+    /// intervals are disjoint and non-touching, so both their starts
+    /// and their ends ascend, and the ones the new interval meets form
+    /// one run: from the first ending at or after `start` to the last
+    /// starting at or before `end`.
+    fn insert_ooo(&mut self, start: u64, end: u64) {
+        let lo = self.ooo.partition_point(|&(_, e)| e < start);
+        let hi = lo + self.ooo[lo..].partition_point(|&(s, _)| s <= end);
+        if lo == hi {
+            self.ooo.insert(lo, (start, end));
+        } else {
+            self.ooo[lo] = (start.min(self.ooo[lo].0), end.max(self.ooo[hi - 1].1));
+            self.ooo.drain(lo + 1..hi);
+        }
+    }
+
+    /// Move the intervals that now reach `rcv_nxt` into the stream.
     fn drain_in_order(&mut self) {
-        while let Some((&s, &e)) = self.ooo.first_key_value() {
-            if s <= self.rcv_nxt {
-                self.ooo.pop_first();
-                if e > self.rcv_nxt {
-                    self.stats.bytes_received += e - self.rcv_nxt;
-                    self.rcv_nxt = e;
-                }
-            } else {
+        let mut n = 0;
+        for &(s, e) in &self.ooo {
+            if s > self.rcv_nxt {
                 break;
             }
+            n += 1;
+            if e > self.rcv_nxt {
+                self.stats.bytes_received += e - self.rcv_nxt;
+                self.rcv_nxt = e;
+            }
         }
+        self.ooo.drain(..n);
+    }
+
+    /// Whether the out-of-order set is sorted, disjoint and
+    /// non-touching, with no empty interval and every start at or above
+    /// `min_start`.
+    fn ooo_is_valid(&self, min_start: u64) -> bool {
+        self.ooo.first().is_none_or(|&(s, _)| s >= min_start)
+            && self.ooo.iter().all(|&(s, e)| s < e)
+            && self.ooo.windows(2).all(|w| w[0].1 < w[1].0)
+    }
+
+    /// The receiver's SACK blocks: the first three held intervals by
+    /// ascending start, in wire sequence numbers.
+    fn sack_blocks(&self) -> SackBlocks {
+        let mut sack = NO_SACK;
+        if self.cfg.sack {
+            for (slot, &(s, e)) in sack.iter_mut().zip(&self.ooo) {
+                *slot = Some((
+                    wire_seq(self.irs.wrapping_add(1), s),
+                    wire_seq(self.irs.wrapping_add(1), e),
+                ));
+            }
+        }
+        sack
     }
 
     fn send_ack_now(&mut self, ctx: &mut Ctx) {
@@ -780,22 +860,13 @@ impl TcpConnection {
             Some(f) if self.rcv_nxt >= f => 1u32,
             _ => 0,
         };
-        let mut sack = NO_SACK;
-        if self.cfg.sack {
-            for (i, (&s, &e)) in self.ooo.iter().take(3).enumerate() {
-                sack[i] = Some((
-                    wire_seq(self.irs.wrapping_add(1), s),
-                    wire_seq(self.irs.wrapping_add(1), e),
-                ));
-            }
-        }
         let hdr = TcpHeader {
             seq: wire_seq(self.iss.wrapping_add(1), self.snd_nxt),
             ack: wire_seq(self.irs.wrapping_add(1), self.rcv_nxt).wrapping_add(fin_bump),
             flags: TcpFlags::ACK,
             payload_len: 0,
             window: self.adv_window(),
-            sack,
+            sack: self.sack_blocks(),
         };
         ctx.send(PacketSpec::tcp(self.flow, self.peer, hdr));
         // Receiving the peer's FIN triggers our own close once our data
@@ -1175,6 +1246,7 @@ impl TcpConnection {
                 self.pipe_bytes = 0;
                 self.repair_cursor = 0;
                 self.highest_sacked = self.snd_una;
+                self.sack_seen = [(0, 0); 3];
                 if self.fin_sent && !self.fin_acked {
                     self.fin_sent = false;
                 }
@@ -1383,5 +1455,222 @@ mod reassembly_tests {
             .map(|k| (wire(k * SEG), NO_SACK, u64::from(k * SEG), 0))
             .collect();
         assert_eq!(got, want);
+    }
+}
+
+#[cfg(test)]
+mod ooo_set_tests {
+    use super::*;
+    use csig_rng::cases;
+    use std::collections::BTreeMap;
+
+    /// The receive path over a `BTreeMap` interval set, as it was
+    /// before the set became a sorted `Vec`.
+    #[derive(Default)]
+    struct Reference {
+        rcv_nxt: u64,
+        bytes_received: u64,
+        ooo: BTreeMap<u64, u64>,
+    }
+
+    impl Reference {
+        fn receive(&mut self, start: u64, end: u64) {
+            if end <= self.rcv_nxt {
+                return;
+            }
+            if start <= self.rcv_nxt && self.ooo.is_empty() {
+                self.bytes_received += end - self.rcv_nxt;
+                self.rcv_nxt = end;
+            } else {
+                self.insert_ooo(start.max(self.rcv_nxt), end);
+                self.drain_in_order();
+            }
+        }
+
+        fn insert_ooo(&mut self, start: u64, end: u64) {
+            if start >= end {
+                return;
+            }
+            let mut new_start = start;
+            let mut new_end = end;
+            while let Some((&s, &e)) = self.ooo.range(..=end).next_back() {
+                if e < start {
+                    break;
+                }
+                self.ooo.remove(&s);
+                new_start = new_start.min(s);
+                new_end = new_end.max(e);
+            }
+            self.ooo.insert(new_start, new_end);
+        }
+
+        fn drain_in_order(&mut self) {
+            while let Some((&s, &e)) = self.ooo.first_key_value() {
+                if s > self.rcv_nxt {
+                    break;
+                }
+                self.ooo.pop_first();
+                if e > self.rcv_nxt {
+                    self.bytes_received += e - self.rcv_nxt;
+                    self.rcv_nxt = e;
+                }
+            }
+        }
+
+        /// The first three intervals by ascending start, on the wire of
+        /// a peer whose ISS is 0.
+        fn sack_blocks(&self) -> SackBlocks {
+            let mut sack = NO_SACK;
+            for (slot, (&s, &e)) in sack.iter_mut().zip(&self.ooo) {
+                *slot = Some((wire_seq(1, s), wire_seq(1, e)));
+            }
+            sack
+        }
+    }
+
+    /// Random segments, some on a 100-byte grid (so intervals touch and
+    /// duplicates recur), some at any offset; many overlap what is held
+    /// or straddle `rcv_nxt`.
+    #[test]
+    fn prop_flat_set_matches_the_btreemap_reference() {
+        cases(256, "prop_flat_set_matches_the_btreemap_reference", |rng| {
+            let mut conn = TcpConnection::listen(FlowId(1), NodeId(0), TcpConfig::default());
+            let mut reference = Reference::default();
+            let segments = rng.gen_range(1usize..80);
+            for _ in 0..segments {
+                let (start, len) = if rng.gen_bool(0.5) {
+                    (100 * rng.gen_range(0u64..40), 100 * rng.gen_range(1u64..4))
+                } else {
+                    (rng.gen_range(0u64..4_000), rng.gen_range(1u64..400))
+                };
+                conn.receive(start, start + len);
+                reference.receive(start, start + len);
+                assert_eq!(conn.rcv_nxt, reference.rcv_nxt);
+                assert_eq!(conn.stats.bytes_received, reference.bytes_received);
+                let want: Vec<(u64, u64)> = reference.ooo.iter().map(|(&s, &e)| (s, e)).collect();
+                assert_eq!(conn.ooo, want, "after [{start}, {})", start + len);
+                assert_eq!(conn.sack_blocks(), reference.sack_blocks());
+            }
+        });
+    }
+}
+
+#[cfg(test)]
+mod sack_memo_tests {
+    use super::*;
+    use csig_netsim::{Agent, LinkConfig, Packet, PacketKind, Simulator};
+
+    const MSS: u64 = csig_netsim::DEFAULT_MSS as u64;
+    const PEER_ISS: u32 = 9000;
+
+    /// The board after an ACK that carried SACK blocks: `pipe()`, the
+    /// offsets of the SACKed segments and those of the holes.
+    type Board = (u64, Vec<u64>, Vec<u64>);
+
+    /// Sends ten segments and records its board after each SACK.
+    struct Sender {
+        conn: TcpConnection,
+        boards: Vec<Board>,
+    }
+
+    impl Agent for Sender {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.conn.send_data(ctx, 10 * MSS);
+            self.conn.open(ctx);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            let PacketKind::Tcp(hdr) = pkt.kind else {
+                return;
+            };
+            self.conn.on_segment(ctx, &hdr);
+            if hdr.sack[0].is_some() {
+                let offsets = |sacked: bool| {
+                    let segs = self.conn.segs.iter().filter(|m| m.sacked == sacked);
+                    segs.map(|m| m.off).collect()
+                };
+                self.boards
+                    .push((self.conn.pipe(), offsets(true), offsets(false)));
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, _: TimerToken) {
+            self.conn.on_timer(ctx);
+        }
+    }
+
+    /// Holds segments 1 and 3–9 of the first flight but ACKs none of
+    /// it, so the sender's RTO clears the board and resends segment 0.
+    /// It answers that with ACK 2 and SACK [3, 10) (in segments), loses
+    /// the resent segment 2 and answers the resent segment 3 with the
+    /// same ACK.
+    struct Peer {
+        sender: NodeId,
+        iss: u32,
+        data_seen: u32,
+    }
+
+    impl Agent for Peer {
+        fn on_start(&mut self, _: &mut Ctx) {}
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            let PacketKind::Tcp(hdr) = pkt.kind else {
+                return;
+            };
+            let wire = |segment: u64| self.iss.wrapping_add(1 + (segment * MSS) as u32);
+            let mut reply = TcpHeader {
+                seq: PEER_ISS + 1,
+                ack: wire(2),
+                flags: TcpFlags::ACK,
+                payload_len: 0,
+                window: 1 << 20,
+                sack: [Some((wire(3), wire(10))), None, None],
+            };
+            if hdr.flags.syn() {
+                self.iss = hdr.seq;
+                reply.seq = PEER_ISS;
+                reply.ack = hdr.seq.wrapping_add(1);
+                reply.flags = TcpFlags::SYN | TcpFlags::ACK;
+                reply.sack = NO_SACK;
+            } else if hdr.payload_len > 0 {
+                self.data_seen += 1;
+                if self.data_seen <= 10 || hdr.seq == wire(2) {
+                    return;
+                }
+            } else {
+                return;
+            }
+            ctx.send(PacketSpec::tcp(pkt.flow, self.sender, reply));
+        }
+        fn on_timer(&mut self, _: &mut Ctx, _: TimerToken) {}
+    }
+
+    #[test]
+    fn a_repeated_block_marks_what_go_back_n_resent_since() {
+        let mut sim = Simulator::new(1);
+        let tx = sim.add_host(Box::new(Sender {
+            conn: TcpConnection::active(FlowId(1), NodeId(1), TcpConfig::default()),
+            boards: vec![],
+        }));
+        let rx = sim.add_host(Box::new(Peer {
+            sender: tx,
+            iss: 0,
+            data_seen: 0,
+        }));
+        sim.add_duplex_link(
+            tx,
+            rx,
+            LinkConfig::new(100_000_000, SimDuration::from_millis(1)),
+        );
+        sim.compute_routes();
+        let _ = sim.run_until(SimTime::from_secs(2));
+        let sender = sim.agent::<Sender>(tx).unwrap();
+        assert_eq!(sender.conn.stats.timeouts, 1);
+        let boards = &sender.boards;
+        // The first copy of the block covers none of the board: only
+        // segment 0 was back on it. Its ACK lets segments 2 and 3 out,
+        // both re-sends, so both count in the pipe.
+        assert_eq!(boards[0], (2 * MSS, vec![], vec![2 * MSS, 3 * MSS]));
+        // The second copy must mark segment 3, which now lies inside it:
+        // only segment 2 is left in the pipe and on the board as a hole.
+        assert_eq!(boards[1], (MSS, vec![3 * MSS], vec![2 * MSS]));
+        assert_eq!(boards.len(), 2);
     }
 }

@@ -20,6 +20,7 @@ use csig_netsim::{
 };
 use csig_rng::StdRng;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// What a server sends on each accepted connection.
 #[derive(Debug, Clone)]
@@ -67,12 +68,51 @@ struct ServerConn {
     app_started: bool,
 }
 
+/// Hashes a [`FlowId`] with two folded 64×64→128-bit multiplies in
+/// place of SipHash: the server looks a connection up on every segment
+/// it receives, and nothing iterates the map, so the order of its
+/// buckets never reaches an output. Flow ids of one client block differ
+/// only above bit 16, so each fold mixes the product's high half into
+/// the low bits the table indexes by.
+#[derive(Default)]
+struct FlowHasher(u64);
+
+impl FlowHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    const S: u64 = 0x243F_6A88_85A3_08D3;
+
+    fn fold_mul(a: u64) -> u64 {
+        let p = u128::from(a) * u128::from(Self::K);
+        (p as u64) ^ (p >> 64) as u64
+    }
+}
+
+impl Hasher for FlowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = Self::fold_mul(Self::fold_mul(self.0 ^ n) ^ Self::S);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A passive TCP endpoint accepting any number of connections and
 /// sending data per its [`ServerSendPolicy`].
 pub struct TcpServerAgent {
     cfg: TcpConfig,
     policy: ServerSendPolicy,
-    conns: HashMap<FlowId, ServerConn>,
+    conns: HashMap<FlowId, ServerConn, BuildHasherDefault<FlowHasher>>,
     /// Stats of completed connections, in completion order.
     pub completed: Vec<(FlowId, ConnStats)>,
     /// Keep completed connection stats? Disable for heavy cross-traffic.
@@ -85,7 +125,7 @@ impl TcpServerAgent {
         TcpServerAgent {
             cfg,
             policy,
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             completed: Vec::new(),
             keep_completed: true,
         }
@@ -384,5 +424,42 @@ impl Agent for TcpClientAgent {
 
     fn name(&self) -> &'static str {
         "tcp-client"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::BuildHasher;
+
+    fn hash(id: u32) -> u64 {
+        BuildHasherDefault::<FlowHasher>::default().hash_one(FlowId(id))
+    }
+
+    #[test]
+    fn every_input_bit_reaches_the_low_bits() {
+        for base in [0u32, 42, 1 << 20, (1 << 24) + 3, 0x1234_5678, u32::MAX] {
+            for bit in 0..32 {
+                assert_ne!(
+                    hash(base) & 0xFFFF,
+                    hash(base ^ (1 << bit)) & 0xFFFF,
+                    "flipping bit {bit} of {base:#x} leaves the low 16 bits"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_client_block_spreads_over_the_table() {
+        // `TGcong`-style ids: one connection per client, clients 2^16
+        // apart. 40 keys drawn at random fill about 30 of 64 buckets.
+        let buckets: std::collections::BTreeSet<u64> = (0..40u32)
+            .map(|i| hash((1 << 24) + (i << 16)) & 63)
+            .collect();
+        assert!(
+            buckets.len() >= 24,
+            "40 ids share {} buckets",
+            buckets.len()
+        );
     }
 }

@@ -133,6 +133,37 @@ fn prop_rtt_samples_respect_physics() {
     });
 }
 
+/// Three cases that once failed the two reliability properties above,
+/// pinned so they re-run on every test pass: (size, rate Mbps, delay
+/// ms, buffer ms, loss ‰, jitter ms, congestion control, seed).
+#[test]
+fn past_failures_stay_reliable() {
+    let saved = [
+        (59_369, 20, 15, 60, 6, 1, CcKind::Cubic, 555),
+        (255_935, 30, 13, 10, 16, 1, CcKind::NewReno, 8906),
+        (343_539, 10, 6, 42, 12, 0, CcKind::NewReno, 4223),
+    ];
+    for (size, rate_mbps, delay_ms, buffer_ms, loss_pm, jitter_ms, cc, seed) in saved {
+        let (received, stats, stop) = transfer(
+            size,
+            rate_mbps,
+            delay_ms,
+            buffer_ms,
+            loss_pm as f64 / 1000.0,
+            jitter_ms,
+            cc,
+            seed,
+        );
+        assert_eq!(
+            stop,
+            StopReason::Drained,
+            "{cc:?} seed {seed} did not finish"
+        );
+        assert_eq!(received, size, "{cc:?} seed {seed}: byte count mismatch");
+        assert_eq!(stats.bytes_acked, size, "{cc:?} seed {seed}");
+    }
+}
+
 /// Deterministic heavy-adversity regression: 5 % loss both ways plus
 /// jitter. Not a property test because it is slow; three fixed seeds.
 #[test]

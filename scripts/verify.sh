@@ -13,6 +13,9 @@ cargo test -q --workspace
 echo "==> liveness: random TCP transfers over every CC kind and SACK setting drain (soak)"
 cargo run --release -q -p csig-tcp --example soak
 
+echo "==> liveness soak with debug assertions (scoreboard, pipe and reassembly checks)"
+cargo run -q -p csig-tcp --example soak
+
 echo "==> observability: same-seed campaign snapshots are jobs-invariant and pinned"
 obsdir="$(mktemp -d)"
 trap 'rm -rf "$obsdir"' EXIT

@@ -105,7 +105,9 @@ mod tests {
     use crate::classifier::{ModelMeta, SignatureClassifier};
     use csig_dtree::TreeParams;
     use csig_features::CongestionClass;
-    use csig_netsim::{Direction, LinkConfig, PacketRecord, SimDuration, SimTime, Simulator};
+    use csig_netsim::{
+        Capture, Direction, LinkConfig, PacketRecord, SimDuration, SimTime, Simulator,
+    };
     use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 
     fn tiny_model() -> SignatureClassifier {
@@ -148,10 +150,10 @@ mod tests {
             LinkConfig::new(20_000_000, SimDuration::from_millis(20)).buffer_ms(100),
         );
         sim.compute_routes();
-        let cap = sim.attach_capture(server);
+        let cap = sim.attach_sink(server, Box::new(Capture::new(server)));
         sim.set_event_budget(50_000_000);
         sim.run().expect_within_budget();
-        sim.take_capture(cap)
+        sim.take_sink::<Capture>(cap).unwrap()
     }
 
     #[test]

@@ -56,13 +56,13 @@ mod tests {
     use crate::training::train_from_results;
     use csig_dtree::TreeParams;
     use csig_exec::Executor;
-    use csig_netsim::{LinkConfig, SimDuration, Simulator};
+    use csig_netsim::{Capture, LinkConfig, SimDuration, Simulator};
     use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
     use csig_testbed::{AccessParams, Profile, Sweep};
 
     /// Run a download and return both the server's kernel stats and its
     /// packet capture.
-    fn instrumented_download(seed: u64) -> (ConnStats, csig_netsim::Capture) {
+    fn instrumented_download(seed: u64) -> (ConnStats, Capture) {
         let mut sim = Simulator::new(seed);
         let server = sim.add_host(Box::new(TcpServerAgent::new(
             TcpConfig::default(),
@@ -80,11 +80,14 @@ mod tests {
             LinkConfig::new(20_000_000, SimDuration::from_millis(20)).buffer_ms(100),
         );
         sim.compute_routes();
-        let cap = sim.attach_capture(server);
+        let cap = sim.attach_sink(server, Box::new(Capture::new(server)));
         sim.set_event_budget(50_000_000);
         sim.run().expect_within_budget();
         let s: &TcpServerAgent = sim.agent(server).unwrap();
-        (s.completed[0].1.clone(), sim.take_capture(cap))
+        (
+            s.completed[0].1.clone(),
+            sim.take_sink::<Capture>(cap).unwrap(),
+        )
     }
 
     fn model() -> SignatureClassifier {

@@ -47,17 +47,10 @@ impl Web100Log {
                 d.as_secs_f64() / total
             }
         };
-        let rtts: Vec<f64> = stats
-            .rtt_samples
-            .iter()
-            .map(|(_, r)| r.as_millis_f64())
-            .collect();
-        let min_rtt_ms = rtts.iter().copied().reduce(f64::min);
-        let mean_rtt_ms = if rtts.is_empty() {
-            None
-        } else {
-            Some(rtts.iter().sum::<f64>() / rtts.len() as f64)
-        };
+        let rtts = stats.rtt_samples.iter().map(|(_, r)| r.as_millis_f64());
+        let min_rtt_ms = rtts.clone().reduce(f64::min);
+        let n = stats.rtt_samples.len();
+        let mean_rtt_ms = (n > 0).then(|| rtts.sum::<f64>() / n as f64);
         Web100Log {
             duration,
             bytes_acked: stats.bytes_acked,

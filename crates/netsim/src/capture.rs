@@ -50,10 +50,6 @@ pub trait PacketSink: Any {
     fn on_record(&mut self, rec: &PacketRecord);
 }
 
-/// Handle returned by `Simulator::attach_capture`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CaptureHandle(pub(crate) usize);
-
 /// Handle returned by `Simulator::attach_sink`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkHandle(pub(crate) usize);

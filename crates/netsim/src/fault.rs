@@ -20,11 +20,11 @@
 //! Every random draw comes from a dedicated per-link PRNG stream derived
 //! from the simulation's master seed (see [`crate::rng::stream_rng`]),
 //! so identical seeds produce identical impairment sequences regardless
-//! of worker count, host count, or unrelated configuration. Each
-//! impairment decision is appended to an [`ImpairmentRecord`] log that
-//! tests and experiments can compare byte-for-byte.
+//! of worker count, host count, or unrelated configuration. A traced
+//! simulator reports each impairment as a `sim` trace event (`drop`,
+//! `reorder`, `duplicate`) naming the packet, so two runs compare
+//! byte-for-byte through their trace lines.
 
-use crate::ids::PacketId;
 use crate::time::{SimDuration, SimTime};
 use csig_rng::StdRng;
 
@@ -228,39 +228,14 @@ impl FaultPlan {
     }
 }
 
-/// What happened to one packet at an impaired link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Impairment {
-    /// Dropped by the loss model.
-    Lost,
-    /// Dropped because the link was down.
-    LostDown,
-    /// Held back past later packets.
-    Reordered,
-    /// A second copy was enqueued.
-    Duplicated,
-}
-
-/// One entry of a link's impairment log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImpairmentRecord {
-    /// Simulated time of the decision.
-    pub at: SimTime,
-    /// The affected packet.
-    pub packet: PacketId,
-    /// What the fault layer did.
-    pub what: Impairment,
-}
-
 /// Runtime state of an attached fault plan: the plan, its dedicated
-/// PRNG stream, the loss chain's current state and the impairment log.
+/// PRNG stream and the loss chain's current state.
 #[derive(Debug)]
 pub struct FaultState {
     plan: FaultPlan,
     rng: StdRng,
     /// Gilbert–Elliott chain state (`true` = bad).
     ge_bad: bool,
-    log: Vec<ImpairmentRecord>,
 }
 
 impl FaultState {
@@ -270,22 +245,7 @@ impl FaultState {
             plan,
             rng,
             ge_bad: false,
-            log: Vec::new(),
         }
-    }
-
-    /// The plan this state executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The impairment decisions made so far, in event order.
-    pub fn log(&self) -> &[ImpairmentRecord] {
-        &self.log
-    }
-
-    pub(crate) fn record(&mut self, at: SimTime, packet: PacketId, what: Impairment) {
-        self.log.push(ImpairmentRecord { at, packet, what });
     }
 
     /// Whether the plan supplies its own loss model (overriding the

@@ -53,18 +53,12 @@ pub mod pool;
 pub mod queue;
 pub mod rng;
 pub mod sim;
-pub mod stats;
 pub mod time;
 
 pub use agent::{Agent, Command, Ctx, SinkAgent};
-pub use capture::{
-    Capture, CaptureHandle, Direction, NullSink, PacketRecord, PacketSink, SinkHandle,
-};
+pub use capture::{Capture, Direction, NullSink, PacketRecord, PacketSink, SinkHandle};
 pub use event::{EventEntry, EventKind, EventQueue, TimerToken};
-pub use fault::{
-    FaultAction, FaultEvent, FaultPlan, GilbertElliott, Impairment, ImpairmentRecord, LossModel,
-    ReorderSpec,
-};
+pub use fault::{FaultAction, FaultEvent, FaultPlan, GilbertElliott, LossModel, ReorderSpec};
 pub use ids::{FlowId, LinkId, NodeId, PacketId};
 pub use link::{BufferSize, Link, LinkConfig};
 pub use packet::{
@@ -74,5 +68,4 @@ pub use packet::{
 pub use pool::{PacketHandle, PacketPool};
 pub use queue::{QueueKind, RedParams};
 pub use sim::{Simulator, StopReason};
-pub use stats::LinkStats;
 pub use time::{transmission_time, SimDuration, SimTime};

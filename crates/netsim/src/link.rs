@@ -25,12 +25,11 @@
 //! reconfiguration re-time the packets that have not departed yet.
 
 use crate::event::{EventKind, EventQueue};
-use crate::fault::{FaultAction, FaultState, Impairment, ImpairmentRecord};
-use crate::ids::{LinkId, NodeId, PacketId};
+use crate::fault::{FaultAction, FaultState};
+use crate::ids::{LinkId, NodeId};
 use crate::packet::Packet;
 use crate::pool::{PacketHandle, PacketPool};
 use crate::queue::{EnqueueResult, LinkQueue, QueueKind};
-use crate::stats::LinkStats;
 use crate::time::{transmission_time, SimDuration, SimTime, BIT_NS_PER_BYTE};
 use csig_rng::StdRng;
 use std::collections::VecDeque;
@@ -216,11 +215,27 @@ pub(crate) enum Offered {
     Pooled(PacketHandle),
 }
 
+impl Offered {
+    /// The offered packet.
+    pub(crate) fn packet<'a>(&'a self, pool: &'a PacketPool) -> &'a Packet {
+        match self {
+            Offered::Fresh(pkt) => pkt,
+            Offered::Pooled(h) => pool.get(*h),
+        }
+    }
+}
+
 /// What became of a packet offered to a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnqueueOutcome {
     /// Packet buffered; its arrival is scheduled.
-    Queued,
+    Queued {
+        /// A fault plan held the packet back past later packets.
+        held: bool,
+        /// A fault plan admitted a second copy of the packet; `true` if
+        /// that copy is held back too.
+        copy: Option<bool>,
+    },
     /// Packet dropped by random loss before reaching the buffer.
     DroppedLoss,
     /// Packet dropped because the buffer was full.
@@ -260,7 +275,6 @@ struct Scheduled {
     /// re-time moves it to a new handle.
     handle: PacketHandle,
     size: u32,
-    enqueued_at: SimTime,
     /// Start of serialization; `SimTime::MAX` while a down link parks it.
     depart: SimTime,
     /// Extra hold-back chosen by a fault plan's reorder impairment at
@@ -297,8 +311,6 @@ pub struct Link {
     down: bool,
     /// The link's random stream: loss, RED and jitter draws.
     rng: StdRng,
-    /// Counters.
-    pub stats: LinkStats,
 }
 
 impl Link {
@@ -324,7 +336,6 @@ impl Link {
             fault: None,
             down: false,
             rng,
-            stats: LinkStats::default(),
             cfg,
         }
     }
@@ -334,16 +345,6 @@ impl Link {
     /// [`FaultAction`]s are delivered by the simulator's event queue.
     pub fn attach_fault(&mut self, state: FaultState) {
         self.fault = Some(state);
-    }
-
-    /// The attached fault state, if any.
-    pub fn fault(&self) -> Option<&FaultState> {
-        self.fault.as_ref()
-    }
-
-    /// The impairment decisions made so far (empty without a plan).
-    pub fn fault_log(&self) -> &[ImpairmentRecord] {
-        self.fault.as_ref().map(FaultState::log).unwrap_or(&[])
     }
 
     /// Whether the link is currently down due to a scheduled fault.
@@ -421,14 +422,12 @@ impl Link {
         self.cfg = cfg;
     }
 
-    /// Retire every packet that departed before `now` (one departing at
-    /// `now` is still buffered) into [`LinkStats::delivered_pkts`]. Every
-    /// remaining entry's handle is then live: its arrival is ahead.
+    /// Release the buffer space of every packet that departed before
+    /// `now` (one departing at `now` is still buffered). Every remaining
+    /// entry's handle is then live: its arrival is ahead.
     pub(crate) fn retire(&mut self, now: SimTime) {
-        while let Some(&e) = self.fifo.front().filter(|e| e.depart < now) {
+        while let Some(e) = self.fifo.front().filter(|e| e.depart < now) {
             self.queue.release(e.size);
-            self.stats
-                .record_delivery(e.size as u64, e.depart.saturating_since(e.enqueued_at));
             self.fifo.pop_front();
         }
     }
@@ -482,14 +481,8 @@ impl Link {
         pool: &mut PacketPool,
         events: &mut EventQueue,
     ) -> EnqueueOutcome {
-        let (id, size) = match &offered {
-            Offered::Fresh(pkt) => (pkt.id, pkt.size),
-            Offered::Pooled(h) => {
-                let pkt = pool.get(*h);
-                (pkt.id, pkt.size)
-            }
-        };
-        let dup = match self.admission(id, size, now) {
+        let size = offered.packet(pool).size;
+        let dup = match self.admission(size, now) {
             Ok(dup) => dup,
             Err(dropped) => {
                 if let Offered::Pooled(h) = offered {
@@ -502,39 +495,23 @@ impl Link {
             Offered::Fresh(pkt) => pool.insert(pkt),
             Offered::Pooled(h) => h,
         };
-        self.admit(handle, size, id, now, events);
-        if dup {
-            // The duplicate shares the original's id, like a wire-level
-            // duplication would, but has a pool slot of its own.
-            self.stats.offered_pkts += 1;
-            self.stats.offered_bytes += size as u64;
-            match self.queue.try_admit(size, &mut self.rng) {
-                EnqueueResult::Queued => {
-                    let copy = pool.insert(*pool.get(handle));
-                    self.admit(copy, size, id, now, events);
-                    self.stats.duplicated += 1;
-                    if let Some(f) = &mut self.fault {
-                        f.record(now, id, Impairment::Duplicated);
-                    }
-                }
-                EnqueueResult::DroppedFull => self.stats.dropped_full += 1,
-                EnqueueResult::DroppedEarly => self.stats.dropped_early += 1,
-            }
-        }
-        EnqueueOutcome::Queued
+        let held = self.admit(handle, size, now, events);
+        // The duplicate shares the original's id, like a wire-level
+        // duplication would, but has a pool slot of its own. A copy the
+        // buffer refuses never existed.
+        let copy = (dup && self.queue.try_admit(size, &mut self.rng) == EnqueueResult::Queued)
+            .then(|| {
+                let copy = pool.insert(*pool.get(handle));
+                self.admit(copy, size, now, events)
+            });
+        EnqueueOutcome::Queued { held, copy }
     }
 
     /// Decide the fate of a packet offered at `now`: `Ok` with the
     /// duplication decision if the buffer admits it, or the drop.
-    fn admission(&mut self, id: PacketId, size: u32, now: SimTime) -> Result<bool, EnqueueOutcome> {
+    fn admission(&mut self, size: u32, now: SimTime) -> Result<bool, EnqueueOutcome> {
         self.retire(now);
-        self.stats.offered_pkts += 1;
-        self.stats.offered_bytes += size as u64;
         if self.down {
-            self.stats.dropped_down += 1;
-            if let Some(f) = &mut self.fault {
-                f.record(now, id, Impairment::LostDown);
-            }
             return Err(EnqueueOutcome::DroppedDown);
         }
         // A fault plan's loss model replaces the configured i.i.d. loss.
@@ -543,58 +520,40 @@ impl Link {
             _ => self.cfg.loss > 0.0 && self.rng.gen::<f64>() < self.cfg.loss,
         };
         if lost {
-            self.stats.dropped_loss += 1;
-            if let Some(f) = &mut self.fault {
-                f.record(now, id, Impairment::Lost);
-            }
             return Err(EnqueueOutcome::DroppedLoss);
         }
         // Duplication decision is rolled per admitted packet so the
         // fault stream's draw sequence is a pure function of the offered
         // traffic; the copy is discarded if the original is dropped.
-        let dup = match &mut self.fault {
-            Some(f) => f.roll_duplicate(),
-            None => false,
-        };
+        let dup = self.fault.as_mut().is_some_and(FaultState::roll_duplicate);
         match self.queue.try_admit(size, &mut self.rng) {
             EnqueueResult::Queued => Ok(dup),
-            EnqueueResult::DroppedFull => {
-                self.stats.dropped_full += 1;
-                Err(EnqueueOutcome::DroppedFull)
-            }
-            EnqueueResult::DroppedEarly => {
-                self.stats.dropped_early += 1;
-                Err(EnqueueOutcome::DroppedEarly)
-            }
+            EnqueueResult::DroppedFull => Err(EnqueueOutcome::DroppedFull),
+            EnqueueResult::DroppedEarly => Err(EnqueueOutcome::DroppedEarly),
         }
     }
 
     /// Buffer an admitted packet, roll its reorder impairment and
-    /// schedule it.
+    /// schedule it; `true` if the packet is held back.
     fn admit(
         &mut self,
         handle: PacketHandle,
         size: u32,
-        id: PacketId,
         now: SimTime,
         events: &mut EventQueue,
-    ) {
+    ) -> bool {
         self.queue.admit(size);
         let reorder = self.fault.as_mut().and_then(FaultState::roll_reorder);
-        if let (Some(_), Some(f)) = (reorder, &mut self.fault) {
-            self.stats.reordered += 1;
-            f.record(now, id, Impairment::Reordered);
-        }
         let mut e = Scheduled {
             handle,
             size,
-            enqueued_at: now,
             depart: SimTime::MAX,
             reorder,
             before: self.clock,
         };
         self.schedule(&mut e, now, events);
         self.fifo.push_back(e);
+        reorder.is_some()
     }
 
     /// Compute `e`'s departure and arrival from the link clock and
@@ -687,6 +646,12 @@ mod tests {
         }
     }
 
+    /// Admitted, neither held back nor copied.
+    const QUEUED: EnqueueOutcome = EnqueueOutcome::Queued {
+        held: false,
+        copy: None,
+    };
+
     fn link(cfg: LinkConfig) -> Link {
         Link::new(
             LinkId(0),
@@ -770,10 +735,7 @@ mod tests {
         // 12 Mbps, 1500 B => 1 ms serialization; 20 ms propagation.
         let cfg = LinkConfig::new(12_000_000, SimDuration::from_millis(20));
         let mut r = Rig::new(cfg);
-        assert_eq!(
-            r.enqueue(pkt(1, 1500), SimTime::ZERO),
-            EnqueueOutcome::Queued
-        );
+        assert_eq!(r.enqueue(pkt(1, 1500), SimTime::ZERO), QUEUED);
         assert_eq!(r.drain(), vec![(1, SimTime::from_millis(21))]);
     }
 
@@ -885,23 +847,24 @@ mod tests {
             // One packet per ms: the buffer never fills.
             match r.enqueue(pkt(i, 100), SimTime::from_millis(i)) {
                 EnqueueOutcome::DroppedLoss => dropped += 1,
-                EnqueueOutcome::Queued => {}
+                QUEUED => {}
                 other => panic!("unexpected {other:?}"),
             }
         }
         let frac = dropped as f64 / 10_000.0;
         assert!((0.27..0.33).contains(&frac), "loss fraction {frac}");
-        assert_eq!(r.l.stats.dropped_loss, dropped);
+        // A lost packet never occupies the pool.
+        assert_eq!(r.pool.live() as u64, 10_000 - dropped);
     }
 
     #[test]
     fn overflow_drops_counted() {
         let cfg = LinkConfig::new(1_000_000, SimDuration::ZERO).buffer_bytes(3000);
         let mut r = Rig::new(cfg);
-        for i in 0..5 {
-            r.enqueue(pkt(i, 1500), SimTime::ZERO);
-        }
-        assert_eq!(r.l.stats.dropped_full, 3);
+        let full = (0..5)
+            .filter(|&i| r.enqueue(pkt(i, 1500), SimTime::ZERO) == EnqueueOutcome::DroppedFull)
+            .count();
+        assert_eq!(full, 3);
         assert_eq!(r.l.queued_bytes(), 3000);
         // Only admitted packets occupy the pool.
         assert_eq!(r.pool.live(), 2);
@@ -932,17 +895,27 @@ mod tests {
         let mut r = Rig::new(cfg);
         let plan = FaultPlan::new().reorder(0.2, SimDuration::from_millis(10));
         r.l.attach_fault(FaultState::new(plan, stream_rng(3, 0)));
+        let mut held = vec![];
         for i in 0..100 {
-            r.enqueue(pkt(i, 1500), SimTime::ZERO);
+            match r.enqueue(pkt(i, 1500), SimTime::ZERO) {
+                EnqueueOutcome::Queued { held: true, .. } => held.push(i),
+                outcome => assert_eq!(outcome, QUEUED),
+            }
         }
+        assert!(!held.is_empty());
         let arrivals = r.drain();
         assert_eq!(arrivals.len(), 100);
-        assert!(r.l.stats.reordered > 0);
         // At least one packet arrives after a higher-id packet (the
-        // drain lists arrivals in time order).
+        // drain lists arrivals in time order), and only the held-back
+        // packets leave admission order.
         let out_of_order = arrivals.windows(2).any(|w| w[0].0 > w[1].0);
         assert!(out_of_order, "no reordering observed");
-        assert_eq!(r.l.stats.reordered as usize, r.l.fault_log().len());
+        let in_order: Vec<u64> = arrivals
+            .iter()
+            .map(|a| a.0)
+            .filter(|id| !held.contains(id))
+            .collect();
+        assert!(in_order.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -956,14 +929,10 @@ mod tests {
             r.enqueue(pkt(1, 1500), SimTime::ZERO),
             EnqueueOutcome::DroppedDown
         );
-        assert_eq!(r.l.stats.dropped_down, 1);
         assert!(r.drain().is_empty());
         r.fault(SimTime::from_millis(1), FaultAction::Up);
         assert!(!r.l.is_down());
-        assert_eq!(
-            r.enqueue(pkt(2, 1500), SimTime::from_millis(1)),
-            EnqueueOutcome::Queued
-        );
+        assert_eq!(r.enqueue(pkt(2, 1500), SimTime::from_millis(1)), QUEUED);
         let arrivals = r.drain();
         assert_eq!(arrivals.len(), 1);
     }
@@ -989,7 +958,6 @@ mod tests {
         assert_eq!(out[0].1, SimTime::from_millis(12));
         assert_eq!(out[1].1, SimTime::from_millis(62));
         assert_eq!(out[2].1, SimTime::from_millis(74));
-        assert_eq!(r.l.stats.delivered_pkts, 3);
         assert_eq!(r.l.queued_bytes(), 0);
         assert_eq!(r.pool.live(), 0);
     }
@@ -1000,17 +968,26 @@ mod tests {
         let mut r = Rig::new(cfg);
         let plan = FaultPlan::new().duplicate(0.25);
         r.l.attach_fault(FaultState::new(plan, stream_rng(3, 0)));
+        let mut copies = 0;
         for i in 0..1000 {
-            r.enqueue(pkt(i, 100), SimTime::ZERO);
+            match r.enqueue(pkt(i, 100), SimTime::ZERO) {
+                EnqueueOutcome::Queued {
+                    held: false,
+                    copy: Some(false),
+                } => copies += 1,
+                outcome => assert_eq!(outcome, QUEUED),
+            }
         }
-        let frac = r.l.stats.duplicated as f64 / 1000.0;
+        let frac = copies as f64 / 1000.0;
         assert!((0.2..0.3).contains(&frac), "duplication fraction {frac}");
         assert_eq!(
             r.l.queued_bytes(),
-            (1000 + r.l.stats.duplicated) * 100,
+            (1000 + copies) * 100,
             "copies occupy the buffer"
         );
-        assert_eq!(r.pool.live() as u64, 1000 + r.l.stats.duplicated);
+        assert_eq!(r.pool.live() as u64, 1000 + copies);
+        // Each copy arrives as its own packet.
+        assert_eq!(r.drain().len() as u64, 1000 + copies);
     }
 
     #[test]
@@ -1028,7 +1005,7 @@ mod tests {
         }
         let frac = dropped as f64 / 20_000.0;
         assert!((0.08..0.12).contains(&frac), "GE loss fraction {frac}");
-        assert_eq!(r.l.stats.dropped_loss, dropped);
+        assert_eq!(r.pool.live() as u64, 20_000 - dropped);
     }
 
     #[test]
@@ -1047,15 +1024,18 @@ mod tests {
     }
 
     #[test]
-    fn queue_delay_statistics_accumulate() {
+    fn a_packet_is_retired_once_its_departure_has_passed() {
+        // 12 Mbps, one-MTU burst: departures at 0 and 1 ms (the second
+        // waits 1 ms for tokens).
         let cfg = LinkConfig::new(12_000_000, SimDuration::ZERO).burst(1500);
         let mut r = Rig::new(cfg);
         r.enqueue(pkt(1, 1500), SimTime::ZERO);
         r.enqueue(pkt(2, 1500), SimTime::ZERO);
-        r.drain();
-        assert_eq!(r.l.stats.delivered_pkts, 2);
-        // Second packet waited ~1 ms for tokens.
-        assert!(r.l.stats.total_queue_delay >= SimDuration::from_micros(900));
-        assert!(r.l.stats.mean_queue_delay() > SimDuration::ZERO);
+        r.l.retire(SimTime::ZERO);
+        assert_eq!(r.l.queued_bytes(), 3000);
+        r.l.retire(SimTime::from_millis(1));
+        assert_eq!(r.l.queued_bytes(), 1500, "departing now: still buffered");
+        r.l.retire(SimTime::from_millis(1) + SimDuration::from_nanos(1));
+        assert_eq!(r.l.queued_bytes(), 0);
     }
 }

@@ -163,33 +163,6 @@ impl SimDuration {
         debug_assert!(factor >= 0.0, "negative duration scale");
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
-
-    /// The larger of two spans.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two spans.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Clamp into `[lo, hi]`.
-    #[inline]
-    pub fn clamp(self, lo: SimDuration, hi: SimDuration) -> SimDuration {
-        debug_assert!(lo <= hi);
-        self.max(lo).min(hi)
-    }
 }
 
 impl Add<SimDuration> for SimTime {

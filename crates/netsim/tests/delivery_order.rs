@@ -1,19 +1,20 @@
 //! Property test of packet delivery through the links' in-order arrival
 //! queues. Random small topologies mix jitter, fault-plan loss,
-//! reordering, duplication, flaps and link reconfigurations. Every
-//! admitted packet must be delivered exactly once, each link must
-//! deliver its in-order packets in admission order, no tap may see the
-//! clock run backwards, and the simulator's packet ledger must close
-//! with the admitted duplicates counted as injected. Debug builds also
-//! check, on every pop, that the scheduler's `(time, seq)` keys
-//! strictly increase.
+//! reordering, duplication, flaps and link reconfigurations. Read off
+//! the taps and the `sim` trace, every packet offered to a link must
+//! arrive exactly once unless traced as dropped, plus once per traced
+//! duplicate; each link must deliver its in-order packets in admission
+//! order; no tap may see the clock run backwards; and the simulator's
+//! packet ledger must close with the traced duplicates counted as
+//! injected. Debug builds also check, on every pop, that the
+//! scheduler's `(time, seq)` keys strictly increase.
 
 use csig_netsim::{
-    Agent, CaptureHandle, Ctx, Direction, FaultPlan, FlowId, GilbertElliott, Impairment,
-    LinkConfig, LinkId, NodeId, Packet, PacketSpec, SimDuration, SimTime, Simulator, SinkAgent,
-    StopReason, TimerToken,
+    Agent, Capture, Ctx, Direction, FaultPlan, FlowId, GilbertElliott, LinkConfig, LinkId, NodeId,
+    Packet, PacketSpec, SimDuration, SimTime, Simulator, SinkAgent, SinkHandle, StopReason,
+    TimerToken,
 };
-use csig_obs::MetricsRegistry;
+use csig_obs::{FieldValue, MetricsRegistry, TraceBuffer, TraceEvent};
 use csig_rng::{cases, StdRng};
 use std::collections::{HashMap, HashSet};
 
@@ -93,19 +94,39 @@ struct Observed {
     /// Tap at the link's sending node, and the direction in which it
     /// records the packets offered to the link: a source sends them, a
     /// router receives them.
-    offered: (CaptureHandle, Direction),
+    offered: (SinkHandle, Direction),
     /// Tap at the link's receiving node, and the source whose packets
     /// arrive over this link (`None`: every packet the tap records).
-    arrived: (CaptureHandle, Option<NodeId>),
+    arrived: (SinkHandle, Option<NodeId>),
 }
 
-fn ids(sim: &Simulator, tap: CaptureHandle, dir: Direction, src: Option<NodeId>) -> Vec<u64> {
-    sim.capture(tap)
+fn ids(sim: &Simulator, tap: SinkHandle, dir: Direction, src: Option<NodeId>) -> Vec<u64> {
+    sim.sink::<Capture>(tap)
+        .unwrap()
         .records
         .iter()
         .filter(|r| r.dir == dir && src.is_none_or(|s| r.pkt.src == s))
         .map(|r| r.pkt.id.0)
         .collect()
+}
+
+/// The packet ids of the `kind` events traced on `link`, in order.
+fn traced(events: &[TraceEvent], kind: &str, link: LinkId) -> Vec<u64> {
+    let on_link = ("link", FieldValue::U64(u64::from(link.0)));
+    events
+        .iter()
+        .filter(|e| e.kind == kind && e.fields.contains(&on_link))
+        .map(|e| match e.fields.iter().find(|(k, _)| *k == "packet") {
+            Some((_, FieldValue::U64(id))) => *id,
+            _ => panic!("impairment events name the packet: {e:?}"),
+        })
+        .collect()
+}
+
+/// `ids` sorted, for comparing multisets.
+fn sorted(mut ids: Vec<u64>) -> Vec<u64> {
+    ids.sort_unstable();
+    ids
 }
 
 /// Whether `sub` is `seq` with some entries removed.
@@ -140,10 +161,10 @@ fn admitted_packets_arrive_once_and_in_order() {
         let mut hops: Vec<(NodeId, NodeId)> = sources.iter().map(|&s| (s, r1)).collect();
         hops.extend([(r1, r2), (r2, dst)]);
         let mut observed = Vec::new();
-        let taps: HashMap<NodeId, CaptureHandle> = sources
+        let taps: HashMap<NodeId, SinkHandle> = sources
             .iter()
             .chain([&r1, &r2, &dst])
-            .map(|&n| (n, sim.attach_capture(n)))
+            .map(|&n| (n, sim.attach_sink(n, Box::new(Capture::new(n)))))
             .collect();
         for (from, to) in hops {
             let link = sim.add_link(from, to, random_config(rng));
@@ -169,8 +190,12 @@ fn admitted_packets_arrive_once_and_in_order() {
         sim.compute_routes();
         let reg = MetricsRegistry::new();
         sim.attach_obs(&reg);
+        let trace = TraceBuffer::new();
+        sim.attach_trace_buffer(trace.clone());
         assert_eq!(sim.run(), StopReason::Drained);
         assert_eq!(sim.packets_in_flight(), 0);
+        assert_eq!(trace.dropped(), 0, "the ring evicted events");
+        let events = trace.snapshot();
         let snap = reg.snapshot();
         let count = |name| snap.counter(name).unwrap();
         assert_eq!(
@@ -178,8 +203,11 @@ fn admitted_packets_arrive_once_and_in_order() {
             count("sim.packets_delivered") + count("sim.packets_dropped"),
             "sent + injected = delivered + dropped (nothing in flight)"
         );
+        let kinds = |kind: &str| events.iter().filter(|e| e.kind == kind).count() as u64;
+        assert_eq!(kinds("duplicate"), count("sim.packets_injected"));
+        assert_eq!(kinds("drop"), count("sim.packets_dropped"));
         for &tap in taps.values() {
-            let records = &sim.capture(tap).records;
+            let records = &sim.sink::<Capture>(tap).unwrap().records;
             assert!(
                 records.windows(2).all(|w| w[0].time <= w[1].time),
                 "the clock ran backwards"
@@ -189,40 +217,22 @@ fn admitted_packets_arrive_once_and_in_order() {
         for o in &observed {
             let offered = ids(&sim, o.offered.0, o.offered.1, None);
             let arrived = ids(&sim, o.arrived.0, Direction::In, o.arrived.1);
-            let stats = sim.link_stats(o.link);
-            let log = sim.fault_log(o.link);
-            let logged = |what: Impairment| -> Vec<u64> {
-                log.iter()
-                    .filter(|r| r.what == what)
-                    .map(|r| r.packet.0)
-                    .collect()
-            };
-            let duplicated = logged(Impairment::Duplicated);
-            // Exactly once: as many arrivals as admissions (each copy of
-            // a duplicate is admitted on its own), and no packet arrives
-            // more often than it was offered plus duplicated.
-            // A duplicate copy counts as offered, and as duplicated only
-            // if the buffer admits it too.
-            assert!(stats.offered_pkts >= offered.len() as u64 + stats.duplicated);
-            let admitted = stats.offered_pkts - stats.dropped_total();
-            assert_eq!(arrived.len() as u64, admitted, "link {:?}", o.link);
-            assert_eq!(stats.delivered_pkts, admitted);
-            let mut allowance: HashMap<u64, i64> = HashMap::new();
-            for &id in offered.iter().chain(&duplicated) {
-                *allowance.entry(id).or_default() += 1;
-            }
-            for &id in &arrived {
-                let left = allowance.entry(id).or_default();
-                *left -= 1;
-                assert!(
-                    *left >= 0,
-                    "packet {id} arrived too often over {:?}",
-                    o.link
-                );
-            }
+            let dropped = traced(&events, "drop", o.link);
+            let duplicated = traced(&events, "duplicate", o.link);
+            // Exactly once: the arrivals plus the traced drops are the
+            // offered packets plus the admitted copies, as multisets (a
+            // copy shares its original's id). A copy the buffer refused
+            // is in neither.
+            assert_eq!(
+                sorted([arrived.clone(), dropped].concat()),
+                sorted([offered.clone(), duplicated.clone()].concat()),
+                "link {:?}",
+                o.link
+            );
+            assert_eq!(sim.link(o.link).queued_bytes(), 0);
             // In order: leaving out the packets a fault plan held back,
             // the arrivals are the admissions with the drops left out.
-            let held: HashSet<u64> = logged(Impairment::Reordered).into_iter().collect();
+            let held: HashSet<u64> = traced(&events, "reorder", o.link).into_iter().collect();
             let mut admissions = Vec::new();
             for &id in offered.iter().filter(|id| !held.contains(id)) {
                 admissions.push(id);

@@ -39,6 +39,7 @@ use csig_netsim::{
     transmission_time, Agent, Ctx, FlowId, LinkConfig, NodeId, Packet, PacketSpec, SimDuration,
     SimTime, Simulator, TimerToken, DEFAULT_MSS,
 };
+use csig_obs::TraceBuffer;
 use csig_rng::cases;
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 
@@ -197,12 +198,19 @@ fn slow_start_doubles_cwnd_per_rtt_until_the_first_loss() {
         LinkConfig::new(20_000_000, SimDuration::from_millis(20)).buffer_ms(100),
     );
     sim.compute_routes();
+    let trace = TraceBuffer::new();
+    sim.attach_trace_buffer(trace.clone());
     assert_ne!(
         sim.run_until(SimTime::from_secs(5)),
         csig_netsim::StopReason::EventBudget
     );
+    assert_eq!(trace.dropped(), 0, "the ring evicted events");
     assert!(
-        sim.link_stats(data).dropped_full > 0,
+        trace.snapshot().iter().any(|e| {
+            e.kind == "drop"
+                && e.fields.contains(&("link", u64::from(data.0).into()))
+                && e.fields.contains(&("reason", "full".into()))
+        }),
         "slow start never overflowed the buffer"
     );
     let stats = &sim

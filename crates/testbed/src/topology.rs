@@ -298,10 +298,17 @@ mod tests {
             .config(AccessParams::figure1(), 7)
             .with_access_fault(plan);
         let mut tb = build(&cfg);
+        let trace = csig_obs::TraceBuffer::new();
+        tb.sim.attach_trace_buffer(trace.clone());
         tb.sim.run_until(tb.test_end).expect_within_budget();
-        let stats = &tb.sim.link(tb.access_down).stats;
-        assert!(stats.dropped_down > 0, "flap dropped nothing: {stats:?}");
-        assert!(!tb.sim.fault_log(tb.access_down).is_empty());
+        assert_eq!(trace.dropped(), 0, "the ring evicted events");
+        let flapped = trace.snapshot().iter().any(|e| {
+            e.kind == "drop"
+                && e.fields
+                    .contains(&("link", u64::from(tb.access_down.0).into()))
+                && e.fields.contains(&("reason", "down".into()))
+        });
+        assert!(flapped, "flap dropped nothing");
         // An empty plan is dropped by the builder: the config stays
         // byte-identical to a clean one.
         let clean = Profile::Scaled

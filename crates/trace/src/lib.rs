@@ -46,11 +46,11 @@ pub use pcap_import::{
 #[cfg(test)]
 mod integration_tests {
     use super::*;
-    use csig_netsim::{FlowId, LinkConfig, PacketRecord, SimDuration, Simulator};
+    use csig_netsim::{Capture, FlowId, LinkConfig, PacketRecord, SimDuration, Simulator};
     use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 
     /// Run a download over a bottleneck and capture at the server.
-    fn run_download(seed: u64, size: u64) -> (csig_netsim::Capture, csig_tcp::ConnStats) {
+    fn run_download(seed: u64, size: u64) -> (Capture, csig_tcp::ConnStats) {
         let mut sim = Simulator::new(seed);
         let server = sim.add_host(Box::new(TcpServerAgent::new(
             TcpConfig::default(),
@@ -68,12 +68,12 @@ mod integration_tests {
             LinkConfig::new(20_000_000, SimDuration::from_millis(20)).buffer_ms(100),
         );
         sim.compute_routes();
-        let cap = sim.attach_capture(server);
+        let cap = sim.attach_sink(server, Box::new(Capture::new(server)));
         sim.set_event_budget(50_000_000);
         sim.run().expect_within_budget();
         let s: &TcpServerAgent = sim.agent(server).unwrap();
         let stats = s.completed[0].1.clone();
-        (sim.take_capture(cap), stats)
+        (sim.take_sink::<Capture>(cap).unwrap(), stats)
     }
 
     fn rtt_samples<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> Vec<RttSample> {

@@ -11,6 +11,7 @@
 //! cargo run --release --example speedtest_diagnosis
 //! ```
 
+use tcp_congestion_signatures::netsim::Capture;
 use tcp_congestion_signatures::prelude::*;
 use tcp_congestion_signatures::testbed;
 use tcp_congestion_signatures::trace::write_pcap;
@@ -44,10 +45,12 @@ fn main() {
             }
             // Run the test and capture at the server, like the paper.
             let mut tb = testbed::build(&cfg);
-            let cap_h = tb.sim.attach_capture(tb.server1);
+            let cap_h = tb
+                .sim
+                .attach_sink(tb.server1, Box::new(Capture::new(tb.server1)));
             let horizon = tb.test_end + testbed::DRAIN_TAIL;
             tb.sim.run_until(horizon).expect_within_budget();
-            let cap = tb.sim.take_capture(cap_h);
+            let cap = tb.sim.take_sink::<Capture>(cap_h).expect("a Capture tap");
             let classifiable = analyze_capture(&clf, &cap)
                 .iter()
                 .all(|r| r.verdict.is_ok());

@@ -32,6 +32,13 @@ cmp -s "$obsdir/t1.jsonl" "$obsdir/t2.jsonl" || { echo "verify: trace differs ac
 # value updates the file and says so in CHANGES.md.
 cmp -s "$obsdir/m1.json" scripts/fig1_metrics_seed7.json ||
   { echo "verify: metrics snapshot differs from scripts/fig1_metrics_seed7.json"; exit 1; }
+# Every counted drop is traced, once, under its packet id.
+drops="$(grep -c '"kind": "drop"' "$obsdir/t1.jsonl" || true)"
+counted="$(sed -n 's/^ *"sim.packets_dropped": \([0-9]*\),\{0,1\}$/\1/p' "$obsdir/m1.json")"
+test "$drops" = "$counted" ||
+  { echo "verify: $drops drop lines traced, ${counted:-no} sim.packets_dropped counted"; exit 1; }
+named="$(grep -c '"kind": "drop", .*"packet": ' "$obsdir/t1.jsonl" || true)"
+test "$named" = "$drops" || { echo "verify: $((drops - named)) traced drops name no packet"; exit 1; }
 # Wall-clock timing belongs to perfbench: no timer or histogram may
 # leak into the deterministic snapshot.
 if grep -q -e '"time\.' -e '"buckets"' "$obsdir/m1.json"; then

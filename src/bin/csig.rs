@@ -28,6 +28,7 @@ use std::process::ExitCode;
 use csig_core::{train_sweep_with, SignatureClassifier};
 use csig_dtree::TreeParams;
 use csig_exec::cli::{CommonArgs, Flag, JOBS, PROGRESS, SEED};
+use csig_netsim::Capture;
 use csig_testbed::{paper_grid, small_grid, AccessParams, Profile, Sweep, DRAIN_TAIL};
 use csig_trace::{import_pcap, write_pcap, ServerSelector};
 use Flag::{Path, Switch, Value};
@@ -191,7 +192,7 @@ fn load_or_train_model(args: &CommonArgs) -> Result<SignatureClassifier, String>
     }
 }
 
-fn load_capture(args: &CommonArgs) -> Result<csig_netsim::Capture, Failure> {
+fn load_capture(args: &CommonArgs) -> Result<Capture, Failure> {
     let path = args
         .positional()
         .ok_or_else(|| Failure::Usage("missing capture path".into()))?;
@@ -249,11 +250,13 @@ fn cmd_simulate(args: &CommonArgs) -> Result<(), Failure> {
         }
     );
     let mut tb = csig_testbed::build(&cfg);
-    let cap = tb.sim.attach_capture(tb.server1);
+    let cap = tb
+        .sim
+        .attach_sink(tb.server1, Box::new(Capture::new(tb.server1)));
     tb.sim
         .run_until(tb.test_end + DRAIN_TAIL)
         .expect_within_budget();
-    let capture = tb.sim.take_capture(cap);
+    let capture = tb.sim.take_sink::<Capture>(cap).expect("a Capture tap");
     let file = fs::File::create(&out).map_err(|e| format!("creating {out}: {e}"))?;
     let n = write_pcap(&capture, file).map_err(|e| e.to_string())?;
     eprintln!("wrote {n} packets to {out}");

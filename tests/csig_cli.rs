@@ -5,6 +5,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use tcp_congestion_signatures::netsim::Capture;
 use tcp_congestion_signatures::prelude::*;
 
 const HEADER: &str = "  flow  packets  acked(kB)  mean Mbps  ss end(s)   samples capacity est\n";
@@ -122,9 +123,9 @@ fn inspect_ignores_a_reused_four_tuple_after_close() {
         LinkConfig::new(20_000_000, SimDuration::from_millis(20)).buffer_ms(100),
     );
     sim.compute_routes();
-    let cap = sim.attach_capture(server);
+    let cap = sim.attach_sink(server, Box::new(Capture::new(server)));
     sim.run().expect_within_budget();
-    let once = sim.take_capture(cap);
+    let once = sim.take_sink::<Capture>(cap).unwrap();
     // The same connection again, 20 s later.
     let mut twice = once.clone();
     twice.records.extend(once.records.iter().map(|rec| {

@@ -1,9 +1,10 @@
 //! Robustness-layer integration tests: fault-injection determinism
 //! across worker counts, and campaign-level panic isolation.
 //!
-//! * A seeded [`FaultPlan`] must produce a byte-identical impairment
-//!   trace whether the campaign runs on 1 worker or 8 — impairment
-//!   randomness comes only from the scenario seed.
+//! * A seeded [`FaultPlan`] must produce byte-identical `sim` trace
+//!   lines (drops, reorders, duplicates, flaps) whether the campaign
+//!   runs on 1 worker or 8 — impairment randomness comes only from the
+//!   scenario seed.
 //! * A scenario that panics mid-campaign, by hand or by exhausting its
 //!   simulator's event budget, must surface as a structured
 //!   [`ScenarioError`] while every other scenario's artifact stays
@@ -12,8 +13,9 @@
 
 use csig_exec::{Campaign, CampaignRun, Executor, Scenario};
 use csig_netsim::{
-    FaultPlan, GilbertElliott, ImpairmentRecord, LinkConfig, SimDuration, SimTime, Simulator,
+    Capture, Direction, FaultPlan, GilbertElliott, LinkConfig, SimDuration, SimTime, Simulator,
 };
+use csig_obs::{TraceBuffer, TraceEvent};
 use csig_tcp::{ClientBehavior, ServerSendPolicy, TcpClientAgent, TcpConfig, TcpServerAgent};
 
 /// One impaired TCP download: a server→client transfer over a duplex
@@ -31,9 +33,11 @@ const TRANSFER: ImpairedTransfer = ImpairedTransfer {
     event_budget: 50_000_000,
 };
 
-/// The artifact: the impairment log plus a digest of what the client
-/// actually received — both must be independent of worker scheduling.
-type TransferArtifact = (Vec<ImpairmentRecord>, u64, u64);
+/// The artifact: the run's trace lines, the fault plan's impairments
+/// (loss, down, reorder and duplicate events) and all drops traced on
+/// the impaired link, and the bytes the client received — all must be
+/// independent of worker scheduling.
+type TransferArtifact = (Vec<String>, u64, u64, u64);
 
 impl Scenario for ImpairedTransfer {
     type Artifact = TransferArtifact;
@@ -64,13 +68,28 @@ impl Scenario for ImpairedTransfer {
                 .down_between(SimTime::from_millis(150), SimTime::from_millis(180)),
         );
         sim.compute_routes();
+        let tap = sim.attach_sink(client, Box::new(Capture::new(client)));
+        let trace = TraceBuffer::new();
+        sim.attach_trace_buffer(trace.clone());
         sim.set_event_budget(self.event_budget);
         sim.run().expect_within_budget();
-        let stats = &sim.link(down).stats;
+        assert_eq!(trace.dropped(), 0, "the ring evicted events");
+        let events = trace.snapshot();
+        let on_down = |e: &&TraceEvent| e.fields.contains(&("link", u64::from(down.0).into()));
+        let reason = |e: &TraceEvent, r: &str| e.fields.contains(&("reason", r.into()));
+        let impaired = events.iter().filter(on_down).filter(|e| match e.kind {
+            "drop" => reason(e, "loss") || reason(e, "down"),
+            kind => kind == "reorder" || kind == "duplicate",
+        });
+        let dropped = events.iter().filter(on_down).filter(|e| e.kind == "drop");
+        let capture = sim.take_sink::<Capture>(tap).unwrap();
+        let received = capture.records.iter().filter(|r| r.dir == Direction::In);
+        let bytes = received.map(|r| u64::from(r.pkt.size)).sum();
         (
-            sim.fault_log(down).to_vec(),
-            stats.dropped_total(),
-            stats.delivered_bytes,
+            events.iter().map(TraceEvent::to_json_line).collect(),
+            impaired.count() as u64,
+            dropped.count() as u64,
+            bytes,
         )
     }
 }
@@ -92,14 +111,14 @@ fn fault_plans_are_jobs_invariant() {
         format!("{par:?}"),
         "impairment traces depend on jobs"
     );
-    // The plans actually fired: every scenario logged impairments and
+    // The plans actually fired: every scenario traced impairments and
     // lost something (GE loss + a flap over a 400 kB transfer).
-    for (log, dropped, delivered) in &seq {
-        assert!(!log.is_empty(), "no impairments logged");
+    for (_, impaired, dropped, delivered) in &seq {
+        assert!(*impaired > 0, "no impairments traced");
         assert!(*dropped > 0, "nothing dropped");
         assert!(*delivered > 0, "nothing delivered");
     }
-    // Different seeds produce different impairment sequences (the log
+    // Different seeds produce different impairment sequences (the trace
     // is seed-derived, not constant).
     assert_ne!(seq[0].0, seq[1].0);
 }

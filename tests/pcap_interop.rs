@@ -4,7 +4,7 @@
 //! online one).
 
 use std::collections::BTreeMap;
-use tcp_congestion_signatures::netsim::{Direction, FlowId};
+use tcp_congestion_signatures::netsim::{Capture, Direction, FlowId};
 use tcp_congestion_signatures::prelude::*;
 use tcp_congestion_signatures::testbed;
 use tcp_congestion_signatures::trace::pcap::{flow_port, TAP_PORT};
@@ -25,11 +25,13 @@ fn verdict_survives_pcap_roundtrip() {
     // Run a fresh test, capture at the server.
     let cfg = Profile::Scaled.config(AccessParams::figure1(), 987);
     let mut tb = testbed::build(&cfg);
-    let cap = tb.sim.attach_capture(tb.server1);
+    let cap = tb
+        .sim
+        .attach_sink(tb.server1, Box::new(Capture::new(tb.server1)));
     tb.sim
         .run_until(tb.test_end + testbed::DRAIN_TAIL)
         .expect_within_budget();
-    let capture = tb.sim.take_capture(cap);
+    let capture = tb.sim.take_sink::<Capture>(cap).unwrap();
 
     // Online verdicts.
     let online = analyze_capture(&clf, &capture);
@@ -62,11 +64,13 @@ fn verdict_survives_pcap_roundtrip() {
 fn pcap_file_has_standard_layout() {
     let cfg = Profile::Scaled.config(AccessParams::figure1(), 988);
     let mut tb = testbed::build(&cfg);
-    let cap = tb.sim.attach_capture(tb.server1);
+    let cap = tb
+        .sim
+        .attach_sink(tb.server1, Box::new(Capture::new(tb.server1)));
     tb.sim
         .run_until(tb.test_start + SimDuration::from_millis(500))
         .expect_within_budget();
-    let capture = tb.sim.take_capture(cap);
+    let capture = tb.sim.take_sink::<Capture>(cap).unwrap();
     let mut buf = Vec::new();
     write_pcap(&capture, &mut buf).expect("export");
     // Nanosecond little-endian magic and LINKTYPE_RAW.
@@ -101,7 +105,7 @@ fn tiny_model() -> SignatureClassifier {
 
 /// Three concurrent downloads from one server, each client behind its
 /// own shaped access link, captured at the server.
-fn three_flow_capture() -> tcp_congestion_signatures::netsim::Capture {
+fn three_flow_capture() -> Capture {
     let ms = SimDuration::from_millis;
     let mut sim = Simulator::new(31);
     let server = sim.add_host(Box::new(TcpServerAgent::new(
@@ -133,10 +137,10 @@ fn three_flow_capture() -> tcp_congestion_signatures::netsim::Capture {
         );
     }
     sim.compute_routes();
-    let cap = sim.attach_capture(server);
+    let cap = sim.attach_sink(server, Box::new(Capture::new(server)));
     sim.set_event_budget(50_000_000);
     sim.run().expect_within_budget();
-    sim.take_capture(cap)
+    sim.take_sink::<Capture>(cap).unwrap()
 }
 
 #[test]

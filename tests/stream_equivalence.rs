@@ -78,7 +78,7 @@ fn run_with_both_taps(
     }
     sim.compute_routes();
 
-    let cap = sim.attach_capture(server);
+    let cap = sim.attach_sink(server, Box::new(Capture::new(server)));
     let probes: Vec<(FlowId, SinkHandle)> = flows
         .iter()
         .map(|&f| (f, sim.attach_sink(server, Box::new(FlowProbe::new(f)))))
@@ -88,7 +88,7 @@ fn run_with_both_taps(
     sim.run_until(tcp_congestion_signatures::netsim::SimTime::ZERO + SimDuration::from_secs(30))
         .expect_within_budget();
 
-    let capture = sim.take_capture(cap);
+    let capture = sim.take_sink::<Capture>(cap).unwrap();
     (sim, capture, probes)
 }
 
@@ -313,12 +313,12 @@ fn peak_outstanding_of_download(size: u64) -> usize {
     let link = LinkConfig::new(20_000_000, SimDuration::from_millis(20)).buffer_ms(100);
     sim.add_duplex_link(server, client, link);
     sim.compute_routes();
-    let cap = sim.attach_capture(server);
+    let cap = sim.attach_sink(server, Box::new(Capture::new(server)));
     sim.set_event_budget(50_000_000);
     sim.run().expect_within_budget();
     let mut probe = FlowProbe::new(FlowId(500));
     let mut peak = 0;
-    for rec in &sim.take_capture(cap).records {
+    for rec in &sim.take_sink::<Capture>(cap).unwrap().records {
         probe.push(rec);
         peak = peak.max(probe.outstanding_len());
     }
